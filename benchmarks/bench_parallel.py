@@ -1,25 +1,24 @@
-"""E-parallel -- sharded expansion engine vs the single-threaded vector kernel.
+"""E-parallel -- the expansion engine's worker pool: jobs=1 vs jobs=2.
 
-Measures the PR-5 tentpole: ``CascadeSearch(kernel="parallel")`` -- the
-relation-filtered, hash-prefix-sharded, optionally multi-process
-expansion engine of :mod:`repro.core.parallel` -- against the PR-2
-vector kernel on the paper's full cost-7 closure (~6.9e5 cascades,
-parent tracking on).  Two parallel configurations are timed:
+Measures ``CascadeSearch(kernel="vector")`` -- the relation-filtered,
+hash-prefix-sharded expansion engine of :mod:`repro.core.kernel` -- on
+the paper's full cost-7 closure (~6.9e5 cascades, parent tracking on)
+in its two worker configurations:
 
-* ``jobs=1``: coordinator-only.  Isolates the *algorithmic* gains (the
-  length-2 relation filter prunes ~75% of duplicate candidates before
-  composition; the sharded dedup table commits the survivors) with zero
-  parallelism.
-* ``jobs=4``: the worker-pool path (pair-table composition + hashing
-  fanned out over shared scratch mappings).  On a multi-core machine
-  this adds near-linear compose/hash scaling on top of the jobs=1
-  gains; on a single-CPU runner it can only lose to IPC overhead, so
-  the recorded ``cpus`` field is the context for the headline number.
+* ``jobs=1``: candidates are composed in-process (the default).
+* ``jobs=2``: pair-table composition + hashing fan out to a two-worker
+  :class:`~repro.core.parallel.ComposePool` over shared scratch
+  mappings; planning, the relation filter and dedup stay in the
+  coordinator.  On a multi-core machine this can overlap composition;
+  on a single-CPU runner it can only add IPC overhead, so the recorded
+  ``cpus`` field is the context for the scaling number.
 
-All configurations must produce byte-identical golden level counts
-(asserted here; full equivalence is pinned by tests/test_parallel.py),
-and the parallel closure is saved through the streaming store writer
-and re-verified with ``repro store verify`` semantics.
+Both configurations must produce the golden level counts (asserted
+here; full equivalence is pinned by tests/test_parallel.py), and the
+pooled closure is saved through the streaming store writer and
+re-verified with ``repro store verify`` semantics.  Timing is reported,
+not gated: whether the pool pays for itself is decided on measured
+multi-core evidence, not asserted per runner.
 
 Runs are paired and the best time per configuration is reported.
 Results land in ``BENCH_parallel.json`` at the repo root.
@@ -28,7 +27,7 @@ Run standalone (prints a small report)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
 
-or as a pytest module (asserts the speedup bar for the machine size)::
+or as a pytest module::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_parallel.py -s
 
@@ -42,6 +41,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -59,15 +59,15 @@ GOLDEN_B = (1, 18, 162, 1017, 5364, 25761, 118888, 538191)
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
-def _build(library: GateLibrary, kernel: str, options=None):
+def _build(library: GateLibrary, jobs: int):
     started = perf_counter()
     search = CascadeSearch(
-        library, track_parents=True, kernel=kernel, kernel_options=options
+        library, track_parents=True, kernel_options={"jobs": jobs}
     )
     search.extend_to(COST_BOUND)
     elapsed = perf_counter() - started
     assert search.stats().level_sizes == GOLDEN_B, (
-        f"{kernel}{options or {}} drifted from the golden closure"
+        f"jobs={jobs} drifted from the golden closure"
     )
     return elapsed, search
 
@@ -75,52 +75,39 @@ def _build(library: GateLibrary, kernel: str, options=None):
 def measure() -> dict:
     """Paired closure builds + a streamed store write; returns numbers."""
     library = GateLibrary(3)
-    # Warm-up pre-faults allocator pools for every configuration.
-    _, warm = _build(library, "parallel", {"jobs": 1})
-    warm.close()
-    vector_times: list[float] = []
-    par1_times: list[float] = []
-    par4_times: list[float] = []
-    last_parallel = None
+    # Warm-up pre-faults allocator pools for both configurations.
+    for jobs in (1, 2):
+        _, warm = _build(library, jobs)
+        warm.close()
+    jobs1_times: list[float] = []
+    jobs2_times: list[float] = []
     for _ in range(ROUNDS):
-        elapsed, _search = _build(library, "vector")
-        vector_times.append(elapsed)
-        elapsed, search = _build(library, "parallel", {"jobs": 1})
-        par1_times.append(elapsed)
-        if last_parallel is not None:
-            last_parallel.close()
-        last_parallel = search
-        elapsed, search = _build(library, "parallel", {"jobs": 4})
-        par4_times.append(elapsed)
+        elapsed, search = _build(library, 1)
+        jobs1_times.append(elapsed)
         search.close()
+        elapsed, pooled = _build(library, 2)
+        jobs2_times.append(elapsed)
+        pooled.close()
 
-    # The parallel closure must round-trip the streaming store writer
-    # and survive a full verification pass.
-    store_path = Path(
-        os.environ.get("BENCH_PARALLEL_STORE", "/tmp/bench_parallel.rpro")
-    )
-    header = save_search(last_parallel, store_path)
-    verify_store(store_path)
+    # The pooled closure must round-trip the streaming store writer and
+    # survive a full verification pass.
+    with tempfile.TemporaryDirectory() as tmp:
+        store_path = Path(tmp) / "bench_parallel.rpro"
+        header = save_search(pooled, store_path)
+        verify_store(store_path)
     assert tuple(header.level_sizes) == GOLDEN_B
     shards = dict(header.shards)
-    last_parallel.close()
-    store_path.unlink()
 
-    vector_s = min(vector_times)
-    par1_s = min(par1_times)
-    par4_s = min(par4_times)
+    jobs1_s = min(jobs1_times)
+    jobs2_s = min(jobs2_times)
     numbers = {
         "cost_bound": COST_BOUND,
         "closure_size": int(sum(GOLDEN_B)),
-        "vector_s": vector_s,
-        "parallel_jobs1_s": par1_s,
-        "parallel_jobs4_s": par4_s,
-        "vector_runs_s": [round(t, 4) for t in vector_times],
-        "parallel_jobs1_runs_s": [round(t, 4) for t in par1_times],
-        "parallel_jobs4_runs_s": [round(t, 4) for t in par4_times],
-        "speedup_jobs1": vector_s / par1_s,
-        "speedup_jobs4": vector_s / par4_s,
-        "speedup": vector_s / min(par1_s, par4_s),
+        "jobs1_s": jobs1_s,
+        "jobs2_s": jobs2_s,
+        "jobs1_runs_s": [round(t, 4) for t in jobs1_times],
+        "jobs2_runs_s": [round(t, 4) for t in jobs2_times],
+        "speedup_jobs2": jobs1_s / jobs2_s,
         "cpus": os.cpu_count() or 1,
         "shard_bits": shards.get("shard_bits"),
         "golden_counts_identical": True,
@@ -137,48 +124,20 @@ def report(numbers: dict) -> str:
         f"cost bound:            {numbers['cost_bound']:10d}\n"
         f"closure size:          {numbers['closure_size']:10d}\n"
         f"cpus on this machine:  {numbers['cpus']:10d}\n"
-        f"vector kernel:         {numbers['vector_s'] * 1e3:10.1f} ms\n"
-        f"parallel --jobs 1:     "
-        f"{numbers['parallel_jobs1_s'] * 1e3:10.1f} ms "
-        f"({numbers['speedup_jobs1']:.2f}x)\n"
-        f"parallel --jobs 4:     "
-        f"{numbers['parallel_jobs4_s'] * 1e3:10.1f} ms "
-        f"({numbers['speedup_jobs4']:.2f}x)\n"
+        f"--jobs 1:              {numbers['jobs1_s'] * 1e3:10.1f} ms\n"
+        f"--jobs 2:              "
+        f"{numbers['jobs2_s'] * 1e3:10.1f} ms "
+        f"({numbers['speedup_jobs2']:.2f}x)\n"
         f"(wrote {_JSON_PATH.name})"
     )
 
 
-def _required_speedup(cpus: int) -> tuple[float, str]:
-    """The honest bar for this machine size.
-
-    The ISSUE-5 acceptance bar -- >= 2x at --jobs 4 -- assumes the
-    workers have cores to run on.  On fewer than 4 CPUs the pool can
-    only add IPC overhead, so the assertable floor degrades to the
-    purely algorithmic jobs=1 gain (relation filter + sharded dedup),
-    which must still beat the vector kernel outright.
-    """
-    if cpus >= 4:
-        return 2.0, "jobs=4 on >=4 CPUs must be >= 2x the vector kernel"
-    return 1.15, (
-        f"single/few-CPU runner ({cpus} cpus): the sequential sharded "
-        "engine must still beat the vector kernel by >= 1.15x"
-    )
-
-
 @pytest.mark.benchmark
-def test_parallel_engine_beats_vector_kernel():
+def test_pool_reproduces_goldens_and_reports_scaling():
     numbers = measure()
     print("\n" + report(numbers))
-    bar, why = _required_speedup(numbers["cpus"])
-    achieved = (
-        numbers["speedup_jobs4"]
-        if numbers["cpus"] >= 4
-        else numbers["speedup"]
-    )
-    assert achieved >= bar, (
-        f"parallel engine only {achieved:.2f}x vs the vector kernel; "
-        f"bar for this machine: {bar}x ({why})"
-    )
+    assert numbers["golden_counts_identical"] and numbers["store_verified"]
+    assert numbers["jobs1_s"] > 0 and numbers["jobs2_s"] > 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ number of synthesis queries are answered against the stored artifact;
 format-v2 stores are memory-mapped, so serving opens in milliseconds)::
 
     repro precompute closure.rpro            # expand + save the closure
-    repro precompute closure.rpro --jobs 4   # parallel sharded expansion
+    repro precompute closure.rpro --jobs 4   # 4 compose workers
     repro precompute big.rpro --jobs 8 --dedup-budget 512M \\
         --checkpoint-dir ck/                 # disk-backed dedup + resume
     repro precompute closure.rpro --extend --cost-bound 8   # deepen it
@@ -327,11 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "and cost-model flags must match the existing store)",
     )
     p_pre.add_argument(
-        "--kernel", choices=("vector", "translate", "parallel"), default=None,
-        help="expansion kernel (vector: NumPy engine, default; "
-        "translate: the byte-level reference loop; parallel: the "
-        "sharded multi-worker engine -- implied by --jobs > 1 or any "
-        "--dedup-*/--shard-bits/--checkpoint-dir flag)",
+        "--kernel", choices=("vector", "translate"), default=None,
+        help="expansion kernel (vector: the NumPy engine with sharded "
+        "dedup, default; translate: the byte-level reference loop, "
+        "which takes none of --jobs/--dedup-budget/--shard-bits/"
+        "--checkpoint-dir)",
     )
     p_pre.add_argument(
         "--format-version", type=int, choices=(1, 2, 3), default=None,
@@ -346,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_pre.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for candidate generation (parallel "
-        "kernel; 1 = in-process)",
+        help="worker processes for candidate composition (vector "
+        "kernel; default 1 = in-process; must be >= 1)",
     )
     p_pre.add_argument(
         "--dedup-budget", metavar="SIZE", default=None,
@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="size --jobs/--shard-bits/--dedup-budget for a precompute run",
         description=(
             "Project the closure size for a cost bound and size the "
-            "parallel-expansion flags from this machine's CPU count and "
+            "engine flags from this machine's CPU count and "
             "available RAM.  An existing store seeds the projection with "
             "its recorded level sizes and shard skew."
         ),
@@ -895,8 +895,8 @@ def _resolve_precompute_kernel(
 ) -> tuple[str, dict]:
     """Pick the expansion kernel + options from the precompute flags.
 
-    Any parallel-engine tunable implies ``kernel="parallel"``; flags on
-    a non-parallel kernel are refused rather than silently ignored.
+    The engine tunables belong to the vector kernel (the default); on
+    the translate kernel they are refused rather than silently ignored.
     """
     from repro.core.dedup import parse_budget
     from repro.errors import SpecificationError
@@ -911,11 +911,11 @@ def _resolve_precompute_kernel(
     if checkpoint_dir is not None:
         options["checkpoint_dir"] = checkpoint_dir
     if kernel is None:
-        kernel = "parallel" if options else "vector"
-    elif options and kernel != "parallel":
+        kernel = "vector"
+    elif options and kernel != "vector":
         raise SpecificationError(
             "--jobs/--dedup-budget/--shard-bits/--checkpoint-dir are "
-            f"parallel-kernel options; they cannot combine with "
+            f"vector-kernel options; they cannot combine with "
             f"--kernel {kernel}"
         )
     return kernel, options
@@ -1077,15 +1077,14 @@ def _cmd_precompute(
         f"{verb} {library!r} to cost {cost_bound}: "
         f"{stats.total_seen} cascades in {stats.elapsed_seconds:.2f}s"
     )
-    if kernel == "parallel":
-        layout = header.shards
-        if layout:
-            spill = "disk-backed" if layout.get("spilled") else "in-RAM"
-            print(
-                f"dedup table: {1 << layout['shard_bits']} shards x "
-                f"{layout['slab_slots']} slots ({spill}), "
-                f"jobs {kernel_options.get('jobs', 1)}"
-            )
+    layout = header.shards
+    if layout:
+        spill = "disk-backed" if layout.get("spilled") else "in-RAM"
+        print(
+            f"dedup table: {1 << layout['shard_bits']} shards x "
+            f"{layout['slab_slots']} slots ({spill}), "
+            f"jobs {kernel_options.get('jobs', 1)}"
+        )
     print(f"levels |B[k]|: {list(stats.level_sizes)}")
     print(
         f"wrote {out} ({size / 1e6:.1f} MB, format {header.format_version}, "
@@ -1466,15 +1465,15 @@ def _cmd_store_shards(path: str, bits: int | None) -> int:
     layout = header.shards
     if not layout and bits is None and header.format_version >= 2:
         print(
-            "no recorded shard layout (store not written by the parallel "
-            "kernel); pass --bits B to project one"
+            "no recorded shard layout (store not written by the vector "
+            "engine); pass --bits B to project one"
         )
         return 0
     if layout and bits is None:
         per_shard = layout.get("rows_per_shard", [])
         shard_bits = layout["shard_bits"]
         slots = layout["slab_slots"]
-        source = "recorded by the parallel kernel"
+        source = "recorded by the vector engine"
     else:
         if header.format_version < 2:
             print(

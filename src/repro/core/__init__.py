@@ -4,7 +4,7 @@
 * :mod:`repro.core.cost` -- quantum cost models.
 * :mod:`repro.core.search` -- the reasonable-product layered closure.
 * :mod:`repro.core.kernel` -- the NumPy-vectorized expansion engine.
-* :mod:`repro.core.parallel` -- sharded multi-worker expansion engine.
+* :mod:`repro.core.parallel` -- its worker pool and checkpoint directory.
 * :mod:`repro.core.dedup` -- disk-backed sharded dedup table.
 * :mod:`repro.core.store` -- persistent closure store (precompute/serve).
 * :mod:`repro.core.plan` -- resource planner for precompute runs.
@@ -26,7 +26,7 @@ from repro.core.search import (
     SearchStats,
 )
 from repro.core.dedup import ShardedDedupTable, parse_budget
-from repro.core.parallel import RelationFilter, ShardedExpansion
+from repro.core.kernel import RelationFilter, VectorEngine
 from repro.core.store import (
     StoreHeader,
     cost_model_fingerprint,
@@ -106,7 +106,7 @@ __all__ = [
     "ShardedDedupTable",
     "parse_budget",
     "RelationFilter",
-    "ShardedExpansion",
+    "VectorEngine",
     "StoreHeader",
     "cost_model_fingerprint",
     "dump_search",

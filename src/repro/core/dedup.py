@@ -1,46 +1,91 @@
 """Disk-backed sharded dedup table for closure expansion.
 
-The vector kernel's dedup table (:mod:`repro.core.kernel`) is a single
-in-memory open-addressing array -- fine for the 3-qubit closure, a hard
-wall for 4-qubit/quaternary workloads whose row counts blow past RAM.
-:class:`ShardedDedupTable` removes that wall by **range-sharding the
-keyspace on the hash prefix**: candidate row hash ``h`` belongs to shard
-``h >> (64 - shard_bits)``, and every shard owns an independent
+:class:`ShardedDedupTable` is the exact dedup table of the expansion
+engine (:class:`~repro.core.kernel.VectorEngine`).  It **range-shards
+the keyspace on the hash prefix**: candidate row hash ``h`` belongs to
+shard ``h >> (64 - shard_bits)``, and every shard owns an independent
 open-addressing *slab* of ``2**slab_bits`` slots.  A key only ever
-probes inside its own shard's slab (slot ``h mod 2**slab_bits`` within
-the slab, double-hash step from unrelated hash bits), which is what
-makes the table partitionable:
+probes inside its own shard's slab, which is what makes the table
+partitionable:
 
 * **In RAM** the slabs are stored as consecutive regions of one backing
   array, so a whole candidate batch probes in a handful of vectorized
-  passes -- the per-slot layout, probe sequence and claim protocol are
-  exactly the kernel's (see the normative "Dedup-table claim protocol"
-  section in :mod:`repro.core.kernel`).
+  passes.
 * **Past the memory budget** (or always, in ``persistent`` checkpoint
   mode) each shard's slab moves into its own ``np.memmap`` file under
   the spill directory and batches are processed shard by shard -- the
   OS pages one slab at a time instead of thrashing one giant table.
 
 Sharding changes *where* a key lives, never *what* the table answers:
+first-discovery order is byte-identical for every shard count, budget
+and spill state.  ``tests/test_parallel.py`` and
+``tests/test_kernels.py`` pin this, forced hash collisions and claim
+races included.
 
-* **Slot words** pack the hash high half (bits 63..32) with an int32
-  encoding (``0`` empty, ``row + 1`` committed, ``-(candidate_id + 1)``
-  in-flight claim).
-* **Determinism.**  Claim races resolve to the lowest candidate id (the
-  sequential tie-break key) and accepted candidates commit consecutive
-  global rows in candidate order, so first-discovery order is
-  byte-identical to the single-table kernel for every shard count,
-  budget and spill state.  ``tests/test_parallel.py`` pins this, forced
-  hash collisions included.
-* **Exactness.**  Optimistic hash matches are verified against full
-  packed rows; genuine 64-bit collisions re-insert through an exact
-  scalar probe.
-* **Crash recovery.**  Committed encodings reference checkpointed rows
-  only; claims never survive a batch.  :meth:`sweep_uncommitted` erases
-  every slot holding a claim or a row past the last checkpoint -- open
-  addressing only ever fills empty slots, so clearing later insertions
-  restores exactly the checkpointed table state (earlier probe chains
-  are unaffected).
+Claim protocol (normative)
+--------------------------
+
+This section is the reference specification of the table; any
+reimplementation must preserve these invariants.
+
+**Slot layout.**  Each shard's slab is an open-addressing array of
+``2**slab_bits`` uint64 words, load factor kept under 1/4 (slabs double
+on demand; regrowth reinserts all committed rows).  Each word packs two
+fields:
+
+* bits 63..32 -- the high half of the occupant's 64-bit mulxor row hash
+  (:func:`~repro.core.kernel.hash_rows` over the 8-padded row bytes);
+* bits 31..0 -- the *encoding*, an int32 in two's complement: ``0`` for
+  an empty slot, ``row + 1`` (positive) for a committed global row,
+  ``-(candidate_id + 1)`` (negative) for an in-flight batch claim.
+
+Truncating the stored hash to 32 bits is safe because every hash match
+is verified against the full packed rows.
+
+**Probe sequence.**  Candidate ``i`` with hash ``h`` probes slot
+``(h + r * step) mod 2**slab_bits`` of its shard's slab in round ``r``,
+with ``step = (h >> 42) | 1`` (double hashing; round 0 probes
+``h mod 2**slab_bits`` directly).
+
+**Batch round protocol.**  Each round, every still-unresolved candidate
+gathers its slot word once, then exactly one of three transitions
+applies:
+
+1. *Occupied, hash-high match* -- the candidate is **assumed** to be a
+   duplicate of the occupant and leaves the probe loop; the (candidate,
+   occupant-encoding) pair is queued for deferred verification.
+2. *Occupied, hash-high mismatch* -- the candidate survives to the next
+   round (ordinary collision, probe on).
+3. *Empty* -- every candidate that probed this slot scatters its claim
+   word (hash high | claim encoding) **in reverse candidate order**, so
+   after numpy's last-write-wins scatter the *lowest* candidate id owns
+   the slot: first-discovery order is exactly the seed kernel's.  Each
+   claimant re-reads the slot; the winner is provisionally **new**,
+   a loser whose hash-high matches the winner is an assumed
+   batch-internal duplicate (queued as in 1), any other loser probes on.
+
+**Deferred verification.**  After the probe loop, all assumed-duplicate
+pairs are verified in one vectorized comparison of full packed rows
+(claims resolve against the claiming candidate's row, committed
+encodings against the stored row).  A pair that fails -- a genuine
+64-bit hash collision -- is re-inserted through an exact single-key
+probe path in ascending candidate order.  Optimism therefore never
+changes *what* is deduplicated, only how fast.
+
+**Commit.**  Accepted candidates receive consecutive global rows in
+candidate order (``n_rows + 1 ..``), and their slots are rewritten from
+claim encodings to committed ``row + 1`` encodings; claims never
+survive a batch.  Readers (:meth:`ShardedDedupTable.find`) treat any
+positive encoding with a matching hash-high as a hit candidate and
+verify against the full row, so they are correct against committed
+state at any batch boundary.
+
+**Crash recovery.**  Committed encodings reference checkpointed rows
+only; claims never survive a batch.  :meth:`~ShardedDedupTable.sweep_uncommitted`
+erases every slot holding a claim or a row past the last checkpoint --
+open addressing only ever fills empty slots, so clearing later
+insertions restores exactly the checkpointed table state (earlier probe
+chains are unaffected).
 
 `repro store shards` reports the per-shard occupancy this module
 tracks, so operators can size ``--dedup-budget``.
@@ -48,6 +93,7 @@ tracks, so operators can size ``--dedup-budget``.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -82,8 +128,7 @@ class ShardedDedupTable:
 
     Args:
         shard_bits: the keyspace is split into ``2**shard_bits`` ranges
-            by hash prefix (0 = a single shard, degenerating to the
-            kernel's layout).
+            by hash prefix (0 = a single shard).
         memory_budget: soft cap, in bytes, on table memory held in RAM.
             When the next capacity step would cross it, the table
             switches to per-shard ``np.memmap`` slabs under
@@ -92,8 +137,7 @@ class ShardedDedupTable:
             demand; when ``None`` a temporary directory is created at
             first spill and removed on :meth:`close`.
         persistent: keep every slab as a memmap file under *spill_dir*
-            from the start (the checkpoint/resume mode of the parallel
-            engine) and, when slab files of the expected size already
+            from the start (the engine's checkpoint/resume mode) and, when slab files of the expected size already
             exist, adopt their contents instead of zeroing them --
             callers then :meth:`sweep_uncommitted` back to their last
             checkpoint.
@@ -379,10 +423,10 @@ class ShardedDedupTable:
                 candidates are committed as rows ``n_rows..`` in
                 candidate order.
 
-        Semantics are exactly :meth:`VectorEngine._dedup_insert`'s --
-        lowest candidate id wins claim races, optimistic duplicates are
-        verified against full rows, collision victims re-insert through
-        an exact scalar path.
+        Implements the module's claim protocol: lowest candidate id wins
+        claim races, optimistic duplicates are verified against full
+        rows, collision victims re-insert through an exact single-key
+        probe.
         """
         M = candw.shape[0]
         status = np.zeros(M, dtype=np.int8)  # 0 pending, 1 new, 2 dup
@@ -418,7 +462,7 @@ class ShardedDedupTable:
                 == np.take(candw, cids, axis=0, mode="clip")
             ).all(axis=1)
             for cid in np.sort(cids[~eq]):
-                self._scalar_insert(
+                self._exact_insert(
                     int(cid), candw, ch, permw, status, slot_of
                 )
         new_mask = status == 1
@@ -448,8 +492,8 @@ class ShardedDedupTable:
         backing array (``ids=None``: every candidate, the round-0 fast
         path), :meth:`_local_slots` for one spilled shard's slab (with
         ``ids`` that shard's global candidate ids, ascending, so the
-        reversed claim scatter stays lowest-id-wins).  Mirrors
-        :meth:`VectorEngine._dedup_insert`'s normative round structure.
+        reversed claim scatter stays lowest-id-wins).  Follows the
+        module's normative round structure.
         """
         rnd = np.uint64(0)
         while True:
@@ -538,7 +582,7 @@ class ShardedDedupTable:
             return packed
         return np.take(permw, occupant - 1, axis=0, mode="clip")
 
-    def _scalar_insert(
+    def _exact_insert(
         self, cid, candw, ch, permw, status, slot_of
     ) -> None:
         """Exact single-candidate probe for hash-collision victims."""
@@ -576,7 +620,7 @@ class ShardedDedupTable:
                     status[cid] = 2
                     return
             probe = (probe + step) & msk
-        raise InvalidValueError("dedup shard slab full during scalar insert")
+        raise InvalidValueError("dedup shard slab full during exact insert")
 
     # -- lookup ------------------------------------------------------------------------
 
@@ -710,7 +754,7 @@ def parse_budget(text: str) -> int:
 
     Fractional byte totals round down.  Raises
     :class:`~repro.errors.InvalidValueError` on anything else, negative
-    values included.
+    and non-finite values (``nan``, ``inf``, ``1e400``) included.
     """
     raw = text.strip()
     scale = 1
@@ -736,6 +780,9 @@ def parse_budget(text: str) -> int:
                 "K/M/G, KiB/MiB/GiB or KB/MB/GB suffix (e.g. 512M, "
                 "1.5G, 512MB)"
             ) from None
-    if value < 0:
+    total = value * scale
+    if not math.isfinite(total):
+        raise InvalidValueError(f"memory budget {text!r} is not finite")
+    if total < 0:
         raise InvalidValueError("memory budget must be non-negative")
-    return int(value * scale)
+    return int(total)

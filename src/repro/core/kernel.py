@@ -1,4 +1,4 @@
-"""NumPy-vectorized closure-expansion kernel (the hot path of the search).
+"""NumPy-vectorized closure-expansion engine (the hot path of the search).
 
 The seed engine extended a level by looping over every (cascade, gate)
 pair in Python: one ``bytes.translate`` per candidate plus a dict lookup
@@ -21,89 +21,56 @@ operations on a :class:`VectorEngine`:
   back-edge filter drops candidates that would just undo the gate that
   created their source (``p * g * g^-1 = p`` is always already seen).
 
-* **Dedup.**  New candidates are separated from duplicates with a
-  vectorized open-addressing hash table (double hashing over a 64-bit
-  mulxor row hash).  Hash hits are verified by comparing full packed
-  rows, so the result is exact -- a hash collision only costs an extra
-  comparison, never a wrong count.  Batch-internal duplicates resolve
-  through claim races: every candidate scatters its id into empty slots
-  (lowest id wins, preserving the seed kernel's first-discovery order)
-  and losers compare against the winner.
+* **Relation filter.**  Before composing anything, a precomputed table
+  of length-:math:`\\le 2` gate relations (commutations, two-gate
+  products that equal a cheaper gate, inverse pairs) drops candidates
+  that some *earlier* candidate -- earlier level, or same level and a
+  smaller library-gate index -- is guaranteed to have produced.  On the
+  paper's 3-qubit library this removes ~75% of the duplicate candidate
+  mass at the deep levels without touching a single row byte (see
+  :class:`RelationFilter` for why it cannot change results).  The same
+  tables push a parent's S-image mask through the appended gate, so
+  accepted rows get their masks without re-reading their images.
 
-The engine is exact: for any library and cost model it discovers the
-same level sets, in the same order, with the same parent pointers as the
-seed ``bytes.translate`` kernel (``CascadeSearch(kernel="translate")``),
-roughly 3-5x faster end to end on the paper's cost-7 closure.
+* **Dedup.**  New candidates are separated from duplicates by a
+  :class:`~repro.core.dedup.ShardedDedupTable`: per-shard
+  open-addressing slabs (hash-prefix sharded, spilling to ``np.memmap``
+  files past a memory budget) with claim races resolved to the lowest
+  candidate id.  Hash hits are verified against full packed rows, so
+  the result is exact.  The normative claim protocol lives in
+  :mod:`repro.core.dedup`.
 
-Dedup-table claim protocol (normative)
---------------------------------------
+* **Worker pool and checkpoints** (optional).  ``jobs > 1`` fans
+  composition out to a :class:`~repro.core.parallel.ComposePool`;
+  ``checkpoint_dir`` persists every level and the dedup slabs so a
+  crashed expansion resumes (:class:`~repro.core.parallel.ExpansionCheckpoint`).
 
-This section is the reference specification of the vectorized dedup
-table; ``tests/test_kernels.py`` (including its forced-collision cases)
-pins the behaviour, and any reimplementation -- a sharded or on-disk
-table for the 4-qubit closure, a parallel expansion worker -- must
-preserve these invariants.
-
-**Slot layout.**  The table is an open-addressing array of ``2**c``
-uint64 words, load factor kept under 1/4 (capacity doubles on demand;
-rebuilds reinsert all discovered rows).  Each word packs two fields:
-
-* bits 63..32 -- the high half of the occupant's 64-bit mulxor row hash
-  (:func:`hash_rows` over the 8-padded row bytes);
-* bits 31..0 -- the *encoding*, an int32 in two's complement: ``0`` for
-  an empty slot, ``row + 1`` (positive) for a committed global row,
-  ``-(candidate_id + 1)`` (negative) for an in-flight batch claim.
-
-**Probe sequence.**  Candidate ``i`` with hash ``h`` probes slot
-``(h + r * step) mod 2**c`` in round ``r``, with ``step = (h >> 42) | 1``
-(double hashing; round 0 probes ``h mod 2**c`` directly).
-
-**Batch round protocol.**  Each round, every still-unresolved candidate
-gathers its slot word once, then exactly one of three transitions
-applies:
-
-1. *Occupied, hash-high match* -- the candidate is **assumed** to be a
-   duplicate of the occupant and leaves the probe loop; the (candidate,
-   occupant-encoding) pair is queued for deferred verification.
-2. *Occupied, hash-high mismatch* -- the candidate survives to the next
-   round (ordinary collision, probe on).
-3. *Empty* -- every candidate that probed this slot scatters its claim
-   word (hash high | claim encoding) **in reverse candidate order**, so
-   after numpy's last-write-wins scatter the *lowest* candidate id owns
-   the slot: first-discovery order is exactly the seed kernel's.  Each
-   claimant re-reads the slot; the winner is provisionally **new**,
-   a loser whose hash-high matches the winner is an assumed
-   batch-internal duplicate (queued as in 1), any other loser probes on.
-
-**Deferred verification.**  After the probe loop, all assumed-duplicate
-pairs are verified in one vectorized comparison of full packed rows
-(claims resolve against the claiming candidate's row, committed
-encodings against the stored row).  A pair that fails -- a genuine
-64-bit hash collision -- is re-inserted through an exact scalar probe
-path in ascending candidate order.  Optimism therefore never changes
-*what* is deduplicated, only how fast.
-
-**Commit.**  Accepted candidates receive consecutive global rows in
-candidate order (``n_rows + 1 ..``), and their slots are rewritten from
-claim encodings to committed ``row + 1`` encodings; claims never
-survive a batch.  Readers (:meth:`VectorEngine.find_row`) treat any
-positive encoding with a matching hash-high as a hit candidate and
-verify against the full row, so they are correct against committed
-state at any batch boundary.
+Determinism contract: for any library and cost model the engine
+discovers the same level sets, in the same order, with the same parent
+pointers as the seed ``bytes.translate`` kernel
+(``CascadeSearch(kernel="translate")``), for every value of ``jobs``,
+``shard_bits`` and memory budget.  ``tests/test_kernels.py`` and
+``tests/test_parallel.py`` pin the equivalence, forced hash collisions
+and claim races included.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from pathlib import Path
+
 import numpy as np
 
+from repro.core.dedup import ShardedDedupTable, shard_of
 from repro.errors import InvalidValueError
 
 #: 64-bit mulxor hash constant (golden-ratio multiplier).
 _HASH_C = np.uint64(0x9E3779B97F4A7C15)
 _ONE = np.uint64(1)
-_LOW32 = np.uint64(0xFFFFFFFF)
-#: Initial hash-table capacity (slots); grows by doubling.
-_MIN_CAP_BITS = 16
+
+#: Below this many planned candidates a level is composed in-process
+#: even when a worker pool is configured (IPC would dominate).
+PARALLEL_MIN_CANDIDATES = 4096
 
 
 def padded_width(degree: int) -> int:
@@ -256,14 +223,286 @@ class GateRows:
         return len(self.tables16)
 
 
+
+class RelationFilter:
+    """Pre-composition pruning from length-:math:`\\le 2` gate relations.
+
+    For a candidate ``t_g . p`` where row ``p`` was created by appending
+    gate ``q`` to parent ``a`` (so the candidate's image is
+    ``t_g . t_q . a``), the filter may drop the candidate when one of
+    these holds:
+
+    * **identity** -- ``t_g . t_q = e``: the image *is* ``a``,
+      discovered two levels down (subsumes the kernel's inverse
+      back-edge filter, and also fires when the inverse permutation
+      hides under a different gate name).
+    * **single** -- ``t_g . t_q = t_h`` with ``cost(h) < cost(q) +
+      cost(g)`` (or equal cost and ``h < g``), and ``h`` applicable to
+      ``a`` (``mask(a) & banned(h) == 0``): candidate ``(a, h)``
+      produced the image at an earlier level (or earlier chunk of the
+      same level).
+    * **pair** -- ``t_g . t_q = t_{g2} . t_{q2}`` with ``cost(q2) +
+      cost(g2)`` smaller (any ``g2``) or equal and ``g2 < g``, with
+      both steps applicable: ``mask(a) & banned(q2) == 0`` and
+      ``perm_mask(q2, mask(a)) & banned(g2) == 0``.  Then
+      ``r = t_{q2} . a`` is discovered no later than
+      ``cost(a) + cost(q2)`` and candidate ``(r, g2)`` precedes ours.
+
+    Why this is exact: every skipped candidate names a witness
+    candidate strictly earlier in the (level, gate-chunk) enumeration
+    that yields the same image.  The witness may itself have been
+    skipped, but each skip steps strictly down a well-founded order, so
+    a chain of witnesses always terminates at a non-skipped earlier
+    producer.  First producers therefore are never skipped, and level
+    contents, discovery order and parent choice all survive untouched.
+    Rows with unknown provenance (restored levels carrying ``-1``
+    parent or gate entries) are never filtered.
+
+    ``perm_mask(q, m)`` is the S-image mask ``m`` pushed through gate
+    ``q``'s label permutation; it is evaluated via per-gate, per-byte
+    lookup tables so the filter never composes a full row.
+    """
+
+    def __init__(self, gate_rows: GateRows, degree: int, mask_words: int):
+        self._n_g = n_g = len(gate_rows)
+        self._words = mask_words
+        self._nbytes = nbytes = -(-degree // 8)
+        tables = [
+            np.frombuffer(t, dtype=np.uint8) for t in gate_rows.tables
+        ]
+        costs = gate_rows.costs
+        banned = gate_rows.banned  # per gate: (words,) u64
+
+        identity = np.arange(256, dtype=np.uint8)
+        stacked = np.stack(tables)
+        # composed[g, q] = t_g . t_q on the label space
+        composed = stacked[:, stacked[:, :degree]]
+        products: dict[bytes, list[tuple[int, int]]] = {}
+        for q in range(n_g):
+            for g in range(n_g):
+                key = composed[g, q].tobytes()
+                products.setdefault(key, []).append((q, g))
+        by_single = {
+            t[:degree].tobytes(): h for h, t in enumerate(tables)
+        }
+        identity_key = identity[:degree].tobytes()
+
+        #: uncond[g][q] -- skip unconditionally (product is identity).
+        self._uncond = np.zeros((n_g, n_g), dtype=bool)
+        # singles[k] and pair_*[k] are per-alternative sentinel-padded
+        # lookup arrays indexed [g][q]; all-ones banned sentinels make
+        # the corresponding condition unsatisfiable (S-masks are
+        # nonzero), so unused slots are naturally inert.
+        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+        singles: list[np.ndarray] = []
+        pair_q2: list[np.ndarray] = []
+        pair_b1: list[np.ndarray] = []
+        pair_b2: list[np.ndarray] = []
+        single_used: list[np.ndarray] = []
+        pair_used: list[np.ndarray] = []
+
+        def _place_single(g, q, banned_h):
+            for k, used in enumerate(single_used):
+                if not used[g, q]:
+                    singles[k][g, q] = banned_h
+                    used[g, q] = True
+                    return
+            singles.append(
+                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
+            )
+            single_used.append(np.zeros((n_g, n_g), dtype=bool))
+            singles[-1][g, q] = banned_h
+            single_used[-1][g, q] = True
+
+        def _place_pair(g, q, q2, b1, b2):
+            for k, used in enumerate(pair_used):
+                if not used[g, q]:
+                    pair_q2[k][g, q] = q2
+                    pair_b1[k][g, q] = b1
+                    pair_b2[k][g, q] = b2
+                    used[g, q] = True
+                    return
+            pair_q2.append(np.zeros((n_g, n_g), dtype=np.int64))
+            pair_b1.append(
+                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
+            )
+            pair_b2.append(
+                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
+            )
+            pair_used.append(np.zeros((n_g, n_g), dtype=bool))
+            pair_q2[-1][g, q] = q2
+            pair_b1[-1][g, q] = b1
+            pair_b2[-1][g, q] = b2
+            pair_used[-1][g, q] = True
+
+        for key, members in products.items():
+            is_identity = key == identity_key
+            single_h = by_single.get(key)
+            for q, g in members:
+                total = costs[q] + costs[g]
+                if is_identity:
+                    self._uncond[g, q] = True
+                    continue
+                if single_h is not None and (
+                    costs[single_h] < total
+                    or (costs[single_h] == total and single_h < g)
+                ):
+                    _place_single(g, q, banned[single_h])
+                for q2, g2 in members:
+                    if (q2, g2) == (q, g):
+                        continue
+                    total2 = costs[q2] + costs[g2]
+                    if total2 < total or (total2 == total and g2 < g):
+                        _place_pair(g, q, q2, banned[q2], banned[g2])
+        self._singles = singles
+        self._pair_q2 = pair_q2
+        self._pair_b1 = pair_b1
+        self._pair_b2 = pair_b2
+        # any_alt[g][q]: does (q, g) have any alternative at all?  One
+        # gather against it narrows condition evaluation to the ~25% of
+        # pairs that can fire.
+        self._any_alt = self._uncond.copy()
+        for used in single_used:
+            self._any_alt |= used
+        for used in pair_used:
+            self._any_alt |= used
+        self._active = bool(self._any_alt.any())
+
+        # Per-gate byte-wise mask-permutation tables:
+        # _ptab[(g * nbytes + b) * 256 + v] = OR of one-hot(t_g[8b + j])
+        # over the bits j set in v (labels 8b + j < degree only).
+        # onehot[j, g, b] = mask words of t_g's image of label 8b + j.
+        labels = np.arange(nbytes * 8).reshape(nbytes, 8).T
+        images = stacked[:, labels].transpose(1, 0, 2).astype(np.uint64)
+        onehot = np.zeros((8, n_g, nbytes, mask_words), dtype=np.uint64)
+        for w in range(mask_words):
+            onehot[..., w] = np.where(
+                (labels[:, None, :] < degree)
+                & ((images >> np.uint64(6)) == w),
+                _ONE << (images & np.uint64(63)),
+                np.uint64(0),
+            )
+        # Subset recurrence: v's entry is v-without-its-lowest-bit's
+        # entry plus that bit's one-hot image.
+        by_value = np.zeros((256, n_g, nbytes, mask_words), dtype=np.uint64)
+        for v in range(1, 256):
+            low = (v & -v).bit_length() - 1
+            by_value[v] = by_value[v & (v - 1)] | onehot[low]
+        ptab = np.ascontiguousarray(by_value.transpose(1, 2, 0, 3)).reshape(
+            n_g * nbytes * 256, mask_words
+        )
+        self._ptab = ptab if mask_words > 1 else ptab[:, 0]
+
+    # -- evaluation --------------------------------------------------------------------
+
+    @property
+    def active(self) -> bool:
+        """Whether any relation exists for this library at all."""
+        return self._active
+
+    def permuted_masks(self, masks: np.ndarray, gates: np.ndarray) -> np.ndarray:
+        """Push S-image masks through per-row gate label permutations."""
+        n = masks.shape[0]
+        if self._words == 1:
+            m = masks.reshape(n)
+            out = np.zeros(n, dtype=np.uint64)
+            base = (gates.astype(np.int64) * self._nbytes) * 256
+            for b in range(self._nbytes):
+                byte = ((m >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(
+                    np.int64
+                )
+                out |= self._ptab[base + b * 256 + byte]
+            return out.reshape(n, 1)
+        bytes_view = masks.view(np.uint8).reshape(n, 8 * self._words)
+        out = np.zeros((n, self._words), dtype=np.uint64)
+        base = (gates.astype(np.int64) * self._nbytes) * 256
+        for b in range(self._nbytes):
+            idx = base + b * 256 + bytes_view[:, b].astype(np.int64)
+            out |= self._ptab[idx]
+        return out
+
+    def prune(
+        self, gi: int, qs: np.ndarray, pmasks: np.ndarray
+    ) -> np.ndarray:
+        """Skip mask for candidates extending gate-``qs`` rows by ``gi``.
+
+        ``pmasks`` holds the (grand)parent S-image masks, ``(m, words)``.
+        """
+        qsl = qs.astype(np.int64)
+        interesting = np.flatnonzero(self._any_alt[gi][qsl])
+        if interesting.size < qsl.shape[0]:
+            # Evaluate conditions only where an alternative exists.
+            sub = self.prune(
+                gi, qs[interesting], pmasks[interesting]
+            )
+            skip = np.zeros(qsl.shape[0], dtype=bool)
+            skip[interesting[sub]] = True
+            return skip
+        m = qs.shape[0]
+        skip = self._uncond[gi][qsl].copy()
+        if self._words == 1:
+            pm = pmasks.reshape(m)
+            for arr in self._singles:
+                skip |= (pm & arr[gi, :, 0][qsl]) == 0
+            for k in range(len(self._pair_q2)):
+                b1 = self._pair_b1[k][gi, :, 0][qsl]
+                cond1 = ~skip & ((pm & b1) == 0)
+                need = np.flatnonzero(cond1)
+                if not need.size:
+                    continue
+                q2 = self._pair_q2[k][gi][qsl[need]]
+                m2 = self.permuted_masks(
+                    pm[need].reshape(-1, 1), q2
+                ).reshape(-1)
+                b2 = self._pair_b2[k][gi, :, 0][qsl[need]]
+                hit = (m2 & b2) == 0
+                skip[need[hit]] = True
+            return skip
+        for arr in self._singles:
+            skip |= ((pmasks & arr[gi][qsl]) == 0).all(axis=1)
+        for k in range(len(self._pair_q2)):
+            b1 = self._pair_b1[k][gi][qsl]
+            cond1 = ~skip & ((pmasks & b1) == 0).all(axis=1)
+            need = np.flatnonzero(cond1)
+            if not need.size:
+                continue
+            q2 = self._pair_q2[k][gi][qsl[need]]
+            m2 = self.permuted_masks(pmasks[need], q2)
+            b2 = self._pair_b2[k][gi][qsl[need]]
+            hit = ((m2 & b2) == 0).all(axis=1)
+            skip[need[hit]] = True
+        return skip
+
+
 class VectorEngine:
     """Array-backed closure state plus the vectorized expansion kernel.
 
-    One engine instance owns everything the vector kernel touches: the
-    global row store (packed permutations + hashes), the per-level mask,
-    parent and gate arrays, and the dedup hash table.  The public
-    :class:`~repro.core.search.CascadeSearch` delegates its array-form
-    state here and keeps the byte-level legacy API on top.
+    One engine instance owns everything the expansion touches: the
+    global row store (packed permutations + hashes), the per-level
+    mask, parent and gate arrays, the relation filter and the sharded
+    dedup table.  The public :class:`~repro.core.search.CascadeSearch`
+    delegates its array-form state here and keeps the byte-level legacy
+    API on top.
+
+    Saving an expansion goes through the streamed store writers
+    (:func:`~repro.core.store.save_search`): both the memory-mapped v2
+    layout and the chunk-compressed v3 layout are emitted level by level
+    straight off the row store, so writing never materializes a second
+    copy of the closure -- the property that lets a budgeted run save a
+    store larger than the dedup table's RAM cap.
+
+    Args:
+        jobs: worker processes for candidate composition (1 =
+            in-process; levels below :data:`PARALLEL_MIN_CANDIDATES`
+            candidates are always composed in-process).
+        shard_bits: the dedup keyspace is range-sharded into
+            ``2**shard_bits`` hash-prefix shards.
+        memory_budget: soft RAM cap (bytes) for dedup slabs; past it,
+            slabs spill to memmap files.
+        checkpoint_dir: persist completed levels + slabs here and resume
+            from them (see :meth:`try_resume`).
+        provenance: identity payload pinned into the checkpoint
+            manifest (library/cost fingerprints).
     """
 
     def __init__(
@@ -272,14 +511,24 @@ class VectorEngine:
         n_binary: int,
         gate_rows: GateRows,
         track_parents: bool = True,
+        *,
+        jobs: int = 1,
+        shard_bits: int = 6,
+        memory_budget: int | None = None,
+        checkpoint_dir: str | Path | None = None,
+        provenance: dict | None = None,
     ):
+        if not isinstance(jobs, int) or jobs < 1:
+            raise InvalidValueError(
+                f"jobs must be a positive integer, got {jobs!r}"
+            )
         self.degree = degree
         self.n_binary = n_binary
         self.width = padded_width(degree)
-        self.words = self.width // 8
         self.mask_words = mask_word_count(degree)
         self.gate_rows = gate_rows
         self.track_parents = track_parents
+        self.jobs = jobs
 
         cap = 1024
         self._perms = np.empty((cap, self.width), dtype=np.uint8)
@@ -289,15 +538,32 @@ class VectorEngine:
         self.level_masks: list[np.ndarray] = []
         self.level_parents: list[np.ndarray] = []
         self.level_gates: list[np.ndarray] = []
+        # Global S-image masks, grown in row order (parent-mask lookups
+        # for the relation filter gather straight from it).
+        self._gmasks = np.empty((cap, self.mask_words), dtype=np.uint64)
+        self._gmask_rows = 0
 
-        self._cap_bits = _MIN_CAP_BITS
-        self._ht = np.zeros(1 << self._cap_bits, dtype=np.uint64)
+        self._checkpoint = None
+        if checkpoint_dir is not None:
+            from repro.core.parallel import ExpansionCheckpoint
+
+            self._checkpoint = ExpansionCheckpoint(checkpoint_dir, provenance)
+        self._table = ShardedDedupTable(
+            shard_bits=shard_bits,
+            memory_budget=memory_budget,
+            spill_dir=self._checkpoint.slab_dir if self._checkpoint else None,
+            persistent=self._checkpoint is not None,
+        )
+        self._pool = None
+        self._cand_buf = None
+        self._hash_buf = None
+        self._meta_buf = None
+        self._closed = False
 
         #: Optional progress sink (duck-typed ``ProgressReporter``);
         #: ``None`` keeps every phase boundary a plain attribute check,
         #: so un-instrumented runs pay nothing.
         self.progress = None
-        self._last_planned = 0
 
     # -- row store ---------------------------------------------------------------------
 
@@ -341,6 +607,40 @@ class VectorEngine:
             int(self.level_gates[level][local]),
         )
 
+    def find_row(self, images: bytes) -> int:
+        """Global row of a permutation, or -1 if not discovered."""
+        row = np.frombuffer(images, dtype=np.uint8)[None, :]
+        packed = pack_rows(row, self.degree)
+        h = hash_rows(packed)[0]
+        return self._table.find(
+            packed.view(np.uint64)[0], h, self._perms.view(np.uint64)
+        )
+
+    @cached_property
+    def _filter(self) -> RelationFilter | None:
+        """The relation filter, or None when the library has no relations.
+
+        Built on first use: an engine that only replays a stored
+        closure never pays for it.
+        """
+        relations = RelationFilter(self.gate_rows, self.degree, self.mask_words)
+        return relations if relations.active else None
+
+    @property
+    def dedup_table(self) -> ShardedDedupTable:
+        return self._table
+
+    def dedup_stats(self) -> dict:
+        """Occupancy of the dedup table, as progress-event fields."""
+        layout = self._table.layout()
+        stats = {
+            "dedup_slots": int(self._table.n_shards * layout["slab_slots"]),
+            "dedup_used": int(self.n_rows),
+        }
+        if layout["spilled"]:
+            stats["dedup_spilled"] = True
+        return stats
+
     def _grow_rows(self, extra: int) -> None:
         need = self.n_rows + extra
         cap = self._perms.shape[0]
@@ -355,273 +655,22 @@ class VectorEngine:
         hashes[: self.n_rows] = self._hashes[: self.n_rows]
         self._hashes = hashes
 
-    # -- hash table --------------------------------------------------------------------
-    #
-    # One uint64 word per slot: the high 32 bits hold the row hash's high
-    # half, the low 32 bits the *encoding* -- 0 for empty, ``row + 1``
-    # for a discovered row, ``-(candidate_id + 1)`` (two's complement)
-    # for an in-flight batch claim.  A single gather per probe reads
-    # both; truncating the stored hash to 32 bits is safe because every
-    # hash match is verified against the full packed rows anyway.
-
-    @staticmethod
-    def _pack_word(hashes: np.ndarray, enc: np.ndarray) -> np.ndarray:
-        """Combine hash high halves with int32 encodings into slot words."""
-        return (hashes & ~_LOW32) | (
-            enc.astype(np.int64).view(np.uint64) & _LOW32
-        )
-
-    def _ensure_capacity(self, total_rows: int) -> None:
-        """Grow + rebuild the table so *total_rows* keeps load under 1/4.
-
-        The array is allocated with an explicit sequential fill rather
-        than ``np.zeros`` so the page faults happen in one streaming pass
-        instead of randomly during the first probe rounds.
-        """
-        if total_rows * 4 <= (1 << self._cap_bits):
+    def _sync_gmasks(self) -> None:
+        """Copy level masks not yet mirrored into the global mask array."""
+        if self._gmask_rows == self.n_rows:
             return
-        while total_rows * 4 > (1 << self._cap_bits):
-            self._cap_bits += 1
-        cap = 1 << self._cap_bits
-        self._ht = np.empty(cap, dtype=np.uint64)
-        self._ht.fill(0)
-        if self.n_rows:
-            self._insert_distinct(
-                self._hashes[: self.n_rows],
-                np.arange(1, self.n_rows + 1, dtype=np.int32),
-            )
-
-    def _insert_distinct(self, hashes: np.ndarray, rows: np.ndarray) -> None:
-        """Insert rows known to be pairwise-distinct and not in the table.
-
-        ``rows`` carries the +1-encoded slot values (row index plus one).
-        """
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        ht = self._ht
-        words = self._pack_word(hashes, rows)
-        alive = np.arange(hashes.size, dtype=np.int64)
-        rnd = np.uint64(0)
-        while alive.size:
-            h = hashes[alive]
-            step = (h >> np.uint64(42)) | _ONE
-            slot = ((h + rnd * step) & msk).view(np.int64)
-            empty = (np.take(ht, slot, mode="clip") & _LOW32) == 0
-            idx = alive[empty]
-            sl = slot[empty]
-            ht[sl[::-1]] = words[idx[::-1]]
-            won = np.take(ht, sl, mode="clip") == words[idx]
-            alive = np.concatenate([alive[~empty], idx[~won]])
-            rnd += _ONE
-
-    def find_row(self, images: bytes) -> int:
-        """Global row of a permutation, or -1 if not discovered."""
-        row = np.frombuffer(images, dtype=np.uint8)[None, :]
-        packed = pack_rows(row, self.degree)
-        h = hash_rows(packed)[0]
-        key = packed.view(np.uint64)[0]
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        step = (h >> np.uint64(42)) | _ONE
-        probe = h & msk
-        high = int(h >> np.uint64(32))
-        for _ in range(1 << self._cap_bits):
-            slot = int(probe)
-            word = int(self._ht[slot])
-            occupant = (word & 0xFFFFFFFF) - ((word & 0x80000000) << 1)
-            if occupant == 0:
-                return -1
-            if occupant > 0 and (word >> 32) == high:
-                stored = self._perms[occupant - 1].view(np.uint64)
-                if bool((stored == key).all()):
-                    return occupant - 1
-            probe = (probe + step) & msk
-        return -1
-
-    # -- dedup + insert ----------------------------------------------------------------
-
-    def _occupant_packed(
-        self, occupant: np.ndarray, candw: np.ndarray
-    ) -> np.ndarray:
-        """Packed rows behind occupant encodings.
-
-        ``occupant`` holds slot values: discovered rows as ``row + 1``
-        (positive) or batch claims as ``-(candidate_id + 1)`` (negative).
-        """
-        permw = self._perms.view(np.uint64)
-        batch = occupant < 0
-        if batch.any():
-            packed = np.empty((occupant.size, self.words), dtype=np.uint64)
-            packed[batch] = np.take(
-                candw, -occupant[batch] - 1, axis=0, mode="clip"
-            )
-            glob = ~batch
-            if glob.any():
-                packed[glob] = np.take(
-                    permw, occupant[glob] - 1, axis=0, mode="clip"
-                )
-            return packed
-        return np.take(permw, occupant - 1, axis=0, mode="clip")
-
-    def _dedup_insert(self, cand: np.ndarray, ch: np.ndarray) -> np.ndarray:
-        """Classify candidate rows, returning the accepted-as-new mask.
-
-        Exactly-once semantics: among candidates with equal images the
-        lowest index survives (matching the seed kernel's first-discovery
-        order), and a candidate equal to an already-discovered row is
-        dropped.  Winners are inserted with their final global rows.
-
-        A candidate whose hash matches an occupant is *optimistically*
-        treated as that occupant's duplicate during the probe rounds; all
-        such pairs are then verified in one vectorized row comparison,
-        and the (cosmically rare) hash-collision victims are re-inserted
-        through the exact scalar path -- so the optimistic fast path
-        never changes the result, only the speed.
-        """
-        M = cand.shape[0]
-        self._ensure_capacity(self.n_rows + M)
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        ht = self._ht
-        candw = cand.view(np.uint64)
-        status = np.zeros(M, dtype=np.int8)  # 0 pending, 1 new, 2 dup
-        slot_of = np.empty(M, dtype=np.int64)
-        pair_cand: list[np.ndarray] = []  # assumed-dup candidate ids
-        pair_occ: list[np.ndarray] = []  # the occupant encodings they hit
-        ids = None  # None = all candidates (round 0 fast path)
-        rnd = np.uint64(0)
-        while True:
-            if ids is None:
-                h = ch
-                slot = (h & msk).view(np.int64)
-            else:
-                if not ids.size:
-                    break
-                h = np.take(ch, ids)
-                step = (h >> np.uint64(42)) | _ONE
-                slot = ((h + rnd * step) & msk).view(np.int64)
-            word = np.take(ht, slot, mode="clip")
-            enc = (word & _LOW32).astype(np.uint32).view(np.int32)
-            survivors = []
-            # Occupied slots (nonzero encoding): a hash-high match is an
-            # assumed duplicate (deferred verification); a mismatch
-            # probes on.
-            occ_i = np.flatnonzero(enc)
-            if occ_i.size:
-                own = occ_i if ids is None else np.take(ids, occ_i)
-                hmatch = (
-                    np.take(word, occ_i) >> np.uint64(32)
-                ) == (np.take(h, occ_i) >> np.uint64(32))
-                if hmatch.any():
-                    dup_own = own[hmatch]
-                    status[dup_own] = 2
-                    pair_cand.append(dup_own)
-                    pair_occ.append(np.take(enc, occ_i[hmatch]))
-                    survivors.append(own[~hmatch])
-                else:
-                    survivors.append(own)
-            # Empty slots: claim with the candidate id; the reversed
-            # scatter makes the lowest id win, and a loser whose hash
-            # matches the winner's is an assumed batch-internal duplicate.
-            emp_i = np.flatnonzero(enc == 0)
-            if emp_i.size:
-                claimants = emp_i if ids is None else np.take(ids, emp_i)
-                sl = np.take(slot, emp_i)
-                my_h = np.take(ch, claimants)
-                my_word = self._pack_word(
-                    my_h, (-1 - claimants).astype(np.int32)
-                )
-                ht[sl[::-1]] = my_word[::-1]
-                got = np.take(ht, sl, mode="clip")
-                won = got == my_word
-                winners = claimants[won]
-                status[winners] = 1
-                slot_of[winners] = sl[won]
-                lost = ~won
-                if lost.any():
-                    lcl = claimants[lost]
-                    gotl = got[lost]
-                    same_h = (gotl >> np.uint64(32)) == (
-                        my_h[lost] >> np.uint64(32)
-                    )
-                    if same_h.any():
-                        si = np.flatnonzero(same_h)
-                        status[lcl[si]] = 2
-                        pair_cand.append(lcl[si])
-                        pair_occ.append(
-                            (gotl[si] & _LOW32)
-                            .astype(np.uint32)
-                            .view(np.int32)
-                        )
-                        keep = np.ones(lcl.size, dtype=bool)
-                        keep[si] = False
-                        survivors.append(lcl[keep])
-                    else:
-                        survivors.append(lcl)
-            ids = (
-                np.concatenate(survivors)
-                if survivors
-                else np.empty(0, dtype=np.int64)
-            )
-            rnd += _ONE
-        # Verify every assumed duplicate in one vectorized comparison.
-        if pair_cand:
-            cids = np.concatenate(pair_cand)
-            occs = np.concatenate(pair_occ)
-            eq = (
-                self._occupant_packed(occs, candw)
-                == np.take(candw, cids, axis=0, mode="clip")
-            ).all(axis=1)
-            for cid in np.sort(cids[~eq]):
-                # Hash collision: not a duplicate after all.  Exact
-                # scalar re-insert (one candidate per ~2^64 hashes).
-                self._scalar_insert(int(cid), cand, ch, status, slot_of)
-        new_mask = status == 1
-        accepted = np.flatnonzero(new_mask)
-        final_rows = (self.n_rows + 1 + np.arange(accepted.size)).astype(
-            np.int32
-        )
-        ht[slot_of[accepted]] = self._pack_word(
-            np.take(ch, accepted), final_rows
-        )
-        return new_mask
-
-    def _scalar_insert(
-        self,
-        cid: int,
-        cand: np.ndarray,
-        ch: np.ndarray,
-        status: np.ndarray,
-        slot_of: np.ndarray,
-    ) -> None:
-        """Exact single-candidate probe for hash-collision victims."""
-        candw = cand.view(np.uint64)
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        h = ch[cid]
-        step = (h >> np.uint64(42)) | _ONE
-        probe = h & msk
-        high = int(h >> np.uint64(32))
-        key = candw[cid]
-        for _ in range(1 << self._cap_bits):
-            slot = int(probe)
-            word = int(self._ht[slot])
-            occupant = (word & 0xFFFFFFFF) - ((word & 0x80000000) << 1)
-            if occupant == 0:
-                self._ht[slot] = self._pack_word(
-                    h[None], np.array([-1 - cid], dtype=np.int32)
-                )[0]
-                status[cid] = 1
-                slot_of[cid] = slot
-                return
-            if (word >> 32) == high:
-                if occupant > 0:
-                    stored = self._perms[occupant - 1].view(np.uint64)
-                else:
-                    stored = candw[-occupant - 1]
-                if bool((stored == key).all()):
-                    status[cid] = 2
-                    return
-            probe = (probe + step) & msk
-        raise InvalidValueError("hash table full during scalar insert")
-
-    # -- level append ------------------------------------------------------------------
+        cap = self._gmasks.shape[0]
+        if self.n_rows > cap:
+            while cap < self.n_rows:
+                cap *= 2
+            grown = np.empty((cap, self.mask_words), dtype=np.uint64)
+            grown[: self._gmask_rows] = self._gmasks[: self._gmask_rows]
+            self._gmasks = grown
+        for level in range(self.level_of_row(self._gmask_rows), self.n_levels):
+            start, stop = self.offsets[level], self.offsets[level + 1]
+            lo = max(self._gmask_rows, start)
+            self._gmasks[lo:stop] = self.level_masks[level][lo - start :]
+        self._gmask_rows = self.n_rows
 
     def _append_level(
         self,
@@ -647,7 +696,6 @@ class VectorEngine:
             raise InvalidValueError("engine already seeded")
         identity = np.arange(self.width, dtype=np.uint8)[None, :]
         h = hash_rows(identity)
-        self._ensure_capacity(1)
         self._append_level(
             identity,
             h,
@@ -655,7 +703,9 @@ class VectorEngine:
             np.full(1, -1, dtype=np.int32),
             np.full(1, -1, dtype=np.int32),
         )
-        self._insert_distinct(h, np.ones(1, dtype=np.int32))
+        self._table.insert_distinct(
+            h, np.ones(1, dtype=np.int32), self._hashes, self.n_rows
+        )
 
     def load_level(
         self,
@@ -668,9 +718,14 @@ class VectorEngine:
 
         Used when rebuilding the engine from a store or a legacy
         snapshot.  ``masks`` are recomputed when absent; ``parents`` and
-        ``gates`` default to -1 (unknown -- the back-edge filter then
-        skips those rows, which only costs a few extra candidates).
+        ``gates`` default to -1 (unknown -- the back-edge and relation
+        filters then skip those rows, which only costs a few extra
+        candidates).  Adopted checkpoint slabs are discarded first -- a
+        replayed closure is its own source of truth -- and, when
+        checkpointing, the replayed level is persisted so a later resume
+        covers it.
         """
+        self._discard_adopted_slabs()
         n = perms.shape[0]
         # Explicit copies throughout: the inputs may be views of a
         # memory-mapped store file, and the engine must not keep that
@@ -692,37 +747,28 @@ class VectorEngine:
         else:
             gates = np.array(gates, dtype=np.int32)
         start = self.n_rows
-        self._ensure_capacity(self.n_rows + n)
         self._append_level(packed, hashes, masks, parents, gates)
         if n:
-            self._insert_distinct(
-                hashes, (start + 1 + np.arange(n)).astype(np.int32)
+            self._table.insert_distinct(
+                hashes,
+                (start + 1 + np.arange(n)).astype(np.int32),
+                self._hashes,
+                self.n_rows,
             )
+        if self._checkpoint is not None:
+            self._write_level(self.n_levels - 1)
 
     # -- the kernel --------------------------------------------------------------------
-    #
-    # ``expand_level`` is split into four phases so sharded/parallel
-    # engines (:mod:`repro.core.parallel`) can override one phase at a
-    # time while inheriting the rest:
-    #
-    #   _plan_chunks         -> which (gate, source level, kept rows)
-    #                           pairs become candidates, in the
-    #                           determinism-critical library-gate order;
-    #   _filter_candidates   -> per-chunk pruning hook (identity here;
-    #                           the relation filter of the parallel
-    #                           engine drops provable duplicates);
-    #   _generate_candidates -> compose + hash every kept pair;
-    #   _commit_level        -> dedup, append accepted rows, build the
-    #                           per-level mask/parent/gate arrays.
 
-    def _plan_chunks(
-        self, cost: int
-    ) -> tuple[list[tuple[int, int, np.ndarray]], int]:
+    def _plan_chunks(self, cost: int):
         """Candidate chunks ``(gate, src level, kept src rows)`` for a level.
 
-        Chunks are returned sorted by library-gate index: candidates
-        must appear in gate order for discovery order (and hence parent
-        choice) to match the translate kernel.
+        Returns ``(chunks, total, planned)``: *planned* counts the
+        candidates passing the reasonable-product and back-edge tests,
+        *total* those the relation filter keeps.  Chunks are sorted by
+        library-gate index: candidates must appear in gate order for
+        discovery order (and hence parent choice) to match the translate
+        kernel.
         """
         rows = self.gate_rows
         chunks: list[tuple[int, int, np.ndarray]] = []
@@ -730,9 +776,7 @@ class VectorEngine:
         planned = 0
         for group in rows.groups:
             src = cost - rows.costs[group[0]]
-            if src < 0 or src >= self.n_levels:
-                continue
-            if not self.level_size(src):
+            if src < 0 or src >= self.n_levels or not self.level_size(src):
                 continue
             masks = self.level_masks[src]
             banned = rows.banned[group[0]]
@@ -749,109 +793,119 @@ class VectorEngine:
                     keep = keep_group
                 kept = np.flatnonzero(keep)
                 planned += kept.size
-                if kept.size:
-                    kept = self._filter_candidates(src, gi, kept)
+                if kept.size and self._filter is not None:
+                    kept = self._prune(src, gi, kept)
                 if kept.size:
                     chunks.append((gi, src, kept))
                     total += kept.size
         chunks.sort(key=lambda chunk: chunk[0])
-        # Pre-filter candidate count, read by the progress ``plan``
-        # event (the filter hook may have dropped some of *planned*).
-        self._last_planned = planned
-        return chunks, total
+        return chunks, total, planned
 
-    def _filter_candidates(
-        self, src: int, gi: int, kept: np.ndarray
-    ) -> np.ndarray:
-        """Hook: drop kept rows whose candidates are provable duplicates.
+    def _prune(self, src: int, gi: int, kept: np.ndarray) -> np.ndarray:
+        """Drop kept rows whose gate-``gi`` candidates the filter proves
+        to be duplicates of an earlier candidate."""
+        parents = self.level_parents[src]
+        if parents.shape[0] != self.level_size(src):
+            return kept  # restored level without provenance
+        qs = self.level_gates[src][kept]
+        prs = parents[kept]
+        valid = (qs >= 0) & (prs >= 0)
+        if not valid.any():
+            return kept
+        self._sync_gmasks()
+        vi = np.flatnonzero(valid)
+        skip_valid = self._filter.prune(gi, qs[vi], self._gmasks[prs[vi]])
+        if not skip_valid.any():
+            return kept
+        drop = np.zeros(kept.shape[0], dtype=bool)
+        drop[vi] = skip_valid
+        return kept[~drop]
 
-        The base engine keeps everything; overrides must only remove
-        candidates that some earlier candidate (earlier level, or same
-        level and smaller gate index) is guaranteed to have produced,
-        so levels, discovery order and parents stay byte-identical.
-        """
-        return kept
-
-    def _generate_candidates(
-        self, chunks: list[tuple[int, int, np.ndarray]], total: int
-    ):
+    def _generate_candidates(self, chunks, total: int):
         """Compose + hash all planned candidates.
 
         Returns ``(cand, ch, parents, gates)``: packed candidate rows,
-        their hashes, parent global rows (None on counting-only runs)
-        and appended-gate indices, all in chunk order.
+        their hashes, parent global rows (None when neither witnesses
+        nor the relation filter need them) and appended-gate indices,
+        all in chunk order.  Scratch buffers are reused across levels,
+        so repeated levels skip realloc + page faults.
         """
-        rows = self.gate_rows
-        cand, ch, parents, gates = self._candidate_buffers(total)
+        if self._meta_buf is None or self._meta_buf.shape[1] < total:
+            self._meta_buf = np.empty((2, max(total, 4096)), dtype=np.int32)
+        # The filter reads candidate parents even on counting-only runs;
+        # the export layer still honours track_parents.
+        keep_parents = self.track_parents or self._filter is not None
+        parents = self._meta_buf[0, :total] if keep_parents else None
+        gates = self._meta_buf[1, :total]
+        pooled = self.jobs > 1 and total >= PARALLEL_MIN_CANDIDATES
+        if pooled:
+            cand, ch = self._compose_pool().compose(self, chunks, total)
+        else:
+            if self._cand_buf is None or self._cand_buf.shape[0] < total:
+                cap = max(total, 4096)
+                self._cand_buf = np.empty((cap, self.width), dtype=np.uint8)
+                self._hash_buf = np.empty(cap, dtype=np.uint64)
+            cand, ch = self._cand_buf[:total], self._hash_buf[:total]
         cand16 = cand.view(np.uint16)
+        tables16 = self.gate_rows.tables16
         pos = 0
         for gi, src, kept in chunks:
             m = kept.size
-            src16 = self.level_perms(src).view(np.uint16)
-            block = cand16[pos : pos + m]
-            # mode="clip" skips the bounds check; uint16 indices cannot
-            # exceed the 65536-entry pair table anyway.
-            np.take(
-                rows.tables16[gi],
-                np.take(src16, kept, axis=0),
-                out=block,
-                mode="clip",
-            )
-            # Hash while the freshly written block is still cache-hot.
-            ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
+            if not pooled:
+                # mode="clip" skips the bounds check; uint16 indices
+                # cannot exceed the 65536-entry pair table anyway.
+                np.take(
+                    tables16[gi],
+                    np.take(self.level_perms(src).view(np.uint16), kept, axis=0),
+                    out=cand16[pos : pos + m],
+                    mode="clip",
+                )
+                # Hash while the freshly written block is still cache-hot.
+                ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
             if parents is not None:
                 parents[pos : pos + m] = self.offsets[src] + kept
             gates[pos : pos + m] = gi
             pos += m
         return cand, ch, parents, gates
 
-    def _wants_parents(self) -> bool:
-        """Whether candidate parents are materialized during expansion."""
-        return self.track_parents
-
-    def _candidate_buffers(self, total: int):
-        """Scratch arrays for one level's candidates (overridable).
-
-        Returns ``(cand, ch, parents, gates)``; *parents* is None on
-        counting-only runs (the gate array stays -- it feeds the
-        back-edge duplicate filter).
-        """
-        return (
-            np.empty((total, self.width), dtype=np.uint8),
-            np.empty(total, dtype=np.uint64),
-            np.empty(total, dtype=np.int32) if self._wants_parents() else None,
-            np.empty(total, dtype=np.int32),
-        )
-
     def _commit_level(self, cand, ch, parents, gates) -> int:
-        """Dedup the candidate batch and append the accepted rows."""
-        new_mask = self._dedup_insert(cand, ch)
+        """Dedup the candidate batch and append the accepted rows.
+
+        With the relation filter active, accepted-row masks come from
+        their parents: ``mask(t_g . a) = perm_g(mask(a))`` -- pushing
+        the parent's S-image mask through the appended gate's byte
+        tables is cheaper than recomputing masks from the row images,
+        and exactly equal.
+        """
+        self._table.reserve(ch, self._hashes, self.n_rows)
+        new_mask = self._table.dedup_commit(
+            cand.view(np.uint64), ch, self._perms.view(np.uint64), self.n_rows
+        )
         accepted = np.flatnonzero(new_mask)
         n_new = accepted.size
         self._grow_rows(n_new)
         start = self.n_rows
-        np.take(cand, accepted, axis=0, out=self._perms[start : start + n_new])
-        np.take(ch, accepted, out=self._hashes[start : start + n_new])
         new_perms = self._perms[start : start + n_new]
+        np.take(cand, accepted, axis=0, out=new_perms)
+        np.take(ch, accepted, out=self._hashes[start : start + n_new])
+        acc_gates = gates[accepted]
+        if parents is None:
+            acc_parents = np.empty(0, dtype=np.int32)
+        else:
+            acc_parents = parents[accepted]
+        if self._filter is None:
+            masks = compute_masks(new_perms, self.n_binary, self.mask_words)
+        else:
+            self._sync_gmasks()  # parents precede this level: all synced
+            masks = self._filter.permuted_masks(
+                self._gmasks[acc_parents], acc_gates
+            )
         self.n_rows += n_new
         self.offsets.append(self.n_rows)
-        self.level_masks.append(
-            compute_masks(new_perms, self.n_binary, self.mask_words)
-        )
-        self.level_parents.append(
-            parents[accepted]
-            if parents is not None
-            else np.empty(0, dtype=np.int32)
-        )
-        self.level_gates.append(gates[accepted])
+        self.level_masks.append(masks)
+        self.level_parents.append(acc_parents)
+        self.level_gates.append(acc_gates)
         return int(n_new)
-
-    def dedup_stats(self) -> dict:
-        """Occupancy of the dedup structure, as progress-event fields."""
-        return {
-            "dedup_slots": int(self._ht.size),
-            "dedup_used": int(self.n_rows),
-        }
 
     def expand_level(self, cost: int) -> int:
         """Compute the next level (must be ``n_levels``); returns its size."""
@@ -860,18 +914,29 @@ class VectorEngine:
                 f"levels must be expanded in order: next is {self.n_levels}, "
                 f"got {cost}"
             )
+        # Safety net: never expand against adopted-but-unvalidated
+        # checkpoint slabs (try_resume clears the flag when it vouches
+        # for them).
+        self._discard_adopted_slabs()
+        was_spilled = self._table.spilled
         progress = self.progress
-        chunks, total = self._plan_chunks(cost)
+        chunks, total, planned = self._plan_chunks(cost)
         if progress is not None:
             progress.emit(
                 "plan",
                 level=cost,
                 chunks=len(chunks),
-                planned=int(self._last_planned),
+                planned=int(planned),
                 kept=int(total),
                 rows=int(self.n_rows),
             )
-        if not total:
+        if total:
+            cand, ch, parents, gates = self._generate_candidates(chunks, total)
+            if progress is not None:
+                progress.emit("generate", level=cost, candidates=int(total))
+            n_new = self._commit_level(cand, ch, parents, gates)
+        else:
+            n_new = 0
             self._append_level(
                 np.empty((0, self.width), dtype=np.uint8),
                 np.empty(0, dtype=np.uint64),
@@ -879,19 +944,6 @@ class VectorEngine:
                 np.empty(0, dtype=np.int32),
                 np.empty(0, dtype=np.int32),
             )
-            if progress is not None:
-                progress.emit(
-                    "commit",
-                    level=cost,
-                    accepted=0,
-                    rows=int(self.n_rows),
-                    **self.dedup_stats(),
-                )
-            return 0
-        cand, ch, parents, gates = self._generate_candidates(chunks, total)
-        if progress is not None:
-            progress.emit("generate", level=cost, candidates=int(total))
-        n_new = self._commit_level(cand, ch, parents, gates)
         if progress is not None:
             progress.emit(
                 "commit",
@@ -900,4 +952,177 @@ class VectorEngine:
                 rows=int(self.n_rows),
                 **self.dedup_stats(),
             )
+            if self._table.spilled and not was_spilled:
+                progress.emit("spill", level=cost)
+        if self._checkpoint is not None:
+            self._write_checkpoint(cost)
         return n_new
+
+    # -- worker pool -------------------------------------------------------------------
+
+    def _compose_pool(self):
+        if self._pool is None:
+            from repro.core.parallel import ComposePool
+
+            self._pool = ComposePool(
+                self.jobs,
+                self.gate_rows.tables16,
+                self._checkpoint.dir if self._checkpoint else None,
+            )
+        return self._pool
+
+    def release_workers(self) -> None:
+        """Shut down the compose pool and drop the expansion scratch.
+
+        Keeps the dedup table (row lookups still need it) -- this is
+        what :meth:`CascadeSearch.freeze` calls so a search pinned for
+        serving holds no idle worker processes.
+        """
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        self._cand_buf = self._hash_buf = self._meta_buf = None
+
+    def close(self) -> None:
+        """Release the worker pool, dedup slabs and scratch buffers."""
+        if self._closed:
+            return
+        self._closed = True
+        self.release_workers()
+        self._table.close()
+
+    def __del__(self):  # pragma: no cover - best-effort cleanup
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # -- checkpoint / resume -----------------------------------------------------------
+
+    def _identity_dict(self) -> dict:
+        identity = {
+            "degree": self.degree,
+            "n_binary": self.n_binary,
+            "mask_words": self.mask_words,
+            "track_parents": self.track_parents,
+            "shard_bits": self._table.shard_bits,
+        }
+        identity.update(self._checkpoint.provenance)
+        return identity
+
+    def _write_level(self, level: int) -> None:
+        self._checkpoint.write_level(
+            level,
+            self.level_perms_raw(level),
+            self.level_masks[level],
+            self.level_parents[level],
+            self.level_gates[level],
+        )
+
+    def _write_checkpoint(self, cost: int) -> None:
+        self._write_level(cost)
+        self._table.flush()
+        manifest = self._identity_dict()
+        manifest.update(
+            {
+                "level_offsets": list(self.offsets),
+                "n_rows": self.n_rows,
+                "slab_bits": self._table.slab_bits,
+            }
+        )
+        self._checkpoint.write_manifest(manifest)
+        if self.progress is not None:
+            self.progress.emit(
+                "checkpoint", level=cost, path=str(self._checkpoint.dir)
+            )
+
+    def try_resume(self) -> int:
+        """Adopt a compatible checkpoint; returns the resumed cost bound.
+
+        Call once, right after :meth:`seed_identity`.  Levels recorded
+        in the manifest are loaded back, the persistent dedup slabs are
+        swept back to the checkpointed row count (erasing whatever a
+        mid-level crash left in flight), and any shard whose contents
+        fail validation is rebuilt from the committed rows.  Returns 0
+        (nothing to resume) when the directory is empty or was written
+        for a different computation.
+        """
+        if self._checkpoint is None or self.n_levels != 1:
+            return 0
+        found = self._checkpointed_levels()
+        if found is None:
+            self._discard_adopted_slabs()
+            return 0
+        manifest, levels = found
+        # Adopt slab geometry before any insert touches the table (the
+        # seeded identity row is part of the checkpointed slabs).
+        self._table.adopt_geometry(
+            int(manifest.get("slab_bits", self._table.slab_bits))
+        )
+        for data in levels:
+            packed = pack_rows(data["perms"], self.degree)
+            self._append_level(
+                packed,
+                hash_rows(packed),
+                np.array(data["masks"], dtype=np.uint64).reshape(
+                    packed.shape[0], self.mask_words
+                ),
+                np.array(data["parents"], dtype=np.int32),
+                np.array(data["gates"], dtype=np.int32),
+            )
+        self._table.sweep_uncommitted(self.n_rows)
+        self._rebuild_shards(mismatched_only=True)
+        self._table.adopted = False  # contents now vouched for
+        return self.n_levels - 1
+
+    def _checkpointed_levels(self):
+        """``(manifest, level arrays)`` of a usable checkpoint, or None."""
+        manifest = self._checkpoint.load_manifest()
+        if manifest is None or not self._checkpoint.compatible(
+            manifest, self._identity_dict()
+        ):
+            return None
+        offsets = [int(o) for o in manifest.get("level_offsets", [])]
+        if len(offsets) < 2 or offsets[:2] != [0, 1]:
+            return None
+        try:
+            levels = [
+                self._checkpoint.read_level(level)
+                for level in range(1, len(offsets) - 1)
+            ]
+        except (OSError, ValueError, KeyError):
+            return None
+        return manifest, levels
+
+    def _discard_adopted_slabs(self) -> None:
+        """Rebuild adopted persistent slabs from this engine's own rows.
+
+        A persistent table adopts whatever slab files the checkpoint
+        directory holds -- including a crashed run's in-flight claims.
+        :meth:`try_resume` validates or sweeps them; every *other* way
+        of populating the engine (``load_level`` replays from a store
+        or another engine) must first erase the foreign contents, or
+        stale claims would make genuine first-producer candidates
+        "verify" as duplicates and silently shrink the closure.
+        """
+        if self._table.adopted:
+            self._rebuild_shards(mismatched_only=False)
+            self._table.adopted = False
+
+    def _rebuild_shards(self, mismatched_only: bool) -> None:
+        """Re-derive shard slabs from the committed rows.
+
+        With *mismatched_only*, only shards whose recorded row count
+        disagrees with the row store are rebuilt.
+        """
+        hashes = self._hashes[: self.n_rows]
+        shards = shard_of(hashes, self._table.shard_bits)
+        expected = np.bincount(shards, minlength=self._table.n_shards)
+        recorded = self._table.layout()["rows_per_shard"]
+        for s in range(self._table.n_shards):
+            if mismatched_only and recorded[s] == int(expected[s]):
+                continue
+            rows = np.flatnonzero(shards == s).astype(np.int64)
+            self._table.reinsert_shard(
+                s, np.take(hashes, rows), (rows + 1).astype(np.int32)
+            )

@@ -1,326 +1,39 @@
-"""Parallel sharded expansion engine: multi-worker closure precompute.
+"""Worker pool and checkpoint directory of the closure-expansion engine.
 
-The vector kernel (:mod:`repro.core.kernel`) is single-threaded and its
-dedup table must fit in RAM; per-gate candidate generation, however, is
-embarrassingly parallel, and the dedup keyspace splits cleanly by hash
-prefix.  :class:`ShardedExpansion` is the coordinator that exploits
-both:
+:class:`~repro.core.kernel.VectorEngine` runs the whole expansion; this
+module holds its two optional out-of-process pieces:
 
-* **Relation filter.**  Before composing anything, a precomputed table
-  of length-:math:`\\le 2` gate relations (commutations, two-gate
-  products that equal a cheaper gate, inverse pairs) drops candidates
-  that some *earlier* candidate -- earlier level, or same level and a
-  smaller library-gate index -- is guaranteed to have produced.  On the
-  paper's 3-qubit library this removes ~75% of the duplicate candidate
-  mass at the deep levels without touching a single row byte, and it
-  provably cannot change results (see :class:`RelationFilter`).
-* **Worker pool.**  Surviving ``(gate, source row)`` pairs fan out to a
-  ``multiprocessing`` pool: the coordinator lays source-level rows and
-  kept-index arrays into a shared scratch mapping, workers reuse the
-  vector kernel's uint16 pair-table composition + row hashing on their
-  assigned slices, writing candidates into disjoint ranges of a shared
-  output mapping.  Output positions are fixed by the plan, so the
-  candidate array is byte-identical to the sequential one no matter how
-  slices interleave.
-* **Sharded dedup.**  Candidates then merge through a
-  :class:`~repro.core.dedup.ShardedDedupTable` -- per-shard
-  open-addressing slabs that spill to ``np.memmap`` files past a memory
-  budget -- with claim races resolved to the lowest candidate id, i.e.
-  the sequential tie-break key.  Accepted rows are committed in
-  candidate order.
-
-Determinism contract
---------------------
-
-For any library and cost model, ``CascadeSearch(kernel="parallel")``
-produces levels **byte-identical in content and order** (and parent
-pointers) to both the vector and translate kernels, for every value of
-``jobs``, ``shard_bits`` and memory budget.  The three mechanisms above
-each preserve it independently; ``tests/test_parallel.py`` pins the
-equivalence, forced hash collisions and claim races included.
-
-Checkpoint / crash recovery
----------------------------
-
-With a ``checkpoint_dir`` the engine becomes restartable: completed
-levels are persisted (``level-NNNN.npz``), dedup slabs live as memmap
-files under ``slabs/``, and a manifest is atomically rewritten after
-every level.  A crash mid-level leaves in-flight claims and
-yet-uncommitted rows in the slabs; on resume they are swept back to the
-last checkpoint (:meth:`ShardedDedupTable.sweep_uncommitted`) and the
-expansion continues -- producing the same closure as an uninterrupted
-run.
+* **Worker pool.**  With ``jobs > 1`` the engine fans per-gate
+  candidate composition out to a ``multiprocessing`` pool.  The
+  coordinator lays source-level rows and kept-index arrays into a shared
+  scratch mapping, and workers compose + hash their assigned slices into
+  disjoint ranges of a shared output mapping.  Output positions are
+  fixed by the plan, so the candidate array is byte-identical to the
+  in-process one no matter how slices interleave.
+* **Checkpoint directory.**  With a ``checkpoint_dir`` completed levels
+  are persisted (``level-NNNN.npz``), dedup slabs live as memmap files
+  under ``slabs/``, and a manifest is atomically rewritten after every
+  level.  A crash mid-level leaves in-flight claims and uncommitted rows
+  in the slabs; on resume they are swept back to the last checkpoint
+  (:meth:`~repro.core.dedup.ShardedDedupTable.sweep_uncommitted`) and
+  the expansion continues -- producing the same closure as an
+  uninterrupted run.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import InvalidValueError
-from repro.core.dedup import ShardedDedupTable, shard_of
-from repro.core.kernel import (
-    GateRows,
-    VectorEngine,
-    hash_rows,
-    pack_rows,
-)
-
-#: Below this many planned candidates a level is expanded inline even
-#: when a worker pool is configured (IPC would dominate).
-PARALLEL_MIN_CANDIDATES = 4096
+from repro.core.kernel import hash_rows
 
 #: Manifest schema version of a checkpoint directory.
 CHECKPOINT_FORMAT = 1
-
-
-# -- relation filter -------------------------------------------------------------------
-
-
-class RelationFilter:
-    """Pre-composition pruning from length-:math:`\\le 2` gate relations.
-
-    For a candidate ``t_g . p`` where row ``p`` was created by appending
-    gate ``q`` to parent ``a`` (so the candidate's image is
-    ``t_g . t_q . a``), the filter may drop the candidate when one of
-    these holds:
-
-    * **identity** -- ``t_g . t_q = e``: the image *is* ``a``,
-      discovered two levels down (subsumes the kernel's inverse
-      back-edge filter, and also fires when the inverse permutation
-      hides under a different gate name).
-    * **single** -- ``t_g . t_q = t_h`` with ``cost(h) < cost(q) +
-      cost(g)`` (or equal cost and ``h < g``), and ``h`` applicable to
-      ``a`` (``mask(a) & banned(h) == 0``): candidate ``(a, h)``
-      produced the image at an earlier level (or earlier chunk of the
-      same level).
-    * **pair** -- ``t_g . t_q = t_{g2} . t_{q2}`` with ``cost(q2) +
-      cost(g2)`` smaller (any ``g2``) or equal and ``g2 < g``, with
-      both steps applicable: ``mask(a) & banned(q2) == 0`` and
-      ``perm_mask(q2, mask(a)) & banned(g2) == 0``.  Then
-      ``r = t_{q2} . a`` is discovered no later than
-      ``cost(a) + cost(q2)`` and candidate ``(r, g2)`` precedes ours.
-
-    Why this is exact: every skipped candidate names a witness
-    candidate strictly earlier in the (level, gate-chunk) enumeration
-    that yields the same image.  The witness may itself have been
-    skipped, but each skip steps strictly down a well-founded order, so
-    a chain of witnesses always terminates at a non-skipped earlier
-    producer.  First producers therefore are never skipped, and level
-    contents, discovery order and parent choice all survive untouched.
-    Rows with unknown provenance (restored levels carrying ``-1``
-    parent or gate entries) are never filtered.
-
-    ``perm_mask(q, m)`` is the S-image mask ``m`` pushed through gate
-    ``q``'s label permutation; it is evaluated via per-gate, per-byte
-    lookup tables so the filter never composes a full row.
-    """
-
-    def __init__(self, gate_rows: GateRows, degree: int, mask_words: int):
-        self._n_g = n_g = len(gate_rows)
-        self._words = mask_words
-        self._nbytes = nbytes = -(-degree // 8)
-        tables = [
-            np.frombuffer(t, dtype=np.uint8) for t in gate_rows.tables
-        ]
-        costs = gate_rows.costs
-        banned = gate_rows.banned  # per gate: (words,) u64
-
-        identity = np.arange(256, dtype=np.uint8)
-        products: dict[bytes, list[tuple[int, int]]] = {}
-        for q in range(n_g):
-            for g in range(n_g):
-                key = tables[g][tables[q]][:degree].tobytes()
-                products.setdefault(key, []).append((q, g))
-        by_single = {
-            t[:degree].tobytes(): h for h, t in enumerate(tables)
-        }
-        identity_key = identity[:degree].tobytes()
-
-        #: uncond[g][q] -- skip unconditionally (product is identity).
-        self._uncond = np.zeros((n_g, n_g), dtype=bool)
-        # singles[k] and pair_*[k] are per-alternative sentinel-padded
-        # lookup arrays indexed [g][q]; all-ones banned sentinels make
-        # the corresponding condition unsatisfiable (S-masks are
-        # nonzero), so unused slots are naturally inert.
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        singles: list[np.ndarray] = []
-        pair_q2: list[np.ndarray] = []
-        pair_b1: list[np.ndarray] = []
-        pair_b2: list[np.ndarray] = []
-        single_used: list[np.ndarray] = []
-        pair_used: list[np.ndarray] = []
-
-        def _place_single(g, q, banned_h):
-            for k, used in enumerate(single_used):
-                if not used[g, q]:
-                    singles[k][g, q] = banned_h
-                    used[g, q] = True
-                    return
-            singles.append(
-                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
-            )
-            single_used.append(np.zeros((n_g, n_g), dtype=bool))
-            singles[-1][g, q] = banned_h
-            single_used[-1][g, q] = True
-
-        def _place_pair(g, q, q2, b1, b2):
-            for k, used in enumerate(pair_used):
-                if not used[g, q]:
-                    pair_q2[k][g, q] = q2
-                    pair_b1[k][g, q] = b1
-                    pair_b2[k][g, q] = b2
-                    used[g, q] = True
-                    return
-            pair_q2.append(np.zeros((n_g, n_g), dtype=np.int64))
-            pair_b1.append(
-                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
-            )
-            pair_b2.append(
-                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
-            )
-            pair_used.append(np.zeros((n_g, n_g), dtype=bool))
-            pair_q2[-1][g, q] = q2
-            pair_b1[-1][g, q] = b1
-            pair_b2[-1][g, q] = b2
-            pair_used[-1][g, q] = True
-
-        for key, members in products.items():
-            is_identity = key == identity_key
-            single_h = by_single.get(key)
-            for q, g in members:
-                total = costs[q] + costs[g]
-                if is_identity:
-                    self._uncond[g, q] = True
-                    continue
-                if single_h is not None and (
-                    costs[single_h] < total
-                    or (costs[single_h] == total and single_h < g)
-                ):
-                    _place_single(g, q, banned[single_h])
-                for q2, g2 in members:
-                    if (q2, g2) == (q, g):
-                        continue
-                    total2 = costs[q2] + costs[g2]
-                    if total2 < total or (total2 == total and g2 < g):
-                        _place_pair(g, q, q2, banned[q2], banned[g2])
-        self._singles = singles
-        self._pair_q2 = pair_q2
-        self._pair_b1 = pair_b1
-        self._pair_b2 = pair_b2
-        # any_alt[g][q]: does (q, g) have any alternative at all?  One
-        # gather against it narrows condition evaluation to the ~25% of
-        # pairs that can fire.
-        self._any_alt = self._uncond.copy()
-        for used in single_used:
-            self._any_alt |= used
-        for used in pair_used:
-            self._any_alt |= used
-        self._active = bool(self._any_alt.any())
-
-        # Per-gate byte-wise mask-permutation tables:
-        # _ptab[(g * nbytes + b) * 256 + v] = OR of one-hot(t_g[8b + j])
-        # over the bits j set in v (labels 8b + j < degree only).
-        ptab = np.zeros((n_g * nbytes * 256, mask_words), dtype=np.uint64)
-        vals = np.arange(256)
-        for g in range(n_g):
-            t = tables[g]
-            for b in range(nbytes):
-                base = (g * nbytes + b) * 256
-                for j in range(8):
-                    label = 8 * b + j
-                    if label >= degree:
-                        break
-                    image = int(t[label])
-                    sel = (vals >> j) & 1 == 1
-                    ptab[base + vals[sel], image >> 6] |= np.uint64(
-                        1
-                    ) << np.uint64(image & 63)
-        self._ptab = ptab if mask_words > 1 else ptab[:, 0]
-
-    # -- evaluation --------------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether any relation exists for this library at all."""
-        return self._active
-
-    def permuted_masks(self, masks: np.ndarray, gates: np.ndarray) -> np.ndarray:
-        """Push S-image masks through per-row gate label permutations."""
-        n = masks.shape[0]
-        if self._words == 1:
-            m = masks.reshape(n)
-            out = np.zeros(n, dtype=np.uint64)
-            base = (gates.astype(np.int64) * self._nbytes) * 256
-            for b in range(self._nbytes):
-                byte = ((m >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(
-                    np.int64
-                )
-                out |= self._ptab[base + b * 256 + byte]
-            return out.reshape(n, 1)
-        bytes_view = masks.view(np.uint8).reshape(n, 8 * self._words)
-        out = np.zeros((n, self._words), dtype=np.uint64)
-        base = (gates.astype(np.int64) * self._nbytes) * 256
-        for b in range(self._nbytes):
-            idx = base + b * 256 + bytes_view[:, b].astype(np.int64)
-            out |= self._ptab[idx]
-        return out
-
-    def prune(
-        self, gi: int, qs: np.ndarray, pmasks: np.ndarray
-    ) -> np.ndarray:
-        """Skip mask for candidates extending gate-``qs`` rows by ``gi``.
-
-        ``pmasks`` holds the (grand)parent S-image masks, ``(m, words)``.
-        """
-        qsl = qs.astype(np.int64)
-        interesting = np.flatnonzero(self._any_alt[gi][qsl])
-        if interesting.size < qsl.shape[0]:
-            # Evaluate conditions only where an alternative exists.
-            sub = self.prune(
-                gi, qs[interesting], pmasks[interesting]
-            )
-            skip = np.zeros(qsl.shape[0], dtype=bool)
-            skip[interesting[sub]] = True
-            return skip
-        m = qs.shape[0]
-        skip = self._uncond[gi][qsl].copy()
-        if self._words == 1:
-            pm = pmasks.reshape(m)
-            for arr in self._singles:
-                skip |= (pm & arr[gi, :, 0][qsl]) == 0
-            for k in range(len(self._pair_q2)):
-                b1 = self._pair_b1[k][gi, :, 0][qsl]
-                cond1 = ~skip & ((pm & b1) == 0)
-                need = np.flatnonzero(cond1)
-                if not need.size:
-                    continue
-                q2 = self._pair_q2[k][gi][qsl[need]]
-                m2 = self.permuted_masks(
-                    pm[need].reshape(-1, 1), q2
-                ).reshape(-1)
-                b2 = self._pair_b2[k][gi, :, 0][qsl[need]]
-                hit = (m2 & b2) == 0
-                skip[need[hit]] = True
-            return skip
-        for arr in self._singles:
-            skip |= ((pmasks & arr[gi][qsl]) == 0).all(axis=1)
-        for k in range(len(self._pair_q2)):
-            b1 = self._pair_b1[k][gi][qsl]
-            cond1 = ~skip & ((pmasks & b1) == 0).all(axis=1)
-            need = np.flatnonzero(cond1)
-            if not need.size:
-                continue
-            q2 = self._pair_q2[k][gi][qsl[need]]
-            m2 = self.permuted_masks(pmasks[need], q2)
-            b2 = self._pair_b2[k][gi][qsl[need]]
-            hit = ((m2 & b2) == 0).all(axis=1)
-            skip[need[hit]] = True
-        return skip
 
 
 # -- worker pool -----------------------------------------------------------------------
@@ -380,6 +93,104 @@ def _compose_task(task: tuple) -> None:
     # writeback of the whole output region to disk.
 
 
+class ComposePool:
+    """A worker pool plus the scratch mappings it composes through.
+
+    Args:
+        jobs: worker processes.
+        tables16: the per-gate uint16 pair tables (shipped once).
+        scratch_base: parent directory for the scratch mappings
+            (``None``: the system temporary directory).
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        tables16: list[np.ndarray],
+        scratch_base: Path | None = None,
+    ):
+        import multiprocessing as mp
+
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        self.jobs = jobs
+        self._pool = ctx.Pool(
+            jobs,
+            initializer=_init_worker,
+            initargs=([t.tobytes() for t in tables16],),
+        )
+        self._scratch_dir = Path(
+            tempfile.mkdtemp(prefix="repro-expand-", dir=scratch_base)
+        )
+
+    def _scratch(self, name: str, size: int) -> Path:
+        path = self._scratch_dir / name
+        with open(path, "wb") as handle:
+            handle.truncate(size)
+        return path
+
+    def compose(self, engine, chunks, total: int):
+        """Compose + hash an engine's planned candidates in the pool.
+
+        Writes the needed source levels and kept-index arrays into a
+        scratch input mapping, assigns every chunk slice a fixed output
+        range (chunk order = the in-process candidate order), and lets
+        the workers fill the output mapping.  Returns ``(cand, ch)``,
+        views of that mapping.
+        """
+        width = engine.width
+        srcs = sorted({src for _gi, src, _kept in chunks})
+        src_base = {}
+        rows_total = 0
+        for src in srcs:
+            src_base[src] = rows_total
+            rows_total += engine.level_size(src)
+        kept_offset = rows_total * width
+        kept_offset += (-kept_offset) % 8
+        in_path = self._scratch("in.buf", kept_offset + total * 8)
+        buf_in = np.memmap(in_path, dtype=np.uint8, mode="r+")
+        for src in srcs:
+            start = src_base[src] * width
+            level = engine.level_perms(src)
+            buf_in[start : start + level.size] = level.reshape(-1)
+        kept_arr = buf_in[kept_offset:].view(np.int64)
+
+        out_bytes = total * width
+        out_pad = (-out_bytes) % 8
+        out_path = self._scratch("out.buf", out_bytes + out_pad + total * 8)
+
+        # Slice chunks into pool tasks; output positions are fixed now,
+        # so any execution order reproduces the in-process layout.
+        tasks = []
+        slice_rows = max(8192, -(-total // (self.jobs * 4)))
+        pos = 0
+        for gi, src, kept in chunks:
+            m = kept.size
+            kept_arr[pos : pos + m] = src_base[src] + kept
+            for k0 in range(0, m, slice_rows):
+                k1 = min(m, k0 + slice_rows)
+                tasks.append(
+                    (
+                        str(in_path), str(out_path), width, rows_total,
+                        kept_offset, total, gi, pos + k0, pos + k1,
+                        pos + k0,
+                    )
+                )
+            pos += m
+        self._pool.map(_compose_task, tasks, chunksize=1)
+        del buf_in, kept_arr
+        buf_out = np.memmap(out_path, dtype=np.uint8, mode="r+")
+        cand = buf_out[:out_bytes].reshape(total, width)
+        ch = buf_out[out_bytes + out_pad :].view(np.uint64)
+        return cand, ch
+
+    def close(self) -> None:
+        """Stop the workers and remove the scratch mappings."""
+        self._pool.close()
+        self._pool.join()
+        shutil.rmtree(self._scratch_dir, ignore_errors=True)
+
+
 # -- checkpointing ---------------------------------------------------------------------
 
 
@@ -427,6 +238,8 @@ class ExpansionCheckpoint:
         return all(manifest.get(k) == v for k, v in identity.items())
 
     def write_manifest(self, manifest: dict) -> None:
+        """Atomically replace the manifest (the format version first)."""
+        manifest = {"format": CHECKPOINT_FORMAT, **manifest}
         tmp = self.manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(manifest, indent=1) + "\n")
         os.replace(tmp, self.manifest_path)
@@ -450,513 +263,3 @@ class ExpansionCheckpoint:
     def read_level(self, level: int) -> dict[str, np.ndarray]:
         with np.load(self.level_path(level)) as data:
             return {name: np.array(data[name]) for name in data.files}
-
-
-# -- the coordinator -------------------------------------------------------------------
-
-
-class ShardedExpansion(VectorEngine):
-    """Sharded, optionally multi-process closure-expansion engine.
-
-    A drop-in :class:`~repro.core.kernel.VectorEngine` replacement (all
-    row-store accessors are inherited) whose expansion pipeline runs
-    through the relation filter, an optional worker pool, and a
-    :class:`~repro.core.dedup.ShardedDedupTable`.
-
-    Saving an expansion this engine produced goes through the streamed
-    store writers (:func:`~repro.core.store.save_search`): both the
-    memory-mapped v2 layout and the chunk-compressed v3 layout are
-    emitted level by level straight off the inherited row store, so
-    writing never materializes a second copy of the closure -- the
-    property that lets a budgeted run save a store larger than the
-    dedup table's RAM cap.
-
-    Args:
-        jobs: worker processes for candidate generation (1 = inline;
-            levels below :data:`PARALLEL_MIN_CANDIDATES` candidates are
-            always expanded inline).
-        shard_bits: dedup keyspace is range-sharded into
-            ``2**shard_bits`` hash-prefix shards.
-        memory_budget: soft RAM cap (bytes) for dedup slabs; past it,
-            slabs spill to memmap files.
-        checkpoint_dir: persist completed levels + slabs here and resume
-            from them (see :class:`ExpansionCheckpoint`).
-        relation_filter: disable to skip the pre-composition pruning
-            (the dedup table then sees every candidate; results are
-            identical either way).
-        provenance: identity payload pinned into the checkpoint
-            manifest (library/cost fingerprints).
-    """
-
-    def __init__(
-        self,
-        degree: int,
-        n_binary: int,
-        gate_rows: GateRows,
-        track_parents: bool = True,
-        *,
-        jobs: int = 1,
-        shard_bits: int = 6,
-        memory_budget: int | None = None,
-        checkpoint_dir: str | Path | None = None,
-        relation_filter: bool = True,
-        provenance: dict | None = None,
-    ):
-        super().__init__(degree, n_binary, gate_rows, track_parents)
-        self.jobs = max(1, int(jobs))
-        self._checkpoint = (
-            ExpansionCheckpoint(checkpoint_dir, provenance)
-            if checkpoint_dir is not None
-            else None
-        )
-        self._table = ShardedDedupTable(
-            shard_bits=shard_bits,
-            memory_budget=memory_budget,
-            spill_dir=(
-                self._checkpoint.slab_dir if self._checkpoint else None
-            ),
-            persistent=self._checkpoint is not None,
-        )
-        self._filter = (
-            RelationFilter(gate_rows, degree, self.mask_words)
-            if relation_filter
-            else None
-        )
-        if self._filter is not None and not self._filter.active:
-            self._filter = None
-        # Global S-image masks, grown in row order (parent-mask lookups
-        # for the relation filter gather straight from it).
-        self._gmasks = np.empty((1024, self.mask_words), dtype=np.uint64)
-        self._gmask_rows = 0
-        self._pool = None
-        self._scratch_dir: Path | None = None
-        self._cand_buf = None
-        self._hash_buf = None
-        self._meta_buf = None
-        self._closed = False
-
-    # -- dedup-table plumbing (overrides of the kernel's in-memory table) --------------
-
-    def _ensure_capacity(self, total_rows: int) -> None:
-        pass  # the sharded table sizes itself per batch
-
-    def _insert_distinct(self, hashes, rows) -> None:
-        self._table.insert_distinct(hashes, rows, self._hashes, self.n_rows)
-
-    def _dedup_insert(self, cand, ch):
-        self._table.reserve(ch, self._hashes, self.n_rows)
-        return self._table.dedup_commit(
-            cand.view(np.uint64), ch, self._perms.view(np.uint64), self.n_rows
-        )
-
-    def _scalar_insert(self, *args, **kwargs):  # pragma: no cover
-        raise InvalidValueError(
-            "scalar inserts route through the sharded dedup table"
-        )
-
-    def find_row(self, images: bytes) -> int:
-        row = np.frombuffer(images, dtype=np.uint8)[None, :]
-        packed = pack_rows(row, self.degree)
-        h = hash_rows(packed)[0]
-        return self._table.find(
-            packed.view(np.uint64)[0], h, self._perms.view(np.uint64)
-        )
-
-    @property
-    def dedup_table(self) -> ShardedDedupTable:
-        return self._table
-
-    def dedup_stats(self) -> dict:
-        layout = self._table.layout()
-        stats = {
-            "dedup_slots": int(
-                self._table.n_shards * layout["slab_slots"]
-            ),
-            "dedup_used": int(self.n_rows),
-        }
-        if layout["spilled"]:
-            stats["dedup_spilled"] = True
-        return stats
-
-    # -- relation filter ---------------------------------------------------------------
-
-    def _wants_parents(self) -> bool:
-        # The filter needs parent rows even on counting-only runs; the
-        # export layer still honours track_parents.
-        return self.track_parents or self._filter is not None
-
-    def _sync_gmasks(self) -> None:
-        if self._gmask_rows == self.n_rows:
-            return
-        need = self.n_rows
-        cap = self._gmasks.shape[0]
-        if need > cap:
-            while cap < need:
-                cap *= 2
-            grown = np.empty((cap, self.mask_words), dtype=np.uint64)
-            grown[: self._gmask_rows] = self._gmasks[: self._gmask_rows]
-            self._gmasks = grown
-        pos = self._gmask_rows
-        for level in range(self.n_levels):
-            size = self.level_size(level)
-            start = self.offsets[level]
-            if start + size <= pos:
-                continue
-            masks = self.level_masks[level]
-            lo = pos - start
-            self._gmasks[start + lo : start + size] = masks[lo:]
-            pos = start + size
-        self._gmask_rows = need
-
-    def _filter_candidates(self, src, gi, kept):
-        if self._filter is None:
-            return kept
-        parents = self.level_parents[src]
-        if parents.shape[0] != self.level_size(src):
-            return kept  # restored level without provenance
-        self._sync_gmasks()
-        qs = self.level_gates[src][kept]
-        prs = parents[kept]
-        valid = (qs >= 0) & (prs >= 0)
-        if not valid.any():
-            return kept
-        vi = np.flatnonzero(valid)
-        skip_valid = self._filter.prune(
-            gi, qs[vi], self._gmasks[prs[vi]]
-        )
-        if not skip_valid.any():
-            return kept
-        drop = np.zeros(kept.shape[0], dtype=bool)
-        drop[vi] = skip_valid
-        return kept[~drop]
-
-    def _commit_level(self, cand, ch, parents, gates) -> int:
-        """Commit, deriving accepted-row masks from their parents.
-
-        ``mask(t_g . a) = perm_g(mask(a))`` -- pushing the parent's
-        S-image mask through the appended gate's byte tables is cheaper
-        than recomputing masks from the row images, and exactly equal.
-        """
-        if self._filter is None or parents is None:
-            return super()._commit_level(cand, ch, parents, gates)
-        new_mask = self._dedup_insert(cand, ch)
-        accepted = np.flatnonzero(new_mask)
-        n_new = accepted.size
-        self._grow_rows(n_new)
-        start = self.n_rows
-        np.take(cand, accepted, axis=0, out=self._perms[start : start + n_new])
-        np.take(ch, accepted, out=self._hashes[start : start + n_new])
-        acc_parents = parents[accepted]
-        acc_gates = gates[accepted]
-        self._sync_gmasks()  # parents precede this level: all synced
-        masks = self._filter.permuted_masks(
-            self._gmasks[acc_parents], acc_gates
-        )
-        self.n_rows += n_new
-        self.offsets.append(self.n_rows)
-        self.level_masks.append(masks)
-        self.level_parents.append(acc_parents)
-        self.level_gates.append(acc_gates)
-        return int(n_new)
-
-    # -- parallel candidate generation -------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing as mp
-
-            methods = mp.get_all_start_methods()
-            ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-            blobs = [t.tobytes() for t in self.gate_rows.tables16]
-            self._pool = ctx.Pool(
-                self.jobs, initializer=_init_worker, initargs=(blobs,)
-            )
-        return self._pool
-
-    def _scratch(self, name: str, size: int) -> Path:
-        if self._scratch_dir is None:
-            base = self._checkpoint.dir if self._checkpoint else None
-            self._scratch_dir = Path(
-                tempfile.mkdtemp(prefix="repro-expand-", dir=base)
-            )
-        path = self._scratch_dir / name
-        with open(path, "wb") as handle:
-            handle.truncate(size)
-        return path
-
-    def _candidate_buffers(self, total: int):
-        """Reused scratch: repeated levels skip realloc + page faults."""
-        if self._cand_buf is None or self._cand_buf.shape[0] < total:
-            cap = max(total, 4096)
-            self._cand_buf = np.empty((cap, self.width), dtype=np.uint8)
-            self._hash_buf = np.empty(cap, dtype=np.uint64)
-            self._meta_buf = np.empty((2, cap), dtype=np.int32)
-        return (
-            self._cand_buf[:total],
-            self._hash_buf[:total],
-            self._meta_buf[0, :total] if self._wants_parents() else None,
-            self._meta_buf[1, :total],
-        )
-
-    def _generate_candidates(self, chunks, total):
-        if self.jobs <= 1 or total < PARALLEL_MIN_CANDIDATES:
-            return super()._generate_candidates(chunks, total)
-        return self._generate_parallel(chunks, total)
-
-    def _generate_parallel(self, chunks, total):
-        """Fan compose+hash out to the worker pool.
-
-        The coordinator writes the needed source levels and kept-index
-        arrays into a scratch input mapping, assigns every chunk slice a
-        fixed output range (chunk order = the sequential candidate
-        order), and lets the pool fill the output mapping.  Parent and
-        gate arrays are cheap and stay coordinator-side.
-        """
-        width = self.width
-        srcs = sorted({src for _gi, src, _kept in chunks})
-        src_base = {}
-        rows_total = 0
-        for src in srcs:
-            src_base[src] = rows_total
-            rows_total += self.level_size(src)
-        kept_total = sum(kept.size for _gi, _src, kept in chunks)
-        kept_offset = rows_total * width
-        kept_offset += (-kept_offset) % 8
-        in_path = self._scratch("in.buf", kept_offset + kept_total * 8)
-        buf_in = np.memmap(in_path, dtype=np.uint8, mode="r+")
-        for src in srcs:
-            start = src_base[src] * width
-            level = self.level_perms(src)
-            buf_in[start : start + level.size] = level.reshape(-1)
-        kept_arr = buf_in[kept_offset:].view(np.int64)
-
-        out_bytes = total * width
-        out_pad = (-out_bytes) % 8
-        out_path = self._scratch("out.buf", out_bytes + out_pad + total * 8)
-
-        # Slice chunks into pool tasks; output positions are fixed now,
-        # so any execution order reproduces the sequential layout.
-        tasks = []
-        slice_rows = max(8192, -(-total // (self.jobs * 4)))
-        pos = 0
-        kpos = 0
-        parents = np.empty(total, dtype=np.int32) if self._wants_parents() else None
-        gates = np.empty(total, dtype=np.int32)
-        for gi, src, kept in chunks:
-            m = kept.size
-            kept_arr[kpos : kpos + m] = src_base[src] + kept
-            if parents is not None:
-                parents[pos : pos + m] = self.offsets[src] + kept
-            gates[pos : pos + m] = gi
-            for k0 in range(0, m, slice_rows):
-                k1 = min(m, k0 + slice_rows)
-                tasks.append(
-                    (
-                        str(in_path), str(out_path), width, rows_total,
-                        kept_offset, total, gi, kpos + k0, kpos + k1,
-                        pos + k0,
-                    )
-                )
-            pos += m
-            kpos += m
-        self._ensure_pool().map(_compose_task, tasks, chunksize=1)
-        buf_out = np.memmap(out_path, dtype=np.uint8, mode="r+")
-        cand = buf_out[:out_bytes].reshape(total, width)
-        ch = buf_out[out_bytes + out_pad :].view(np.uint64)
-        del buf_in
-        return cand, ch, parents, gates
-
-    # -- expansion + checkpointing -----------------------------------------------------
-
-    def expand_level(self, cost: int) -> int:
-        # Safety net: never expand against adopted-but-unvalidated
-        # checkpoint slabs (try_resume clears the flag when it vouches
-        # for them).
-        self._discard_adopted_slabs()
-        was_spilled = self._table.spilled
-        n_new = super().expand_level(cost)
-        if self.progress is not None and self._table.spilled and not was_spilled:
-            self.progress.emit("spill", level=cost)
-        if self._checkpoint is not None:
-            self._write_checkpoint(cost)
-        return n_new
-
-    def _identity_dict(self) -> dict:
-        identity = {
-            "format": CHECKPOINT_FORMAT,
-            "degree": self.degree,
-            "n_binary": self.n_binary,
-            "mask_words": self.mask_words,
-            "track_parents": self.track_parents,
-            "shard_bits": self._table.shard_bits,
-        }
-        identity.update(self._checkpoint.provenance)
-        return identity
-
-    def _write_checkpoint(self, cost: int) -> None:
-        ck = self._checkpoint
-        ck.write_level(
-            cost,
-            self.level_perms_raw(cost),
-            self.level_masks[cost],
-            self.level_parents[cost],
-            self.level_gates[cost],
-        )
-        self._table.flush()
-        manifest = self._identity_dict()
-        manifest.update(
-            {
-                "level_offsets": list(self.offsets),
-                "n_rows": self.n_rows,
-                "slab_bits": self._table.slab_bits,
-            }
-        )
-        ck.write_manifest(manifest)
-        if self.progress is not None:
-            self.progress.emit(
-                "checkpoint", level=cost, path=str(ck.dir)
-            )
-
-    def try_resume(self) -> int:
-        """Adopt a compatible checkpoint; returns the resumed cost bound.
-
-        Call once, right after :meth:`seed_identity`.  Levels recorded
-        in the manifest are loaded back, the persistent dedup slabs are
-        swept back to the checkpointed row count (erasing whatever a
-        mid-level crash left in flight), and any shard whose contents
-        fail validation is rebuilt from the committed rows.  Returns 0
-        (nothing to resume) when the directory is empty or was written
-        for a different computation.
-        """
-        if self._checkpoint is None or self.n_levels != 1:
-            return 0
-        manifest = self._checkpoint.load_manifest()
-        if manifest is None or not self._checkpoint.compatible(
-            manifest, self._identity_dict()
-        ):
-            return self._abandon_resume()
-        offsets = [int(o) for o in manifest.get("level_offsets", [])]
-        if len(offsets) < 2 or offsets[:2] != [0, 1]:
-            return self._abandon_resume()
-        try:
-            levels = [
-                self._checkpoint.read_level(level)
-                for level in range(1, len(offsets) - 1)
-            ]
-        except (OSError, ValueError, KeyError):
-            return self._abandon_resume()
-        # Adopt slab geometry before any insert touches the table.  The
-        # freshly seeded identity row is re-derived below (it is part of
-        # the checkpointed slabs), so reset the row counters first.
-        slab_bits = int(manifest.get("slab_bits", self._table.slab_bits))
-        self._table.adopt_geometry(slab_bits)
-        for level, data in enumerate(levels, start=1):
-            packed = pack_rows(data["perms"], self.degree)
-            hashes = hash_rows(packed)
-            self._grow_rows(packed.shape[0])
-            self._append_level(
-                packed,
-                hashes,
-                np.array(data["masks"], dtype=np.uint64).reshape(
-                    packed.shape[0], self.mask_words
-                ),
-                np.array(data["parents"], dtype=np.int32),
-                np.array(data["gates"], dtype=np.int32),
-            )
-        self._table.sweep_uncommitted(self.n_rows)
-        self._validate_or_rebuild_table()
-        self._table.adopted = False  # contents now vouched for
-        return self.n_levels - 1
-
-    def _abandon_resume(self) -> int:
-        """No usable checkpoint: make sure stale slab contents are gone."""
-        self._discard_adopted_slabs()
-        return 0
-
-    def _discard_adopted_slabs(self) -> None:
-        """Rebuild adopted persistent slabs from this engine's own rows.
-
-        A persistent table adopts whatever slab files the checkpoint
-        directory holds -- including a crashed run's in-flight claims.
-        :meth:`try_resume` validates or sweeps them; every *other* way
-        of populating the engine (``load_level`` replays from a store
-        or another engine) must first erase the foreign contents, or
-        stale claims would make genuine first-producer candidates
-        "verify" as duplicates and silently shrink the closure.
-        """
-        if not self._table.adopted:
-            return
-        hashes = self._hashes[: self.n_rows]
-        shards = shard_of(hashes, self._table.shard_bits)
-        for s in range(self._table.n_shards):
-            rows = np.flatnonzero(shards == s).astype(np.int64)
-            self._table.reinsert_shard(
-                s, np.take(hashes, rows), (rows + 1).astype(np.int32)
-            )
-        self._table.adopted = False
-
-    def load_level(self, perms, masks=None, parents=None, gates=None) -> None:
-        """Append a restored level (see :meth:`VectorEngine.load_level`).
-
-        Adopted checkpoint slabs are discarded first -- a replayed
-        closure is its own source of truth -- and, when checkpointing,
-        the replayed level is persisted so a later resume covers it.
-        """
-        self._discard_adopted_slabs()
-        super().load_level(perms, masks, parents, gates)
-        if self._checkpoint is not None:
-            level = self.n_levels - 1
-            self._checkpoint.write_level(
-                level,
-                self.level_perms_raw(level),
-                self.level_masks[level],
-                self.level_parents[level],
-                self.level_gates[level],
-            )
-
-    def _validate_or_rebuild_table(self) -> None:
-        """Re-derive any shard whose slab disagrees with the row store."""
-        hashes = self._hashes[: self.n_rows]
-        shards = shard_of(hashes, self._table.shard_bits)
-        expected = np.bincount(shards, minlength=self._table.n_shards)
-        layout = self._table.layout()
-        for s in range(self._table.n_shards):
-            if layout["rows_per_shard"][s] == int(expected[s]):
-                continue
-            rows = np.flatnonzero(shards == s).astype(np.int64)
-            self._table.reinsert_shard(
-                s, np.take(hashes, rows), (rows + 1).astype(np.int32)
-            )
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def release_workers(self) -> None:
-        """Shut down the compose pool and scratch mappings.
-
-        Keeps the dedup table (row lookups still need it) -- this is
-        what :meth:`CascadeSearch.freeze` calls so a search pinned for
-        serving does not hold idle worker processes.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-        if self._scratch_dir is not None:
-            import shutil
-
-            shutil.rmtree(self._scratch_dir, ignore_errors=True)
-            self._scratch_dir = None
-
-    def close(self) -> None:
-        """Release the worker pool, dedup slabs and scratch mappings."""
-        if self._closed:
-            return
-        self._closed = True
-        self.release_workers()
-        self._table.close()
-
-    def __del__(self):  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass

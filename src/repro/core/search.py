@@ -12,25 +12,23 @@ Two interchangeable kernels drive the expansion:
 
 * ``kernel="vector"`` (default): the NumPy engine of
   :mod:`repro.core.kernel` -- levels are contiguous uint8 arrays, a gate
-  application is one mask filter plus one fancy-indexing composition, and
-  dedup runs through a vectorized hash table.  This is several times
-  faster than the byte-level loop and is the representation the v2
-  closure store serializes directly.
+  application is one mask filter plus one fancy-indexing composition,
+  relation-filtered candidates dedup through a sharded, spillable hash
+  table, and composition optionally fans out to a worker pool.  This is
+  several times faster than the byte-level loop and is the
+  representation the v2 closure store serializes directly.  Tunables
+  (worker count, shard bits, dedup memory budget, checkpoint directory)
+  arrive via ``kernel_options``.
 * ``kernel="translate"``: the original pure-Python loop (one
   ``bytes.translate`` per candidate, dict-based dedup), kept as the
   reference implementation and benchmark baseline
   (``benchmarks/bench_kernel.py``).
-* ``kernel="parallel"``: the sharded expansion engine of
-  :mod:`repro.core.parallel` -- relation-filtered candidate generation,
-  optionally fanned out to a ``multiprocessing`` worker pool, merged
-  through a disk-backed sharded dedup table.  Tunables (worker count,
-  shard bits, dedup memory budget, checkpoint directory) arrive via
-  ``kernel_options``.
 
-All kernels produce identical levels in identical discovery order with
+Both kernels produce identical levels in identical discovery order with
 identical parent pointers; ``tests/test_kernels.py`` and
-``tests/test_parallel.py`` pin that equivalence.  Optional parent pointers give O(cost) witness extraction
-for MCE, and row-based accessors (:meth:`CascadeSearch.perm_bytes_at`,
+``tests/test_parallel.py`` pin that equivalence.  Optional parent
+pointers give O(cost) witness extraction for MCE, and row-based
+accessors (:meth:`CascadeSearch.perm_bytes_at`,
 :meth:`CascadeSearch.witness_indices_for_row`) let index-serving layers
 avoid byte-level lookups entirely.
 """
@@ -52,9 +50,7 @@ except ImportError:  # pragma: no cover - the container ships numpy
     _np = None
 
 #: Kernel names accepted by :class:`CascadeSearch`.
-KERNELS = ("vector", "translate", "parallel")
-#: Kernels whose closure state is the array engine of repro.core.kernel.
-_ARRAY_KERNELS = ("vector", "parallel")
+KERNELS = ("vector", "translate")
 
 
 @dataclass(frozen=True)
@@ -174,15 +170,13 @@ class CascadeSearch:
             permutation, enabling :meth:`witness_circuit`.  Costs memory
             proportional to the closure size; disable for counting-only
             runs such as Table 2.
-        kernel: ``"vector"`` (NumPy engine, default), ``"translate"``
-            (the reference pure-Python loop) or ``"parallel"`` (the
-            sharded multi-worker engine).  All produce identical
+        kernel: ``"vector"`` (NumPy engine, default) or ``"translate"``
+            (the reference pure-Python loop).  Both produce identical
             closures; see the module docstring.
-        kernel_options: tunables for the parallel kernel -- ``jobs``,
-            ``shard_bits``, ``memory_budget``, ``checkpoint_dir``,
-            ``relation_filter`` (see
-            :class:`repro.core.parallel.ShardedExpansion`).  Ignored by
-            the other kernels.
+        kernel_options: tunables for the vector engine -- ``jobs``,
+            ``shard_bits``, ``memory_budget``, ``checkpoint_dir`` (see
+            :class:`repro.core.kernel.VectorEngine`).  Ignored by the
+            translate kernel.
     """
 
     def __init__(
@@ -197,7 +191,7 @@ class CascadeSearch:
             raise InvalidValueError(
                 f"unknown kernel {kernel!r}; pick one of {KERNELS}"
             )
-        if kernel in _ARRAY_KERNELS and _np is None:
+        if kernel == "vector" and _np is None:
             kernel = "translate"
         self._kernel_options = dict(kernel_options or {})
         self._library = library
@@ -238,6 +232,8 @@ class CascadeSearch:
         # a raw SearchArrays snapshot (store-loaded, possibly memmapped).
         self._engine = None
         self._raw: SearchArrays | None = None
+        # Shard layout recorded by the store this search was loaded from.
+        self._recorded_shards: dict | None = None
 
         if kernel == "translate":
             self._seen = {self._identity: 0}
@@ -248,9 +244,7 @@ class CascadeSearch:
         else:
             self._engine = self._new_engine()
             self._engine.seed_identity()
-            if kernel == "parallel" and self._kernel_options.get(
-                "checkpoint_dir"
-            ):
+            if self._kernel_options.get("checkpoint_dir"):
                 resumed = self._engine.try_resume()
                 if resumed:
                     self._expanded_to = resumed
@@ -276,38 +270,27 @@ class CascadeSearch:
         )
 
     def _new_engine(self):
-        if self._kernel == "parallel":
-            from repro.core.parallel import ShardedExpansion
-
-            options = dict(self._kernel_options)
-            provenance = options.pop("provenance", None)
-            if provenance is None and options.get("checkpoint_dir"):
-                from repro.core.store import (
-                    cost_model_fingerprint,
-                    library_fingerprint,
-                )
-
-                provenance = {
-                    "library_fingerprint": library_fingerprint(self._library),
-                    "cost_fingerprint": cost_model_fingerprint(
-                        self._cost_model
-                    ),
-                }
-            return ShardedExpansion(
-                self._degree,
-                self._n_binary,
-                self._gate_rows(),
-                track_parents=self._track_parents,
-                provenance=provenance,
-                **options,
-            )
         from repro.core.kernel import VectorEngine
 
+        options = dict(self._kernel_options)
+        provenance = options.pop("provenance", None)
+        if provenance is None and options.get("checkpoint_dir"):
+            from repro.core.store import (
+                cost_model_fingerprint,
+                library_fingerprint,
+            )
+
+            provenance = {
+                "library_fingerprint": library_fingerprint(self._library),
+                "cost_fingerprint": cost_model_fingerprint(self._cost_model),
+            }
         return VectorEngine(
             self._degree,
             self._n_binary,
             self._gate_rows(),
             track_parents=self._track_parents,
+            provenance=provenance,
+            **options,
         )
 
     def _mask_of(self, perm: bytes) -> int:
@@ -359,7 +342,9 @@ class CascadeSearch:
         Any kernel can pick up a closure another one built -- the
         byte-level and array forms convert lazily -- so switching is
         cheap until the next expansion actually runs.  *kernel_options*
-        replaces the parallel-kernel tunables when given.
+        replaces the vector-engine tunables when given; a live engine
+        built with other options hands its closure to a fresh engine at
+        the next expansion.
         """
         if self._frozen:
             from repro.errors import FrozenSearchError
@@ -371,11 +356,20 @@ class CascadeSearch:
             raise InvalidValueError(
                 f"unknown kernel {kernel!r}; pick one of {KERNELS}"
             )
-        if kernel in _ARRAY_KERNELS and _np is None:
-            raise InvalidValueError(f"the {kernel} kernel needs numpy")
+        if kernel == "vector" and _np is None:
+            raise InvalidValueError("the vector kernel needs numpy")
         self._kernel = kernel
-        if kernel_options is not None:
+        if kernel_options is not None and dict(kernel_options) != (
+            self._kernel_options
+        ):
             self._kernel_options = dict(kernel_options)
+            if self._engine is not None:
+                # Engine options are fixed at construction: park the
+                # closure as an array snapshot; _ensure_engine replays
+                # it into an engine built with the new options.
+                self._raw = self.export_arrays()
+                self._engine.close()
+                self._engine = None
 
     @property
     def frozen(self) -> bool:
@@ -403,7 +397,9 @@ class CascadeSearch:
           materializes the byte-level dictionaries;
         * mutating operations (:meth:`extend_to` beyond the expanded
           bound, :meth:`use_kernel`, :meth:`attach_remainder_index`)
-          raise :class:`~repro.errors.FrozenSearchError` afterwards.
+          raise :class:`~repro.errors.FrozenSearchError` afterwards;
+        * a vector engine's worker pool and expansion scratch buffers
+          are released (its dedup table stays, for row lookups).
 
         After ``freeze()`` returns, these methods are safe to call from
         any number of threads concurrently: :meth:`perm_bytes_at`,
@@ -429,25 +425,27 @@ class CascadeSearch:
         self.stats()
         for cost in range(self._expanded_to + 1):
             self._level_start(cost)
-        if self._engine is not None and hasattr(self._engine, "release_workers"):
-            # A parallel-kernel search keeps no idle worker processes
-            # once pinned for serving (the dedup table stays for
+        if self._engine is not None:
+            # A search pinned for serving keeps no idle worker
+            # processes or expansion scratch (the dedup table stays for
             # row lookups).
             self._engine.release_workers()
         self._frozen = True
         return self
 
     def shard_layout(self) -> dict | None:
-        """Dedup-shard layout, when the parallel kernel holds this closure.
+        """Dedup-shard layout of the vector engine that built this closure.
 
-        ``None`` for the other kernels; the v2 store writer embeds a
-        non-None layout into the header so `repro store shards` can
-        report it.
+        ``None`` for translate-kernel searches; a store-loaded search
+        without an engine reports the layout its store recorded.  The
+        v2/v3 store writers embed a non-None layout into the header so
+        `repro store shards` can report it.
         """
-        engine = self._engine
-        if engine is not None and hasattr(engine, "dedup_table"):
-            return engine.dedup_table.layout()
-        return None
+        if self._kernel != "vector":
+            return None
+        if self._engine is None:
+            return self._recorded_shards
+        return self._engine.dedup_table.layout()
 
     @property
     def was_restored(self) -> bool:
@@ -590,50 +588,20 @@ class CascadeSearch:
         self._engine = engine
         return engine
 
-    def _upgrade_engine_if_needed(self, engine):
-        """Swap in a sharded engine when the parallel kernel is selected.
-
-        A :class:`~repro.core.parallel.ShardedExpansion` *is* a
-        ``VectorEngine``, so a search that switches ``parallel ->
-        vector`` keeps its engine; only the opposite switch replays the
-        levels into a fresh sharded engine (O(closure size), once).
-        """
-        if self._kernel != "parallel":
-            return engine
-        from repro.core.parallel import ShardedExpansion
-
-        if isinstance(engine, ShardedExpansion):
-            return engine
-        upgraded = self._new_engine()
-        for cost in range(engine.n_levels):
-            upgraded.load_level(
-                engine.level_perms_raw(cost),
-                engine.level_masks[cost],
-                engine.level_parents[cost]
-                if engine.level_parents[cost].shape[0]
-                else None,
-                engine.level_gates[cost]
-                if engine.level_gates[cost].shape[0]
-                else None,
-            )
-        self._engine = upgraded
-        return upgraded
-
     def close(self) -> None:
-        """Release kernel resources (worker pools, dedup slabs, scratch).
+        """Release engine resources (worker pool, dedup slabs, scratch).
 
-        Only the parallel kernel holds any; calling this on other
-        kernels (or twice) is a no-op.  After closing, level reads and
-        witness walks keep working (they read the engine's arrays), but
-        exact row lookups (:meth:`cost_of` / ``find_row`` on a
-        parallel-kernel engine) need the dedup slabs and raise a clean
-        :class:`~repro.errors.InvalidValueError`.  To keep a search
-        fully queryable while only shedding worker processes, use
-        :meth:`freeze` instead.
+        Only a search holding a vector engine has any; calling this on
+        a translate-kernel or store-loaded search (or twice) is a
+        no-op.  After closing, level reads and witness walks keep
+        working (they read the engine's arrays), but exact row lookups
+        on the engine (:meth:`cost_of` / ``find_row``) need the dedup
+        slabs and raise a clean :class:`~repro.errors.InvalidValueError`.
+        To keep a search fully queryable while only shedding worker
+        processes, use :meth:`freeze` instead.
         """
-        engine = self._engine
-        if engine is not None and hasattr(engine, "close"):
-            engine.close()
+        if self._engine is not None:
+            self._engine.close()
 
     # -- expansion ---------------------------------------------------------------------
 
@@ -652,9 +620,8 @@ class CascadeSearch:
             )
         started = perf_counter()
         progress = self._progress
-        if self._kernel in _ARRAY_KERNELS:
+        if self._kernel == "vector":
             engine = self._ensure_engine()
-            engine = self._upgrade_engine_if_needed(engine)
             engine.progress = progress
             for cost in range(self._expanded_to + 1, cost_bound + 1):
                 if progress is not None:
@@ -1123,6 +1090,7 @@ class CascadeSearch:
         kernel: str = "vector",
         validate: bool = True,
         kernel_options: dict | None = None,
+        shard_layout: dict | None = None,
     ) -> "CascadeSearch":
         """Rebuild a search from an array snapshot without copying rows.
 
@@ -1137,6 +1105,10 @@ class CascadeSearch:
             validate: run structural sanity checks (shape/offset
                 consistency and the identity row).  Skippable for
                 payloads already guarded by a checksum.
+            shard_layout: the dedup-shard layout recorded with the
+                snapshot (a store header's ``shards``); reported by
+                :meth:`shard_layout` until an engine takes over, so a
+                re-save or migration keeps the build's provenance.
         """
         if _np is None:
             raise InvalidValueError("array restore needs numpy")
@@ -1154,6 +1126,7 @@ class CascadeSearch:
         search._expanded_to = arrays.expanded_to
         search._elapsed = arrays.elapsed_seconds
         search._restored = True
+        search._recorded_shards = shard_layout or None
         return search
 
     def _validate_arrays(self, arrays: SearchArrays) -> None:

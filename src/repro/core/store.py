@@ -353,7 +353,7 @@ class StoreHeader:
     index_sha256: dict = field(default_factory=dict)
     #: Dedup-shard layout of the expansion that built this store
     #: (``shard_bits``, ``rows_per_shard``, ``slab_slots``, ``spilled``)
-    #: -- written by the parallel kernel, empty otherwise.  Purely
+    #: -- written by the vector engine, empty otherwise.  Purely
     #: informational: `repro store shards` uses it to help operators
     #: size ``--dedup-budget``; readers must not depend on it.
     shards: dict = field(default_factory=dict)
@@ -774,7 +774,7 @@ def _save_v2_streamed(search: CascadeSearch, target: Path) -> StoreHeader:
     an incremental sha256, and the header's placeholder digest is
     patched in place before the atomic rename.  Peak extra memory is
     one ~:data:`_STREAM_ROWS`-row chunk instead of a whole second copy
-    of the closure -- the property that lets the parallel engine write
+    of the closure -- the property that lets a budgeted expansion write
     stores bigger than RAM headroom.
     """
     arrays = search.export_arrays()
@@ -1797,12 +1797,14 @@ def _load_split(
     if header.format_version >= 3:
         chunks = _ChunkStore(header, payload, cache_key=cache_key)
         search = CascadeSearch.from_arrays(
-            library, _v3_arrays(header, chunks), cost_model
+            library, _v3_arrays(header, chunks), cost_model,
+            shard_layout=header.shards,
         )
         index = _v3_remainder_index(header, chunks, cache_key=cache_key)
     else:
         search = CascadeSearch.from_arrays(
-            library, _v2_arrays(header, payload), cost_model
+            library, _v2_arrays(header, payload), cost_model,
+            shard_layout=header.shards,
         )
         index = _v2_remainder_index(header, payload, cache_key=cache_key)
     search.attach_remainder_index(header.expanded_to, index)

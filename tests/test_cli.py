@@ -378,13 +378,17 @@ class TestParallelPrecompute:
     def test_store_shards_recorded_layout(self, parallel_store, capsys):
         assert main(["store", "shards", parallel_store]) == 0
         out = capsys.readouterr().out
-        assert "recorded by the parallel kernel" in out
+        assert "recorded by the vector engine" in out
         assert "level" in out and "perms" in out
         assert "total 6562" in out
 
     def test_store_shards_projected_layout(self, capsys, tmp_path):
+        # The translate kernel has no dedup table, so its store records
+        # no layout and `store shards` projects one.
         path = str(tmp_path / "seq.rpro")
-        assert main(["precompute", path, "--cost-bound", "3"]) == 0
+        assert main([
+            "precompute", path, "--cost-bound", "3", "--kernel", "translate",
+        ]) == 0
         capsys.readouterr()
         assert main(["store", "shards", path]) == 0
         assert "no recorded shard layout" in capsys.readouterr().out
@@ -402,13 +406,38 @@ class TestParallelPrecompute:
         assert main(["store", "shards", path, "--bits", "2"]) == 0
         assert "legacy v1 store" in capsys.readouterr().out
 
-    def test_parallel_flags_imply_parallel_kernel(self, capsys, tmp_path):
+    def test_engine_flags_use_vector_kernel(self, capsys, tmp_path):
         path = str(tmp_path / "imp.rpro")
         assert main([
             "precompute", path, "--cost-bound", "3", "--dedup-budget", "64M",
         ]) == 0
         out = capsys.readouterr().out
         assert "dedup table:" in out and "[1, 18, 162, 1017]" in out
+        from repro.io import read_header
+
+        assert read_header(path).kernel == "vector"
+
+    def test_default_precompute_reports_dedup_table(self, capsys, tmp_path):
+        path = str(tmp_path / "default.rpro")
+        assert main(["precompute", path, "--cost-bound", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "dedup table: 64 shards x" in out and "jobs 1" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, capsys, tmp_path, jobs):
+        path = tmp_path / "jobs.rpro"
+        assert main([
+            "precompute", str(path), "--cost-bound", "3", "--jobs", jobs,
+        ]) == 1
+        assert "jobs must be a positive integer" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_parallel_kernel_name_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main([
+                "precompute", str(tmp_path / "p.rpro"), "--cost-bound", "3",
+                "--kernel", "parallel",
+            ])
 
     def test_parallel_flags_refuse_other_kernels(self, capsys, tmp_path):
         path = str(tmp_path / "bad.rpro")
@@ -416,7 +445,7 @@ class TestParallelPrecompute:
             "precompute", path, "--cost-bound", "3", "--jobs", "2",
             "--kernel", "translate",
         ]) == 1
-        assert "parallel-kernel options" in capsys.readouterr().err
+        assert "vector-kernel options" in capsys.readouterr().err
 
     def test_budget_spill_reported(self, capsys, tmp_path):
         path = str(tmp_path / "spill.rpro")
@@ -454,5 +483,5 @@ class TestParallelPrecompute:
             "--jobs", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(parallel kernel)" in out
+        assert "(vector kernel)" in out
         assert "[1, 18, 162, 1017, 5364]" in out

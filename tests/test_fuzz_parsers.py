@@ -1,16 +1,17 @@
 """Fuzzing the text-facing parsers: they must reject garbage, not crash.
 
 Every user-facing parser (cycle notation, gate names, pattern strings,
-circuit records) either returns a valid object or raises a library error
+memory budgets, circuit records) either returns a valid object or raises a library error
 -- never an unhandled TypeError/IndexError/ValueError from internals.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.core.circuit import Circuit
+from repro.core.dedup import parse_budget
 from repro.gates.gate import Gate
 from repro.io import circuit_from_dict
 from repro.mvl.patterns import pattern_from_string
@@ -75,6 +76,29 @@ class TestPatternStringFuzz:
         except LIBRARY_ERRORS:
             return
         assert pattern.n_qubits >= 1
+
+
+budget_text = st.text(
+    alphabet=st.sampled_from(list("0123456789.e+- kmgibKMGIBnaftyNAFTY")),
+    max_size=16,
+)
+
+
+class TestBudgetStringFuzz:
+    @given(text=budget_text)
+    @example(text="nan")
+    @example(text="inf")
+    @example(text="-Infinity")
+    @example(text="1e400")
+    @example(text="1e308G")
+    @settings(max_examples=300, deadline=None)
+    def test_parse_or_clean_error(self, text):
+        """``--dedup-budget`` values: a byte count or a library error."""
+        try:
+            budget = parse_budget(text)
+        except LIBRARY_ERRORS:
+            return
+        assert isinstance(budget, int) and budget >= 0
 
 
 class TestScenarioSpecFuzz:

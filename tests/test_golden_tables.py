@@ -7,12 +7,18 @@ cannot silently change results.  If a change legitimately alters these
 numbers, that is a results change, not a refactor: update the constants
 here in the same commit and say why.
 
-Every closure-level assertion runs five ways -- against the live vector
-search, the byte-level ``translate`` reference kernel, the sharded
-``parallel`` engine, and store-roundtripped copies in both the legacy
-v1 and memory-mapped v2 formats (``dump_search``/``loads_search``) --
-so all three expansion kernels and both persistence formats are held to
-the same golden values.
+Every closure-level assertion runs six ways -- against the live vector
+search, the byte-level ``translate`` reference kernel, the vector engine
+with a two-worker compose pool, and store-roundtripped copies in the
+legacy v1, memory-mapped v2 and compressed v3 formats
+(``dump_search``/``loads_search``) -- so both expansion kernels, the
+pool path and every persistence format are held to the same golden
+values.
+
+The pooled flavor keeps its historical param id ``parallel-kernel``
+(from when the pool lived in a separate kernel) so its test ids stay
+stable; it builds ``CascadeSearch(kernel="vector",
+kernel_options={"jobs": 2})``.
 
 Documented deviations from the published Table 2 (see bench_table2.py):
 |G[2]| = 24 vs the paper's 30 and |G[3]| = 51 vs 52; the
@@ -54,6 +60,13 @@ GOLDEN_NAMED = {
 }
 
 
+#: Closure flavors built by a fresh search (param id -> search kwargs).
+_KERNEL_FLAVORS = {
+    "translate-kernel": {"kernel": "translate"},
+    "parallel-kernel": {"kernel": "vector", "kernel_options": {"jobs": 2}},
+}
+
+
 @pytest.fixture(
     scope="module",
     params=[
@@ -62,17 +75,15 @@ GOLDEN_NAMED = {
     ],
 )
 def closure(request, search3, library3):
-    """The cost-7 closure: all three kernels and every store format."""
+    """The cost-7 closure: both kernels, the pool, every store format."""
     search3.extend_to(7)
     if request.param == "live":
         return search3
-    if request.param in ("translate-kernel", "parallel-kernel"):
+    if request.param in _KERNEL_FLAVORS:
         from repro.core.search import CascadeSearch
 
         search = CascadeSearch(
-            library3,
-            track_parents=True,
-            kernel=request.param.removesuffix("-kernel"),
+            library3, track_parents=True, **_KERNEL_FLAVORS[request.param]
         )
         search.extend_to(7)
         return search
@@ -223,14 +234,11 @@ def ternary_closure(request, ternary_library2):
     """The ternary bound-4 closure: every kernel and mmap store format."""
     from repro.core.search import CascadeSearch
 
-    if request.param in ("live", "store-v2", "store-v3"):
-        search = CascadeSearch(ternary_library2, track_parents=True)
-    else:
-        search = CascadeSearch(
-            ternary_library2,
-            track_parents=True,
-            kernel=request.param.removesuffix("-kernel"),
-        )
+    search = CascadeSearch(
+        ternary_library2,
+        track_parents=True,
+        **_KERNEL_FLAVORS.get(request.param, {}),
+    )
     search.extend_to(4)
     if request.param.startswith("store-"):
         version = {"store-v2": 2, "store-v3": 3}[request.param]
@@ -282,3 +290,17 @@ class TestQuaternaryClosure:
         search = CascadeSearch(quaternary_library(2), track_parents=True)
         search.extend_to(3)
         assert list(search.stats().level_sizes) == GOLDEN_QUATERNARY_B
+
+    @pytest.mark.parametrize("flavor", sorted(_KERNEL_FLAVORS))
+    def test_level_sizes_pinned_on_every_kernel(self, flavor):
+        from repro.core.search import CascadeSearch
+        from repro.gates.quaternary import quaternary_library
+
+        search = CascadeSearch(
+            quaternary_library(2),
+            track_parents=True,
+            **_KERNEL_FLAVORS[flavor],
+        )
+        search.extend_to(3)
+        assert list(search.stats().level_sizes) == GOLDEN_QUATERNARY_B
+        search.close()

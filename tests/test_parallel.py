@@ -1,13 +1,15 @@
-"""The sharded parallel expansion engine vs the vector/translate kernels.
+"""The vector engine's option space vs the translate reference kernel.
 
-The parallel engine is only allowed to be *faster*: for any library,
-cost model, shard count, worker count, memory budget and spill state it
-must produce levels byte-identical in content and discovery order --
-with identical parent pointers -- to both reference kernels.  These
-tests pin that determinism contract, the relation filter's exactness,
-the sharded dedup table's claim protocol under forced collisions and
-claim races, spill-to-disk behaviour, and the crash-mid-level
-checkpoint/resume path.
+The engine's worker pool, shard layout, memory budget, checkpointing and
+relation filter are only allowed to make expansion *faster* or
+*restartable*: for any library, cost model, shard count, worker count,
+memory budget and spill state the engine must produce levels
+byte-identical in content and discovery order -- with identical parent
+pointers -- to the byte-level ``translate`` kernel.  These tests pin
+that determinism contract, the relation filter's exactness, the sharded
+dedup table's claim protocol under forced collisions and claim races,
+spill-to-disk behaviour, and the crash-mid-level checkpoint/resume
+path.
 """
 
 import json
@@ -17,8 +19,13 @@ import pytest
 
 from repro.core.cost import CostModel
 from repro.core.dedup import ShardedDedupTable, parse_budget, shard_of
-from repro.core.kernel import compute_masks, hash_rows, pack_rows
-from repro.core.parallel import RelationFilter, ShardedExpansion
+from repro.core.kernel import (
+    RelationFilter,
+    VectorEngine,
+    compute_masks,
+    hash_rows,
+    pack_rows,
+)
 from repro.core.search import CascadeSearch
 from repro.errors import InvalidValueError
 from repro.gates.kinds import GateKind
@@ -26,6 +33,8 @@ from repro.gates.library import GateLibrary
 
 
 def _trio(library, cost_model=None, bound=3, track_parents=True, options=None):
+    """translate, default vector engine, and a vector-engine variant
+    (single shard unless *options* say otherwise), all at *bound*."""
     kwargs = {"track_parents": track_parents}
     if cost_model is not None:
         kwargs["cost_model"] = cost_model
@@ -33,7 +42,10 @@ def _trio(library, cost_model=None, bound=3, track_parents=True, options=None):
         CascadeSearch(library, kernel="translate", **kwargs),
         CascadeSearch(library, kernel="vector", **kwargs),
         CascadeSearch(
-            library, kernel="parallel", kernel_options=options, **kwargs
+            library,
+            kernel="vector",
+            kernel_options=options or {"shard_bits": 0},
+            **kwargs,
         ),
     ]
     for search in searches:
@@ -53,15 +65,29 @@ def _assert_identical(reference, other, bound):
         )
 
 
+class _Events:
+    """Duck-typed progress sink collecting ``(event, fields)`` pairs."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, event, **fields):
+        self.records.append((event, fields))
+
+    def of(self, event):
+        return [fields for name, fields in self.records if name == event]
+
+
 class TestKernelTrioEquivalence:
     def test_three_qubit_unit_costs(self, library3):
-        translate, vector, parallel = _trio(library3, bound=4)
+        translate, vector, variant = _trio(library3, bound=4)
         _assert_identical(translate, vector, 4)
-        _assert_identical(translate, parallel, 4)
+        _assert_identical(translate, variant, 4)
 
     def test_two_qubit(self, library2):
-        translate, _vector, parallel = _trio(library2, bound=5)
-        _assert_identical(translate, parallel, 5)
+        translate, vector, variant = _trio(library2, bound=5)
+        _assert_identical(translate, vector, 5)
+        _assert_identical(translate, variant, 5)
 
     @pytest.mark.parametrize(
         "model",
@@ -73,93 +99,118 @@ class TestKernelTrioEquivalence:
     )
     def test_non_unit_cost_models(self, library3, model):
         """Relation costs differ per gate; the filter must respect them."""
-        translate, _vector, parallel = _trio(
+        translate, vector, _variant = _trio(
             library3, cost_model=model, bound=4
         )
-        _assert_identical(translate, parallel, 4)
+        _assert_identical(translate, vector, 4)
 
     def test_partial_gate_alphabet(self):
         """V without V+: no inverse back-edges, fewer relations."""
         library = GateLibrary(3, kinds=(GateKind.V, GateKind.CNOT))
-        translate, _vector, parallel = _trio(library, bound=4)
-        _assert_identical(translate, parallel, 4)
+        translate, vector, _variant = _trio(library, bound=4)
+        _assert_identical(translate, vector, 4)
 
     def test_counting_only(self, library3):
-        translate, _vector, parallel = _trio(
+        translate, vector, _variant = _trio(
             library3, bound=4, track_parents=False
         )
-        _assert_identical(translate, parallel, 4)
+        _assert_identical(translate, vector, 4)
 
     def test_four_qubit_multiword_masks(self):
         """176 labels -> 3 mask words: the filter's multiword path."""
         library = GateLibrary(4)
-        translate, _vector, parallel = _trio(library, bound=2)
-        _assert_identical(translate, parallel, 2)
+        translate, vector, _variant = _trio(library, bound=2)
+        _assert_identical(translate, vector, 2)
 
     @pytest.mark.parametrize("shard_bits", [0, 1, 5, 9])
     def test_shard_count_is_invisible(self, library3, shard_bits):
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(4)
         sharded = CascadeSearch(
             library3,
-            kernel="parallel",
+            kernel="vector",
             kernel_options={"shard_bits": shard_bits},
         )
         sharded.extend_to(4)
         _assert_identical(reference, sharded, 4)
 
-    def test_relation_filter_off_is_identical(self, library3):
-        plain = CascadeSearch(
-            library3,
-            kernel="parallel",
-            kernel_options={"relation_filter": False},
-        )
-        plain.extend_to(4)
-        filtered = CascadeSearch(library3, kernel="parallel")
-        filtered.extend_to(4)
-        _assert_identical(filtered, plain, 4)
+    def test_relation_filter_matches_translate(self, library3):
+        """The always-on relation filter against the unfiltered
+        reference: pruning provable duplicates changes no level, order
+        or parent, one level deeper than the trio tests."""
+        search = CascadeSearch(library3, kernel="vector")
+        assert search._engine._filter is not None
+        search.extend_to(5)
+        reference = CascadeSearch(library3, kernel="translate")
+        reference.extend_to(5)
+        _assert_identical(reference, search, 5)
 
     def test_worker_pool_jobs(self, library3):
         """jobs=2 drives the mmap-scratch worker-pool compose path."""
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(5)
         pooled = CascadeSearch(
-            library3, kernel="parallel", kernel_options={"jobs": 2}
+            library3, kernel="vector", kernel_options={"jobs": 2}
         )
         try:
             pooled.extend_to(5)
+            assert pooled._engine._pool is not None
             _assert_identical(reference, pooled, 5)
         finally:
             pooled.close()
 
-    def test_kernel_handoff_vector_to_parallel(self, library3):
-        """use_kernel upgrades mid-closure and stays byte-identical."""
-        handoff = CascadeSearch(library3, kernel="vector")
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", None])
+    def test_jobs_below_one_refused(self, library3, jobs):
+        with pytest.raises(InvalidValueError, match="jobs"):
+            CascadeSearch(
+                library3, kernel="vector", kernel_options={"jobs": jobs}
+            )
+
+    def test_kernel_handoff_translate_to_vector(self, library3):
+        """use_kernel hands a byte-level closure to the engine
+        mid-expansion and stays byte-identical."""
+        handoff = CascadeSearch(library3, kernel="translate")
         handoff.extend_to(3)
-        handoff.use_kernel("parallel", {"shard_bits": 3})
+        handoff.use_kernel("vector", {"shard_bits": 3})
         handoff.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(5)
         _assert_identical(reference, handoff, 5)
+        assert handoff.shard_layout()["shard_bits"] == 3
+
+    def test_new_engine_options_rebuild_the_engine(self, library3):
+        """New options on a live engine take effect at the next
+        expansion instead of being silently ignored."""
+        search = CascadeSearch(library3, kernel="vector")
+        search.extend_to(3)
+        search.use_kernel("vector", {"shard_bits": 2})
+        search.extend_to(5)
+        assert search.shard_layout()["shard_bits"] == 2
+        reference = CascadeSearch(library3, kernel="translate")
+        reference.extend_to(5)
+        _assert_identical(reference, search, 5)
 
     def test_restored_store_extends_with_parallel_kernel(self, library3):
+        """A store-loaded closure deepens on the pooled engine."""
         from repro.core.store import dump_search, loads_search
 
         base = CascadeSearch(library3, kernel="vector")
         base.extend_to(3)
         restored = loads_search(dump_search(base), library3)
-        restored.use_kernel("parallel")
-        restored.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(5)
-        _assert_identical(reference, restored, 5)
+        restored.use_kernel("vector", {"jobs": 2})
+        try:
+            restored.extend_to(5)
+            reference = CascadeSearch(library3, kernel="translate")
+            reference.extend_to(5)
+            _assert_identical(reference, restored, 5)
+        finally:
+            restored.close()
 
 
 class TestForcedCollisions:
     def test_constant_hash_still_exact(self, library2, monkeypatch):
         """Every candidate hashes (and shards) identically; still exact."""
         import repro.core.kernel as kernel_module
-        import repro.core.parallel as parallel_module
 
         real_hash = kernel_module.hash_rows
 
@@ -167,13 +218,11 @@ class TestForcedCollisions:
             return np.zeros(packed.shape[0], dtype=np.uint64)
 
         monkeypatch.setattr(kernel_module, "hash_rows", degenerate)
-        monkeypatch.setattr(parallel_module, "hash_rows", degenerate)
         colliding = CascadeSearch(
-            library2, kernel="parallel", kernel_options={"shard_bits": 4}
+            library2, kernel="vector", kernel_options={"shard_bits": 4}
         )
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        monkeypatch.setattr(parallel_module, "hash_rows", real_hash)
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         assert colliding.stats().level_sizes == reference.stats().level_sizes
@@ -188,7 +237,6 @@ class TestForcedCollisions:
         """A 2-bit hash shards everything into shard 0 and collides
         constantly inside it, yet order and parents match the seed."""
         import repro.core.kernel as kernel_module
-        import repro.core.parallel as parallel_module
 
         real_hash = kernel_module.hash_rows
 
@@ -196,13 +244,11 @@ class TestForcedCollisions:
             return real_hash(packed) & np.uint64(3)
 
         monkeypatch.setattr(kernel_module, "hash_rows", tiny)
-        monkeypatch.setattr(parallel_module, "hash_rows", tiny)
         colliding = CascadeSearch(
-            library2, kernel="parallel", kernel_options={"shard_bits": 6}
+            library2, kernel="vector", kernel_options={"shard_bits": 6}
         )
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        monkeypatch.setattr(parallel_module, "hash_rows", real_hash)
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         _assert_identical(reference, colliding, 4)
@@ -213,7 +259,6 @@ class TestForcedCollisions:
         """Hashes differing only in shard bits: every slab sees slot-0
         claim races among all of its candidates (cross-shard protocol)."""
         import repro.core.kernel as kernel_module
-        import repro.core.parallel as parallel_module
 
         real_hash = kernel_module.hash_rows
 
@@ -221,13 +266,11 @@ class TestForcedCollisions:
             return real_hash(packed) & ~np.uint64((1 << 58) - 1)
 
         monkeypatch.setattr(kernel_module, "hash_rows", top_heavy)
-        monkeypatch.setattr(parallel_module, "hash_rows", top_heavy)
         colliding = CascadeSearch(
-            library2, kernel="parallel", kernel_options={"shard_bits": 6}
+            library2, kernel="vector", kernel_options={"shard_bits": 6}
         )
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        monkeypatch.setattr(parallel_module, "hash_rows", real_hash)
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         _assert_identical(reference, colliding, 4)
@@ -316,6 +359,9 @@ class TestShardedDedupTable:
             parse_budget("lots")
         with pytest.raises(InvalidValueError):
             parse_budget("-1M")
+        for text in ("nan", "inf", "-inf", "1e400", "1e308G"):
+            with pytest.raises(InvalidValueError, match="not finite"):
+                parse_budget(text)
 
     def test_parse_budget_explicit_binary_suffixes(self):
         assert parse_budget("1KiB") == 1 << 10
@@ -348,11 +394,11 @@ class TestShardedDedupTable:
 
 class TestSpilledExpansion:
     def test_tiny_budget_spills_and_stays_exact(self, library3):
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(4)
         budgeted = CascadeSearch(
             library3,
-            kernel="parallel",
+            kernel="vector",
             kernel_options={"shard_bits": 4, "memory_budget": 1 << 14},
         )
         budgeted.extend_to(4)
@@ -361,12 +407,26 @@ class TestSpilledExpansion:
         budgeted.close()
 
     def test_shard_layout_reported(self, library3):
-        search = CascadeSearch(library3, kernel="parallel")
+        search = CascadeSearch(library3, kernel="vector")
         search.extend_to(3)
         layout = search.shard_layout()
         assert layout["shard_bits"] == 6
         assert sum(layout["rows_per_shard"]) == search.total_seen()
-        assert CascadeSearch(library3, kernel="vector").shard_layout() is None
+        assert CascadeSearch(library3, kernel="translate").shard_layout() is None
+
+
+def _crash_after_dedup(monkeypatch):
+    """Make the next dedup batch mutate the slabs, then die."""
+    real_commit = ShardedDedupTable.dedup_commit
+
+    def crash(self, *args, **kwargs):
+        real_commit(self, *args, **kwargs)  # slabs now hold claims/commits
+        raise RuntimeError("simulated crash mid-level")
+
+    monkeypatch.setattr(ShardedDedupTable, "dedup_commit", crash)
+    return lambda: monkeypatch.setattr(
+        ShardedDedupTable, "dedup_commit", real_commit
+    )
 
 
 class TestCheckpointResume:
@@ -375,22 +435,23 @@ class TestCheckpointResume:
         options.update(extra)
         return options
 
+    def _reference(self, library, bound):
+        reference = CascadeSearch(library, kernel="translate")
+        reference.extend_to(bound)
+        return reference
+
     def test_clean_resume_continues_identically(self, library3, tmp_path):
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         first.extend_to(3)
         first.close()
         resumed = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         assert resumed.was_restored and resumed.expanded_to == 3
         resumed.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(5)
-        _assert_identical(reference, resumed, 5)
+        _assert_identical(self._reference(library3, 5), resumed, 5)
         resumed.close()
 
     def test_crash_mid_level_resumes_cleanly(
@@ -400,40 +461,26 @@ class TestCheckpointResume:
         the level checkpoint: resume must sweep the in-flight claims and
         uncommitted rows and land on the reference closure."""
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         first.extend_to(3)
-
-        real_commit = ShardedExpansion._commit_level
-
-        def crash_after_dedup(self, cand, ch, parents, gates):
-            self._dedup_insert(cand, ch)  # slabs now hold claims/commits
-            raise RuntimeError("simulated crash mid-level")
-
-        monkeypatch.setattr(
-            ShardedExpansion, "_commit_level", crash_after_dedup
-        )
+        restore = _crash_after_dedup(monkeypatch)
         with pytest.raises(RuntimeError, match="simulated crash"):
             first.extend_to(4)
-        monkeypatch.setattr(ShardedExpansion, "_commit_level", real_commit)
+        restore()
         del first  # no close(): a crashed process would not clean up
 
         resumed = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         assert resumed.was_restored and resumed.expanded_to == 3
         resumed.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(5)
-        _assert_identical(reference, resumed, 5)
+        _assert_identical(self._reference(library3, 5), resumed, 5)
         resumed.close()
 
     def test_corrupted_slab_file_is_rebuilt(self, library3, tmp_path):
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         first.extend_to(3)
         first.close()
@@ -444,26 +491,22 @@ class TestCheckpointResume:
         data[:] = np.uint64(0x1234567800000001)
         del data
         resumed = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         assert resumed.expanded_to == 3
         resumed.extend_to(4)
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(4)
-        _assert_identical(reference, resumed, 4)
+        _assert_identical(self._reference(library3, 4), resumed, 4)
         resumed.close()
 
     def test_incompatible_checkpoint_is_refused(self, library3, tmp_path):
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         first.extend_to(3)
         first.close()
         other_model = CostModel(v_cost=2, vdag_cost=1, cnot_cost=1)
         fresh = CascadeSearch(
-            library3, other_model, kernel="parallel",
+            library3, other_model,
             kernel_options=self._options(tmp_path),
         )
         assert not fresh.was_restored and fresh.expanded_to == 0
@@ -485,43 +528,32 @@ class TestCheckpointResume:
         from repro.core.store import dump_search, loads_search
 
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         first.extend_to(3)
         blob = dump_search(first)
-        real_commit = ShardedExpansion._commit_level
-
-        def crash_after_dedup(self, cand, ch, parents, gates):
-            self._dedup_insert(cand, ch)
-            raise RuntimeError("simulated crash mid-level")
-
-        monkeypatch.setattr(
-            ShardedExpansion, "_commit_level", crash_after_dedup
-        )
+        restore = _crash_after_dedup(monkeypatch)
         with pytest.raises(RuntimeError):
             first.extend_to(4)
-        monkeypatch.setattr(ShardedExpansion, "_commit_level", real_commit)
+        restore()
         del first
 
         # the precompute --extend path: load the store, point the
-        # parallel kernel at the crashed checkpoint dir, deepen
+        # engine at the crashed checkpoint dir, deepen
         restored = loads_search(blob, library3)
-        restored.use_kernel("parallel", self._options(tmp_path))
+        restored.use_kernel("vector", self._options(tmp_path))
         restored.extend_to(4)
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(4)
-        _assert_identical(reference, restored, 4)
+        _assert_identical(self._reference(library3, 4), restored, 4)
         restored.close()
 
     def test_manifest_records_identity(self, library3, tmp_path):
         search = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path),
         )
         search.extend_to(2)
         search.close()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["format"] == 1
         assert manifest["degree"] == 38
         assert manifest["shard_bits"] == 3
         assert manifest["level_offsets"] == [0, 1, 19, 181]
@@ -531,7 +563,7 @@ class TestCheckpointResume:
 class TestRelationFilter:
     def test_permuted_masks_match_composition(self, library3):
         """perm_g(mask(a)) must equal the mask of t_g . a exactly."""
-        search = CascadeSearch(library3, kernel="parallel")
+        search = CascadeSearch(library3, kernel="vector")
         search.extend_to(3)
         engine = search._engine
         rf = engine._filter
@@ -547,40 +579,23 @@ class TestRelationFilter:
             assert (got == expected).all()
 
     def test_filter_prunes_only_duplicates(self, library3):
-        """The filtered engine visits fewer candidates yet commits the
-        same rows -- the pruned mass was pure duplicates."""
-        counted = {}
-
-        class Counting(ShardedExpansion):
-            def _generate_candidates(self, chunks, total):
-                counted[self.n_levels] = total
-                return super()._generate_candidates(chunks, total)
-
-        filtered = Counting(
-            38, 8, CascadeSearch(library3, kernel="parallel")._engine.gate_rows
-        )
-        filtered.seed_identity()
-        plain = Counting(
-            38, 8,
-            CascadeSearch(library3, kernel="parallel")._engine.gate_rows,
-            relation_filter=False,
-        )
-        plain.seed_identity()
-        totals_filtered = {}
-        for cost in range(1, 5):
-            filtered.expand_level(cost)
-            totals_filtered[cost] = counted[cost]
-        counted.clear()
-        for cost in range(1, 5):
-            plain.expand_level(cost)
-        assert filtered.n_rows == plain.n_rows
-        assert filtered.offsets == plain.offsets
+        """The engine composes fewer candidates than the reasonable-
+        product test admits, yet commits the translate kernel's rows --
+        the pruned mass was pure duplicates."""
+        events = _Events()
+        search = CascadeSearch(library3, kernel="vector")
+        search.set_progress(events)
+        search.extend_to(4)
+        plans = {fields["level"]: fields for fields in events.of("plan")}
         assert all(
-            totals_filtered[c] < counted[c] for c in range(2, 5)
-        ), (totals_filtered, counted)
+            plans[c]["kept"] < plans[c]["planned"] for c in range(2, 5)
+        ), plans
+        reference = CascadeSearch(library3, kernel="translate")
+        reference.extend_to(4)
+        _assert_identical(reference, search, 4)
 
     def test_relations_found_for_paper_library(self, library3):
-        search = CascadeSearch(library3, kernel="parallel")
+        search = CascadeSearch(library3, kernel="vector")
         rf = search._engine._filter
         assert rf is not None and rf.active
         # The paper's library commutes across disjoint wire pairs, and
@@ -596,8 +611,8 @@ class TestSyntheticSingleRelations:
 
     The paper's library has no such relation on the full label space,
     so this pins the filter's 'single' rule directly: shift1 . shift1 =
-    shift2 with cost(shift2) = 1 < 2, and the engines must stay
-    byte-identical with the rule firing.
+    shift2 with cost(shift2) = 1 < 2, and the engine must match a plain
+    first-discovery closure with the rule firing.
     """
 
     def _gate_rows(self):
@@ -611,8 +626,8 @@ class TestSyntheticSingleRelations:
                 table[i] = (i + k) % degree
             return bytes(table)
 
-        # gates: shift1, shift2, shift6 (= shift2^-1 . shift... no --
-        # inverse of shift2), shift7 (= inverse of shift1)
+        # gates: shift1, shift2, shift6 (inverse of shift2), shift7
+        # (inverse of shift1)
         tables = [shift_table(1), shift_table(2), shift_table(6),
                   shift_table(7)]
         return GateRows(
@@ -623,44 +638,52 @@ class TestSyntheticSingleRelations:
             mask_words=1,
         ), degree
 
+    @staticmethod
+    def _reference(gate_rows, degree, bound):
+        """First-discovery closure in the translate kernel's loop order:
+        ``(rows, offsets, parents, gates)`` in global row order."""
+        rows = [bytes(range(degree))]
+        seen = {rows[0]: 0}
+        offsets, parents, gates = [0, 1], [-1], [-1]
+        for cost in range(1, bound + 1):
+            for gi, table in enumerate(gate_rows.tables):
+                src = cost - gate_rows.costs[gi]
+                if src < 0:
+                    continue
+                for row in range(offsets[src], offsets[src + 1]):
+                    product = rows[row].translate(table)
+                    if product not in seen:
+                        seen[product] = len(rows)
+                        rows.append(product)
+                        parents.append(row)
+                        gates.append(gi)
+            offsets.append(len(rows))
+        return rows, offsets, parents, gates
+
     def test_single_rule_is_detected_and_exact(self):
         gate_rows, degree = self._gate_rows()
         rf = RelationFilter(gate_rows, degree, 1)
         assert rf._singles, "shift1.shift1 = shift2 should register"
-        filtered = ShardedExpansion(degree, 2, gate_rows, shard_bits=2)
-        filtered.seed_identity()
-        plain = ShardedExpansion(
-            degree, 2, gate_rows, shard_bits=2, relation_filter=False
-        )
-        plain.seed_identity()
-        from repro.core.kernel import VectorEngine
-
-        reference = VectorEngine(degree, 2, gate_rows)
-        reference.seed_identity()
+        engine = VectorEngine(degree, 2, gate_rows, shard_bits=2)
+        engine.seed_identity()
+        events = _Events()
+        engine.progress = events
         for cost in range(1, 6):
-            filtered.expand_level(cost)
-            plain.expand_level(cost)
-            reference.expand_level(cost)
+            engine.expand_level(cost)
+        assert any(f["kept"] < f["planned"] for f in events.of("plan"))
+        rows, offsets, parents, gates = self._reference(gate_rows, degree, 5)
         # the cyclic group C8: closure saturates at 8 rows
-        assert filtered.n_rows == plain.n_rows == reference.n_rows == 8
-        assert filtered.offsets == reference.offsets
-        assert (
-            filtered.all_perms_raw() == reference.all_perms_raw()
-        ).all()
-        for cost in range(reference.n_levels):
-            assert (
-                filtered.level_parents[cost]
-                == reference.level_parents[cost]
-            ).all()
-            assert (
-                filtered.level_gates[cost] == reference.level_gates[cost]
-            ).all()
+        assert engine.n_rows == len(rows) == 8
+        assert engine.offsets == offsets
+        assert [bytes(r) for r in engine.all_perms_raw()] == rows
+        assert np.concatenate(engine.level_parents).tolist() == parents
+        assert np.concatenate(engine.level_gates).tolist() == gates
 
 
 class TestServingIntegration:
     def test_freeze_releases_workers(self, library3):
         search = CascadeSearch(
-            library3, kernel="parallel", kernel_options={"jobs": 2}
+            library3, kernel="vector", kernel_options={"jobs": 2}
         )
         search.extend_to(5)
         assert search._engine._pool is not None
@@ -672,14 +695,18 @@ class TestServingIntegration:
         search.close()
 
     def test_batch_synthesizer_over_parallel_closure(self, library3):
+        """Serving a closure the pooled engine built."""
         from repro.core.batch import BatchSynthesizer
         from repro.gates import named
 
-        search = CascadeSearch(library3, kernel="parallel")
+        search = CascadeSearch(
+            library3, kernel="vector", kernel_options={"jobs": 2}
+        )
         batch = BatchSynthesizer(search, cost_bound=5).warm()
         result = batch.synthesize(named.TARGETS["toffoli"])
         assert result.cost == 5
         reference = BatchSynthesizer(
-            CascadeSearch(library3, kernel="vector"), cost_bound=5
+            CascadeSearch(library3, kernel="translate"), cost_bound=5
         ).synthesize(named.TARGETS["toffoli"])
         assert str(result.circuit) == str(reference.circuit)
+        search.close()

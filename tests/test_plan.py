@@ -105,9 +105,7 @@ class TestPlanResources:
         from repro.core.search import CascadeSearch
         from repro.core.store import read_header, save_search
 
-        search = CascadeSearch(
-            library3, kernel="parallel", track_parents=True
-        )
+        search = CascadeSearch(library3, track_parents=True)
         search.extend_to(3)
         path = tmp_path / "sharded.rpro"
         save_search(search, path)

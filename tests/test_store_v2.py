@@ -359,7 +359,11 @@ class TestStreamedWriter:
         verify_store(path)
 
     def test_streamed_parallel_kernel_roundtrip(self, library3, tmp_path):
-        search = CascadeSearch(library3, kernel="parallel")
+        """A closure built by the pooled engine (jobs=2) streams out with
+        its shard layout and serves the same closure."""
+        search = CascadeSearch(
+            library3, kernel="vector", kernel_options={"jobs": 2}
+        )
         search.extend_to(4)
         path = tmp_path / "parallel.rpro"
         written = save_search(search, path)
@@ -368,14 +372,41 @@ class TestStreamedWriter:
         header = read_header(path)
         assert header.shards == written.shards
         verify_store(path)
-        # vector-built store of the same closure differs only in the
-        # shards provenance + timings, and serves identical results
         _h, _l, loaded = open_store(path)
         assert loaded.stats().level_sizes == search.stats().level_sizes
         search.close()
 
-    def test_vector_store_has_no_shard_metadata(self, v2_path):
-        assert read_header(v2_path).shards == {}
+    def test_vector_store_records_shard_layout(self, v2_path):
+        """Every engine-built store records the dedup layout it was
+        built with (header provenance only; the payload is unchanged)."""
+        shards = read_header(v2_path).shards
+        assert shards["shard_bits"] == 6
+        assert not shards["spilled"]
+        assert sum(shards["rows_per_shard"]) == read_header(v2_path).total_seen
+
+    def test_parallel_kernel_provenance_still_opens(self, v2_path, tmp_path):
+        """Stores written when the pooled engine was a separate
+        ``parallel`` kernel say so in their header; the field is only
+        provenance, so they open, verify and serve as before."""
+        import dataclasses
+
+        from repro.core.store import _frame_header, _split
+
+        header, payload = _split(v2_path.read_bytes())
+        old = dataclasses.replace(header, kernel="parallel")
+        path = tmp_path / "parallel-era.rpro"
+        path.write_bytes(_frame_header(old) + bytes(payload))
+        assert verify_store(path).kernel == "parallel"
+        _h, _l, loaded = open_store(path)
+        assert loaded.kernel == "vector"
+        assert loaded.stats().level_sizes == read_header(v2_path).level_sizes
+
+    def test_translate_store_has_no_shard_metadata(self, library3, tmp_path):
+        search = CascadeSearch(library3, kernel="translate")
+        search.extend_to(3)
+        path = tmp_path / "translate.rpro"
+        save_search(search, path)
+        assert read_header(path).shards == {}
 
 
 class TestIndexVerificationCache:

@@ -358,7 +358,7 @@ class TestKernelProgressEvents:
 
     def test_parallel_kernel_reports_filter_and_checkpoints(self, tmp_path):
         search, records = _expand_with_progress(
-            "parallel", checkpoint_dir=str(tmp_path / "ck")
+            "vector", checkpoint_dir=str(tmp_path / "ck")
         )
         try:
             plans = [r for r in records if r["event"] == "plan"]
