@@ -5,8 +5,9 @@ formats:
 
 * **cold** synthesis pays for expanding the cascade closure on every
   call;
-* a **v1** store is decoded eagerly (seconds for the cost-7 closure)
-  and its remainder index rebuilt by scanning the closure;
+* a legacy **v1** store (read-to-migrate only; the input is written by
+  the test encoder ``tests/legacy_v1.py``) is decoded eagerly into
+  arrays and its remainder index rebuilt by scanning the closure;
 * a **v2** store is memory-mapped with its remainder index serialized,
   so *open + first query* costs milliseconds -- O(queries touched), not
   O(closure);
@@ -54,6 +55,10 @@ from repro.gates import named
 from repro.gates.library import GateLibrary
 from repro.perm.permutation import Permutation
 
+# The library only reads v1; the legacy encoder lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from legacy_v1 import write_v1  # noqa: E402
+
 COST_BOUND = 7
 N_COLD = 3
 N_WARM = 200
@@ -91,7 +96,7 @@ def measure(work_dir: Path) -> dict[str, float]:
     started = perf_counter()
     v3_header = save_search(search, v3_path, format_version=3)
     save_v3_s = perf_counter() - started
-    save_search(search, v1_path, format_version=1)
+    write_v1(search, v1_path)
 
     # Cold: every query re-expands its own closure from scratch.
     cold_targets = _sample_targets(N_COLD)

@@ -76,7 +76,6 @@ from repro.core import (
     CostModel,
     CascadeSearch,
     SearchArrays,
-    SearchState,
     StoreHeader,
     BatchSynthesizer,
     CostTable,
@@ -133,7 +132,6 @@ __all__ = [
     "CostModel",
     "CascadeSearch",
     "SearchArrays",
-    "SearchState",
     "StoreHeader",
     "BatchSynthesizer",
     "CostTable",

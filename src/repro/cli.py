@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir)",
     )
     p_pre.add_argument(
-        "--format-version", type=int, choices=(1, 2, 3), default=None,
+        "--format-version", type=int, choices=(2, 3), default=None,
         help="store format to write (default: 2, the memory-mapped "
         "layout with the serialized remainder index; 3 compresses the "
         "sections per level and decompresses them on touch)",
@@ -408,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smigrate.add_argument("src", help="existing store file")
     p_smigrate.add_argument("dst", help="store file to write")
     p_smigrate.add_argument(
-        "--format-version", type=int, choices=(1, 2, 3), default=None,
+        "--format-version", type=int, choices=(2, 3), default=None,
         help="target format (default: 2)",
     )
     p_smigrate.add_argument(

@@ -22,7 +22,6 @@ from repro.core.search import (
     KERNELS,
     CascadeSearch,
     SearchArrays,
-    SearchState,
     SearchStats,
 )
 from repro.core.dedup import ShardedDedupTable, parse_budget
@@ -101,7 +100,6 @@ __all__ = [
     "KERNELS",
     "CascadeSearch",
     "SearchArrays",
-    "SearchState",
     "SearchStats",
     "ShardedDedupTable",
     "parse_budget",

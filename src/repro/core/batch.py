@@ -114,8 +114,7 @@ class BatchSynthesizer:
     dictionary, the wrapped search's row accessors and the library.
     Two caveats keep that from being a blanket guarantee:
 
-    * the wrapped :class:`CascadeSearch` builds some byte-level caches
-      lazily on first touch -- call :meth:`CascadeSearch.freeze` (or
+    * call :meth:`CascadeSearch.freeze` on the wrapped search (or
       :meth:`warm`, which does it for you and exercises every query
       path once) before sharing an instance across threads;
     * the search must not be extended or re-kerneled while queries are

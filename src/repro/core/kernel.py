@@ -481,8 +481,8 @@ class VectorEngine:
     global row store (packed permutations + hashes), the per-level
     mask, parent and gate arrays, the relation filter and the sharded
     dedup table.  The public :class:`~repro.core.search.CascadeSearch`
-    delegates its array-form state here and keeps the byte-level legacy
-    API on top.
+    holds either one engine or a :class:`~repro.core.search.SearchArrays`
+    snapshot and answers every query from those arrays.
 
     Saving an expansion goes through the streamed store writers
     (:func:`~repro.core.store.save_search`): both the memory-mapped v2
@@ -716,7 +716,7 @@ class VectorEngine:
     ) -> None:
         """Append one level of already-validated, pairwise-distinct rows.
 
-        Used when rebuilding the engine from a store or a legacy
+        Used when rebuilding the engine from a store or an array
         snapshot.  ``masks`` are recomputed when absent; ``parents`` and
         ``gates`` default to -1 (unknown -- the back-edge and relation
         filters then skip those rows, which only costs a few extra

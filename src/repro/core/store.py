@@ -43,8 +43,8 @@ Opening a v2 file maps it read-only and touches **only the bytes a
 query needs** -- O(levels touched) instead of O(closure).  The embedded
 remainder index means :class:`~repro.core.batch.BatchSynthesizer`
 construction does no closure scan at all: store open plus first query is
-milliseconds against ~2 s for a v1 eager load (``benchmarks/
-bench_store.py`` tracks this).
+milliseconds against a full decode plus index scan for a v1 eager load
+(``benchmarks/bench_store.py`` tracks this).
 
 v2 section/offset format (normative)
 ------------------------------------
@@ -119,10 +119,15 @@ otherwise, or ``raw``):
   which is what lets a served store exceed RAM.
 * ``payload_sha256`` covers the stored (compressed) payload bytes.
 
-**Format v1 (legacy)** packs byte-level level records plus parent pairs
-and is decoded eagerly through :class:`~repro.core.search.SearchState`.
-v1 files remain fully readable (auto-detected by the magic byte);
-``repro store migrate`` rewrites them as v2.
+**Format v1 (legacy; read and migrate only)** packs per-row records
+(image bytes + S-image mask bytes) level by level, then one ``(u32
+parent row, u16 gate)`` record per non-identity row.  A v1 payload is
+decoded eagerly, with vectorized ``np.frombuffer`` views, into the same
+:class:`~repro.core.search.SearchArrays` the other formats map, and is
+validated as strictly as they are (identity row, duplicate rows,
+parents preceding children, gate range, cost-decreasing parents).  v1
+files remain readable (auto-detected by the magic byte); this build no
+longer writes them, and ``repro store migrate`` rewrites them as v2.
 
 Integrity is layered: the payload is checksummed (sha256 -- verified on
 eager loads and by :func:`verify_store`; lazy memory-mapped opens check
@@ -136,17 +141,22 @@ cost-decreasing parents) are re-validated on restore.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
-from dataclasses import dataclass, field
+import shutil
+import tempfile
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import StoreError, StoreMismatchError, StoreVersionError
 from repro.core.cost import CostModel, UNIT_COST
-from repro.core.search import CascadeSearch, SearchArrays, SearchState
+from repro.core.kernel import compute_masks, mask_word_count
+from repro.core.search import CascadeSearch, SearchArrays
 from repro.gates.kinds import GateKind
 from repro.gates.library import GateLibrary
 from repro.mvl.labels import label_space
@@ -166,7 +176,8 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 #: section bytes uncompressed (still chunked/lazy).
 V3_CODECS = ("zstd", "zlib", "raw")
 
-_PARENT_RECORD = 6  # v1: u32 parent index + u16 gate index
+#: v1 parent record: u32 parent row + u16 gate index.
+_V1_PARENT = np.dtype([("parent", "<u4"), ("gate", "<u2")])
 _ALIGN = 8
 #: v2 section names in payload order (parents/gates optional).
 _SECTIONS = (
@@ -540,58 +551,12 @@ def _library_kinds(library: GateLibrary) -> tuple[str, ...]:
     return tuple(kinds)
 
 
-def _dump_v1(search: CascadeSearch) -> bytes:
-    """Serialize in the legacy byte-record format (kept for migration tests)."""
-    state = search.export_state()
-    library = search.library
-    cost_model = search.cost_model
-    degree = library.space.size
-    mask_bytes = (degree + 7) // 8
+def _index_blobs(search: CascadeSearch, cost_bound: int):
+    """The remainder index as the raw bytes of the four ``r*`` sections.
 
-    chunks: list[bytes] = []
-    index_of: dict[bytes, int] = {}
-    for level in state.levels:
-        for perm, mask in level:
-            index_of[perm] = len(index_of)
-            chunks.append(perm)
-            chunks.append(mask.to_bytes(mask_bytes, "little"))
-    if state.parents is not None:
-        for level in state.levels[1:]:
-            for perm, _mask in level:
-                parent, gate_index = state.parents[perm]
-                chunks.append(index_of[parent].to_bytes(4, "little"))
-                chunks.append(gate_index.to_bytes(2, "little"))
-    payload = b"".join(chunks)
-
-    header = StoreHeader(
-        format_version=1,
-        library_fingerprint=library_fingerprint(library),
-        cost_fingerprint=cost_model_fingerprint(cost_model),
-        n_qubits=library.n_qubits,
-        degree=degree,
-        n_binary=library.space.n_binary,
-        mask_bytes=mask_bytes,
-        space_reduced=library.space.reduced,
-        space_ordering=library.space.ordering,
-        gate_kinds=_library_kinds(library),
-        cost_model=cost_model,
-        expanded_to=state.expanded_to,
-        level_sizes=state.level_sizes,
-        track_parents=state.parents is not None,
-        elapsed_seconds=state.elapsed_seconds,
-        payload_size=len(payload),
-        payload_sha256=hashlib.sha256(payload).hexdigest(),
-        kernel=search.kernel,
-        writer=_writer_tag(),
-        radix=library.space.radix,
-        library_family=library.family,
-    )
-    header_blob = json.dumps(_header_dict(header), separators=(",", ":")).encode()
-    return MAGIC_V1 + len(header_blob).to_bytes(4, "little") + header_blob + payload
-
-
-def _serialized_index(search: CascadeSearch, cost_bound: int):
-    """The remainder index as flat arrays (keys, costs, indptr, matches)."""
+    Returns ``(blobs, digests, entries, matches)``.  The digests cover
+    the raw bytes, so v2 and v3 record the same ``index_sha256``.
+    """
     from repro.core.batch import build_remainder_index
 
     attached = search.attached_remainder_index
@@ -599,7 +564,6 @@ def _serialized_index(search: CascadeSearch, cost_bound: int):
         index = attached[1]
     else:
         index = build_remainder_index(search, cost_bound)
-    keys = b"".join(index.keys())
     costs = np.array(
         [hit[0] for hit in index.values()], dtype="<i4"
     )
@@ -609,7 +573,29 @@ def _serialized_index(search: CascadeSearch, cost_bound: int):
     matches = np.array(
         [int(row) for hit in index.values() for row in hit[1]], dtype="<i4"
     )
-    return keys, costs, indptr, matches
+    blobs = {
+        "rkeys": b"".join(index.keys()),
+        "rcosts": costs.tobytes(),
+        "rindptr": indptr.tobytes(),
+        "rmatches": matches.tobytes(),
+    }
+    digests = {
+        name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()
+    }
+    return blobs, digests, len(costs), len(matches)
+
+
+#: On-disk dtype of each row section (all little-endian).
+_ROW_DTYPES = {
+    "perms": np.uint8, "masks": "<u8", "parents": "<i4", "gates": "<i4",
+}
+
+
+def _row_bytes(arrays: SearchArrays, name: str, start: int, stop: int) -> bytes:
+    """Rows ``start:stop`` of one row section, as stored on disk."""
+    return np.ascontiguousarray(
+        getattr(arrays, name)[start:stop], dtype=_ROW_DTYPES[name]
+    ).tobytes()
 
 
 def _v2_section_plan(
@@ -655,7 +641,7 @@ def _v2_header(
     index_entries: int,
     index_matches: int,
 ) -> StoreHeader:
-    """The v2 header shared by the in-memory and streaming writers."""
+    """The v2 header (the v3 writer swaps in its chunk table)."""
     library = search.library
     return StoreHeader(
         format_version=2,
@@ -701,63 +687,6 @@ def _frame_header(header: StoreHeader) -> bytes:
     return magic + len(header_blob).to_bytes(4, "little") + header_blob
 
 
-def _dump_v2(search: CascadeSearch) -> bytes:
-    """Serialize in the memory-mappable array format (current default)."""
-    arrays = search.export_arrays()
-
-    keys, costs, indptr, matches = _serialized_index(
-        search, arrays.expanded_to
-    )
-
-    blobs: dict[str, bytes] = {
-        "perms": np.ascontiguousarray(arrays.perms, dtype=np.uint8).tobytes(),
-        "masks": np.ascontiguousarray(arrays.masks, dtype="<u8").tobytes(),
-        "rkeys": keys,
-        "rcosts": costs.tobytes(),
-        "rindptr": indptr.tobytes(),
-        "rmatches": matches.tobytes(),
-    }
-    if arrays.parents is not None:
-        blobs["parents"] = np.ascontiguousarray(
-            arrays.parents, dtype="<i4"
-        ).tobytes()
-        blobs["gates"] = np.ascontiguousarray(
-            arrays.gates, dtype="<i4"
-        ).tobytes()
-
-    chunks: list[bytes] = []
-    sections: dict[str, tuple[int, int]] = {}
-    offset = 0
-    for name in _SECTIONS:
-        blob = blobs.get(name)
-        if blob is None:
-            continue
-        pad = (-offset) % _ALIGN
-        if pad:
-            chunks.append(b"\x00" * pad)
-            offset += pad
-        sections[name] = (offset, len(blob))
-        chunks.append(blob)
-        offset += len(blob)
-    payload = b"".join(chunks)
-    index_sha = {
-        name: hashlib.sha256(blobs[name]).hexdigest()
-        for name in ("rkeys", "rcosts", "rindptr", "rmatches")
-    }
-
-    header = _v2_header(
-        search,
-        arrays,
-        sections,
-        len(payload),
-        hashlib.sha256(payload).hexdigest(),
-        index_sha,
-        len(costs),
-        len(matches),
-    )
-    return _frame_header(header) + payload
-
-
 #: Placeholder digest patched in place by the streaming writer (same
 #: length as a real sha256 hex digest, so the header size is stable).
 _SHA_PLACEHOLDER = "0" * 64
@@ -766,19 +695,21 @@ _SHA_PLACEHOLDER = "0" * 64
 _STREAM_ROWS = 1 << 16
 
 
-def _save_v2_streamed(search: CascadeSearch, target: Path) -> StoreHeader:
-    """Write a v2 store per-level/per-chunk, never holding the payload.
+def _write_v2(
+    search: CascadeSearch, out, codec: str | None = None, spool_dir=None
+) -> StoreHeader:
+    """Write a v2 store to the seekable binary handle *out*.
 
-    Byte-identical to :func:`_dump_v2`'s output: the section plan is
-    computed from the row counts up front, the payload streams through
-    an incremental sha256, and the header's placeholder digest is
-    patched in place before the atomic rename.  Peak extra memory is
-    one ~:data:`_STREAM_ROWS`-row chunk instead of a whole second copy
-    of the closure -- the property that lets a budgeted expansion write
-    stores bigger than RAM headroom.
+    The section plan is computed from the row counts up front, the
+    payload streams through an incremental sha256 in
+    :data:`_STREAM_ROWS`-row chunks, and the header's placeholder
+    digest is patched in place at the end.  Peak extra memory is one
+    chunk instead of a whole second copy of the closure -- the property
+    that lets a budgeted expansion write stores bigger than RAM
+    headroom.  *codec* and *spool_dir* only matter to v3.
     """
     arrays = search.export_arrays()
-    keys, costs, indptr, matches = _serialized_index(
+    index_blobs, index_sha, entries, matches = _index_blobs(
         search, arrays.expanded_to
     )
     n = arrays.n_rows
@@ -788,70 +719,45 @@ def _save_v2_streamed(search: CascadeSearch, target: Path) -> StoreHeader:
         arrays.mask_words,
         arrays.n_binary,
         arrays.parents is not None,
-        len(costs),
-        len(matches),
+        entries,
+        matches,
     )
-    index_blobs = {
-        "rkeys": keys,
-        "rcosts": costs.tobytes(),
-        "rindptr": indptr.tobytes(),
-        "rmatches": matches.tobytes(),
-    }
-    index_sha = {
-        name: hashlib.sha256(blob).hexdigest()
-        for name, blob in index_blobs.items()
-    }
     header = _v2_header(
         search, arrays, sections, payload_size, _SHA_PLACEHOLDER,
-        index_sha, len(costs), len(matches),
+        index_sha, entries, matches,
     )
     frame = _frame_header(header)
-    sha_at = frame.index(_SHA_PLACEHOLDER.encode())
-
-    def _array_chunks(name: str, dtype):
-        source = {
-            "perms": (arrays.perms, np.uint8),
-            "masks": (arrays.masks, "<u8"),
-            "parents": (arrays.parents, "<i4"),
-            "gates": (arrays.gates, "<i4"),
-        }[name]
-        array, want = source
-        for start in range(0, n, _STREAM_ROWS):
-            yield np.ascontiguousarray(
-                array[start : start + _STREAM_ROWS], dtype=want
-            ).tobytes()
-
+    sha_at = out.tell() + frame.index(_SHA_PLACEHOLDER.encode())
+    out.write(frame)
     digest = hashlib.sha256()
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(frame)
-        written = 0
-        for name, (offset, length) in sections.items():
-            pad = offset - written
-            if pad:
-                handle.write(b"\x00" * pad)
-                digest.update(b"\x00" * pad)
-                written += pad
-            if name in index_blobs:
-                chunks = (index_blobs[name],)
-            else:
-                chunks = _array_chunks(name, None)
-            for chunk in chunks:
-                handle.write(chunk)
-                digest.update(chunk)
-                written += len(chunk)
-            if written - offset != length:
-                raise StoreError(
-                    f"streamed section {name!r} wrote {written - offset} "
-                    f"bytes, planned {length}"
-                )
-        # Patch the placeholder digest in place; same length, so every
-        # other byte of the file is untouched.
-        handle.seek(sha_at)
-        handle.write(digest.hexdigest().encode())
-    os.replace(tmp, target)
-    from dataclasses import replace
-
+    written = 0
+    for name, (offset, length) in sections.items():
+        pad = b"\x00" * (offset - written)
+        out.write(pad)
+        digest.update(pad)
+        written += len(pad)
+        if name in index_blobs:
+            chunks = (index_blobs[name],)
+        else:
+            chunks = (
+                _row_bytes(arrays, name, start, start + _STREAM_ROWS)
+                for start in range(0, n, _STREAM_ROWS)
+            )
+        for chunk in chunks:
+            out.write(chunk)
+            digest.update(chunk)
+            written += len(chunk)
+        if written - offset != length:
+            raise StoreError(
+                f"streamed section {name!r} wrote {written - offset} "
+                f"bytes, planned {length}"
+            )
+    # Patch the placeholder digest in place; same length, so every
+    # other byte is untouched.
+    end = out.tell()
+    out.seek(sha_at)
+    out.write(digest.hexdigest().encode())
+    out.seek(end)
     return replace(header, payload_sha256=digest.hexdigest())
 
 
@@ -865,74 +771,30 @@ def _v3_chunk_stream(arrays, index_blobs: dict, compress):
     span, which is what lets a v3 store serve byte-identical results.
     Peak extra memory is one level's raw + compressed chunk.
     """
-    sources = {
-        "perms": (arrays.perms, np.uint8),
-        "masks": (arrays.masks, "<u8"),
-        "parents": (arrays.parents, "<i4"),
-        "gates": (arrays.gates, "<i4"),
-    }
     for name in _SECTIONS:
         if name in index_blobs:
             raw = index_blobs[name]
             yield name, compress(raw) if raw else b"", len(raw)
             continue
-        array, dtype = sources[name]
-        if array is None:
+        if getattr(arrays, name) is None:
             continue
         for cost in range(arrays.expanded_to + 1):
-            start, stop = arrays.level_rows(cost)
-            raw = np.ascontiguousarray(
-                array[start:stop], dtype=dtype
-            ).tobytes()
+            raw = _row_bytes(arrays, name, *arrays.level_rows(cost))
             yield name, compress(raw) if raw else b"", len(raw)
-
-
-def _v3_header(
-    search: CascadeSearch,
-    arrays,
-    chunks: dict[str, tuple[tuple[int, int, int], ...]],
-    codec: str,
-    payload_size: int,
-    payload_sha256: str,
-    index_sha: dict,
-    index_entries: int,
-    index_matches: int,
-) -> StoreHeader:
-    """The v3 header: the v2 header with a chunk table instead of sections."""
-    from dataclasses import replace
-
-    base = _v2_header(
-        search, arrays, {}, payload_size, payload_sha256,
-        index_sha, index_entries, index_matches,
-    )
-    return replace(base, format_version=3, codec=codec, chunks=chunks)
 
 
 def _v3_write_payload(search: CascadeSearch, out, codec: str | None):
     """Stream the v3 payload chunks to *out*; returns the header.
 
     The returned header carries the finished chunk table, payload size
-    and sha256 (over the stored/compressed payload bytes) -- callers
-    frame it before or after the payload as their medium requires.
+    and sha256 (over the stored/compressed payload bytes).
     """
     arrays = search.export_arrays()
-    keys, costs, indptr, matches = _serialized_index(
+    index_blobs, index_sha, entries, matches = _index_blobs(
         search, arrays.expanded_to
     )
     codec_name = resolve_codec(codec)
     compress, _decompress = _codec_fns(codec_name)
-    index_blobs = {
-        "rkeys": keys,
-        "rcosts": costs.tobytes(),
-        "rindptr": indptr.tobytes(),
-        "rmatches": matches.tobytes(),
-    }
-    # Digests of the *raw* (decompressed) index bytes: identical values
-    # to the same store's v2 ``index_sha256``, pinning byte-transparency.
-    index_sha = {
-        name: hashlib.sha256(blob).hexdigest()
-        for name, blob in index_blobs.items()
-    }
     chunks: dict[str, list[tuple[int, int, int]]] = {}
     digest = hashlib.sha256()
     offset = 0
@@ -946,59 +808,51 @@ def _v3_write_payload(search: CascadeSearch, out, codec: str | None):
         out.write(blob)
         digest.update(blob)
         offset += len(blob)
-    return _v3_header(
-        search,
-        arrays,
-        {name: tuple(spans) for name, spans in chunks.items()},
-        codec_name,
-        offset,
-        digest.hexdigest(),
-        index_sha,
-        len(costs),
-        len(matches),
+    # The v2 header with a chunk table instead of sections.
+    base = _v2_header(
+        search, arrays, {}, offset, digest.hexdigest(),
+        index_sha, entries, matches,
+    )
+    return replace(
+        base,
+        format_version=3,
+        codec=codec_name,
+        chunks={name: tuple(spans) for name, spans in chunks.items()},
     )
 
 
-def _dump_v3(search: CascadeSearch, codec: str | None = None) -> bytes:
-    """Serialize in the chunk-compressed lazy format (in memory)."""
-    import io
-
-    payload = io.BytesIO()
-    header = _v3_write_payload(search, payload, codec)
-    return _frame_header(header) + payload.getvalue()
-
-
-def _save_v3_streamed(
-    search: CascadeSearch, target: Path, codec: str | None = None
+def _write_v3(
+    search: CascadeSearch, out, codec: str | None = None, spool_dir=None
 ) -> StoreHeader:
-    """Write a v3 store chunk by chunk, never holding the payload.
+    """Write a v3 store to the binary handle *out*, chunk by chunk.
 
-    Chunk sizes are only known after compression, so the payload is
-    streamed to a sibling temp file first, then the framed header and
-    payload are concatenated into the final temp file and atomically
-    renamed -- byte-identical to :func:`_dump_v3`, with peak extra
-    memory bounded by one level's chunk.
+    Chunk sizes are only known after compression, so the payload first
+    streams to an anonymous spool file in *spool_dir* (the system temp
+    directory when None); the framed header and the spooled payload
+    are then copied to *out*.  Peak extra memory is one level's chunk.
     """
-    payload_tmp = target.with_name(target.name + ".tmp.payload")
-    tmp = target.with_name(target.name + ".tmp")
-    try:
-        with open(payload_tmp, "wb") as payload:
-            header = _v3_write_payload(search, payload, codec)
-        with open(tmp, "wb") as out, open(payload_tmp, "rb") as payload:
-            out.write(_frame_header(header))
-            while True:
-                block = payload.read(1 << 20)
-                if not block:
-                    break
-                out.write(block)
-        os.replace(tmp, target)
-    finally:
-        for leftover in (payload_tmp,):
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
+    with tempfile.TemporaryFile(dir=spool_dir) as spool:
+        header = _v3_write_payload(search, spool, codec)
+        out.write(_frame_header(header))
+        spool.seek(0)
+        shutil.copyfileobj(spool, out, 1 << 20)
     return header
+
+
+#: The one writer per writable format.  Format 1 is read-only: v1
+#: stores are decoded for migration, never written.
+_WRITERS = {2: _write_v2, 3: _write_v3}
+
+
+def _writer(format_version: int):
+    writer = _WRITERS.get(format_version)
+    if writer is None:
+        raise StoreVersionError(
+            f"cannot write store format {format_version}; this build "
+            f"writes formats {tuple(_WRITERS)} (format 1 is read and "
+            "migrate only)"
+        )
+    return writer
 
 
 def dump_search(
@@ -1008,19 +862,14 @@ def dump_search(
 ) -> bytes:
     """Serialize a search's accumulated closure to store bytes.
 
-    *codec* selects the v3 chunk codec (``None`` = best available) and
-    is ignored by the uncompressed v1/v2 formats.
+    The same writer as :func:`save_search`, over an in-memory buffer,
+    so the bytes are identical.  *codec* selects the v3 chunk codec
+    (``None`` = best available) and is ignored by v2.
     """
-    if format_version == 1:
-        return _dump_v1(search)
-    if format_version == 2:
-        return _dump_v2(search)
-    if format_version == 3:
-        return _dump_v3(search, codec)
-    raise StoreVersionError(
-        f"cannot write store format {format_version}; this build writes "
-        f"formats {SUPPORTED_VERSIONS}"
-    )
+    writer = _writer(format_version)
+    buffer = io.BytesIO()
+    writer(search, buffer, codec)
+    return buffer.getvalue()
 
 
 def save_search(
@@ -1031,27 +880,26 @@ def save_search(
 ) -> StoreHeader:
     """Write a search's closure to *path*; returns the store header.
 
-    The write is atomic (temp file + rename), so an interrupted save
-    never leaves a truncated store behind -- and re-saving over a store
-    that is currently memory-mapped (``precompute --extend``) is safe:
-    the mapping keeps the old inode alive.
-
-    v2 and v3 stores are **streamed** section by section, level by
-    level (:func:`_save_v2_streamed` / :func:`_save_v3_streamed`) --
-    byte-identical to :func:`dump_search` output, but peak RSS stays
-    bounded by one chunk instead of a full second copy of the payload.
-    *codec* selects the v3 chunk codec (``None`` = best available).
+    The write is atomic (temp file + rename): an interrupted or failed
+    save removes its temp file and leaves any existing store at *path*
+    untouched -- and re-saving over a store that is currently
+    memory-mapped (``precompute --extend``) is safe: the mapping keeps
+    the old inode alive.  Both formats stream section by section, level
+    by level, so peak RSS stays bounded by one chunk instead of a full
+    second copy of the payload.  *codec* selects the v3 chunk codec
+    (``None`` = best available).
     """
+    writer = _writer(format_version)
     target = Path(path)
-    if format_version == 2:
-        return _save_v2_streamed(search, target)
-    if format_version == 3:
-        return _save_v3_streamed(search, target, codec)
-    data = dump_search(search, format_version)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, target)
-    header, _payload_start = _parse_frame(data)
+    try:
+        with open(tmp, "wb") as handle:
+            header = writer(search, handle, codec, target.parent)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
     return header
 
 
@@ -1104,7 +952,7 @@ def _check_v1_payload(header: StoreHeader, payload: memoryview) -> None:
     record = header.degree + header.mask_bytes
     expected = header.total_seen * record
     if header.track_parents:
-        expected += (header.total_seen - 1) * _PARENT_RECORD
+        expected += (header.total_seen - 1) * _V1_PARENT.itemsize
     if header.payload_size != expected:
         raise StoreError(
             f"payload size {header.payload_size} inconsistent with "
@@ -1651,45 +1499,67 @@ def _split(data: bytes) -> tuple[StoreHeader, memoryview]:
     return header, payload
 
 
-def _decode_state(header: StoreHeader, payload: memoryview) -> SearchState:
-    """Decode a v1 payload into a byte-level snapshot."""
+def _v1_arrays(header: StoreHeader, payload) -> SearchArrays:
+    """Decode a (size-checked) v1 payload straight into arrays.
+
+    v1 packs ``degree`` image bytes plus ``mask_bytes`` little-endian
+    S-image mask bytes per row, level-major, followed (when parents are
+    tracked) by one :data:`_V1_PARENT` record per non-identity row.
+    A non-identity first row, duplicate rows and parents that do not
+    precede their child are refused here;
+    :meth:`CascadeSearch.from_arrays` and :func:`_check_parents` check
+    the rest (offsets, gate range, cost-decreasing parents).
+    """
     degree = header.degree
-    mask_bytes = header.mask_bytes
-    record = degree + mask_bytes
-    from_bytes = int.from_bytes
-
-    perms: list[bytes] = []
-    levels: list[tuple[tuple[bytes, int], ...]] = []
-    offset = 0
-    for size in header.level_sizes:
-        level = []
-        for _ in range(size):
-            perm = bytes(payload[offset : offset + degree])
-            mask = from_bytes(payload[offset + degree : offset + record], "little")
-            level.append((perm, mask))
-            perms.append(perm)
-            offset += record
-        levels.append(tuple(level))
-
-    parents: dict[bytes, tuple[bytes, int]] | None = None
+    words = mask_word_count(degree)
+    n = header.total_seen
+    if header.mask_bytes > 8 * words:
+        raise StoreError(
+            f"store masks of {header.mask_bytes} bytes exceed a "
+            f"{degree}-label space"
+        )
+    if n < 1:
+        raise StoreError("store level 0 is not the identity singleton")
+    record = degree + header.mask_bytes
+    rows = np.frombuffer(payload, dtype=np.uint8, count=n * record)
+    rows = rows.reshape(n, record)
+    perms = rows[:, :degree]
+    mask_bytes = np.zeros((n, 8 * words), dtype=np.uint8)
+    mask_bytes[:, : header.mask_bytes] = rows[:, degree:]
+    masks = mask_bytes.view("<u8")
+    if bytes(perms[0]) != bytes(range(degree)) or not np.array_equal(
+        masks[0], compute_masks(perms[:1], header.n_binary, words)[0]
+    ):
+        raise StoreError("store level 0 is not the identity singleton")
+    if len(np.unique(perms.view(np.dtype((np.void, degree))))) != n:
+        raise StoreError("duplicate permutation across store levels")
+    parents = gates = None
     if header.track_parents:
-        parents = {}
-        total = len(perms)
-        for child_index in range(1, total):
-            parent_index = from_bytes(payload[offset : offset + 4], "little")
-            gate_index = from_bytes(payload[offset + 4 : offset + 6], "little")
-            offset += _PARENT_RECORD
-            if parent_index >= child_index:
-                raise StoreError(
-                    f"parent index {parent_index} does not precede its "
-                    f"child {child_index}"
-                )
-            parents[perms[child_index]] = (perms[parent_index], gate_index)
-
-    return SearchState(
+        links = np.frombuffer(
+            payload, dtype=_V1_PARENT, count=n - 1, offset=n * record
+        )
+        late = np.flatnonzero(links["parent"] >= np.arange(1, n))
+        if late.size:
+            raise StoreError(
+                f"parent index {int(links['parent'][late[0]])} does not "
+                f"precede its child {int(late[0]) + 1}"
+            )
+        parents = np.full(n, -1, dtype=np.int32)
+        gates = np.full(n, -1, dtype=np.int32)
+        parents[1:] = links["parent"]
+        gates[1:] = links["gate"]
+    offsets = np.zeros(len(header.level_sizes) + 1, dtype=np.int64)
+    np.cumsum(header.level_sizes, out=offsets[1:])
+    return SearchArrays(
         expanded_to=header.expanded_to,
-        levels=tuple(levels),
+        degree=degree,
+        n_binary=header.n_binary,
+        mask_words=words,
+        level_offsets=offsets,
+        perms=perms,
+        masks=masks,
         parents=parents,
+        gates=gates,
         elapsed_seconds=header.elapsed_seconds,
     )
 
@@ -1792,8 +1662,11 @@ def _load_split(
     """Decode an already-validated (header, payload) pair."""
     _check_compatible(header, library, cost_model)
     if header.format_version == 1:
-        state = _decode_state(header, payload)
-        return CascadeSearch.from_state(library, state, cost_model)
+        arrays = _v1_arrays(header, payload)
+        search = CascadeSearch.from_arrays(library, arrays, cost_model)
+        if arrays.parents is not None:
+            _check_parents(arrays, len(library))
+        return search
     if header.format_version >= 3:
         chunks = _ChunkStore(header, payload, cache_key=cache_key)
         search = CascadeSearch.from_arrays(
@@ -1833,8 +1706,8 @@ def load_search(
     in only as queries touch them -- O(queries touched), not O(closure).
     The sha256 checksum is *not* verified on this lazy path (that would
     read every byte); run :func:`verify_store` or ``repro store verify``
-    for a full integrity pass.  v1 stores are decoded eagerly, checksum
-    included.
+    for a full integrity pass.  Legacy v1 stores are decoded eagerly
+    into arrays, checksum included.
 
     Raises:
         StoreError: corrupted, truncated or unsupported file.
@@ -1843,9 +1716,6 @@ def load_search(
     """
     path = Path(path)
     header, identity = _read_header(path)
-    if header.format_version == 1:
-        # Eager v1 decode; framing and header are parsed from the bytes.
-        return loads_search(path.read_bytes(), library, cost_model)
     return _load_from_path(path, header, library, cost_model, identity)
 
 
@@ -1862,7 +1732,7 @@ def _load_from_path(
     header parse; *identity* (the file identity the header was read
     from) lets the mapping step refuse a concurrently-replaced file.
     The eager v1 path re-frames the bytes it reads anyway (the extra
-    parse is noise next to decoding the full closure).
+    parse is noise next to decoding and checksumming the closure).
     """
     if header.format_version == 1:
         return loads_search(path.read_bytes(), library, cost_model)
@@ -1916,13 +1786,6 @@ def _map_store(
         return np.memmap(
             handle, dtype=np.uint8, mode="r", offset=payload_start
         )
-
-
-def _map_v2(
-    path: Path, header: StoreHeader, expected_identity: tuple | None = None
-) -> np.memmap:
-    """Backwards-compatible alias of :func:`_map_store`."""
-    return _map_store(path, header, expected_identity)
 
 
 def open_store(
@@ -1996,54 +1859,53 @@ def projected_shard_layout(
 def verify_store(path: str | Path) -> StoreHeader:
     """Full integrity pass: framing, checksum and structural invariants.
 
-    Reads the entire file (unlike the lazy v2 open) and raises
+    Reads the entire file (unlike the lazy v2/v3 open) and raises
     :class:`StoreError` on any corruption; returns the header on
     success.
     """
     data = Path(path).read_bytes()
     header, payload = _split(data)
-    if header.format_version >= 2:
-        if header.format_version >= 3:
-            chunks = _ChunkStore(header, payload)
-            # Decompress every chunk once: any codec error or raw-length
-            # mismatch fails here, before the structural checks.
-            for name, spans in header.chunks.items():
-                for idx in range(len(spans)):
-                    chunks.chunk(name, idx)
-            arrays = _v3_arrays(header, chunks)
-            index = _v3_remainder_index(header, chunks)
-        else:
-            arrays = _v2_arrays(header, payload)
-            index = _v2_remainder_index(header, payload)
-        library = header.rebuild_library()
-        # Full structural validation (identity row, offsets, shapes).
-        CascadeSearch.from_arrays(
-            library, arrays, header.cost_model, validate=True
-        )
-        if arrays.parents is not None:
-            _check_v2_parents(header, arrays, len(library))
-        n = header.level_row_offsets[-1]
-        for remainder, (cost, rows) in index.items():
-            if not 0 < cost <= header.expanded_to:
-                raise StoreError(
-                    f"remainder index cost {cost} outside the stored bound"
-                )
-            if len(rows) and (
-                int(rows.min()) < 1 or int(rows.max()) >= n
-            ):
-                raise StoreError("remainder index row outside the closure")
+    index: dict = {}
+    if header.format_version == 1:
+        arrays = _v1_arrays(header, payload)
+    elif header.format_version >= 3:
+        chunks = _ChunkStore(header, payload)
+        # Decompress every chunk once: any codec error or raw-length
+        # mismatch fails here, before the structural checks.
+        for name, spans in header.chunks.items():
+            for idx in range(len(spans)):
+                chunks.chunk(name, idx)
+        arrays = _v3_arrays(header, chunks)
+        index = _v3_remainder_index(header, chunks)
+    else:
+        arrays = _v2_arrays(header, payload)
+        index = _v2_remainder_index(header, payload)
+    library = header.rebuild_library()
+    # Full structural validation (identity row, offsets, shapes).
+    CascadeSearch.from_arrays(
+        library, arrays, header.cost_model, validate=True
+    )
+    if arrays.parents is not None:
+        _check_parents(arrays, len(library))
+    n = arrays.n_rows
+    for remainder, (cost, rows) in index.items():
+        if not 0 < cost <= header.expanded_to:
+            raise StoreError(
+                f"remainder index cost {cost} outside the stored bound"
+            )
+        if len(rows) and (
+            int(rows.min()) < 1 or int(rows.max()) >= n
+        ):
+            raise StoreError("remainder index row outside the closure")
     return header
 
 
-def _check_v2_parents(
-    header: StoreHeader, arrays: SearchArrays, n_gates: int
-) -> None:
+def _check_parents(arrays: SearchArrays, n_gates: int) -> None:
     """Level-decreasing parents and in-range gate indices (vectorized).
 
-    Mirrors the cost-decreasing-parent invariant that the v1 path
-    enforces through :meth:`CascadeSearch.from_state`: every non-
-    identity row must point to a parent in a strictly earlier level and
-    name a library gate.
+    Every non-identity row must point to a parent in a strictly earlier
+    level (which is what makes a parent walk terminate at the identity
+    in at most ``cost`` steps) and name a library gate.
     """
     n = arrays.n_rows
     parents = np.asarray(arrays.parents)
@@ -2054,7 +1916,7 @@ def _check_v2_parents(
     if child.size:
         if int(child.min()) < 0 or int(child.max()) >= n:
             raise StoreError("store parent pointer outside the closure")
-        offsets = np.asarray(header.level_row_offsets, dtype=np.int64)
+        offsets = np.asarray(arrays.level_offsets, dtype=np.int64)
         row_level = np.searchsorted(
             offsets, np.arange(1, n, dtype=np.int64), side="right"
         )

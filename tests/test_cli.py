@@ -2,7 +2,17 @@
 
 import pytest
 
+from legacy_v1 import write_v1
 from repro.cli import main
+from repro.core.search import CascadeSearch
+from repro.gates.library import GateLibrary
+
+
+def _legacy_v1_store(path, cost_bound):
+    """A v1 store of the paper's 3-qubit closure (the CLI only reads v1)."""
+    search = CascadeSearch(GateLibrary(3))
+    search.extend_to(cost_bound)
+    return write_v1(search, path)
 
 
 class TestTable1:
@@ -208,17 +218,21 @@ class TestStoreMaintenance:
         assert "refusing to extend" in capsys.readouterr().err
 
     def test_migrate_v1_store(self, capsys, tmp_path):
-        old = str(tmp_path / "old.rpro")
+        old = str(_legacy_v1_store(tmp_path / "old.rpro", 3))
         new = str(tmp_path / "new.rpro")
-        assert main([
-            "precompute", old, "--cost-bound", "3", "--format-version", "1",
-        ]) == 0
-        capsys.readouterr()
         assert main(["store", "migrate", old, new]) == 0
         out = capsys.readouterr().out
         assert "(format 1)" in out and "format 2" in out
         assert main(["synth", "swap_ab", "--store", new]) == 0
         assert "cost 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", [["precompute", "x.rpro"],
+                                      ["store", "migrate", "a", "b"]])
+    def test_format_version_1_is_not_writable(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--format-version", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_translate_kernel_precompute_matches(self, capsys, tmp_path):
         path = str(tmp_path / "tk.rpro")
@@ -398,11 +412,7 @@ class TestParallelPrecompute:
         assert "total 1198" in out
 
     def test_store_shards_v1_needs_migration(self, capsys, tmp_path):
-        path = str(tmp_path / "v1.rpro")
-        assert main([
-            "precompute", path, "--cost-bound", "2", "--format-version", "1",
-        ]) == 0
-        capsys.readouterr()
+        path = str(_legacy_v1_store(tmp_path / "v1.rpro", 2))
         assert main(["store", "shards", path, "--bits", "2"]) == 0
         assert "legacy v1 store" in capsys.readouterr().out
 

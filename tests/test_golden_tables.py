@@ -10,7 +10,8 @@ here in the same commit and say why.
 Every closure-level assertion runs six ways -- against the live vector
 search, the byte-level ``translate`` reference kernel, the vector engine
 with a two-worker compose pool, and store-roundtripped copies in the
-legacy v1, memory-mapped v2 and compressed v3 formats
+legacy v1 (written by the test encoder ``tests/legacy_v1.py``; the
+library only reads v1), memory-mapped v2 and compressed v3 formats
 (``dump_search``/``loads_search``) -- so both expansion kernels, the
 pool path and every persistence format are held to the same golden
 values.
@@ -27,6 +28,7 @@ Documented deviations from the published Table 2 (see bench_table2.py):
 
 import pytest
 
+from legacy_v1 import encode_v1
 from repro.core.batch import BatchSynthesizer
 from repro.core.fmcf import find_minimum_cost_circuits
 from repro.core.store import dump_search, loads_search
@@ -87,7 +89,9 @@ def closure(request, search3, library3):
         )
         search.extend_to(7)
         return search
-    version = {"store-v1": 1, "store-v2": 2, "store-v3": 3}[request.param]
+    if request.param == "store-v1":
+        return loads_search(encode_v1(search3), library3)
+    version = {"store-v2": 2, "store-v3": 3}[request.param]
     return loads_search(
         dump_search(search3, format_version=version), library3
     )

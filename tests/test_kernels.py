@@ -44,9 +44,9 @@ def _assert_identical(vector, translate, bound):
             f"level {cost} differs between kernels"
         )
     if vector.tracks_parents:
-        assert (
-            vector.export_state().parents == translate.export_state().parents
-        )
+        ours, theirs = vector.export_arrays(), translate.export_arrays()
+        np.testing.assert_array_equal(ours.parents, theirs.parents)
+        np.testing.assert_array_equal(ours.gates, theirs.gates)
 
 
 class TestKernelEquivalence:
@@ -96,11 +96,11 @@ class TestKernelEquivalence:
         _assert_identical(stepwise, oneshot, 4)
 
     def test_vector_continues_a_translate_closure(self, library3):
-        """Kernel handoff: restore byte-level state, extend vectorized."""
+        """Kernel handoff: restore the oracle's arrays, extend vectorized."""
         translate = CascadeSearch(library3, kernel="translate")
         translate.extend_to(3)
-        handoff = CascadeSearch.from_state(
-            library3, translate.export_state(), kernel="vector"
+        handoff = CascadeSearch.from_arrays(
+            library3, translate.export_arrays(), kernel="vector"
         )
         handoff.extend_to(5)
         reference = CascadeSearch(library3, kernel="vector")
@@ -113,23 +113,25 @@ class TestKernelEquivalence:
     def test_queries_and_export_after_restored_vector_extension(
         self, library3
     ):
-        """Stale byte-level dicts must not survive a vector extension.
+        """A restored snapshot must not survive a vector extension.
 
-        A from_state restore keeps seen/parents dicts; extending with
-        the vector kernel must invalidate them so cost_of, witness
-        extraction and a v1 re-export all cover the new levels.
+        A from_arrays restore adopts the snapshot; extending with the
+        vector kernel replays it into an engine, so cost_of, witness
+        extraction and a re-export all cover the new levels.
         """
         base = CascadeSearch(library3, track_parents=True)
         base.extend_to(3)
-        restored = CascadeSearch.from_state(library3, base.export_state())
+        restored = CascadeSearch.from_arrays(library3, base.export_arrays())
         restored.extend_to(4)
         perm, _mask = restored.level(4)[7]
         assert restored.cost_of(perm) == 4
         assert len(restored.witness_indices(perm)) == 4
-        state = restored.export_state()
-        assert state.expanded_to == 4
-        assert perm in state.parents
-        rebuilt = CascadeSearch.from_state(library3, state)
+        arrays = restored.export_arrays()
+        assert arrays.expanded_to == 4
+        row = arrays.level_rows(4)[0] + 7
+        assert arrays.perms[row].tobytes() == perm
+        assert restored.cost_of_row(int(arrays.parents[row])) == 3
+        rebuilt = CascadeSearch.from_arrays(library3, arrays)
         assert rebuilt.stats().level_sizes == restored.stats().level_sizes
 
 
@@ -257,3 +259,28 @@ class TestRowAccessors:
             if mask == search3.s_mask
         ]
         assert rows == expected
+
+    @pytest.mark.parametrize("form", ["engine", "store", "translate"])
+    def test_out_of_range_rows_refused(self, library3, form):
+        """Rows outside 0..n-1 raise instead of reading numpy's negative
+        indexing (a bogus witness) or answering a cost past the bound."""
+        from repro.core.store import dump_search, loads_search
+        from repro.errors import InvalidValueError
+
+        kernel = "translate" if form == "translate" else "vector"
+        search = CascadeSearch(library3, kernel=kernel)
+        search.extend_to(4)
+        if form == "store":
+            search = loads_search(dump_search(search), library3)
+        n = search.n_rows()
+        assert n == 6562
+        for row in (-1, -n, n, n + 5):
+            for accessor in (
+                search.perm_bytes_at,
+                search.cost_of_row,
+                search.witness_indices_for_row,
+            ):
+                with pytest.raises(InvalidValueError, match="outside"):
+                    accessor(row)
+        assert search.cost_of_row(n - 1) == 4
+        assert len(search.witness_indices_for_row(n - 1)) == 4

@@ -60,9 +60,9 @@ def _assert_identical(reference, other, bound):
             f"level {cost} differs"
         )
     if reference.tracks_parents:
-        assert (
-            reference.export_state().parents == other.export_state().parents
-        )
+        ours, theirs = reference.export_arrays(), other.export_arrays()
+        np.testing.assert_array_equal(ours.parents, theirs.parents)
+        np.testing.assert_array_equal(ours.gates, theirs.gates)
 
 
 class _Events:

@@ -4,12 +4,19 @@ Complements tests/test_store.py (which exercises the format-agnostic
 API against the current default format): this module pins the
 v2-specific guarantees -- lazy memory-mapped opens, the serialized
 remainder index, v1 -> v2 migration equivalence, and rejection of
-truncated/corrupted/unknown-version files.
+truncated/corrupted/unknown-version files.  Legacy v1 inputs come from
+the test-side encoder in ``tests/legacy_v1.py`` (the library only reads
+v1).
 """
+
+import dataclasses
+import errno
+import hashlib
 
 import numpy as np
 import pytest
 
+from legacy_v1 import encode_v1, encode_v1_payload, write_v1
 from repro.errors import StoreError, StoreVersionError
 from repro.core.batch import BatchSynthesizer, build_remainder_index
 from repro.core.search import CascadeSearch
@@ -45,16 +52,32 @@ def v2_path(search5, tmp_path_factory):
 @pytest.fixture(scope="module")
 def v1_path(search5, tmp_path_factory):
     path = tmp_path_factory.mktemp("store") / "closure_v1.rpro"
-    save_search(search5, path, format_version=1)
-    return path
+    return write_v1(search5, path)
+
+
+def _payload(data: bytes) -> bytes:
+    hlen = int.from_bytes(data[8:12], "little")
+    return data[12 + hlen :]
 
 
 class TestFormatFraming:
     def test_default_format_is_v2(self, search5):
         assert dump_search(search5)[:8] == MAGIC_V2
 
-    def test_v1_still_writable(self, search5):
-        assert dump_search(search5, format_version=1)[:8] == MAGIC_V1
+    def test_v1_is_read_only(self, search5, tmp_path):
+        with pytest.raises(StoreVersionError, match="read and migrate only"):
+            dump_search(search5, format_version=1)
+        path = tmp_path / "legacy.rpro"
+        with pytest.raises(StoreVersionError):
+            save_search(search5, path, format_version=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_v2_payload_sha256_is_pinned(self, search5):
+        """The cost-5 closure's v2 payload bytes never change."""
+        payload = _payload(dump_search(search5))
+        assert hashlib.sha256(payload).hexdigest() == (
+            "b067f70f25477bc88b0d823d7e6b682bd93c0a1d40f178e7673a6b1f81aba298"
+        )
 
     def test_unknown_write_version_refused(self, search5):
         with pytest.raises(StoreVersionError):
@@ -157,8 +180,7 @@ class TestLazyOpen:
 
     def test_was_restored_controls_default_bound(self, library3):
         zero = CascadeSearch(library3, track_parents=True)
-        state = zero.export_state()
-        restored = CascadeSearch.from_state(library3, state)
+        restored = CascadeSearch.from_arrays(library3, zero.export_arrays())
         assert restored.was_restored
         # A deliberately level-0 restored closure must not silently
         # re-expand to the paper's default bound.
@@ -477,3 +499,148 @@ class TestIndexVerificationCache:
             len(store_module._INDEX_VERIFIED)
             <= store_module._INDEX_VERIFIED_MAX
         )
+
+
+def _reframe(data: bytes, payload: bytes, **fields) -> bytes:
+    """Re-frame *payload* under *data*'s header with a fresh checksum."""
+    import json
+
+    hlen = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12 : 12 + hlen])
+    header.update(
+        payload_size=len(payload),
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
+        **fields,
+    )
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    return data[:8] + len(blob).to_bytes(4, "little") + blob + payload
+
+
+class TestLegacyV1:
+    """v1 is read-to-migrate only: decoded straight into arrays, with
+    every structural check the byte-level restore used to make."""
+
+    def test_legacy_encoder_matches_the_last_v1_writer(self, search5):
+        """The test encoder reproduces the bytes the library's own v1
+        writer produced for the cost-5 closure before it was removed."""
+        payload = _payload(encode_v1(search5))
+        assert len(payload) == 1_583_821
+        assert hashlib.sha256(payload).hexdigest() == (
+            "25478df67ec99c044594eb76a37d534fca766f9bfb34eb1a5efd8fe7838bde81"
+        )
+
+    def test_decodes_to_the_live_arrays(self, search5, library3):
+        loaded = loads_search(encode_v1(search5), library3)
+        ours, live = loaded.export_arrays(), search5.export_arrays()
+        for name in ("level_offsets", "perms", "masks", "parents", "gates"):
+            np.testing.assert_array_equal(
+                getattr(ours, name), getattr(live, name)
+            )
+
+    def test_counting_only_store_decodes(self, library3):
+        search = CascadeSearch(library3, track_parents=False)
+        search.extend_to(3)
+        loaded = loads_search(encode_v1(search), library3)
+        assert not loaded.tracks_parents
+        assert loaded.stats().level_sizes == search.stats().level_sizes
+
+    #: Corruption -> the error each one must raise.
+    CORRUPTIONS = {
+        "identity": "identity singleton",
+        "duplicate": "duplicate",
+        "parent-order": "does not precede",
+        "gate-range": "gate index outside",
+        "parent-cost": "decrease cost",
+    }
+
+    @pytest.mark.parametrize("edit", sorted(CORRUPTIONS))
+    def test_decoder_rejects(self, search5, library3, tmp_path, edit):
+        message = self.CORRUPTIONS[edit]
+        arrays = search5.export_arrays()
+        perms = np.array(arrays.perms)
+        parents = np.array(arrays.parents)
+        gates = np.array(arrays.gates)
+        if edit == "identity":
+            perms[0, [0, 1]] = perms[0, [1, 0]]
+        elif edit == "duplicate":
+            perms[2] = perms[1]
+        elif edit == "parent-order":
+            parents[5] = 7
+        elif edit == "gate-range":
+            gates[5] = 99
+        else:  # rows 19..180 are level 2: an earlier row, same level
+            parents[50] = 40
+        data = encode_v1(
+            search5,
+            dataclasses.replace(
+                arrays, perms=perms, parents=parents, gates=gates
+            ),
+        )
+        with pytest.raises(StoreError, match=message):
+            loads_search(data, library3)
+        path = tmp_path / "bad.rpro"
+        path.write_bytes(data)
+        with pytest.raises(StoreError, match=message):
+            verify_store(path)
+
+    def test_identity_mask_is_checked(self, search5, library3):
+        arrays = search5.export_arrays()
+        payload = bytearray(encode_v1_payload(arrays))
+        payload[arrays.degree] ^= 0x01  # first mask byte of row 0
+        data = _reframe(encode_v1(search5), bytes(payload))
+        with pytest.raises(StoreError, match="identity singleton"):
+            loads_search(data, library3)
+
+    def test_missing_parent_record_rejected(self, search5, library3):
+        data = encode_v1(search5)
+        data = _reframe(data, _payload(data)[:-6])
+        with pytest.raises(StoreError, match="inconsistent"):
+            loads_search(data, library3)
+
+
+class TestFailedSave:
+    """A save that fails mid-write removes its temp files and leaves
+    the existing store untouched."""
+
+    @pytest.mark.parametrize(
+        "version, hook",
+        [(2, "rows"), (3, "rows"), (3, "framing")],
+    )
+    def test_full_disk_leaves_old_store(
+        self, search5, library3, tmp_path, monkeypatch, version, hook
+    ):
+        import repro.core.store as store_module
+
+        path = tmp_path / "closure.rpro"
+        save_search(search5, path, format_version=version)
+        before = path.read_bytes()
+
+        def full_disk():
+            return OSError(errno.ENOSPC, "No space left on device")
+
+        if hook == "rows":
+            real = store_module._row_bytes
+            calls = []
+
+            def failing(*args):
+                calls.append(args)
+                if len(calls) == 2:  # after the first section's bytes
+                    raise full_disk()
+                return real(*args)
+
+            monkeypatch.setattr(store_module, "_row_bytes", failing)
+        else:
+            def failing(src, dst, length=0):
+                dst.write(src.read(4096))
+                raise full_disk()
+
+            monkeypatch.setattr(store_module.shutil, "copyfileobj", failing)
+        bigger = CascadeSearch(library3, track_parents=True)
+        bigger.extend_to(6)
+        with pytest.raises(OSError, match="No space"):
+            save_search(bigger, path, format_version=version)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["closure.rpro"]
+        assert path.read_bytes() == before
+        _header, _library, loaded = open_store(path)
+        assert loaded.stats().level_sizes == search5.stats().level_sizes

@@ -396,7 +396,7 @@ class TestCorruption:
 
 
 class TestReplaceRace:
-    """The _map_v2 bugfix: a store swapped between header read and
+    """The _map_store bugfix: a store swapped between header read and
     payload map must be detected, not served half-old half-new."""
 
     def test_replace_between_header_and_map_detected(

@@ -10,6 +10,7 @@ dimension-naming mismatch errors, and JSON result serialization.
 
 import pytest
 
+from legacy_v1 import encode_v1
 from repro.core.batch import BatchSynthesizer
 from repro.core.decompose import decompose_target
 from repro.core.mce import express, express_all
@@ -162,7 +163,10 @@ class TestStoreRoundTrip:
     def test_reopen_preserves_mv_provenance(
         self, tsearch, tlib, version, tmp_path
     ):
-        blob = dump_search(tsearch, format_version=version)
+        if version == 1:  # legacy: written by the test encoder only
+            blob = encode_v1(tsearch)
+        else:
+            blob = dump_search(tsearch, format_version=version)
         path = tmp_path / f"ternary-v{version}.rpro"
         path.write_bytes(blob)
         header = read_header(path)
