@@ -16,12 +16,11 @@ number of synthesis queries are answered against the stored artifact;
 format-v2 stores are memory-mapped, so serving opens in milliseconds)::
 
     repro precompute closure.rpro            # expand + save the closure
-    repro precompute closure.rpro --jobs 4   # 4 compose workers
-    repro precompute big.rpro --jobs 8 --dedup-budget 512M \\
+    repro precompute big.rpro --dedup-budget 512M \\
         --checkpoint-dir ck/                 # disk-backed dedup + resume
     repro precompute closure.rpro --extend --cost-bound 8   # deepen it
     repro precompute small.rpro --format-version 3           # compressed v3
-    repro plan --cost-bound 8                # size --jobs/--shard-bits/budget
+    repro plan --cost-bound 8                # size --shard-bits/--dedup-budget
     repro plan closure.rpro --cost-bound 9   # ... seeded by a real store
     repro store info closure.rpro            # peek at a store's header
     repro store shards closure.rpro          # per-level/shard layout
@@ -330,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel", choices=("vector", "translate"), default=None,
         help="expansion kernel (vector: the NumPy engine with sharded "
         "dedup, default; translate: the byte-level reference loop, "
-        "which takes none of --jobs/--dedup-budget/--shard-bits/"
+        "which takes none of --dedup-budget/--shard-bits/"
         "--checkpoint-dir)",
     )
     p_pre.add_argument(
@@ -343,11 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--codec", choices=("auto", "zstd", "zlib", "raw"), default=None,
         help="v3 section codec (default auto: zstd when available, "
         "else zlib; requires --format-version 3)",
-    )
-    p_pre.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for candidate composition (vector "
-        "kernel; default 1 = in-process; must be >= 1)",
     )
     p_pre.add_argument(
         "--dedup-budget", metavar="SIZE", default=None,
@@ -419,12 +413,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan",
-        help="size --jobs/--shard-bits/--dedup-budget for a precompute run",
+        help="size --shard-bits/--dedup-budget for a precompute run",
         description=(
             "Project the closure size for a cost bound and size the "
-            "engine flags from this machine's CPU count and "
-            "available RAM.  An existing store seeds the projection with "
-            "its recorded level sizes and shard skew."
+            "engine flags from this machine's available RAM.  An "
+            "existing store seeds the projection with its recorded "
+            "level sizes and shard skew."
         ),
     )
     p_plan.add_argument(
@@ -439,10 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memory", metavar="SIZE", default=None,
         help="plan for this much RAM (bytes, or 512M/8G/1.5GiB) "
         "instead of the detected available memory",
-    )
-    p_plan.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="plan for N workers instead of this machine's CPU count",
     )
     p_plan.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -888,7 +878,6 @@ def _synth_batch(
 
 def _resolve_precompute_kernel(
     kernel: str | None,
-    jobs: int | None,
     dedup_budget: str | None,
     shard_bits: int | None,
     checkpoint_dir: str | None,
@@ -902,8 +891,6 @@ def _resolve_precompute_kernel(
     from repro.errors import SpecificationError
 
     options: dict = {}
-    if jobs is not None:
-        options["jobs"] = jobs
     if dedup_budget is not None:
         options["memory_budget"] = parse_budget(dedup_budget)
     if shard_bits is not None:
@@ -914,7 +901,7 @@ def _resolve_precompute_kernel(
         kernel = "vector"
     elif options and kernel != "vector":
         raise SpecificationError(
-            "--jobs/--dedup-budget/--shard-bits/--checkpoint-dir are "
+            "--dedup-budget/--shard-bits/--checkpoint-dir are "
             f"vector-kernel options; they cannot combine with "
             f"--kernel {kernel}"
         )
@@ -934,7 +921,6 @@ def _cmd_precompute(
     kernel: str | None = None,
     format_version: int | None = None,
     codec: str | None = None,
-    jobs: int | None = None,
     dedup_budget: str | None = None,
     shard_bits: int | None = None,
     checkpoint_dir: str | None = None,
@@ -962,7 +948,7 @@ def _cmd_precompute(
             "--format-version 3"
         )
     kernel, kernel_options = _resolve_precompute_kernel(
-        kernel, jobs, dedup_budget, shard_bits, checkpoint_dir
+        kernel, dedup_budget, shard_bits, checkpoint_dir
     )
     if radix != 2:
         from repro.errors import SpecificationError
@@ -1082,8 +1068,7 @@ def _cmd_precompute(
         spill = "disk-backed" if layout.get("spilled") else "in-RAM"
         print(
             f"dedup table: {1 << layout['shard_bits']} shards x "
-            f"{layout['slab_slots']} slots ({spill}), "
-            f"jobs {kernel_options.get('jobs', 1)}"
+            f"{layout['slab_slots']} slots ({spill})"
         )
     print(f"levels |B[k]|: {list(stats.level_sizes)}")
     print(
@@ -1564,7 +1549,6 @@ def _cmd_plan(
     store: str | None,
     cost_bound: int,
     memory: str | None,
-    jobs: int | None,
     as_json: bool,
 ) -> int:
     from repro.core.dedup import parse_budget
@@ -1577,7 +1561,6 @@ def _cmd_plan(
         cost_bound,
         header=header,
         memory_bytes=memory_bytes,
-        jobs=jobs,
     )
     if as_json:
         import json
@@ -1597,7 +1580,7 @@ def _cmd_plan(
     for note in plan.notes:
         print(f"  note: {note}")
     print(
-        f"  --jobs {plan.jobs}  --shard-bits {plan.shard_bits}  "
+        f"  --shard-bits {plan.shard_bits}  "
         f"--dedup-budget {plan.dedup_budget_text}"
         + ("  (slabs will spill to disk)" if plan.spills else "")
     )
@@ -1865,14 +1848,13 @@ def main(argv: list[str] | None = None) -> int:
                 args.out, args.cost_bound, args.qubits, args.no_parents,
                 args.v_cost, args.vdag_cost, args.cnot_cost,
                 args.radix, args.extend, args.kernel, args.format_version,
-                args.codec, args.jobs, args.dedup_budget,
+                args.codec, args.dedup_budget,
                 args.shard_bits, args.checkpoint_dir,
                 args.progress, args.progress_log,
             )
         if args.command == "plan":
             return _cmd_plan(
-                args.store, args.cost_bound, args.memory, args.jobs,
-                args.json,
+                args.store, args.cost_bound, args.memory, args.json,
             )
         if args.command == "store-info":
             return _cmd_store_info(args.file)

@@ -3,8 +3,8 @@
 * :mod:`repro.core.circuit` -- gate cascades with three semantics.
 * :mod:`repro.core.cost` -- quantum cost models.
 * :mod:`repro.core.search` -- the reasonable-product layered closure.
-* :mod:`repro.core.kernel` -- the NumPy-vectorized expansion engine.
-* :mod:`repro.core.parallel` -- its worker pool and checkpoint directory.
+* :mod:`repro.core.kernel` -- the NumPy-vectorized expansion engine
+  and its checkpoint directory.
 * :mod:`repro.core.dedup` -- disk-backed sharded dedup table.
 * :mod:`repro.core.store` -- persistent closure store (precompute/serve).
 * :mod:`repro.core.plan` -- resource planner for precompute runs.

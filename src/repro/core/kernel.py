@@ -40,15 +40,19 @@ operations on a :class:`VectorEngine`:
   the result is exact.  The normative claim protocol lives in
   :mod:`repro.core.dedup`.
 
-* **Worker pool and checkpoints** (optional).  ``jobs > 1`` fans
-  composition out to a :class:`~repro.core.parallel.ComposePool`;
-  ``checkpoint_dir`` persists every level and the dedup slabs so a
-  crashed expansion resumes (:class:`~repro.core.parallel.ExpansionCheckpoint`).
+* **Checkpoints** (optional).  ``checkpoint_dir`` persists every
+  level and the dedup slabs so a crashed expansion resumes
+  (:class:`ExpansionCheckpoint`).  A crash mid-level leaves in-flight
+  claims and uncommitted rows in the slabs; on resume they are swept
+  back to the last checkpoint
+  (:meth:`~repro.core.dedup.ShardedDedupTable.sweep_uncommitted`) and
+  the expansion continues -- producing the same closure as an
+  uninterrupted run.
 
 Determinism contract: for any library and cost model the engine
 discovers the same level sets, in the same order, with the same parent
 pointers as the seed ``bytes.translate`` kernel
-(``CascadeSearch(kernel="translate")``), for every value of ``jobs``,
+(``CascadeSearch(kernel="translate")``), for every value of
 ``shard_bits`` and memory budget.  ``tests/test_kernels.py`` and
 ``tests/test_parallel.py`` pin the equivalence, forced hash collisions
 and claim races included.
@@ -56,6 +60,8 @@ and claim races included.
 
 from __future__ import annotations
 
+import json
+import os
 from functools import cached_property
 from pathlib import Path
 
@@ -67,10 +73,6 @@ from repro.errors import InvalidValueError
 #: 64-bit mulxor hash constant (golden-ratio multiplier).
 _HASH_C = np.uint64(0x9E3779B97F4A7C15)
 _ONE = np.uint64(1)
-
-#: Below this many planned candidates a level is composed in-process
-#: even when a worker pool is configured (IPC would dominate).
-PARALLEL_MIN_CANDIDATES = 4096
 
 
 def padded_width(degree: int) -> int:
@@ -492,9 +494,6 @@ class VectorEngine:
     store larger than the dedup table's RAM cap.
 
     Args:
-        jobs: worker processes for candidate composition (1 =
-            in-process; levels below :data:`PARALLEL_MIN_CANDIDATES`
-            candidates are always composed in-process).
         shard_bits: the dedup keyspace is range-sharded into
             ``2**shard_bits`` hash-prefix shards.
         memory_budget: soft RAM cap (bytes) for dedup slabs; past it,
@@ -512,23 +511,17 @@ class VectorEngine:
         gate_rows: GateRows,
         track_parents: bool = True,
         *,
-        jobs: int = 1,
         shard_bits: int = 6,
         memory_budget: int | None = None,
         checkpoint_dir: str | Path | None = None,
         provenance: dict | None = None,
     ):
-        if not isinstance(jobs, int) or jobs < 1:
-            raise InvalidValueError(
-                f"jobs must be a positive integer, got {jobs!r}"
-            )
         self.degree = degree
         self.n_binary = n_binary
         self.width = padded_width(degree)
         self.mask_words = mask_word_count(degree)
         self.gate_rows = gate_rows
         self.track_parents = track_parents
-        self.jobs = jobs
 
         cap = 1024
         self._perms = np.empty((cap, self.width), dtype=np.uint8)
@@ -545,8 +538,6 @@ class VectorEngine:
 
         self._checkpoint = None
         if checkpoint_dir is not None:
-            from repro.core.parallel import ExpansionCheckpoint
-
             self._checkpoint = ExpansionCheckpoint(checkpoint_dir, provenance)
         self._table = ShardedDedupTable(
             shard_bits=shard_bits,
@@ -554,7 +545,6 @@ class VectorEngine:
             spill_dir=self._checkpoint.slab_dir if self._checkpoint else None,
             persistent=self._checkpoint is not None,
         )
-        self._pool = None
         self._cand_buf = None
         self._hash_buf = None
         self._meta_buf = None
@@ -837,31 +827,26 @@ class VectorEngine:
         keep_parents = self.track_parents or self._filter is not None
         parents = self._meta_buf[0, :total] if keep_parents else None
         gates = self._meta_buf[1, :total]
-        pooled = self.jobs > 1 and total >= PARALLEL_MIN_CANDIDATES
-        if pooled:
-            cand, ch = self._compose_pool().compose(self, chunks, total)
-        else:
-            if self._cand_buf is None or self._cand_buf.shape[0] < total:
-                cap = max(total, 4096)
-                self._cand_buf = np.empty((cap, self.width), dtype=np.uint8)
-                self._hash_buf = np.empty(cap, dtype=np.uint64)
-            cand, ch = self._cand_buf[:total], self._hash_buf[:total]
+        if self._cand_buf is None or self._cand_buf.shape[0] < total:
+            cap = max(total, 4096)
+            self._cand_buf = np.empty((cap, self.width), dtype=np.uint8)
+            self._hash_buf = np.empty(cap, dtype=np.uint64)
+        cand, ch = self._cand_buf[:total], self._hash_buf[:total]
         cand16 = cand.view(np.uint16)
         tables16 = self.gate_rows.tables16
         pos = 0
         for gi, src, kept in chunks:
             m = kept.size
-            if not pooled:
-                # mode="clip" skips the bounds check; uint16 indices
-                # cannot exceed the 65536-entry pair table anyway.
-                np.take(
-                    tables16[gi],
-                    np.take(self.level_perms(src).view(np.uint16), kept, axis=0),
-                    out=cand16[pos : pos + m],
-                    mode="clip",
-                )
-                # Hash while the freshly written block is still cache-hot.
-                ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
+            # mode="clip" skips the bounds check; uint16 indices cannot
+            # exceed the 65536-entry pair table anyway.
+            np.take(
+                tables16[gi],
+                np.take(self.level_perms(src).view(np.uint16), kept, axis=0),
+                out=cand16[pos : pos + m],
+                mode="clip",
+            )
+            # Hash while the freshly written block is still cache-hot.
+            ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
             if parents is not None:
                 parents[pos : pos + m] = self.offsets[src] + kept
             gates[pos : pos + m] = gi
@@ -958,37 +943,23 @@ class VectorEngine:
             self._write_checkpoint(cost)
         return n_new
 
-    # -- worker pool -------------------------------------------------------------------
+    # -- teardown ----------------------------------------------------------------------
 
-    def _compose_pool(self):
-        if self._pool is None:
-            from repro.core.parallel import ComposePool
-
-            self._pool = ComposePool(
-                self.jobs,
-                self.gate_rows.tables16,
-                self._checkpoint.dir if self._checkpoint else None,
-            )
-        return self._pool
-
-    def release_workers(self) -> None:
-        """Shut down the compose pool and drop the expansion scratch.
+    def release_scratch(self) -> None:
+        """Drop the candidate scratch buffers reused across levels.
 
         Keeps the dedup table (row lookups still need it) -- this is
         what :meth:`CascadeSearch.freeze` calls so a search pinned for
-        serving holds no idle worker processes.
+        serving holds no expansion-sized scratch.
         """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         self._cand_buf = self._hash_buf = self._meta_buf = None
 
     def close(self) -> None:
-        """Release the worker pool, dedup slabs and scratch buffers."""
+        """Release the dedup slabs and scratch buffers."""
         if self._closed:
             return
         self._closed = True
-        self.release_workers()
+        self.release_scratch()
         self._table.close()
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
@@ -1126,3 +1097,80 @@ class VectorEngine:
             self._table.reinsert_shard(
                 s, np.take(hashes, rows), (rows + 1).astype(np.int32)
             )
+
+
+# -- checkpoint directory --------------------------------------------------------------
+
+#: Manifest schema version of a checkpoint directory.
+CHECKPOINT_FORMAT = 1
+
+
+class ExpansionCheckpoint:
+    """Per-level persistence of an expansion under one directory.
+
+    Layout::
+
+        <dir>/manifest.json      atomically replaced after every level
+        <dir>/level-NNNN.npz     perms/masks/parents/gates of level N
+        <dir>/slabs/shard-*.slab the live (memmapped) dedup slabs
+
+    The manifest records the identity of the computation (library and
+    cost-model fingerprints, degree, shard bits, parent tracking) plus
+    the committed state (level offsets, per-shard slab sizes), so a
+    resume can refuse a directory written for a different search.
+    """
+
+    def __init__(self, directory: str | Path, provenance: dict | None = None):
+        self.dir = Path(directory)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.provenance = dict(provenance or {})
+
+    @property
+    def manifest_path(self) -> Path:
+        return self.dir / "manifest.json"
+
+    @property
+    def slab_dir(self) -> Path:
+        return self.dir / "slabs"
+
+    def level_path(self, level: int) -> Path:
+        return self.dir / f"level-{level:04d}.npz"
+
+    def load_manifest(self) -> dict | None:
+        try:
+            return json.loads(self.manifest_path.read_text())
+        except (OSError, ValueError):
+            return None
+
+    def compatible(self, manifest: dict, identity: dict) -> bool:
+        """Whether a manifest matches this computation's identity."""
+        if manifest.get("format") != CHECKPOINT_FORMAT:
+            return False
+        return all(manifest.get(k) == v for k, v in identity.items())
+
+    def write_manifest(self, manifest: dict) -> None:
+        """Atomically replace the manifest (the format version first)."""
+        manifest = {"format": CHECKPOINT_FORMAT, **manifest}
+        tmp = self.manifest_path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps(manifest, indent=1) + "\n")
+        os.replace(tmp, self.manifest_path)
+
+    def write_level(
+        self,
+        level: int,
+        perms: np.ndarray,
+        masks: np.ndarray,
+        parents: np.ndarray,
+        gates: np.ndarray,
+    ) -> None:
+        path = self.level_path(level)
+        tmp = path.with_suffix(".npz.tmp")
+        with open(tmp, "wb") as handle:
+            np.savez(
+                handle, perms=perms, masks=masks, parents=parents, gates=gates
+            )
+        os.replace(tmp, path)
+
+    def read_level(self, level: int) -> dict[str, np.ndarray]:
+        with np.load(self.level_path(level)) as data:
+            return {name: np.array(data[name]) for name in data.files}

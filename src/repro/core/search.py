@@ -21,8 +21,7 @@ Two kernels drive the expansion:
 * ``kernel="vector"`` (default): the NumPy engine of
   :mod:`repro.core.kernel` -- a gate application is one mask filter
   plus one fancy-indexing composition, relation-filtered candidates
-  dedup through a sharded, spillable hash table, and composition
-  optionally fans out to a worker pool.  Tunables (worker count, shard
+  dedup through a sharded, spillable hash table.  Tunables (shard
   bits, dedup memory budget, checkpoint directory) arrive via
   ``kernel_options``.
 * ``kernel="translate"``: the reference oracle -- one
@@ -66,6 +65,26 @@ from repro.perm.permutation import Permutation, pack_images, unpack_images
 
 #: Kernel names accepted by :class:`CascadeSearch`.
 KERNELS = ("vector", "translate")
+
+#: Vector-engine tunables accepted in ``kernel_options``.
+KERNEL_OPTIONS = ("shard_bits", "memory_budget", "checkpoint_dir")
+
+
+def _checked_kernel_options(options: dict | None) -> dict:
+    """A copy of *options*, refusing unknown names and bad shard bits."""
+    options = dict(options or {})
+    unknown = sorted(set(options) - set(KERNEL_OPTIONS))
+    if unknown:
+        raise InvalidValueError(
+            f"unknown kernel option(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(KERNEL_OPTIONS)}"
+        )
+    bits = options.get("shard_bits", 0)
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise InvalidValueError(
+            f"shard_bits must be an integer, got {bits!r}"
+        )
+    return options
 
 
 @dataclass
@@ -162,10 +181,10 @@ class CascadeSearch:
         kernel: ``"vector"`` (NumPy engine, default) or ``"translate"``
             (the reference pure-Python loop).  Both produce identical
             closures; see the module docstring.
-        kernel_options: tunables for the vector engine -- ``jobs``,
+        kernel_options: tunables for the vector engine --
             ``shard_bits``, ``memory_budget``, ``checkpoint_dir`` (see
-            :class:`repro.core.kernel.VectorEngine`).  Ignored by the
-            translate kernel.
+            :class:`repro.core.kernel.VectorEngine`); any other name is
+            refused.  Ignored by the translate kernel.
     """
 
     def __init__(
@@ -180,7 +199,7 @@ class CascadeSearch:
             raise InvalidValueError(
                 f"unknown kernel {kernel!r}; pick one of {KERNELS}"
             )
-        self._kernel_options = dict(kernel_options or {})
+        self._kernel_options = _checked_kernel_options(kernel_options)
         self._library = library
         self._cost_model = cost_model
         self._track_parents = track_parents
@@ -247,9 +266,9 @@ class CascadeSearch:
         )
 
     def _new_engine(self) -> VectorEngine:
-        options = dict(self._kernel_options)
-        provenance = options.pop("provenance", None)
-        if provenance is None and options.get("checkpoint_dir"):
+        options = self._kernel_options
+        provenance = None
+        if options.get("checkpoint_dir"):
             from repro.core.store import (
                 cost_model_fingerprint,
                 library_fingerprint,
@@ -339,9 +358,10 @@ class CascadeSearch:
         translate kernel reads them level by level, the vector engine
         replays a snapshot into its dedup table at the next expansion.
         Switching is therefore free until an expansion actually runs.
-        *kernel_options* replaces the vector-engine tunables when given;
-        a live engine built with other options hands its closure to a
-        fresh engine at the next expansion.
+        *kernel_options* replaces the vector-engine tunables when given
+        (unknown names are refused, as in the constructor); a live
+        engine built with other options hands its closure to a fresh
+        engine at the next expansion.
         """
         if self._frozen:
             raise FrozenSearchError(
@@ -351,11 +371,13 @@ class CascadeSearch:
             raise InvalidValueError(
                 f"unknown kernel {kernel!r}; pick one of {KERNELS}"
             )
+        if kernel_options is not None:
+            kernel_options = _checked_kernel_options(kernel_options)
         self._kernel = kernel
-        if kernel_options is not None and dict(kernel_options) != (
+        if kernel_options is not None and kernel_options != (
             self._kernel_options
         ):
-            self._kernel_options = dict(kernel_options)
+            self._kernel_options = kernel_options
             if self._engine is not None:
                 # Engine options are fixed at construction: park the
                 # closure as an array snapshot; _ensure_engine replays
@@ -386,8 +408,8 @@ class CascadeSearch:
         * mutating operations (:meth:`extend_to` beyond the expanded
           bound, :meth:`use_kernel`, :meth:`attach_remainder_index`)
           raise :class:`~repro.errors.FrozenSearchError` afterwards;
-        * a vector engine's worker pool and expansion scratch buffers
-          are released (its dedup table stays, for row lookups).
+        * a vector engine's expansion scratch buffers are released
+          (its dedup table stays, for row lookups).
 
         After ``freeze()`` returns, these methods are safe to call from
         any number of threads concurrently: :meth:`perm_bytes_at`,
@@ -404,10 +426,9 @@ class CascadeSearch:
         for cost in range(self._expanded_to + 1):
             self._level_start(cost)
         if self._engine is not None:
-            # A search pinned for serving keeps no idle worker
-            # processes or expansion scratch (the dedup table stays for
-            # row lookups).
-            self._engine.release_workers()
+            # A search pinned for serving keeps no expansion scratch
+            # (the dedup table stays for row lookups).
+            self._engine.release_scratch()
         self._frozen = True
         return self
 
@@ -468,7 +489,7 @@ class CascadeSearch:
         return engine
 
     def close(self) -> None:
-        """Release engine resources (worker pool, dedup slabs, scratch).
+        """Release engine resources (dedup slabs, scratch buffers).
 
         Only a search holding a vector engine has any; calling this on
         a translate-kernel or store-loaded search (or twice) is a
@@ -476,8 +497,8 @@ class CascadeSearch:
         working (they read the engine's arrays), but exact row lookups
         on the engine (:meth:`cost_of` / ``find_row``) need the dedup
         slabs and raise a clean :class:`~repro.errors.InvalidValueError`.
-        To keep a search fully queryable while only shedding worker
-        processes, use :meth:`freeze` instead.
+        To keep a search fully queryable while only shedding the
+        expansion scratch, use :meth:`freeze` instead.
         """
         if self._engine is not None:
             self._engine.close()

@@ -363,14 +363,15 @@ class TestOtherCommands:
 
 
 class TestParallelPrecompute:
-    """`repro precompute --jobs/--dedup-budget/...` and `repro store shards`."""
+    """`repro precompute --dedup-budget/--shard-bits/...` and `repro store
+    shards`."""
 
     @pytest.fixture(scope="class")
     def parallel_store(self, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("par") / "closure.rpro")
         assert main([
-            "precompute", path, "--cost-bound", "4", "--jobs", "2",
-            "--shard-bits", "4",
+            "precompute", path, "--cost-bound", "4", "--shard-bits", "4",
+            "--dedup-budget", "0",
         ]) == 0
         return path
 
@@ -431,15 +432,21 @@ class TestParallelPrecompute:
         path = str(tmp_path / "default.rpro")
         assert main(["precompute", path, "--cost-bound", "3"]) == 0
         out = capsys.readouterr().out
-        assert "dedup table: 64 shards x" in out and "jobs 1" in out
+        assert "dedup table: 64 shards x" in out and "jobs" not in out
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_refused(self, capsys, tmp_path, jobs):
+        """The worker-pool flag is gone: argparse refuses ``--jobs`` on
+        both verbs that used to take it, whatever its value."""
         path = tmp_path / "jobs.rpro"
-        assert main([
-            "precompute", str(path), "--cost-bound", "3", "--jobs", jobs,
-        ]) == 1
-        assert "jobs must be a positive integer" in capsys.readouterr().err
+        for argv in (
+            ["precompute", str(path), "--cost-bound", "3", "--jobs", jobs],
+            ["plan", "--cost-bound", "3", "--jobs", jobs],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
         assert not path.exists()
 
     def test_parallel_kernel_name_is_gone(self, capsys, tmp_path):
@@ -452,7 +459,7 @@ class TestParallelPrecompute:
     def test_parallel_flags_refuse_other_kernels(self, capsys, tmp_path):
         path = str(tmp_path / "bad.rpro")
         assert main([
-            "precompute", path, "--cost-bound", "3", "--jobs", "2",
+            "precompute", path, "--cost-bound", "3", "--shard-bits", "2",
             "--kernel", "translate",
         ]) == 1
         assert "vector-kernel options" in capsys.readouterr().err
@@ -490,7 +497,7 @@ class TestParallelPrecompute:
         capsys.readouterr()
         assert main([
             "precompute", path, "--extend", "--cost-bound", "4",
-            "--jobs", "2",
+            "--shard-bits", "3", "--dedup-budget", "0",
         ]) == 0
         out = capsys.readouterr().out
         assert "(vector kernel)" in out

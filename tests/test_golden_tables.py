@@ -9,17 +9,19 @@ here in the same commit and say why.
 
 Every closure-level assertion runs six ways -- against the live vector
 search, the byte-level ``translate`` reference kernel, the vector engine
-with a two-worker compose pool, and store-roundtripped copies in the
-legacy v1 (written by the test encoder ``tests/legacy_v1.py``; the
+with its dedup table spilled to disk, and store-roundtripped copies in
+the legacy v1 (written by the test encoder ``tests/legacy_v1.py``; the
 library only reads v1), memory-mapped v2 and compressed v3 formats
-(``dump_search``/``loads_search``) -- so both expansion kernels, the
-pool path and every persistence format are held to the same golden
-values.
+(``dump_search``/``loads_search``) -- so both expansion kernels, both
+engine configurations (in-RAM and disk-backed dedup slabs) and every
+persistence format are held to the same golden values.
 
-The pooled flavor keeps its historical param id ``parallel-kernel``
-(from when the pool lived in a separate kernel) so its test ids stay
-stable; it builds ``CascadeSearch(kernel="vector",
-kernel_options={"jobs": 2})``.
+The spilled flavor keeps its historical param id ``parallel-kernel``
+(from when it named a worker-pool engine) so its test ids stay stable;
+it builds ``CascadeSearch(kernel="vector", kernel_options={"shard_bits":
+3, "memory_budget": 0})``.  A zero budget spills every shard from level
+1 on, so every golden count also passes through the memmapped slabs,
+which the live search (all slabs in RAM) never touches.
 
 Documented deviations from the published Table 2 (see bench_table2.py):
 |G[2]| = 24 vs the paper's 30 and |G[3]| = 51 vs 52; the
@@ -65,7 +67,10 @@ GOLDEN_NAMED = {
 #: Closure flavors built by a fresh search (param id -> search kwargs).
 _KERNEL_FLAVORS = {
     "translate-kernel": {"kernel": "translate"},
-    "parallel-kernel": {"kernel": "vector", "kernel_options": {"jobs": 2}},
+    "parallel-kernel": {
+        "kernel": "vector",
+        "kernel_options": {"shard_bits": 3, "memory_budget": 0},
+    },
 }
 
 
@@ -77,7 +82,8 @@ _KERNEL_FLAVORS = {
     ],
 )
 def closure(request, search3, library3):
-    """The cost-7 closure: both kernels, the pool, every store format."""
+    """The cost-7 closure: both kernels, the spilled engine, every store
+    format."""
     search3.extend_to(7)
     if request.param == "live":
         return search3
@@ -87,6 +93,7 @@ def closure(request, search3, library3):
         search = CascadeSearch(
             library3, track_parents=True, **_KERNEL_FLAVORS[request.param]
         )
+        request.addfinalizer(search.close)
         search.extend_to(7)
         return search
     if request.param == "store-v1":
@@ -243,6 +250,7 @@ def ternary_closure(request, ternary_library2):
         track_parents=True,
         **_KERNEL_FLAVORS.get(request.param, {}),
     )
+    request.addfinalizer(search.close)
     search.extend_to(4)
     if request.param.startswith("store-"):
         version = {"store-v2": 2, "store-v3": 3}[request.param]

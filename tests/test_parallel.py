@@ -1,9 +1,9 @@
 """The vector engine's option space vs the translate reference kernel.
 
-The engine's worker pool, shard layout, memory budget, checkpointing and
-relation filter are only allowed to make expansion *faster* or
-*restartable*: for any library, cost model, shard count, worker count,
-memory budget and spill state the engine must produce levels
+The engine's shard layout, memory budget, checkpointing and relation
+filter are only allowed to make expansion *faster* or *restartable*:
+for any library, cost model, shard count, memory budget and spill
+state the engine must produce levels
 byte-identical in content and discovery order -- with identical parent
 pointers -- to the byte-level ``translate`` kernel.  These tests pin
 that determinism contract, the relation filter's exactness, the sharded
@@ -145,26 +145,38 @@ class TestKernelTrioEquivalence:
         reference.extend_to(5)
         _assert_identical(reference, search, 5)
 
-    def test_worker_pool_jobs(self, library3):
-        """jobs=2 drives the mmap-scratch worker-pool compose path."""
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(5)
-        pooled = CascadeSearch(
-            library3, kernel="vector", kernel_options={"jobs": 2}
-        )
-        try:
-            pooled.extend_to(5)
-            assert pooled._engine._pool is not None
-            _assert_identical(reference, pooled, 5)
-        finally:
-            pooled.close()
-
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", None])
     def test_jobs_below_one_refused(self, library3, jobs):
+        """The worker pool is gone: ``jobs`` is an unknown engine
+        option whatever its value, refused by name."""
         with pytest.raises(InvalidValueError, match="jobs"):
             CascadeSearch(
                 library3, kernel="vector", kernel_options={"jobs": jobs}
             )
+
+    def test_unknown_engine_option_refused(self, library3):
+        """A misspelt option is named, with the accepted ones listed --
+        not a bare TypeError from the engine constructor."""
+        with pytest.raises(InvalidValueError, match="'bogus'") as excinfo:
+            CascadeSearch(library3, kernel_options={"bogus": 1})
+        for name in ("shard_bits", "memory_budget", "checkpoint_dir"):
+            assert name in str(excinfo.value)
+
+    def test_use_kernel_refuses_unknown_option(self, library3):
+        """use_kernel checks names up front instead of failing at the
+        next extend_to, and leaves the search usable."""
+        search = CascadeSearch(library3, kernel="vector")
+        search.extend_to(2)
+        with pytest.raises(InvalidValueError, match="'jobs'"):
+            search.use_kernel("vector", {"jobs": 2})
+        search.extend_to(3)
+        assert search.stats().level_sizes == (1, 18, 162, 1017)
+        search.close()
+
+    @pytest.mark.parametrize("bits", [True, 1.0, "3", None])
+    def test_non_integer_shard_bits_refused(self, library3, bits):
+        with pytest.raises(InvalidValueError, match="shard_bits"):
+            CascadeSearch(library3, kernel_options={"shard_bits": bits})
 
     def test_kernel_handoff_translate_to_vector(self, library3):
         """use_kernel hands a byte-level closure to the engine
@@ -191,13 +203,13 @@ class TestKernelTrioEquivalence:
         _assert_identical(reference, search, 5)
 
     def test_restored_store_extends_with_parallel_kernel(self, library3):
-        """A store-loaded closure deepens on the pooled engine."""
+        """A store-loaded closure deepens on the spilled engine."""
         from repro.core.store import dump_search, loads_search
 
         base = CascadeSearch(library3, kernel="vector")
         base.extend_to(3)
         restored = loads_search(dump_search(base), library3)
-        restored.use_kernel("vector", {"jobs": 2})
+        restored.use_kernel("vector", {"shard_bits": 3, "memory_budget": 0})
         try:
             restored.extend_to(5)
             reference = CascadeSearch(library3, kernel="translate")
@@ -682,25 +694,27 @@ class TestSyntheticSingleRelations:
 
 class TestServingIntegration:
     def test_freeze_releases_workers(self, library3):
-        search = CascadeSearch(
-            library3, kernel="vector", kernel_options={"jobs": 2}
-        )
+        """freeze() drops the expansion scratch buffers; row lookups
+        (which need the dedup table) still work."""
+        search = CascadeSearch(library3, kernel="vector")
         search.extend_to(5)
-        assert search._engine._pool is not None
+        assert search._engine._cand_buf is not None
         search.freeze()
-        assert search._engine._pool is None
-        # row lookups still work after the pool is gone
+        assert search._engine._cand_buf is None
+        assert search._engine._meta_buf is None
         perm, _mask = search.level(3)[5]
         assert search.cost_of(perm) == 3
         search.close()
 
     def test_batch_synthesizer_over_parallel_closure(self, library3):
-        """Serving a closure the pooled engine built."""
+        """Serving a closure the spilled engine built."""
         from repro.core.batch import BatchSynthesizer
         from repro.gates import named
 
         search = CascadeSearch(
-            library3, kernel="vector", kernel_options={"jobs": 2}
+            library3,
+            kernel="vector",
+            kernel_options={"shard_bits": 3, "memory_budget": 0},
         )
         batch = BatchSynthesizer(search, cost_bound=5).warm()
         result = batch.synthesize(named.TARGETS["toffoli"])

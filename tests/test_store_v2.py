@@ -381,22 +381,31 @@ class TestStreamedWriter:
         verify_store(path)
 
     def test_streamed_parallel_kernel_roundtrip(self, library3, tmp_path):
-        """A closure built by the pooled engine (jobs=2) streams out with
-        its shard layout and serves the same closure."""
+        """A closure built by the spilled engine (disk-backed dedup
+        slabs) streams out with its shard layout and the default
+        engine's payload, and serves the same closure."""
         search = CascadeSearch(
-            library3, kernel="vector", kernel_options={"jobs": 2}
+            library3,
+            kernel="vector",
+            kernel_options={"shard_bits": 3, "memory_budget": 0},
         )
         search.extend_to(4)
         path = tmp_path / "parallel.rpro"
         written = save_search(search, path)
-        assert written.shards["shard_bits"] == 6
+        assert written.shards["shard_bits"] == 3
+        assert written.shards["spilled"]
         assert sum(written.shards["rows_per_shard"]) == search.total_seen()
         header = read_header(path)
         assert header.shards == written.shards
         verify_store(path)
+        default = CascadeSearch(library3, kernel="vector")
+        default.extend_to(4)
+        in_ram = save_search(default, tmp_path / "in-ram.rpro")
+        assert written.payload_sha256 == in_ram.payload_sha256
         _h, _l, loaded = open_store(path)
         assert loaded.stats().level_sizes == search.stats().level_sizes
         search.close()
+        default.close()
 
     def test_vector_store_records_shard_layout(self, v2_path):
         """Every engine-built store records the dedup layout it was
