@@ -55,6 +55,7 @@ from repro.fleet.supervisor import GuardRails
 from repro.gates.library import GateLibrary
 from repro.io import open_store, result_to_dict
 from repro.server import BackgroundServer
+from repro.telemetry import percentile
 
 COST_BOUND = 4
 N_WARM = 300
@@ -64,12 +65,6 @@ RECOVERY_BAR_S = 30.0
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _JSON_PATH = _REPO_ROOT / "BENCH_fleet.json"
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _preferred_index(replicas: int = 2, key: str = "") -> int:
@@ -168,14 +163,14 @@ def measure(work_dir: Path) -> dict:
         "machine": platform.machine(),
         "store_cost_bound": COST_BOUND,
         "warm_queries": N_WARM,
-        "direct_p50_s": _percentile(direct, 0.50),
-        "direct_p99_s": _percentile(direct, 0.99),
+        "direct_p50_s": percentile(direct, 0.50),
+        "direct_p99_s": percentile(direct, 0.99),
         "direct_mean_s": statistics.mean(direct),
-        "routed_p50_s": _percentile(routed, 0.50),
-        "routed_p99_s": _percentile(routed, 0.99),
+        "routed_p50_s": percentile(routed, 0.50),
+        "routed_p99_s": percentile(routed, 0.99),
         "routed_mean_s": statistics.mean(routed),
         "router_overhead_p50_x": (
-            _percentile(routed, 0.50) / _percentile(direct, 0.50)
+            percentile(routed, 0.50) / percentile(direct, 0.50)
         ),
         "batch64_identical_to_synthesize_many": routed_identical,
         "crash_after_requests": CRASH_AFTER,

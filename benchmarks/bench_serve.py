@@ -63,6 +63,7 @@ from repro.core.store import save_search
 from repro.gates.library import GateLibrary
 from repro.io import open_store, result_to_dict
 from repro.server import BackgroundServer
+from repro.telemetry import percentile
 
 COST_BOUND = 5  # covers Toffoli; precompute stays a couple of seconds
 SHALLOW_BOUND = 4  # the second registry store in the multi-store scenario
@@ -75,12 +76,6 @@ SPEEDUP_BAR = 50.0
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _JSON_PATH = _REPO_ROOT / "BENCH_serve.json"
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _batch_targets(batch: BatchSynthesizer, count: int) -> list:
@@ -186,8 +181,8 @@ def measure(work_dir: Path) -> dict:
         "cli_runs_s": [round(t, 4) for t in cli_times],
         "warm_queries": len(latencies),
         "warm_mean_s": warm_mean,
-        "warm_p50_s": _percentile(latencies, 0.50),
-        "warm_p99_s": _percentile(latencies, 0.99),
+        "warm_p50_s": percentile(latencies, 0.50),
+        "warm_p99_s": percentile(latencies, 0.99),
         "warm_throughput_rps": 1.0 / warm_mean,
         "concurrent_threads": N_THREADS,
         "concurrent_queries": N_THREADS * N_PER_THREAD,
@@ -252,7 +247,7 @@ def _measure_multi_store(
                         local = locals_[alias].synthesize(parse_target(spec))
                         if payload["results"][0] != result_to_dict(local):
                             identical = False
-                    latencies[f"{transport}_{alias}_p50_s"] = _percentile(
+                    latencies[f"{transport}_{alias}_p50_s"] = percentile(
                         samples, 0.50
                     )
         with ServeClient(endpoints["tcp"]) as client:

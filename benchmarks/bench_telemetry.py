@@ -63,7 +63,11 @@ from repro.fleet.manager import BackgroundFleet
 from repro.gates.library import GateLibrary
 from repro.io import open_store
 from repro.server import BackgroundServer
-from repro.telemetry import ProgressReporter, parse_prometheus_text
+from repro.telemetry import (
+    ProgressReporter,
+    parse_prometheus_text,
+    percentile,
+)
 
 COST_BOUND = 4
 N_WARM = 300
@@ -74,12 +78,6 @@ PROGRESS_OVERHEAD_BAR_X = 1.25
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _JSON_PATH = _REPO_ROOT / "BENCH_telemetry.json"
 _FLEET_BASELINE = _REPO_ROOT / "BENCH_fleet.json"
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def measure(work_dir: Path) -> dict:
@@ -135,8 +133,8 @@ def measure(work_dir: Path) -> dict:
         baseline = json.loads(_FLEET_BASELINE.read_text())
         baseline_p50 = baseline.get("routed_p50_s")
         baseline_direct_p50 = baseline.get("direct_p50_s")
-    routed_p50 = _percentile(latencies, 0.50)
-    direct_p50 = _percentile(direct, 0.50)
+    routed_p50 = percentile(latencies, 0.50)
+    direct_p50 = percentile(direct, 0.50)
     overhead_x = normalized_x = None
     if baseline_p50:
         overhead_x = routed_p50 / baseline_p50
@@ -184,13 +182,13 @@ def measure(work_dir: Path) -> dict:
         "warm_queries": N_WARM,
         "direct_p50_s": direct_p50,
         "routed_p50_s": routed_p50,
-        "routed_p99_s": _percentile(latencies, 0.99),
+        "routed_p99_s": percentile(latencies, 0.99),
         "routed_mean_s": statistics.mean(latencies),
         "fleet_baseline_p50_s": baseline_p50,
         "fleet_baseline_direct_p50_s": baseline_direct_p50,
         "overhead_vs_fleet_baseline_x": overhead_x,
         "normalized_overhead_x": normalized_x,
-        "metrics_scrape_p50_s": _percentile(scrape_times, 0.50),
+        "metrics_scrape_p50_s": percentile(scrape_times, 0.50),
         "metrics_families": families,
         "precompute_plain_s": plain_s,
         "precompute_progress_s": instrumented_s,

@@ -1295,9 +1295,9 @@ def _cmd_fleet_status(address: str, as_json: bool) -> int:
             f"requests {info.get('requests')} "
             f"(failures {info.get('failures')})"
         )
-        latency = info.get("latency_recent_ms")
+        latency = info.get("latency_ms")
         if latency:
-            line += f", recent p99 {latency.get('p99'):.1f} ms"
+            line += f", p99 {latency.get('p99'):.1f} ms"
         if info.get("version"):
             line += f", v{info['version']}"
         print(line)

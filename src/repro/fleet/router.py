@@ -60,7 +60,6 @@ import time
 
 from repro._version import __version__
 from repro.errors import FleetOverloadedError, ServerError
-from repro.server.metrics import RollingWindow
 from repro.server.protocol import (
     MAX_BODY,
     Request,
@@ -276,7 +275,6 @@ class Backend:
         #: supervisor's healthz probes -- fleet status compares these
         #: across replicas to flag version skew after a partial deploy.
         self.version: str | None = None
-        self.recent_latency = RollingWindow()
         self._pool: list[tuple] = []
         self._pool_size = pool_size
 
@@ -330,9 +328,6 @@ class Backend:
         }
         if self.version is not None:
             payload["version"] = self.version
-        summary = self.recent_latency.summary(scale=1e3)
-        if summary is not None:
-            payload["latency_recent_ms"] = summary
         return payload
 
 
@@ -638,7 +633,6 @@ class RouterService:
             finally:
                 backend.inflight -= 1
                 entry["ms"] = round((time.perf_counter() - started) * 1e3, 3)
-            backend.recent_latency.observe(time.perf_counter() - started)
             self._h_attempt.observe(entry["ms"], backend=backend.name)
 
             fault = self._classify(backend, payload["id"], response)
@@ -782,6 +776,14 @@ class RouterService:
             return error_to_exception(error if isinstance(error, dict) else {})
         return None
 
+    def _describe_backend(self, backend: Backend) -> dict:
+        """One backend's healthz entry, with its attempt-latency quantiles."""
+        payload = backend.describe()
+        latency = self._h_attempt.quantiles(backend=backend.name)
+        if latency is not None:
+            payload["latency_ms"] = latency
+        return payload
+
     def _do_healthz(self) -> dict:
         """The router's own health view (answered locally, never routed)."""
         healthy = sum(
@@ -798,7 +800,7 @@ class RouterService:
                 time.monotonic() - self._started_monotonic, 3
             ),
             "backends": {
-                name: backend.describe()
+                name: self._describe_backend(backend)
                 for name, backend in sorted(self._backends.items())
             },
             "healthy_backends": healthy,

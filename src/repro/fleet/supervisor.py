@@ -9,10 +9,13 @@ human in the loop, as four deliberately separated stages run every
    short timeout, a tail of its access log since the last cycle) and
    the evidence is condensed into at most one :class:`Finding` per
    backend: ``dead`` (process exited), ``unresponsive`` (healthz timed
-   out -- a hang, not a crash), ``latency`` / ``queue-wait`` (recent
-   percentiles over threshold), ``error-rate`` (server-fault outcomes
-   in the freshly tailed access-log records), or ``recovered`` (an
-   ejected backend answering healthily again).
+   out -- a hang, not a crash), ``latency`` / ``queue-wait`` (p99
+   total latency / p90 queue wait of the freshly tailed access-log
+   records over threshold), ``error-rate`` (server-fault outcomes in
+   the same records), or ``recovered`` (an ejected backend answering
+   healthily again).  Judging recency by the records appended since
+   the last cycle means an ejected replica, which gets no traffic,
+   carries no stale slow sample into its next assessment.
 2. **Propose** -- a pure findings->actions map, no side effects:
    dead/unresponsive backends get ``restart`` (``eject`` if the
    supervisor cannot respawn them), degraded-but-alive backends get
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from repro.client import ServeClient
 from repro.errors import ReproError, ServerError
 from repro.server.protocol import SERVER_FAULT_CODES
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, percentile
 
 DEFAULT_INTERVAL = 0.5
 DEFAULT_PROBE_TIMEOUT = 2.0
@@ -63,9 +66,17 @@ DEFAULT_QUEUE_WAIT_THRESHOLD_MS = 1000.0
 #: count as an ``error-rate`` finding.
 DEFAULT_FAULT_RATE = 5
 
-#: The query ops whose recent percentiles the detector inspects
+#: The query ops whose access-log latencies the detector inspects
 #: (``healthz`` itself is probe noise, not workload).
 _QUERY_OPS = ("synth", "synth-batch", "cost-table", "store-info")
+
+
+def _worst(per_op: dict[str, list[float]], q: float) -> float | None:
+    """The highest per-op *q* percentile over raw samples, if any."""
+    return max(
+        (percentile(samples, q) for samples in per_op.values()),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,8 @@ class Proposal:
 class _Probe:
     """Raw evidence one detector pass gathered about one backend."""
 
-    __slots__ = ("alive", "exit_code", "health", "error", "fault_outcomes")
+    __slots__ = ("alive", "exit_code", "health", "error", "fault_outcomes",
+                 "latency_ms", "queue_wait_ms")
 
     def __init__(self):
         self.alive = False
@@ -115,6 +127,10 @@ class _Probe:
         self.health: dict | None = None
         self.error: str | None = None
         self.fault_outcomes = 0
+        #: Per query op, the ``total_ms`` / ``queue_wait_ms`` of every
+        #: access-log record appended since the last cycle.
+        self.latency_ms: dict[str, list[float]] = {}
+        self.queue_wait_ms: dict[str, list[float]] = {}
 
 
 class Supervisor:
@@ -131,9 +147,10 @@ class Supervisor:
             provides exactly this; tests substitute fakes.
         ops_log: path for the NDJSON decision log (None: in-memory only).
         guardrails / interval / probe_timeout / grace: see above.
-        latency_threshold_ms: recent p99 total latency (any query op)
-            beyond which a backend counts as regressed.
-        queue_wait_threshold_ms: recent p90 queue wait ditto.
+        latency_threshold_ms: p99 total latency (any query op, over the
+            access-log records since the last cycle) beyond which a
+            backend counts as regressed.
+        queue_wait_threshold_ms: p90 queue wait ditto.
         fault_rate: access-log server-fault outcomes per cycle that
             trigger an ``error-rate`` finding.
         registry: a :class:`~repro.telemetry.MetricsRegistry` to tally
@@ -315,34 +332,40 @@ class Supervisor:
                 probe.health = client.healthz()
         except (OSError, ReproError) as exc:
             probe.error = str(exc) or type(exc).__name__
-        probe.fault_outcomes = self._tail_faults(backend)
+        self._tail_log(backend, probe)
         return probe
 
-    def _tail_faults(self, backend) -> int:
-        """Server-fault outcomes appended to the access log this cycle."""
+    def _tail_log(self, backend, probe: _Probe) -> None:
+        """Fold the access-log records appended this cycle into *probe*:
+        server-fault outcomes, and query-op latency/queue-wait samples."""
         path = getattr(backend, "access_log", None)
         if path is None:
-            return 0
+            return
         offset = self._log_offsets.get(backend.name, 0)
-        faults = 0
         try:
             with open(path, "rb") as handle:
                 handle.seek(offset)
                 data = handle.read()
                 self._log_offsets[backend.name] = handle.tell()
         except OSError:
-            return 0
+            return
         for raw in data.splitlines():
             try:
                 record = json.loads(raw)
             except ValueError:
                 continue  # torn final line; next cycle re-reads nothing
-            if (
-                isinstance(record, dict)
-                and record.get("outcome") in SERVER_FAULT_CODES
-            ):
-                faults += 1
-        return faults
+            if not isinstance(record, dict):
+                continue
+            if record.get("outcome") in SERVER_FAULT_CODES:
+                probe.fault_outcomes += 1
+            op = record.get("op")
+            if op not in _QUERY_OPS:
+                continue
+            for field, into in (("total_ms", probe.latency_ms),
+                                ("queue_wait_ms", probe.queue_wait_ms)):
+                value = record.get(field)
+                if isinstance(value, (int, float)):
+                    into.setdefault(op, []).append(float(value))
 
     def _assess(
         self, backend, probe: _Probe, admitted: bool, now: float
@@ -366,21 +389,19 @@ class Supervisor:
                 backend.name, "recovered", "healthz ok while ejected"
             )
         if not in_grace:
-            latency = self._worst_recent(probe.health, "latency_recent_ms",
-                                         "p99")
+            latency = _worst(probe.latency_ms, 0.99)
             if latency is not None and latency >= self._latency_threshold_ms:
                 return Finding(
                     backend.name, "latency",
-                    f"recent p99 latency {latency:.1f}ms >= "
-                    f"{self._latency_threshold_ms:.1f}ms",
+                    f"p99 latency {latency:.1f}ms since the last cycle "
+                    f">= {self._latency_threshold_ms:.1f}ms",
                 )
-            wait = self._worst_recent(probe.health, "queue_wait_recent_ms",
-                                      "p90")
+            wait = _worst(probe.queue_wait_ms, 0.90)
             if wait is not None and wait >= self._queue_wait_threshold_ms:
                 return Finding(
                     backend.name, "queue-wait",
-                    f"recent p90 queue wait {wait:.1f}ms >= "
-                    f"{self._queue_wait_threshold_ms:.1f}ms",
+                    f"p90 queue wait {wait:.1f}ms since the last cycle "
+                    f">= {self._queue_wait_threshold_ms:.1f}ms",
                 )
             if probe.fault_outcomes >= self._fault_rate:
                 return Finding(
@@ -389,21 +410,6 @@ class Supervisor:
                     "the access log since the last cycle",
                 )
         return None
-
-    @staticmethod
-    def _worst_recent(health: dict, field: str, quantile: str) -> float | None:
-        """Max of one recent quantile across the query ops, if any."""
-        per_op = health.get(field)
-        if not isinstance(per_op, dict):
-            return None
-        worst: float | None = None
-        for op in _QUERY_OPS:
-            summary = per_op.get(op)
-            if isinstance(summary, dict) and quantile in summary:
-                value = float(summary[quantile])
-                if worst is None or value > worst:
-                    worst = value
-        return worst
 
     def _propose(self, finding: Finding) -> Proposal | None:
         if finding.kind in ("dead", "unresponsive"):

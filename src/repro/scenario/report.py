@@ -4,8 +4,8 @@
 .ScenarioSample` list to the per-scenario counters every serving PR is
 judged on -- request/op counts, error classes, ``FLEET_OVERLOADED``
 shed rate, client-side p50/p90/p99 (via the *same*
-:func:`~repro.server.metrics.percentile_summary` the server's healthz
-uses, so the two are byte-comparable) and throughput.
+:func:`~repro.telemetry.percentile_summary` ``repro tail`` uses, so the
+two are byte-comparable) and throughput.
 
 :func:`check_slo` turns a spec's ``[slo]`` table into a list of
 violation messages (empty = pass).  Semantics:
@@ -20,7 +20,7 @@ violation messages (empty = pass).  Semantics:
   a structured refusal by a healthy fleet, budgeted on its own.
 
 :func:`snapshot` grabs a server's (or fleet front's) healthz payload
-before/after a run, so reports can carry the server-side recent-window
+before/after a run, so reports can carry the server-side histogram
 percentiles and -- against a router -- backend/breaker/shed state
 (the same payload ``repro fleet status --json`` prints).
 
@@ -37,7 +37,7 @@ from pathlib import Path
 
 from repro.client import http_request
 from repro.errors import ServerError
-from repro.server.metrics import percentile_summary
+from repro.telemetry import percentile_summary
 
 from .spec import ScenarioSpec, SloBars
 from .workload import ScenarioSample
@@ -131,13 +131,13 @@ def scenario_report(
         "slo_pass": not violations,
     }
     if server_health is not None:
-        # The server-side recent windows (and, against a fleet front,
-        # backend/breaker/shed state) alongside the client-side view.
+        # The server-side latency histograms (and, against a fleet
+        # front, backend/breaker/shed state) alongside the client view.
         report["server"] = {
             key: server_health[key]
             for key in (
-                "status", "role", "latency_recent_ms",
-                "queue_wait_recent_ms", "healthy_backends",
+                "status", "role", "latency_ms",
+                "queue_wait_ms", "healthy_backends",
                 "admitted_backends", "shed", "routed", "failovers",
             )
             if key in server_health

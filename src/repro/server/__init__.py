@@ -35,8 +35,10 @@ The stable, documented surface of the service stack:
   :func:`~repro.server.protocol.error_to_exception`),
   :func:`~repro.server.protocol.parse_address` and
   :func:`~repro.server.protocol.parse_endpoint`.
-* :mod:`repro.server.metrics` -- reservoir-sampled per-op queue-wait
-  and latency percentiles behind ``healthz``.
+
+Per-op queue-wait and latency percentiles on ``healthz`` are read off
+the service's :class:`~repro.telemetry.Histogram` series, the same
+ones ``GET /metrics`` renders.
 
 The matching client lives in :mod:`repro.client`
 (:class:`~repro.client.ServeClient`); the CLI verbs are ``repro serve``
@@ -53,7 +55,6 @@ on :class:`~repro.core.batch.BatchSynthesizer`).
 """
 
 from repro.server.app import BackgroundServer, ReproServer, run_server
-from repro.server.metrics import Reservoir, ServiceMetrics
 from repro.server.protocol import (
     DEFAULT_PORT,
     OPERATIONS,
@@ -80,8 +81,6 @@ __all__ = [
     "OPERATIONS",
     "ReproServer",
     "Request",
-    "Reservoir",
-    "ServiceMetrics",
     "StoreRegistry",
     "StoreState",
     "SynthesisService",

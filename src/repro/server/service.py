@@ -43,11 +43,12 @@ reload can never hand an old query bytes from the new file; a failed
 reload leaves the previous registry serving and is reported via
 ``healthz``.
 
-Observability: per-op queue-wait and total-latency percentiles
-(reservoir-sampled, :mod:`repro.server.metrics`) ride on ``healthz``
-next to the counters, and an optional NDJSON **access log** records one
-line per request (op, store alias, queue wait, execute time, outcome,
-and the request's ``trace_id``/``span_id`` when traced).
+Observability: per-op queue-wait and total-latency percentiles ride on
+``healthz`` next to the counters, read off the same registry
+histograms ``GET /metrics`` renders, and an optional NDJSON **access
+log** records one line per request (op, store alias, queue wait,
+execute time, outcome, and the request's ``trace_id``/``span_id`` when
+traced).
 Errors are split into ``client_errors`` (4xx-mapped: bad targets,
 unknown stores, over-bound queries) and ``server_errors`` (5xx-mapped)
 so client mistakes cannot inflate the server-fault signal;
@@ -82,7 +83,6 @@ from repro.errors import (
 from repro._version import __version__
 from repro.core.batch import BatchSynthesizer
 from repro.core.store import section_cache_stats
-from repro.server.metrics import ServiceMetrics
 from repro.server.protocol import OPERATIONS, Request, error_payload
 from repro.server.registry import StoreRegistry, build_registry
 from repro.telemetry import (
@@ -233,7 +233,6 @@ class SynthesisService:
         self._started_epoch = round(time.time(), 3)
         self._closing = False
         self._last_reload_error: str | None = None
-        self._metrics = ServiceMetrics()
         # The process-wide metrics registry.  Every counter healthz
         # reports lives here (healthz reads values back out), and the
         # `metrics` op renders it as Prometheus text.
@@ -463,7 +462,6 @@ class SynthesisService:
         outcome: str,
     ) -> None:
         total = time.perf_counter() - started
-        self._metrics.observe(request.op, trace["queue_wait"], total)
         self._h_latency.observe(total * 1e3, op=request.op)
         self._h_queue_wait.observe(trace["queue_wait"] * 1e3, op=request.op)
         if self._log_writer is None:
@@ -575,7 +573,14 @@ class SynthesisService:
             "max_batch": self._max_batch,
         }
         payload["section_cache"] = section_cache_stats()
-        payload.update(self._metrics.summary())
+        # Per-op percentiles are bucket estimates off the same
+        # histograms, so each ``count`` equals the scraped ``_count``.
+        for field, histogram in (("queue_wait_ms", self._h_queue_wait),
+                                 ("latency_ms", self._h_latency)):
+            payload[field] = {
+                op: histogram.quantiles(op=op)
+                for (op,) in histogram.label_sets()
+            }
         return payload
 
     def _do_metrics(self) -> dict:

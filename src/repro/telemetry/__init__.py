@@ -21,6 +21,8 @@ from .registry import (
     MetricsRegistry,
     format_value,
     parse_prometheus_text,
+    percentile,
+    percentile_summary,
     sample_value,
 )
 from .tail import (
@@ -63,6 +65,8 @@ __all__ = [
     "join_traces",
     "make_tty",
     "parse_prometheus_text",
+    "percentile",
+    "percentile_summary",
     "read_log_records",
     "rollup_stores",
     "sample_value",

@@ -53,6 +53,9 @@ DEFAULT_BUCKETS_MS = (
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
 
+#: The quantiles every latency summary reports, with their field names.
+QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
+
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -73,6 +76,37 @@ def format_value(value: float) -> str:
     if as_float.is_integer() and abs(as_float) < 2**53:
         return str(int(as_float))
     return repr(as_float)
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    last = len(ordered) - 1
+    return ordered[min(last, max(0, round(q * last)))]
+
+
+def percentile(samples: list[float], q: float) -> float:
+    """Nearest-rank percentile of a non-empty raw sample list."""
+    return _nearest_rank(sorted(samples), q)
+
+
+def percentile_summary(
+    samples: list[float], scale: float = 1.0
+) -> dict | None:
+    """``{p50, p90, p99}`` of raw *samples* (scaled, 4-dp), or None if empty.
+
+    The exact offline serialization of a latency distribution: the
+    scenario reporter's client-side measurements and ``repro tail``
+    rollups both run through this (sorting once), so their numbers are
+    byte-comparable; the fleet supervisor applies the same rule per
+    cycle via :func:`percentile`.  Live ``healthz`` percentiles are
+    bucket estimates instead (:meth:`Histogram.quantiles`).
+    """
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    return {
+        name: round(_nearest_rank(ordered, q) * scale, 4)
+        for name, q in QUANTILES
+    }
 
 
 def escape_label_value(value: str) -> str:
@@ -137,6 +171,11 @@ class _Metric:
                 f"got {tuple(sorted(labels))}"
             )
         return tuple(str(labels[name]) for name in self.label_names)
+
+    def label_sets(self) -> list[tuple]:
+        """The label-value tuples of every live series, sorted."""
+        with self._lock:
+            return sorted(self._series)
 
     def samples(self) -> Iterable[tuple[str, tuple, float]]:
         """Yield ``(suffix, label_values, value)`` rows, sorted."""
@@ -270,10 +309,12 @@ class Gauge(_Metric):
 class Histogram(_Metric):
     """Cumulative-bucket histogram with fixed, byte-stable bounds.
 
-    State per series is ``(bucket_counts, sum, count)``.  Buckets are
-    cumulative at render time (each ``le`` row includes everything at
-    or below it, ending in ``+Inf == _count``), matching the format
-    spec so scrapers compute quantiles the standard way.
+    State per series is ``[bucket_counts, sum, count, min, max]``.
+    Buckets are cumulative at render time (each ``le`` row includes
+    everything at or below it, ending in ``+Inf == _count``), matching
+    the format spec so scrapers compute quantiles the standard way.
+    The observed min/max are not rendered; they bound
+    :meth:`quantiles`.
     """
 
     kind = "histogram"
@@ -294,15 +335,19 @@ class Histogram(_Metric):
             state = self._series.get(key)
             if state is None:
                 state = self._series[key] = [
-                    [0] * len(self.buckets), 0.0, 0,
+                    [0] * len(self.buckets), 0.0, 0, value, value,
                 ]
-            counts, _, _ = state
+            counts = state[0]
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
                     counts[i] += 1
                     break
             state[1] += value
             state[2] += 1
+            if value < state[3]:
+                state[3] = value
+            elif value > state[4]:
+                state[4] = value
 
     def count(self, **labels) -> int:
         with self._lock:
@@ -314,9 +359,40 @@ class Histogram(_Metric):
             state = self._series.get(self._key(labels))
             return 0.0 if state is None else state[1]
 
+    def quantiles(self, **labels) -> dict | None:
+        """``{count, p50, p90, p99}`` read off the buckets, or None.
+
+        Prometheus ``histogram_quantile`` rule: find the bucket holding
+        rank ``q * count`` and interpolate linearly inside it (the first
+        bucket starts at 0); a rank in the ``+Inf`` bucket reads the
+        observed max.  Every estimate is clamped to the series' observed
+        min/max, so a constant stream reads exactly.  Values round to 4
+        decimal places in the histogram's own unit.
+        """
+        with self._lock:
+            state = self._series.get(self._key(labels))
+            if state is None:
+                return None
+            counts, _, count, low, high = state
+            counts = list(counts)
+        summary: dict = {"count": count}
+        for name, q in QUANTILES:
+            rank = q * count
+            below = 0
+            value = high
+            for i, n in enumerate(counts):
+                if below + n >= rank and n:
+                    lower = self.buckets[i - 1] if i else 0.0
+                    upper = self.buckets[i]
+                    value = lower + (upper - lower) * (rank - below) / n
+                    break
+                below += n
+            summary[name] = round(min(max(value, low), high), 4)
+        return summary
+
     def samples(self):
         for key in sorted(self._series):
-            counts, total, count = self._series[key]
+            counts, total, count = self._series[key][:3]
             running = 0
             for bound, n in zip(self.buckets, counts):
                 running += n

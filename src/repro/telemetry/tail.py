@@ -8,10 +8,10 @@ progress records carry ``event`` -- so this module reads them all
 **leniently** (any well-formed JSON object counts; no schema required
 up front), classifies each record, joins access records by
 ``trace_id``, and rolls latencies up per store through the same
-:func:`~repro.server.metrics.percentile_summary` that healthz and the
-scenario reporter use.  That shared serialization is the point: a p50
-read off ``repro tail`` is byte-comparable with the one on a live
-server's healthz and with a scenario SLO report.
+:func:`~repro.telemetry.registry.percentile_summary` that the scenario
+reporter uses.  That shared serialization is the point: a p50 read off
+``repro tail`` is byte-comparable with a scenario SLO report (a live
+server's healthz reports bucket estimates, not raw-sample ranks).
 
 Rotated sets are included by default: naming ``b0.access.ndjson``
 reads ``b0.access.ndjson.N ... .1`` first, in arrival order, exactly
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..io import rotated_access_logs
-from ..server.metrics import percentile_summary
+from .registry import percentile_summary
 
 #: Record kinds ``classify_record`` can return.
 KINDS = ("access", "ops", "progress", "unknown")
@@ -93,7 +93,7 @@ def rollup_stores(tagged: list[dict]) -> dict:
     every rate.  Router records are tallied separately under
     ``failovers`` (attempts > 1) so the rollup still shows retry
     pressure per store.  Percentiles run through
-    :func:`percentile_summary` -- the healthz serialization.
+    :func:`percentile_summary` -- the exact raw-sample serialization.
     """
     per_store: dict[str, dict] = {}
     for entry in tagged:

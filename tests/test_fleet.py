@@ -31,6 +31,7 @@ from repro.core.store import save_search
 from repro.errors import FleetOverloadedError, ServerError
 from repro.fleet.manager import BackgroundFleet, FleetManager
 from repro.fleet.router import CircuitBreaker, HashRing, RouterService
+from repro.fleet import supervisor as supervisor_module
 from repro.fleet.supervisor import Finding, GuardRails, Proposal, Supervisor
 from repro.gates.library import GateLibrary
 from repro.io import load_access_log, open_store, result_to_dict
@@ -381,6 +382,83 @@ class TestSupervisorStages:
             record["finding"] == "dead" and record["action"] == "restart"
             for record in records
         )
+
+
+class _OkHealthClient:
+    """Stands in for ServeClient: every healthz probe answers ok."""
+
+    def __init__(self, *_args, **_kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        return False
+
+    def healthz(self):
+        return {"status": "ok"}
+
+
+def _append_access(path, op="synth", total_ms=2.0, queue_wait_ms=0.0):
+    record = {
+        "ts": round(time.time(), 6), "op": op, "store": None, "id": 1,
+        "queue_wait_ms": queue_wait_ms,
+        "execute_ms": total_ms - queue_wait_ms,
+        "total_ms": total_ms, "outcome": "ok",
+    }
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+
+
+class TestSupervisorRecency:
+    """Latency/queue-wait findings judge only the access-log records
+    appended since the last cycle.  An ejected replica gets no traffic,
+    so one slow request must cost one eject, not an eject/readmit flap
+    driven by a stale sample that nothing new ever displaces."""
+
+    @pytest.fixture
+    def watched(self, tmp_path, monkeypatch):
+        import asyncio
+
+        monkeypatch.setattr(supervisor_module, "ServeClient", _OkHealthClient)
+        backend = _FakeBackend("b0")
+        backend.spawned_at = time.monotonic() - 3600  # out of grace
+        backend.access_log = str(tmp_path / "b0.access.ndjson")
+        open(backend.access_log, "w").close()
+        router = RouterService({"b0": backend.endpoint})
+        supervisor = Supervisor(
+            router, _FakeManager([backend]),
+            guardrails=GuardRails(min_healthy=0, cooldown_s=0.0),
+            latency_threshold_ms=1000.0, queue_wait_threshold_ms=100.0,
+        )
+
+        def cycle():
+            return [
+                (record["finding"], record["action"], record["applied"])
+                for record in asyncio.run(supervisor.run_cycle())
+            ]
+
+        return backend.access_log, router, cycle
+
+    @pytest.mark.parametrize("kind, slow", [
+        ("latency", {"total_ms": 1500.0}),
+        ("queue-wait", {"total_ms": 310.0, "queue_wait_ms": 300.0}),
+    ], ids=["latency", "queue-wait"])
+    def test_one_slow_request_ejects_once(self, watched, kind, slow):
+        log, router, cycle = watched
+        _append_access(log, **slow)
+        assert cycle() == [(kind, "eject", True)]
+        assert router.backend("b0").admitted is False
+        # No new records: nothing stale is left to judge it by.
+        assert cycle() == [("recovered", "readmit", True)]
+        for _ in range(5):
+            _append_access(log, total_ms=2.0, queue_wait_ms=0.1)
+        # Probe noise is not workload: a slow healthz is ignored.
+        _append_access(log, op="healthz", total_ms=5000.0,
+                       queue_wait_ms=4000.0)
+        assert cycle() == []
+        assert router.backend("b0").admitted is True
 
 
 class TestFleetEndToEnd:

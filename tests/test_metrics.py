@@ -1,20 +1,23 @@
-"""Metrics determinism: scenario SLO bars may rely on these numbers.
+"""Latency summaries: histogram quantiles and the raw-sample helpers.
 
-The scenario reporter compares client-side percentiles against SLO
-bars and against the server's healthz windows; that is only a fair,
-reproducible comparison if every sampler here is *byte-stable* -- the
-same observations in the same order always produce the same summary
-JSON, across instances, runs and platforms (``random.Random`` is
-Mersenne Twister, guaranteed stable by the language reference).
+``healthz`` reads its per-op percentiles off the registry histograms
+(:meth:`Histogram.quantiles`, the Prometheus ``histogram_quantile``
+rule clamped to the observed min/max), while scenario reports, ``repro
+tail`` and the fleet supervisor run raw samples through
+:func:`percentile` / :func:`percentile_summary`.  Both must be
+*byte-stable*: the same observations always produce the same summary
+JSON, across instances, runs and platforms.
 """
 
 import json
 import random
 
-from repro.server.metrics import (
-    Reservoir,
-    RollingWindow,
-    ServiceMetrics,
+import pytest
+
+from repro.server.service import SynthesisService
+from repro.telemetry import (
+    DEFAULT_BUCKETS_MS,
+    MetricsRegistry,
     percentile,
     percentile_summary,
 )
@@ -22,90 +25,113 @@ from repro.server.metrics import (
 
 def _stream(n, seed=42):
     rng = random.Random(seed)
-    return [rng.uniform(0.0001, 0.5) for _ in range(n)]
+    return [rng.uniform(0.01, 500.0) for _ in range(n)]
 
 
 def _bytes(summary):
     return json.dumps(summary, sort_keys=True).encode()
 
 
-class TestReservoirDeterminism:
-    def test_identical_streams_identical_summaries(self):
-        """Two reservoirs fed the same 2000 observations (well past
-        capacity, so the replacement RNG is exercised) agree byte for
-        byte."""
-        first, second = Reservoir(capacity=64), Reservoir(capacity=64)
-        for value in _stream(2000):
-            first.observe(value)
-            second.observe(value)
-        assert first.count == second.count == 2000
-        assert _bytes(first.summary(scale=1e3)) \
-            == _bytes(second.summary(scale=1e3))
+def _histogram(values=(), registry=None):
+    registry = registry if registry is not None else MetricsRegistry()
+    histogram = registry.histogram("t_ms", "test", labels=("op",))
+    for value in values:
+        histogram.observe(value, op="synth")
+    return histogram
 
+
+class TestHistogramQuantiles:
     def test_summary_pinned(self):
         """The exact summary for a fixed stream, pinned: any change to
-        the sampling RNG, the nearest-rank rule or the rounding is an
-        intentional results change and must update this test."""
-        reservoir = Reservoir(capacity=8)
-        for value in range(100):
-            reservoir.observe(value / 1000)
-        assert reservoir.summary(scale=1e3) == {
-            "count": 100, "p50": 38.0, "p90": 54.0, "p99": 63.0,
+        the interpolation rule, the clamp or the rounding is an
+        intentional results change and must update this test.  Over
+        0.0 .. 9.9 ms, 26 samples lie at or below 2.5 and 25 in
+        (2.5, 5.0], so rank 50 reads 2.5 + 2.5 * 24/25; p90/p99
+        interpolate in (5, 10]."""
+        histogram = _histogram(value / 10 for value in range(100))
+        assert histogram.quantiles(op="synth") == {
+            "count": 100, "p50": 4.9, "p90": 8.9796, "p99": 9.898,
         }
 
-    def test_order_matters_by_design(self):
-        """A reservoir is a sample of a *stream*: a different order may
-        keep different slots, so order is part of the contract."""
-        values = _stream(500)
-        first, second = Reservoir(capacity=16), Reservoir(capacity=16)
-        for value in values:
-            first.observe(value)
-        for value in reversed(values):
-            second.observe(value)
-        # Not asserting inequality (they could collide); asserting the
-        # documented determinism holds per-order.
-        third = Reservoir(capacity=16)
-        for value in reversed(values):
-            third.observe(value)
-        assert _bytes(second.summary()) == _bytes(third.summary())
-
-
-class TestRollingWindowDeterminism:
     def test_identical_streams_identical_summaries(self):
-        first, second = RollingWindow(capacity=32), RollingWindow(32)
-        for value in _stream(300, seed=7):
-            first.observe(value)
-            second.observe(value)
-        assert _bytes(first.summary(scale=1e3)) \
-            == _bytes(second.summary(scale=1e3))
+        first = _histogram(_stream(2000))
+        second = _histogram(_stream(2000))
+        assert first.quantiles(op="synth")["count"] == 2000
+        assert _bytes(first.quantiles(op="synth")) \
+            == _bytes(second.quantiles(op="synth"))
 
-    def test_summary_pinned_and_forgets_old_samples(self):
-        window = RollingWindow(capacity=4)
-        for value in (1.0, 2.0, 3.0, 4.0, 100.0, 101.0, 102.0, 103.0):
-            window.observe(value)
-        # Only the last 4 samples exist; the healthy past fell out.
-        assert window.summary() == {
-            "count": 8, "window": 4,
-            "p50": 102.0, "p90": 103.0, "p99": 103.0,
+    def test_order_does_not_matter(self):
+        """Bucket counts and min/max are order-free, so unlike a sampled
+        reservoir the summary depends only on the multiset observed."""
+        values = _stream(500)
+        forward = _histogram(values)
+        backward = _histogram(reversed(values))
+        assert _bytes(forward.quantiles(op="synth")) \
+            == _bytes(backward.quantiles(op="synth"))
+
+    def test_absent_series_is_none(self):
+        histogram = _histogram()
+        assert histogram.quantiles(op="synth") is None
+        histogram.observe(1.0, op="synth")
+        assert histogram.quantiles(op="healthz") is None
+
+    @pytest.mark.parametrize("values, exact", [
+        ([3.14159], 3.1416),
+        # Inline ops never queue: their waits must read 0.0, not an
+        # interpolated fraction of the first bucket.
+        ([0.0] * 50, 0.0),
+        ([7.0] * 20, 7.0),
+    ], ids=["single-sample", "all-zeros", "constant"])
+    def test_constant_stream_reads_exactly(self, values, exact):
+        assert _histogram(values).quantiles(op="synth") == {
+            "count": len(values), "p50": exact, "p90": exact, "p99": exact,
         }
 
+    def test_above_top_bucket_reads_observed_max(self):
+        top = DEFAULT_BUCKETS_MS[-1]
+        histogram = _histogram([1.0] * 10 + [top + 5000.0, top + 2500.5])
+        summary = histogram.quantiles(op="synth")
+        assert summary["p99"] == top + 5000.0
+        assert summary["p50"] == 1.0
 
-class TestServiceMetricsDeterminism:
+    def test_observing_min_max_leaves_exposition_unchanged(self):
+        """The clamp state is private: rendered text is the same as a
+        histogram that never tracked it would produce."""
+        registry = MetricsRegistry()
+        _histogram([0.0, 0.3, 7.0, 20000.0], registry=registry)
+        assert registry.render().splitlines()[-3:] == [
+            't_ms_bucket{op="synth",le="+Inf"} 4',
+            't_ms_sum{op="synth"} 20007.3',
+            't_ms_count{op="synth"} 4',
+        ]
+
+
+class TestHealthzDeterminism:
     def test_identical_traffic_identical_healthz_numbers(self):
-        """Two servers given identical traffic must report identical
-        percentile payloads -- what lets a fleet supervisor compare
+        """Two services given identical observations report identical
+        percentile payloads -- what lets a fleet operator compare
         replicas, and the scenario reporter compare runs."""
-        first, second = ServiceMetrics(), ServiceMetrics()
+        first = SynthesisService("unopened.rpro")
+        second = SynthesisService("unopened.rpro")
         rng = random.Random(3)
         traffic = [
             (rng.choice(["synth", "synth-batch", "healthz"]),
-             rng.uniform(0, 0.01), rng.uniform(0, 0.1))
+             rng.uniform(0, 10), rng.uniform(0, 100))
             for _ in range(1500)
         ]
-        for op, wait, latency in traffic:
-            first.observe(op, wait, latency)
-            second.observe(op, wait, latency)
-        assert _bytes(first.summary()) == _bytes(second.summary())
+        for service in (first, second):
+            for op, wait, latency in traffic:
+                service._h_queue_wait.observe(wait, op=op)
+                service._h_latency.observe(latency, op=op)
+        views = [
+            {key: service._do_healthz()[key]
+             for key in ("queue_wait_ms", "latency_ms")}
+            for service in (first, second)
+        ]
+        assert sorted(views[0]["latency_ms"]) == [
+            "healthz", "synth", "synth-batch",
+        ]
+        assert _bytes(views[0]) == _bytes(views[1])
 
 
 class TestPercentileHelpers:
@@ -116,15 +142,14 @@ class TestPercentileHelpers:
         assert percentile([7.0], 0.99) == 7.0
 
     def test_percentile_summary_matches_samplers(self):
-        """The shared helper and the samplers serialize identically --
-        the reporter's client-side numbers and healthz are comparable."""
+        """The summary (one sort per call) and per-quantile
+        :func:`percentile` calls serialize identically."""
         values = _stream(50, seed=9)
-        window = RollingWindow(capacity=100)
-        for value in values:
-            window.observe(value)
-        summary = window.summary(scale=1e3)
-        helper = percentile_summary(values, scale=1e3)
-        assert {k: summary[k] for k in ("p50", "p90", "p99")} == helper
+        helper = percentile_summary(values, scale=1e-3)
+        assert helper == {
+            name: round(percentile(values, q) * 1e-3, 4)
+            for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
+        }
 
     def test_percentile_summary_empty_is_none(self):
         assert percentile_summary([]) is None

@@ -44,8 +44,12 @@ from repro.errors import (
 )
 from repro.gates.library import GateLibrary
 from repro.io import load_access_log, open_store, result_to_dict
-from repro.server import BackgroundServer, parse_address, parse_endpoint
-from repro.server.metrics import Reservoir, ServiceMetrics
+from repro.server import (
+    BackgroundServer,
+    SynthesisService,
+    parse_address,
+    parse_endpoint,
+)
 from repro.server.protocol import error_payload, error_to_exception
 from repro.server.registry import (
     StoreRegistry,
@@ -164,40 +168,48 @@ class TestProtocolUnits:
 
 
 class TestMetricsUnits:
-    def test_reservoir_exact_below_capacity(self):
-        reservoir = Reservoir(capacity=512)
-        for value in range(1, 101):
-            reservoir.observe(float(value))
-        summary = reservoir.summary()
-        assert summary["count"] == 100
-        # Nearest-rank on the exact sample: round(q * 99) + 1.
-        assert summary["p50"] == 51.0
-        assert summary["p90"] == 90.0
-        assert summary["p99"] == 99.0
+    """healthz percentiles come from the registry histograms."""
 
-    def test_reservoir_bounds_memory(self):
-        reservoir = Reservoir(capacity=8)
-        for value in range(1000):
-            reservoir.observe(float(value))
-        assert reservoir.count == 1000
-        assert len(reservoir._samples) == 8
-        summary = reservoir.summary()
-        assert 0.0 <= summary["p50"] <= 999.0
+    @staticmethod
+    def _finish(service, op, queue_wait_s, latency_s):
+        request = SimpleNamespace(
+            op=op, id=1, trace_id=None, span_id=None, params=None
+        )
+        started = time.perf_counter() - latency_s
+        service._finish_request(
+            request, None, started,
+            {"queue_wait": queue_wait_s, "execute": 0.0}, "ok",
+        )
 
-    def test_empty_reservoir_has_no_summary(self):
-        assert Reservoir().summary() is None
-        assert ServiceMetrics().summary() == {
-            "queue_wait_ms": {}, "latency_ms": {},
-            "queue_wait_recent_ms": {}, "latency_recent_ms": {},
-        }
+    def test_empty_service_has_no_summary(self):
+        health = SynthesisService("unopened.rpro")._do_healthz()
+        assert health["queue_wait_ms"] == {}
+        assert health["latency_ms"] == {}
+        assert not any(key.endswith("_recent_ms") for key in health)
 
     def test_service_metrics_scale_to_milliseconds(self):
-        metrics = ServiceMetrics()
-        metrics.observe("synth", queue_wait_s=0.001, latency_s=0.002)
-        summary = metrics.summary()
-        assert summary["queue_wait_ms"]["synth"]["p50"] == 1.0
-        assert summary["latency_ms"]["synth"]["p50"] == 2.0
-        assert summary["latency_ms"]["synth"]["count"] == 1
+        service = SynthesisService("unopened.rpro")
+        self._finish(service, "synth", queue_wait_s=0.001, latency_s=0.002)
+        health = service._do_healthz()
+        assert health["queue_wait_ms"]["synth"] == {
+            "count": 1, "p50": 1.0, "p90": 1.0, "p99": 1.0,
+        }
+        latency = health["latency_ms"]["synth"]
+        assert latency["count"] == 1
+        # One sample: every quantile reads the observed value exactly.
+        assert 2.0 <= latency["p50"] == latency["p90"] == latency["p99"] < 50
+
+    def test_healthz_counts_equal_histogram_counts(self):
+        service = SynthesisService("unopened.rpro")
+        for op, n in (("synth", 7), ("cost-table", 2)):
+            for _ in range(n):
+                self._finish(service, op, 0.0, 0.001)
+        health = service._do_healthz()
+        for op in ("synth", "cost-table"):
+            count = service._h_latency.count(op=op)
+            assert health["latency_ms"][op]["count"] == count
+            assert health["queue_wait_ms"][op]["count"] == count
+            assert health["queue_wait_ms"][op]["p99"] == 0.0
 
 
 def _fake_state(path: str, lib_fp: str, cost_fp: str, bound: int = 4):

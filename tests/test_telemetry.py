@@ -647,6 +647,33 @@ class TestServerTelemetryE2E:
         assert sample_value(
             samples, "repro_request_latency_ms_count", op="synth"
         ) >= 1
+        # healthz percentiles are read off the same histograms: counts
+        # match exactly (healthz's own series gains the poll itself,
+        # recorded after its payload was built), and every quantile
+        # lies inside the ``le`` bucket the cumulative rows put its
+        # rank in.
+        for op, summary in health["latency_ms"].items():
+            scraped = sample_value(
+                samples, "repro_request_latency_ms_count", op=op
+            )
+            assert scraped == summary["count"] + (op == "healthz")
+            if op == "healthz":
+                continue
+            buckets = sorted(
+                (float(dict(labels)["le"]), value)
+                for (metric, labels), value in samples.items()
+                if metric == "repro_request_latency_ms_bucket"
+                and dict(labels)["op"] == op
+            )
+            for q, name in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
+                rank = q * summary["count"]
+                index = next(
+                    i for i, (_le, cumulative) in enumerate(buckets)
+                    if cumulative >= rank
+                )
+                lower = buckets[index - 1][0] if index else 0.0
+                upper = buckets[index][0]
+                assert lower <= summary[name] <= upper, (op, name)
 
     def test_metrics_content_type_header(self, observed):
         server, _sock, _log = observed
