@@ -13,8 +13,8 @@ Four scenarios ride by default:
 
 * **steady_interactive** -- paced single-target queries, the
   interactive baseline whose p50/p99 bars are the ones to watch;
-* **bursty_batch** -- synchronized ``synth-batch`` bursts through the
-  coalescing dispatcher;
+* **bursty_batch** -- synchronized ``synth-batch`` bursts, answered
+  in chunks on the server's event loop;
 * **hotkey_skew** -- 90/10 store-alias skew (one hot store);
 * **pathological_cost_bounds** -- every query carries an over-tight
   ``cost_bound``; the *expected* failure class must stay structured

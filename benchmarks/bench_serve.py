@@ -13,7 +13,7 @@ Five measurements:
 * **warm server, sequential**: p50/p99/mean latency of single-target
   queries over one persistent NDJSON connection;
 * **warm server, concurrent**: aggregate throughput with several
-  client threads in flight (exercises the coalescing dispatcher);
+  client threads in flight (one event loop answering them all);
 * **64-target batch**: one ``synth-batch`` call, verified **identical**
   to a local :meth:`BatchSynthesizer.synthesize_many` over the same
   store -- the correctness bar for the whole serving stack;
@@ -169,9 +169,6 @@ def measure(work_dir: Path) -> dict:
         concurrent_s = perf_counter() - started
         assert len(done) == N_THREADS
 
-        with ServeClient(server.address_text) as client:
-            health = client.healthz()
-
     multi = _measure_multi_store(work_dir, store_path, local_batch)
 
     warm_mean = statistics.mean(latencies)
@@ -190,8 +187,6 @@ def measure(work_dir: Path) -> dict:
         "batch64_s": batch64_s,
         "batch64_identical_to_synthesize_many": batch_identical,
         "speedup_vs_cli": cli_per_invocation / warm_mean,
-        "jobs_coalesced": health["jobs_coalesced"],
-        "batches_executed": health["batches_executed"],
         "multi_store": multi,
         "python": platform.python_version(),
     }
@@ -274,8 +269,6 @@ def report(numbers: dict) -> str:
         f"   ({numbers['concurrent_threads']} threads)\n"
         f"64-target batch:           {numbers['batch64_s'] * 1e3:10.1f} ms"
         f"   (identical: {numbers['batch64_identical_to_synthesize_many']})\n"
-        f"coalescing:                {numbers['jobs_coalesced']} jobs in "
-        f"{numbers['batches_executed']} dispatches\n"
         f"speedup vs CLI:            {numbers['speedup_vs_cli']:10.0f} x\n"
         f"multi-store (2 aliases):   tcp p50 "
         f"{numbers['multi_store']['tcp_deep_p50_s'] * 1e6:.1f} us / unix p50 "

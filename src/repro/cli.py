@@ -170,14 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "wait, execute time, outcome) to FILE",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=None,
-        help="query worker threads (default: 2)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=None,
-        help="request-coalescing limit per dispatch (default: 64)",
-    )
-    p_serve.add_argument(
         "--cost-bound", type=int, default=None,
         help="serve only costs up to this bound (default: each store's)",
     )
@@ -254,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ops-log", metavar="FILE", default=None,
         help="supervisor decision log, NDJSON (default: RUN_DIR/ops.ndjson)",
     )
-    p_fserve.add_argument("--workers", type=int, default=None)
-    p_fserve.add_argument("--max-batch", type=int, default=None)
     p_fserve.add_argument("--cost-bound", type=int, default=None)
     p_fserve.add_argument(
         "--retries", type=int, default=None,
@@ -798,14 +788,13 @@ def _print_synth_results(results, save: str | None) -> int:
         f"target {target.cycle_string()} -- minimal quantum cost "
         f"{results[0].cost}, {len(results)} implementation(s):\n"
     )
-    for result in results:
-        _print_result(result)
+    verified = [_print_result(result) for result in results]
     if save is not None:
         from repro.io import save_result
 
         save_result(results[0], save)
         print(f"saved first implementation to {save}")
-    return 0
+    return 0 if all(verified) else 1
 
 
 def _synth_batch(
@@ -827,7 +816,7 @@ def _synth_batch(
     )
     entries = None
     if client is not None:
-        # One coalesced server-side batch; per-target errors come back
+        # One server-side batch; per-target errors come back
         # as structured payloads alongside the successful records.
         from repro.io import result_from_dict
         from repro.server.protocol import error_to_exception
@@ -1087,8 +1076,6 @@ def _cmd_serve(
     unix: str | None,
     no_tcp: bool,
     access_log: str | None,
-    workers: int | None,
-    max_batch: int | None,
     cost_bound: int | None,
     access_log_max_bytes: str | None = None,
     access_log_keep: int | None = None,
@@ -1149,8 +1136,6 @@ def _cmd_serve(
             host=host,
             port=bind_port,
             cost_bound=cost_bound,
-            workers=workers,
-            max_batch=max_batch,
             ready=ready,
             unix=unix,
             store_dir=store_dir,
@@ -1244,8 +1229,6 @@ def _cmd_fleet_serve(args) -> int:
             unix=args.unix,
             store_dir=args.store_dir,
             cost_bound=args.cost_bound,
-            workers=args.workers,
-            max_batch=args.max_batch,
             run_dir=args.run_dir,
             ops_log=args.ops_log,
             faults=faults,
@@ -1832,8 +1815,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "serve":
             return _cmd_serve(
                 args.stores, args.store_dir, args.host, args.port,
-                args.unix, args.no_tcp, args.access_log, args.workers,
-                args.max_batch, args.cost_bound,
+                args.unix, args.no_tcp, args.access_log, args.cost_bound,
                 args.access_log_max_bytes, args.access_log_keep,
                 args.drain_timeout, args.fault, args.fault_seed,
             )

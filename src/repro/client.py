@@ -315,7 +315,7 @@ class ServeClient:
         cost_bound: int | None = None,
         store: str | None = None,
     ) -> dict:
-        """Submit many target specs as one coalesced server-side batch."""
+        """Submit many target specs as one server-side batch."""
         params: dict = {"targets": list(targets), "allow_not": allow_not}
         if cost_bound is not None:
             params["cost_bound"] = cost_bound

@@ -120,19 +120,20 @@ class BatchSynthesizer:
     * the search must not be extended or re-kerneled while queries are
       in flight -- freezing makes those operations raise instead of
       racing.  For a search holding a vector engine the freeze also
-      releases the expansion worker pool and scratch mappings, so a
-      serving process never holds idle forked workers; the sharded
-      dedup table stays alive (row lookups read it).
+      releases the expansion scratch buffers, so a serving process
+      never holds them idle; the sharded dedup table stays alive (row
+      lookups read it).
 
     Lazy v3 chunk decompression needs no extra care: the section cache
-    is lock-protected and keyed by file identity, so concurrent worker
-    threads (and reloads swapping in a replacement store at the same
-    path) read consistent bytes.
+    is lock-protected and keyed by file identity, so concurrent threads
+    (and reloads swapping in a replacement store at the same path) read
+    consistent bytes.
 
     This is the contract the long-lived service (:mod:`repro.server`)
-    relies on: one frozen, warmed ``BatchSynthesizer`` serves all
-    worker threads, and a store reload builds a *new* instance and
-    atomically swaps the reference rather than mutating the old one.
+    relies on: one frozen, warmed ``BatchSynthesizer`` serves every
+    query, and a store reload builds a *new* instance on another thread
+    and atomically swaps the reference rather than mutating the old
+    one.
     """
 
     def __init__(self, search: CascadeSearch, cost_bound: int | None = None):

@@ -394,8 +394,9 @@ class CascadeSearch:
     def freeze(self) -> "CascadeSearch":
         """Pin the closure for concurrent read-only serving.
 
-        The long-lived service (:mod:`repro.server`) hands one search to
-        a pool of worker threads.  Every query accessor only reads the
+        The long-lived service (:mod:`repro.server`) shares one search
+        between its event loop and its store-opener thread.  Every query
+        accessor only reads the
         closure's arrays -- the engine's, or a store's memory-mapped
         :class:`SearchArrays` -- and builds nothing lazily, but
         :meth:`extend_to`, :meth:`use_kernel` and

@@ -143,8 +143,8 @@ class FleetManager:
         run_dir: directory for sockets/logs (created; a ``mkdtemp``
             under the system temp dir when None -- UNIX socket paths
             are length-capped, so short beats descriptive).
-        store_dir / cost_bound / workers / max_batch: forwarded to
-            every backend's ``repro serve`` flags.
+        store_dir / cost_bound: forwarded to every backend's ``repro
+            serve`` flags.
         faults: ``{replica_index: fault_spec}`` chaos injection for
             the first spawn of chosen replicas.
         fault_seed: seed forwarded with every fault spec.
@@ -157,8 +157,6 @@ class FleetManager:
         run_dir: str | None = None,
         store_dir: str | None = None,
         cost_bound: int | None = None,
-        workers: int | None = None,
-        max_batch: int | None = None,
         faults: dict[int, str] | None = None,
         fault_seed: int = 0,
     ):
@@ -206,10 +204,6 @@ class FleetManager:
                 argv += ["--store-dir", str(store_dir)]
             if cost_bound is not None:
                 argv += ["--cost-bound", str(cost_bound)]
-            if workers is not None:
-                argv += ["--workers", str(workers)]
-            if max_batch is not None:
-                argv += ["--max-batch", str(max_batch)]
             self.backends[name] = ManagedBackend(
                 name,
                 argv,
@@ -278,8 +272,6 @@ async def run_fleet(
     unix: str | None = None,
     store_dir: str | None = None,
     cost_bound: int | None = None,
-    workers: int | None = None,
-    max_batch: int | None = None,
     run_dir: str | None = None,
     faults: dict[int, str] | None = None,
     fault_seed: int = 0,
@@ -292,7 +284,6 @@ async def run_fleet(
     interval: float = DEFAULT_INTERVAL,
     probe_timeout: float = DEFAULT_PROBE_TIMEOUT,
     latency_threshold_ms: float | None = None,
-    queue_wait_threshold_ms: float | None = None,
     ops_log: str | None = None,
     router_access_log: str | None = None,
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
@@ -323,8 +314,6 @@ async def run_fleet(
         run_dir=run_dir,
         store_dir=store_dir,
         cost_bound=cost_bound,
-        workers=workers,
-        max_batch=max_batch,
         faults=faults,
         fault_seed=fault_seed,
     )
@@ -376,11 +365,6 @@ async def run_fleet(
             latency_threshold_ms=(
                 supervisor_mod.DEFAULT_LATENCY_THRESHOLD_MS
                 if latency_threshold_ms is None else latency_threshold_ms
-            ),
-            queue_wait_threshold_ms=(
-                supervisor_mod.DEFAULT_QUEUE_WAIT_THRESHOLD_MS
-                if queue_wait_threshold_ms is None
-                else queue_wait_threshold_ms
             ),
         )
         await supervisor.start()

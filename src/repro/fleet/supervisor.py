@@ -9,9 +9,8 @@ human in the loop, as four deliberately separated stages run every
    short timeout, a tail of its access log since the last cycle) and
    the evidence is condensed into at most one :class:`Finding` per
    backend: ``dead`` (process exited), ``unresponsive`` (healthz timed
-   out -- a hang, not a crash), ``latency`` / ``queue-wait`` (p99
-   total latency / p90 queue wait of the freshly tailed access-log
-   records over threshold), ``error-rate`` (server-fault outcomes in
+   out -- a hang, not a crash), ``latency`` (p99 total latency of the
+   freshly tailed access-log records over threshold), ``error-rate`` (server-fault outcomes in
    the same records), or ``recovered`` (an ejected backend answering
    healthily again).  Judging recency by the records appended since
    the last cycle means an ejected replica, which gets no traffic,
@@ -57,11 +56,10 @@ from repro.telemetry import MetricsRegistry, percentile
 
 DEFAULT_INTERVAL = 0.5
 DEFAULT_PROBE_TIMEOUT = 2.0
-#: Seconds after a (re)spawn during which latency/queue-wait/hang
+#: Seconds after a (re)spawn during which latency/hang
 #: findings are suppressed -- a cold store open is not a regression.
 DEFAULT_GRACE = 10.0
 DEFAULT_LATENCY_THRESHOLD_MS = 2000.0
-DEFAULT_QUEUE_WAIT_THRESHOLD_MS = 1000.0
 #: Server-fault outcomes tailed from one cycle's access-log delta that
 #: count as an ``error-rate`` finding.
 DEFAULT_FAULT_RATE = 5
@@ -102,7 +100,7 @@ class Finding:
     """One detected condition on one backend (evidence, no judgment)."""
 
     backend: str
-    kind: str  # dead | unresponsive | latency | queue-wait | error-rate | recovered
+    kind: str  # dead | unresponsive | latency | error-rate | recovered
     detail: str
 
 
@@ -119,7 +117,7 @@ class _Probe:
     """Raw evidence one detector pass gathered about one backend."""
 
     __slots__ = ("alive", "exit_code", "health", "error", "fault_outcomes",
-                 "latency_ms", "queue_wait_ms")
+                 "latency_ms")
 
     def __init__(self):
         self.alive = False
@@ -127,10 +125,9 @@ class _Probe:
         self.health: dict | None = None
         self.error: str | None = None
         self.fault_outcomes = 0
-        #: Per query op, the ``total_ms`` / ``queue_wait_ms`` of every
-        #: access-log record appended since the last cycle.
+        #: Per query op, the ``total_ms`` of every access-log record
+        #: appended since the last cycle.
         self.latency_ms: dict[str, list[float]] = {}
-        self.queue_wait_ms: dict[str, list[float]] = {}
 
 
 class Supervisor:
@@ -150,7 +147,6 @@ class Supervisor:
         latency_threshold_ms: p99 total latency (any query op, over the
             access-log records since the last cycle) beyond which a
             backend counts as regressed.
-        queue_wait_threshold_ms: p90 queue wait ditto.
         fault_rate: access-log server-fault outcomes per cycle that
             trigger an ``error-rate`` finding.
         registry: a :class:`~repro.telemetry.MetricsRegistry` to tally
@@ -169,7 +165,6 @@ class Supervisor:
         probe_timeout: float = DEFAULT_PROBE_TIMEOUT,
         grace: float = DEFAULT_GRACE,
         latency_threshold_ms: float = DEFAULT_LATENCY_THRESHOLD_MS,
-        queue_wait_threshold_ms: float = DEFAULT_QUEUE_WAIT_THRESHOLD_MS,
         fault_rate: int = DEFAULT_FAULT_RATE,
         registry: MetricsRegistry | None = None,
     ):
@@ -197,7 +192,6 @@ class Supervisor:
         self._probe_timeout = probe_timeout
         self._grace = grace
         self._latency_threshold_ms = latency_threshold_ms
-        self._queue_wait_threshold_ms = queue_wait_threshold_ms
         self._fault_rate = fault_rate
         self._cycle = 0
         self._last_action: dict[str, float] = {}
@@ -337,7 +331,7 @@ class Supervisor:
 
     def _tail_log(self, backend, probe: _Probe) -> None:
         """Fold the access-log records appended this cycle into *probe*:
-        server-fault outcomes, and query-op latency/queue-wait samples."""
+        server-fault outcomes, and query-op latency samples."""
         path = getattr(backend, "access_log", None)
         if path is None:
             return
@@ -361,11 +355,9 @@ class Supervisor:
             op = record.get("op")
             if op not in _QUERY_OPS:
                 continue
-            for field, into in (("total_ms", probe.latency_ms),
-                                ("queue_wait_ms", probe.queue_wait_ms)):
-                value = record.get(field)
-                if isinstance(value, (int, float)):
-                    into.setdefault(op, []).append(float(value))
+            value = record.get("total_ms")
+            if isinstance(value, (int, float)):
+                probe.latency_ms.setdefault(op, []).append(float(value))
 
     def _assess(
         self, backend, probe: _Probe, admitted: bool, now: float
@@ -396,13 +388,6 @@ class Supervisor:
                     f"p99 latency {latency:.1f}ms since the last cycle "
                     f">= {self._latency_threshold_ms:.1f}ms",
                 )
-            wait = _worst(probe.queue_wait_ms, 0.90)
-            if wait is not None and wait >= self._queue_wait_threshold_ms:
-                return Finding(
-                    backend.name, "queue-wait",
-                    f"p90 queue wait {wait:.1f}ms since the last cycle "
-                    f">= {self._queue_wait_threshold_ms:.1f}ms",
-                )
             if probe.fault_outcomes >= self._fault_rate:
                 return Finding(
                     backend.name, "error-rate",
@@ -419,7 +404,7 @@ class Supervisor:
             if action == "eject" and not self._is_admitted(finding.backend):
                 return None  # already out, nothing left to do
             return Proposal(finding.backend, action, finding.detail)
-        if finding.kind in ("latency", "queue-wait", "error-rate"):
+        if finding.kind in ("latency", "error-rate"):
             if not self._is_admitted(finding.backend):
                 return None
             return Proposal(finding.backend, "eject", finding.detail)

@@ -15,8 +15,8 @@ Public API
 The stable, documented surface of the service stack:
 
 * :class:`~repro.server.service.SynthesisService` -- the
-  framing-independent core: owns the registry of open stores, the
-  bounded worker pool and the coalescing queue; ``await
+  framing-independent core: owns the registry of open stores and
+  answers every operation on the event loop; ``await
   handle(request)`` per query; ``await reload()`` for an atomic
   registry swap.
 * :class:`~repro.server.registry.StoreRegistry` -- many stores behind
@@ -66,8 +66,6 @@ from repro.server.protocol import (
 )
 from repro.server.registry import StoreRegistry, build_registry
 from repro.server.service import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WORKERS,
     StoreState,
     SynthesisService,
     open_store_state,
@@ -75,9 +73,7 @@ from repro.server.service import (
 
 __all__ = [
     "BackgroundServer",
-    "DEFAULT_MAX_BATCH",
     "DEFAULT_PORT",
-    "DEFAULT_WORKERS",
     "OPERATIONS",
     "ReproServer",
     "Request",

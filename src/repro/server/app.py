@@ -191,8 +191,8 @@ class ReproServer:
         deadline = asyncio.get_running_loop().time() + self._drain_timeout
         while self._busy and asyncio.get_running_loop().time() < deadline:
             await asyncio.sleep(0.02)
-        # Whatever is still busy is past the drain budget (wedged
-        # worker, injected hang): close it like an idle connection and
+        # Whatever is still busy is past the drain budget (an injected
+        # hang, or a batch longer than the budget): close it like an idle connection and
         # let the abort path below finish the job.
         for writer in list(self._connections):
             with contextlib.suppress(Exception):
@@ -387,8 +387,6 @@ async def run_server(
     host: str = "127.0.0.1",
     port: int | None = 0,
     cost_bound: int | None = None,
-    workers: int | None = None,
-    max_batch: int | None = None,
     ready: Callable[[tuple[str, int], SynthesisService], None] | None = None,
     stop_event: asyncio.Event | None = None,
     unix: str | None = None,
@@ -415,13 +413,9 @@ async def run_server(
     up (the CLI prints its "listening on" line from it).  Returns the
     process exit code.
     """
-    from repro.server.service import DEFAULT_MAX_BATCH, DEFAULT_WORKERS
-
     service = SynthesisService(
         stores,
         cost_bound=cost_bound,
-        workers=DEFAULT_WORKERS if workers is None else workers,
-        max_batch=DEFAULT_MAX_BATCH if max_batch is None else max_batch,
         store_dir=store_dir,
         access_log=access_log,
         access_log_max_bytes=access_log_max_bytes,

@@ -241,8 +241,8 @@ def build_registry(
     """Open every requested store and return the registry (blocking).
 
     This is the heavy half of service start/reload; the service runs it
-    on its dedicated opener executor so a saturated query pool can never
-    delay -- or deadlock -- a SIGHUP.
+    on its dedicated opener thread, so the event loop keeps answering
+    queries while a SIGHUP reopens the stores.
 
     Raises:
         StoreError / StoreMismatchError / SpecificationError: any

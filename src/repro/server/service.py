@@ -3,30 +3,26 @@
 :class:`SynthesisService` is the framing-independent middle of ``repro
 serve``: it owns a registry of open stores (each a frozen
 :class:`~repro.core.search.CascadeSearch` wrapped by a warmed
-:class:`~repro.core.batch.BatchSynthesizer`), a bounded thread pool for
-the GIL-bound query work, and a coalescing queue between them.
+:class:`~repro.core.batch.BatchSynthesizer`) and answers every
+operation on the asyncio event loop.
 
 Concurrency model
 -----------------
 
-* The asyncio event loop only ever *frames* requests and responses; no
-  query math runs on it, so accepts and health checks stay responsive
-  while workers chew on big batches.
-* Query operations are enqueued as jobs on an ``asyncio.Queue`` with a
-  bounded depth (back-pressure: a flooded server makes clients wait on
-  ``write`` instead of buffering unboundedly).
-* A dispatcher task drains the queue, **coalescing** everything
-  currently waiting (up to ``max_batch`` jobs) into one executor call
-  -- so a burst of 64 concurrent single-target requests costs one
-  thread hop, not 64.  A semaphore sized to the pool keeps at most
-  ``workers`` batches in flight, which bounds thread-pool queue growth.
-* Workers only touch frozen, warmed state (see the thread-safety
-  contract on :class:`~repro.core.batch.BatchSynthesizer`), so any
-  number of in-flight batches can read the same closures.
+* Every operation runs inline on the event loop.  A lookup in the
+  precomputed closure takes tens of microseconds, less than a thread
+  hop would cost, and each connection is served one request at a time,
+  so there is nothing to queue or coalesce.
+* ``synth-batch`` runs its targets in chunks of :data:`BATCH_CHUNK`
+  and yields to the loop between chunks, so a long batch delays a
+  concurrent ``synth`` by about one chunk, not by the whole batch.
+  :func:`execute_query` runs the same chunks without yielding, so a
+  served and a replayed batch answer byte-identical payloads.
+* Queries only touch frozen, warmed state (see the thread-safety
+  contract on :class:`~repro.core.batch.BatchSynthesizer`).
 * Store opens (startup and SIGHUP reload) run on a **dedicated
-  single-thread opener executor**, never on the query pool: a reload
-  queued behind a saturated pool would wait on the very jobs whose
-  back-pressure prompted it -- and could deadlock shutdown ordering.
+  single-thread opener executor**: a multi-second open never blocks
+  the loop, which keeps answering from the current registry meanwhile.
 
 Routing: each request may carry a ``store`` selector (alias or
 ``LIBFP:COSTFP`` fingerprints, see :mod:`repro.server.registry`);
@@ -35,7 +31,8 @@ a single-store server treats an absent selector as that store.
 Store reloads (SIGHUP, or :meth:`SynthesisService.reload`) are atomic:
 a whole new registry is built off-loop (every named store re-opened,
 ``--store-dir`` re-scanned), then a single reference assignment swaps
-it in.  Jobs dispatched before the swap finish against the old state
+it in.  Queries that resolved their store before the swap (a
+``synth-batch`` between chunks included) finish against the old state
 objects -- v2 memory maps and v3 chunk stores (plus any decompressed
 sections they hand out) stay alive until the last in-flight query
 drops them, and the v3 section cache is keyed by file identity, so a
@@ -48,7 +45,9 @@ Observability: per-op queue-wait and total-latency percentiles ride on
 histograms ``GET /metrics`` renders, and an optional NDJSON **access
 log** records one line per request (op, store alias, queue wait,
 execute time, outcome, and the request's ``trace_id``/``span_id`` when
-traced).
+traced).  Nothing queues inside the service, so its queue wait is
+always 0; the field stays for the scrapers and log readers that
+expect it.
 Errors are split into ``client_errors`` (4xx-mapped: bad targets,
 unknown stores, over-bound queries) and ``server_errors`` (5xx-mapped)
 so client mistakes cannot inflate the server-fault signal;
@@ -72,7 +71,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import (
     CostBoundExceededError,
@@ -91,12 +90,11 @@ from repro.telemetry import (
     MetricsRegistry,
 )
 
-#: Default worker-thread count: the kernel work is GIL-bound numpy +
-#: pure Python, so a small pool is enough to overlap queries with
-#: framing; more threads mostly add contention.
-DEFAULT_WORKERS = 2
-#: Default coalescing limit per executor dispatch.
-DEFAULT_MAX_BATCH = 64
+#: Targets a served ``synth-batch`` runs between yields to the event
+#: loop.  At tens of microseconds per target, a concurrent request
+#: waits about one chunk -- a millisecond or two -- and the yields
+#: themselves cost nothing measurable.
+BATCH_CHUNK = 16
 #: The store-touching query operations (access-log records for these
 #: carry their params, which is what makes a log replayable).
 _QUERY_OPS = frozenset({"synth", "synth-batch", "cost-table"})
@@ -122,23 +120,6 @@ def _section_cache_reader(stat: str):
     def read() -> float:
         return section_cache_stats().get(stat, 0)
     return read
-
-
-class _Job:
-    """One unit of query work: a thread function, its future, timings."""
-
-    __slots__ = ("fn", "future", "loop", "enqueued", "started", "finished")
-
-    def __init__(self, fn: Callable[[], dict], future, loop):
-        self.fn = fn
-        self.future = future
-        self.loop = loop
-        self.enqueued = time.perf_counter()
-        #: Set by the worker thread around ``fn()``; the resolving
-        #: ``call_soon_threadsafe`` orders these writes before any
-        #: event-loop read, so no lock is needed.
-        self.started: float | None = None
-        self.finished: float | None = None
 
 
 def open_store_state(path: str, cost_bound: int | None = None) -> StoreState:
@@ -168,9 +149,6 @@ class SynthesisService:
             ``ALIAS=PATH`` specs (see :mod:`repro.server.registry`).
         cost_bound: serve only costs up to this bound (default: each
             store's full expanded bound; must be within every store's).
-        workers: worker threads for query execution.
-        max_batch: coalescing limit -- the most queued jobs one executor
-            dispatch may absorb.
         store_dir: also serve every ``*.rpro`` file in this directory
             (re-scanned on reload/SIGHUP).
         access_log: append one NDJSON record per request to this file.
@@ -186,17 +164,11 @@ class SynthesisService:
         self,
         stores: str | os.PathLike | Sequence[str],
         cost_bound: int | None = None,
-        workers: int = DEFAULT_WORKERS,
-        max_batch: int = DEFAULT_MAX_BATCH,
         store_dir: str | None = None,
         access_log: str | None = None,
         access_log_max_bytes: int | None = None,
         access_log_keep: int | None = None,
     ):
-        if workers < 1:
-            raise SpecificationError("need at least one worker thread")
-        if max_batch < 1:
-            raise SpecificationError("max_batch must be positive")
         if access_log_max_bytes is not None and access_log_max_bytes < 1:
             raise SpecificationError(
                 "access_log_max_bytes must be positive"
@@ -214,24 +186,15 @@ class SynthesisService:
                 "no stores to serve: give store files or store_dir"
             )
         self._requested_bound = cost_bound
-        self._workers = workers
-        self._max_batch = max_batch
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-        # Store opens must never compete with (or wait behind) query
-        # work -- see the concurrency notes in the module docstring.
+        # Store opens run off the loop, one at a time -- see the
+        # concurrency notes in the module docstring.
         self._opener = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-open"
         )
         self._registry: StoreRegistry | None = None
-        self._queue: asyncio.Queue[_Job] | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._slots: asyncio.Semaphore | None = None
         self._reload_lock: asyncio.Lock | None = None
         self._started_monotonic = time.monotonic()
         self._started_epoch = round(time.time(), 3)
-        self._closing = False
         self._last_reload_error: str | None = None
         # The process-wide metrics registry.  Every counter healthz
         # reports lives here (healthz reads values back out), and the
@@ -262,11 +225,7 @@ class SynthesisService:
             self._m_queries.preseed(op)
         self._m_batches = reg.counter(
             "repro_batches_executed_total",
-            "Coalesced executor dispatches.",
-        )
-        self._m_coalesced = reg.counter(
-            "repro_jobs_coalesced_total",
-            "Query jobs absorbed into coalesced batches.",
+            "Query operations executed.",
         )
         self._m_errors = reg.counter(
             "repro_request_errors_total",
@@ -286,7 +245,7 @@ class SynthesisService:
         )
         self._h_queue_wait = reg.histogram(
             "repro_request_queue_wait_ms",
-            "Queue wait before a worker picked the job up, by operation.",
+            "Queue wait before execution, by operation (0: nothing queues).",
             labels=("op",),
         )
         for stat in ("hits", "misses", "evictions"):
@@ -339,8 +298,8 @@ class SynthesisService:
         )
 
     async def start(self) -> None:
-        """Open the stores and start the dispatcher (idempotent)."""
-        if self._dispatcher is not None:
+        """Open the stores and start the access log (idempotent)."""
+        if self._reload_lock is not None:
             return
         loop = asyncio.get_running_loop()
         if self._registry is None:
@@ -349,35 +308,11 @@ class SynthesisService:
             )
         if self._log_writer is not None:
             self._log_writer.start()
-        self._queue = asyncio.Queue(maxsize=4 * self._max_batch)
-        self._slots = asyncio.Semaphore(self._workers)
         self._reload_lock = asyncio.Lock()
-        self._dispatcher = loop.create_task(
-            self._dispatch_loop(), name="repro-serve-dispatcher"
-        )
 
     async def close(self) -> None:
-        """Stop dispatching, fail queued jobs and release the pools."""
-        self._closing = True
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
-        if self._queue is not None:
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServerError("server is shutting down")
-                    )
+        """Release the opener thread and drain the access log."""
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._pool.shutdown, True)
         await loop.run_in_executor(None, self._opener.shutdown, True)
         if self._log_writer is not None:
             # Drain pending log lines before closing the file.
@@ -387,9 +322,10 @@ class SynthesisService:
         """Rebuild the whole registry and atomically swap it in (SIGHUP).
 
         Every named store is re-opened and ``store_dir`` re-scanned on
-        the dedicated opener executor -- a saturated query pool cannot
-        delay the reload.  A failed build keeps the current registry
-        serving; the failure is recorded and surfaced via ``healthz``.
+        the dedicated opener executor, while the loop keeps answering
+        from the current registry.  A failed build keeps the current
+        registry serving; the failure is recorded and surfaced via
+        ``healthz``.
         """
         assert self._reload_lock is not None, "service not started"
         async with self._reload_lock:
@@ -417,30 +353,16 @@ class SynthesisService:
         try:
             if op == "healthz":
                 result = self._do_healthz()
-                trace["execute"] = time.perf_counter() - started
             elif op == "metrics":
                 result = self._do_metrics()
-                trace["execute"] = time.perf_counter() - started
             else:
                 alias, state = self.registry.resolve(request.store)
-                params = request.params
                 if op == "store-info":
                     result = self._do_store_info(alias, state)
-                    trace["execute"] = time.perf_counter() - started
-                elif op == "synth":
-                    result = await self._submit(
-                        lambda: _run_synth(state, params), trace
-                    )
-                elif op == "synth-batch":
-                    result = await self._submit(
-                        lambda: _run_synth_batch(state, params), trace
-                    )
-                elif op == "cost-table":
-                    result = await self._submit(
-                        lambda: _run_cost_table(state, params), trace
-                    )
                 else:
-                    raise ProtocolError(f"unknown operation {op!r}")
+                    self._m_batches.inc()
+                    result = await _serve_query(state, op, request.params)
+            trace["execute"] = time.perf_counter() - started
         except Exception as exc:
             # The wire mapping already splits fault domains: 4xx
             # statuses are client mistakes, 5xx are server faults.
@@ -493,50 +415,7 @@ class SynthesisService:
         # ordered, and a stalled log device never blocks the loop.
         self._log_writer.submit(record)
 
-    async def _submit(self, fn: Callable[[], dict], trace: dict) -> dict:
-        if self._queue is None or self._closing:
-            raise ServerError("service is not accepting queries")
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        job = _Job(fn, future, loop)
-        await self._queue.put(job)
-        try:
-            return await future
-        finally:
-            if job.started is not None and job.finished is not None:
-                trace["queue_wait"] = job.started - job.enqueued
-                trace["execute"] = job.finished - job.started
-
-    async def _dispatch_loop(self) -> None:
-        assert self._queue is not None and self._slots is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            # Acquire the worker slot BEFORE popping anything: the only
-            # awaits happen while no job is held, so cancellation (from
-            # close()) can never strand popped jobs with unresolved
-            # futures -- everything still queued is failed by close().
-            await self._slots.acquire()
-            try:
-                job = await self._queue.get()
-            except asyncio.CancelledError:
-                self._slots.release()
-                raise
-            jobs = [job]
-            while len(jobs) < self._max_batch:
-                try:
-                    jobs.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self._m_batches.inc()
-            self._m_coalesced.inc(len(jobs))
-            executor_future = loop.run_in_executor(
-                self._pool, _run_jobs, jobs
-            )
-            executor_future.add_done_callback(
-                lambda _fut: self._slots.release()
-            )
-
-    # -- inline (event-loop) operations ------------------------------------------------
+    # -- service-level operations ------------------------------------------------------
 
     def _do_healthz(self) -> dict:
         registry = self._registry
@@ -562,15 +441,15 @@ class SynthesisService:
             "serving_cost_bound": None if sole is None else sole[1].cost_bound,
             "stores": {} if registry is None else registry.describe(),
             "queries": queries,
+            # One counter under both keys: every query op runs on its
+            # own, so jobs per batch reads 1.0.
             "batches_executed": int(self._m_batches.value()),
-            "jobs_coalesced": int(self._m_coalesced.value()),
+            "jobs_coalesced": int(self._m_batches.value()),
             "errors": client_errors + server_errors,
             "client_errors": client_errors,
             "server_errors": server_errors,
             "reloads": int(self._m_reloads.value()),
             "last_reload_error": self._last_reload_error,
-            "workers": self._workers,
-            "max_batch": self._max_batch,
         }
         payload["section_cache"] = section_cache_stats()
         # Per-op percentiles are bucket estimates off the same
@@ -625,34 +504,7 @@ class SynthesisService:
         }
 
 
-# -- worker-thread query functions (pure reads of frozen state) ------------------------
-
-
-def _run_jobs(jobs: list[_Job]) -> None:
-    """Execute one coalesced batch on a worker thread.
-
-    Results and exceptions cross back to the event loop thread through
-    ``call_soon_threadsafe``; a cancelled (e.g. disconnected) waiter is
-    skipped rather than poked.
-    """
-    for job in jobs:
-        job.started = time.perf_counter()
-        try:
-            outcome: object = job.fn()
-            error: BaseException | None = None
-        except BaseException as exc:  # noqa: BLE001 -- forwarded to waiter
-            outcome, error = None, exc
-        job.finished = time.perf_counter()
-        job.loop.call_soon_threadsafe(_resolve, job.future, outcome, error)
-
-
-def _resolve(future, outcome, error) -> None:
-    if future.done():
-        return
-    if error is None:
-        future.set_result(outcome)
-    else:
-        future.set_exception(error)
+# -- query functions (pure reads of frozen state) --------------------------------------
 
 
 def _parse_spec(state: StoreState, spec: object):
@@ -717,9 +569,10 @@ def _run_synth(state: StoreState, params: dict) -> dict:
     }
 
 
-def _run_synth_batch(state: StoreState, params: dict) -> dict:
-    """One entry per spec, errors reported per entry, never wholesale.
+def _synth_batch_chunks(state: StoreState, params: dict):
+    """A ``synth-batch``'s entries, :data:`BATCH_CHUNK` targets at a time.
 
+    One entry per spec, errors reported per entry, never wholesale.
     The success path is exactly
     :meth:`BatchSynthesizer.synthesize_many`'s loop body, so an all-ok
     batch returns results identical to calling it directly
@@ -737,28 +590,45 @@ def _run_synth_batch(state: StoreState, params: dict) -> dict:
     bound = _check_query_bound(state, params)
     allow_not = bool(params.get("allow_not", True))
 
-    entries: list[dict] = []
-    failures = 0
-    for spec in specs:
-        try:
-            target = _parse_spec(state, spec)
-            result = _synthesize_bounded(
-                state, target, bound, allow_not, all_=False
-            )[0]
-            entries.append({"ok": True, "result": result_to_dict(result)})
-        except ReproError as exc:
-            failures += 1
-            entries.append({"ok": False, "error": error_payload(exc)[0]})
+    for first in range(0, len(specs), BATCH_CHUNK):
+        chunk: list[dict] = []
+        for spec in specs[first:first + BATCH_CHUNK]:
+            try:
+                target = _parse_spec(state, spec)
+                result = _synthesize_bounded(
+                    state, target, bound, allow_not, all_=False
+                )[0]
+                chunk.append({"ok": True, "result": result_to_dict(result)})
+            except ReproError as exc:
+                chunk.append({"ok": False, "error": error_payload(exc)[0]})
+        yield chunk
+
+
+def _batch_reply(entries: list[dict]) -> dict:
+    failures = sum(1 for entry in entries if not entry["ok"])
     return {"results": entries, "count": len(entries), "failures": failures}
+
+
+async def _serve_query(state: StoreState, op: str, params: dict) -> dict:
+    """:func:`execute_query` on the event loop, yielding between the
+    chunks of a ``synth-batch`` so other connections get answered."""
+    if op != "synth-batch":
+        return execute_query(state, op, params)
+    entries: list[dict] = []
+    for chunk in _synth_batch_chunks(state, params):
+        entries.extend(chunk)
+        await asyncio.sleep(0)
+    return _batch_reply(entries)
 
 
 def execute_query(state: StoreState, op: str, params: dict) -> dict:
     """Run one store-touching query synchronously, outside any service.
 
-    The exact worker-side code path the live server dispatches to, so
-    the payload is byte-identical to what a server over the same store
-    would answer -- this is what lets ``repro replay`` diff recorded
-    responses against a locally opened golden store.
+    The same functions the live server runs (a ``synth-batch`` through
+    the same chunks, without the yields), so the payload is
+    byte-identical to what a server over the same store would answer
+    -- this is what lets ``repro replay`` diff recorded responses
+    against a locally opened golden store.
 
     Raises:
         ProtocolError: *op* is not a store query.
@@ -766,7 +636,11 @@ def execute_query(state: StoreState, op: str, params: dict) -> dict:
     if op == "synth":
         return _run_synth(state, params)
     if op == "synth-batch":
-        return _run_synth_batch(state, params)
+        return _batch_reply([
+            entry
+            for chunk in _synth_batch_chunks(state, params)
+            for entry in chunk
+        ])
     if op == "cost-table":
         return _run_cost_table(state, params)
     raise ProtocolError(f"{op!r} is not a store query")

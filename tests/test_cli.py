@@ -112,6 +112,25 @@ class TestStoreWorkflow:
         assert "no realization" in out
         assert "1/2 synthesized" in out
 
+    def test_failed_verification_exits_nonzero(
+        self, store_path, capsys, monkeypatch
+    ):
+        """An answer that prints "-> FAILED" must not exit 0."""
+        import dataclasses
+
+        from repro.core.batch import BatchSynthesizer
+        from repro.gates import named
+
+        synthesize = BatchSynthesizer.synthesize
+
+        def peres_circuit_for(self, target, **kwargs):
+            result = synthesize(self, named.TARGETS["peres"], **kwargs)
+            return dataclasses.replace(result, target=target)
+
+        monkeypatch.setattr(BatchSynthesizer, "synthesize", peres_circuit_for)
+        assert main(["synth", "toffoli", "--store", store_path]) == 1
+        assert "-> FAILED" in capsys.readouterr().out
+
     def test_table2_from_store(self, store_path, capsys):
         assert main(["table2", "--store", store_path]) == 0
         out = capsys.readouterr().out

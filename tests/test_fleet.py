@@ -356,7 +356,7 @@ class TestSupervisorStages:
         supervisor, _manager, _router = _make_supervisor(
             [_FakeBackend("b0")],
         )
-        for kind in ("latency", "queue-wait", "error-rate"):
+        for kind in ("latency", "error-rate"):
             proposal = supervisor._propose(Finding("b0", kind, "x"))
             assert proposal is not None and proposal.action == "eject"
 
@@ -412,10 +412,10 @@ def _append_access(path, op="synth", total_ms=2.0, queue_wait_ms=0.0):
 
 
 class TestSupervisorRecency:
-    """Latency/queue-wait findings judge only the access-log records
-    appended since the last cycle.  An ejected replica gets no traffic,
-    so one slow request must cost one eject, not an eject/readmit flap
-    driven by a stale sample that nothing new ever displaces."""
+    """Latency findings judge only the access-log records appended
+    since the last cycle.  An ejected replica gets no traffic, so one
+    slow request must cost one eject, not an eject/readmit flap driven
+    by a stale sample that nothing new ever displaces."""
 
     @pytest.fixture
     def watched(self, tmp_path, monkeypatch):
@@ -430,7 +430,7 @@ class TestSupervisorRecency:
         supervisor = Supervisor(
             router, _FakeManager([backend]),
             guardrails=GuardRails(min_healthy=0, cooldown_s=0.0),
-            latency_threshold_ms=1000.0, queue_wait_threshold_ms=100.0,
+            latency_threshold_ms=1000.0,
         )
 
         def cycle():
@@ -443,8 +443,7 @@ class TestSupervisorRecency:
 
     @pytest.mark.parametrize("kind, slow", [
         ("latency", {"total_ms": 1500.0}),
-        ("queue-wait", {"total_ms": 310.0, "queue_wait_ms": 300.0}),
-    ], ids=["latency", "queue-wait"])
+    ], ids=["latency"])
     def test_one_slow_request_ejects_once(self, watched, kind, slow):
         log, router, cycle = watched
         _append_access(log, **slow)

@@ -1,8 +1,9 @@
 """Lifecycle and protocol tests for the synthesis service (repro.server).
 
 Covers the service's whole life: start, serving under concurrency,
-SIGHUP store reload (both in-process and against a real ``repro
-serve`` subprocess), multi-store routing by alias/fingerprint, the
+other connections answered while a long batch runs, SIGHUP store
+reload (in-process, and against a real ``repro serve`` subprocess,
+also mid-batch), multi-store routing by alias/fingerprint, the
 UNIX-socket transport, the NDJSON access log, healthz percentiles,
 malformed requests mapping to structured errors, and the golden
 guarantee that ``repro synth --server`` output is byte-identical to
@@ -12,7 +13,7 @@ transports.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import json
 import os
 import re
@@ -57,6 +58,7 @@ from repro.server.registry import (
     parse_store_spec,
     resolve_specs,
 )
+from repro.server.service import BATCH_CHUNK, execute_query, open_store_state
 
 BOUND = 4
 SHALLOW_BOUND = 3
@@ -124,6 +126,70 @@ def reference(store_path):
 def client(server):
     with ServeClient(server.address_text) as handle:
         yield handle
+
+
+def _sized_batch(specs: list, seconds: float, client) -> list:
+    """*specs* repeated into a batch the server takes about *seconds* to
+    answer, sized from a timed probe batch sent over *client*."""
+    probe = (specs * (2000 // len(specs) + 1))[:2000]
+    client.synth_batch(probe)  # warm the lookup path first
+    started = time.perf_counter()
+    client.synth_batch(probe)
+    per_target = (time.perf_counter() - started) / len(probe)
+    count = int(seconds / per_target)
+    return (specs * (count // len(specs) + 1))[:count]
+
+
+def _wait_for_query(client, op: str, seen: int) -> None:
+    """Poll healthz until the server has started more than *seen* *op*s."""
+    deadline = time.monotonic() + 30
+    while client.healthz()["queries"][op] <= seen:
+        assert time.monotonic() < deadline, f"no new {op} arrived"
+        time.sleep(0.005)
+
+
+def _wait_for_reloads(client, count: int) -> None:
+    deadline = time.monotonic() + 20
+    while client.healthz()["reloads"] < count:
+        assert time.monotonic() < deadline, "reload never completed"
+        time.sleep(0.01)
+
+
+@contextlib.contextmanager
+def _serve_process(store: str):
+    """A real ``repro serve`` subprocess; yields ``(proc, address)``.
+
+    Clients in the test process then share no interpreter lock with the
+    server, as in production -- what timing assertions need.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", store, "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    try:
+        address = None
+        for _ in range(200):
+            line = proc.stdout.readline()
+            if not line:
+                break
+            match = re.search(r"listening on (\S+) ", line)
+            if match:
+                address = match.group(1)
+                break
+        assert address, "server never printed its ready line"
+        wait_until_ready(address, timeout=30)
+        yield proc, address
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 class TestProtocolUnits:
@@ -504,25 +570,47 @@ class TestConcurrency:
         assert not errors
 
     def test_64_target_batch_identical_to_synthesize_many(
-        self, server, reference
+        self, server, reference, store_path
     ):
-        # 64 in-bound targets spread over every cost level, NOT layers
-        # included (the S8 coset), exactly as a traffic mix would be.
+        """A served batch equals ``execute_query`` (what ``repro replay``
+        runs) byte for byte, and its results equal ``synthesize_many``.
+
+        Two inputs: 64 in-bound targets spread over every cost level,
+        NOT layers included (the S8 coset), exactly as a traffic mix
+        would be; and a three-chunk batch with failing specs on both
+        sides of each chunk boundary.
+        """
         targets = []
         for cost in range(BOUND + 1):
             targets.extend(reference.targets_at_cost(cost, True))
-        targets = targets[:64]
-        assert len(targets) == 64
-        specs = [target.cycle_string() for target in targets]
-        want = [
-            result_to_dict(result)
-            for result in reference.synthesize_many(targets)
-        ]
-        with ServeClient(server.address_text) as handle:
-            reply = handle.synth_batch(specs)
-        assert reply["count"] == 64 and reply["failures"] == 0
-        got = [entry["result"] for entry in reply["results"]]
-        assert got == want
+        mix = [target.cycle_string() for target in targets[:64]]
+        assert len(mix) == 64
+        assert BATCH_CHUNK == 16
+        straddling = mix[:40]
+        for index, bad in ((15, "(1,2,99)"), (16, "toffoli"),
+                           (31, "not-a-gate"), (32, "fredkin")):
+            straddling[index] = bad
+        state = open_store_state(store_path)
+        for specs, failures in ((mix, 0), (straddling, 4)):
+            with ServeClient(server.address_text) as handle:
+                reply = handle.synth_batch(specs)
+            assert reply == execute_query(
+                state, "synth-batch", {"targets": specs, "allow_not": True}
+            )
+            assert reply["count"] == len(specs)
+            assert reply["failures"] == failures
+            ok = [spec not in ("(1,2,99)", "toffoli", "not-a-gate",
+                               "fredkin") for spec in specs]
+            assert [entry["ok"] for entry in reply["results"]] == ok
+            want = [
+                result_to_dict(result)
+                for result in reference.synthesize_many(
+                    [target for target, good in zip(targets, ok) if good]
+                )
+            ]
+            got = [entry["result"] for entry in reply["results"]
+                   if entry["ok"]]
+            assert got == want
 
     def test_mixed_batch_reports_per_target_failures(self, client):
         reply = client.synth_batch(["peres", "toffoli", "g2"])
@@ -593,45 +681,101 @@ class TestReload:
                 assert health["reloads"] == 1
                 assert handle.synth("swap_bc", store="shallow")["cost"] == 3
 
-    def test_reload_completes_while_pool_is_saturated(self, store_path):
-        """Regression: store opens must not queue behind query work.
+    def test_reload_mid_batch_keeps_the_batch_on_the_old_store(
+        self, store_path, shallow_store_path, reference, tmp_path
+    ):
+        """A SIGHUP arriving while a long batch runs reloads the store
+        before the batch ends; the batch keeps answering from the
+        registry it resolved (cost 4 is in bound), and the next query
+        sees the new one (a cost-3 store refuses cost 4)."""
+        moving = tmp_path / "moving.rpro"
+        shutil.copy(store_path, moving)
+        specs = [t.cycle_string() for t in reference.targets_at_cost(4, True)]
+        with _serve_process(str(moving)) as (proc, address):
+            with ServeClient(address) as handle:
+                batch = _sized_batch(specs, 1.5, handle)
+                # Replace (never truncate) the store, as save_search
+                # does.  The server keeps its map of the old file until
+                # the reload.
+                shutil.copy(shallow_store_path, tmp_path / "next.tmp")
+                os.replace(tmp_path / "next.tmp", moving)
+                seen = handle.healthz()["queries"]["synth-batch"]
+                done = threading.Event()
+                replies: list = []
 
-        With one worker and the pool wedged on a blocking job, a reload
-        scheduled on the *query* pool would sit behind the blocker
-        forever; the dedicated opener executor must finish it anyway.
-        """
-        from repro.server.service import SynthesisService
+                def run_batch() -> None:
+                    with ServeClient(address, timeout=120) as batcher:
+                        replies.append(batcher.synth_batch(batch))
+                    done.set()
 
-        async def scenario() -> None:
-            service = SynthesisService(store_path, workers=1, max_batch=1)
-            await service.start()
-            release = threading.Event()
-            entered = threading.Event()
+                thread = threading.Thread(target=run_batch)
+                thread.start()
+                _wait_for_query(handle, "synth-batch", seen)
+                proc.send_signal(signal.SIGHUP)
+                _wait_for_reloads(handle, 1)
+                reloaded_mid_batch = not done.is_set()
+                thread.join(timeout=120)
+                assert reloaded_mid_batch
+                reply = replies[0]
+                assert reply["failures"] == 0
+                assert {entry["result"]["cost"]
+                        for entry in reply["results"]} == {4}
+                with pytest.raises(CostBoundExceededError):
+                    handle.synth(specs[0])
 
-            def blocker() -> dict:
-                entered.set()
-                release.wait(30)
-                return {}
 
-            trace = {"queue_wait": 0.0, "execute": 0.0}
-            jobs = [
-                asyncio.ensure_future(service._submit(blocker, dict(trace)))
-                for _ in range(3)
-            ]
-            loop = asyncio.get_running_loop()
-            assert await loop.run_in_executor(None, entered.wait, 10), (
-                "worker never picked up the blocking job"
-            )
-            try:
-                # Saturated pool: the sole worker is wedged on `blocker`.
-                await asyncio.wait_for(service.reload(), timeout=30)
-                assert service._m_reloads.value() == 1
-            finally:
-                release.set()
-                await asyncio.gather(*jobs, return_exceptions=True)
-                await service.close()
+class TestInlineExecution:
+    """Queries run on the event loop; a long batch yields between chunks."""
 
-        asyncio.run(scenario())
+    def test_long_batch_does_not_stall_other_connections(
+        self, store_path, reference
+    ):
+        specs = []
+        for cost in range(BOUND + 1):
+            specs.extend(t.cycle_string()
+                         for t in reference.targets_at_cost(cost, True))
+        with _serve_process(store_path) as (_proc, address):
+            with ServeClient(address) as handle:
+                batch = _sized_batch(specs, 1.5, handle)
+            done = threading.Event()
+            walls: list = []
+
+            def run_batch() -> None:
+                with ServeClient(address, timeout=120) as batcher:
+                    started = time.perf_counter()
+                    reply = batcher.synth_batch(batch)
+                    walls.append(time.perf_counter() - started)
+                assert reply["failures"] == 0
+                done.set()
+
+            thread = threading.Thread(target=run_batch)
+            thread.start()
+            time.sleep(0.1)  # let the batch line reach the server first
+            latencies = []
+            with ServeClient(address) as handle:
+                while not done.is_set():
+                    started = time.perf_counter()
+                    assert handle.synth("peres")["cost"] == 4
+                    latencies.append(time.perf_counter() - started)
+            thread.join(timeout=120)
+        assert walls and walls[0] >= 1.0, walls
+        assert latencies
+        assert max(latencies) < 0.25 * walls[0], (
+            max(latencies), walls[0], len(latencies)
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "x.rpro", "--workers", "2"],
+        ["serve", "x.rpro", "--max-batch", "8"],
+        ["fleet", "serve", "x.rpro", "--workers", "2"],
+        ["fleet", "serve", "x.rpro", "--max-batch", "8"],
+    ], ids=["serve-workers", "serve-max-batch", "fleet-workers",
+            "fleet-max-batch"])
+    def test_pool_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
 
 class TestErrorSplit:
@@ -922,41 +1066,11 @@ class TestServeSubprocess:
     """The real `repro serve` process: ready line, SIGHUP, SIGTERM."""
 
     def test_sighup_reload_and_sigterm_shutdown(self, store_path):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve", store_path,
-                "--port", "0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        try:
-            address = None
-            for _ in range(200):
-                line = proc.stdout.readline()
-                if not line:
-                    break
-                match = re.search(r"listening on (\S+) ", line)
-                if match:
-                    address = match.group(1)
-                    break
-            assert address, "server never printed its ready line"
-            wait_until_ready(address, timeout=30)
-
+        with _serve_process(store_path) as (proc, address):
             with ServeClient(address) as handle:
                 assert handle.synth("peres")["cost"] == 4
                 proc.send_signal(signal.SIGHUP)
-                deadline = time.monotonic() + 20
-                while time.monotonic() < deadline:
-                    if handle.healthz()["reloads"] == 1:
-                        break
-                    time.sleep(0.05)
-                assert handle.healthz()["reloads"] == 1
+                _wait_for_reloads(handle, 1)
                 assert handle.synth("peres")["cost"] == 4
 
             # An idle connection left open must not hang the graceful
@@ -967,10 +1081,6 @@ class TestServeSubprocess:
                 assert proc.wait(timeout=20) == 0
             finally:
                 idle.close()
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
 
 
 class TestCliGolden:
