@@ -348,7 +348,6 @@ class SynthesisService:
         op = request.op
         self._m_queries.inc(op=op)
         started = time.perf_counter()
-        trace = {"queue_wait": 0.0, "execute": 0.0}
         alias: str | None = None
         try:
             if op == "healthz":
@@ -362,17 +361,17 @@ class SynthesisService:
                 else:
                     self._m_batches.inc()
                     result = await _serve_query(state, op, request.params)
-            trace["execute"] = time.perf_counter() - started
+            execute = time.perf_counter() - started
         except Exception as exc:
             # The wire mapping already splits fault domains: 4xx
             # statuses are client mistakes, 5xx are server faults.
             payload, status = error_payload(exc)
             domain = "server" if status >= 500 else "client"
             self._m_errors.inc(domain=domain)
-            self._finish_request(request, alias, started, trace,
+            self._finish_request(request, alias, started, 0.0,
                                  payload["code"])
             raise
-        self._finish_request(request, alias, started, trace, "ok")
+        self._finish_request(request, alias, started, execute, "ok")
         return result
 
     def _finish_request(
@@ -380,12 +379,12 @@ class SynthesisService:
         request: Request,
         alias: str | None,
         started: float,
-        trace: dict,
+        execute: float,
         outcome: str,
     ) -> None:
         total = time.perf_counter() - started
         self._h_latency.observe(total * 1e3, op=request.op)
-        self._h_queue_wait.observe(trace["queue_wait"] * 1e3, op=request.op)
+        self._h_queue_wait.observe(0.0, op=request.op)
         if self._log_writer is None:
             return
         record = {
@@ -393,8 +392,8 @@ class SynthesisService:
             "op": request.op,
             "store": alias,
             "id": request.id,
-            "queue_wait_ms": round(trace["queue_wait"] * 1e3, 3),
-            "execute_ms": round(trace["execute"] * 1e3, 3),
+            "queue_wait_ms": 0.0,
+            "execute_ms": round(execute * 1e3, 3),
             "total_ms": round(total * 1e3, 3),
             "outcome": outcome,
         }

@@ -153,6 +153,7 @@ def _wait_for_reloads(client, count: int) -> None:
     while client.healthz()["reloads"] < count:
         assert time.monotonic() < deadline, "reload never completed"
         time.sleep(0.01)
+    assert client.healthz()["reloads"] == count
 
 
 @contextlib.contextmanager
@@ -237,15 +238,12 @@ class TestMetricsUnits:
     """healthz percentiles come from the registry histograms."""
 
     @staticmethod
-    def _finish(service, op, queue_wait_s, latency_s):
+    def _finish(service, op, latency_s):
         request = SimpleNamespace(
             op=op, id=1, trace_id=None, span_id=None, params=None
         )
         started = time.perf_counter() - latency_s
-        service._finish_request(
-            request, None, started,
-            {"queue_wait": queue_wait_s, "execute": 0.0}, "ok",
-        )
+        service._finish_request(request, None, started, latency_s, "ok")
 
     def test_empty_service_has_no_summary(self):
         health = SynthesisService("unopened.rpro")._do_healthz()
@@ -255,10 +253,11 @@ class TestMetricsUnits:
 
     def test_service_metrics_scale_to_milliseconds(self):
         service = SynthesisService("unopened.rpro")
-        self._finish(service, "synth", queue_wait_s=0.001, latency_s=0.002)
+        self._finish(service, "synth", latency_s=0.002)
         health = service._do_healthz()
+        # Queries run inline, so every request records a 0 ms queue wait.
         assert health["queue_wait_ms"]["synth"] == {
-            "count": 1, "p50": 1.0, "p90": 1.0, "p99": 1.0,
+            "count": 1, "p50": 0.0, "p90": 0.0, "p99": 0.0,
         }
         latency = health["latency_ms"]["synth"]
         assert latency["count"] == 1
@@ -269,7 +268,7 @@ class TestMetricsUnits:
         service = SynthesisService("unopened.rpro")
         for op, n in (("synth", 7), ("cost-table", 2)):
             for _ in range(n):
-                self._finish(service, op, 0.0, 0.001)
+                self._finish(service, op, 0.001)
         health = service._do_healthz()
         for op in ("synth", "cost-table"):
             count = service._h_latency.count(op=op)
@@ -585,10 +584,11 @@ class TestConcurrency:
             targets.extend(reference.targets_at_cost(cost, True))
         mix = [target.cycle_string() for target in targets[:64]]
         assert len(mix) == 64
-        assert BATCH_CHUNK == 16
-        straddling = mix[:40]
-        for index, bad in ((15, "(1,2,99)"), (16, "toffoli"),
-                           (31, "not-a-gate"), (32, "fredkin")):
+        straddling = mix[:2 * BATCH_CHUNK + 8]
+        for index, bad in ((BATCH_CHUNK - 1, "(1,2,99)"),
+                           (BATCH_CHUNK, "toffoli"),
+                           (2 * BATCH_CHUNK - 1, "not-a-gate"),
+                           (2 * BATCH_CHUNK, "fredkin")):
             straddling[index] = bad
         state = open_store_state(store_path)
         for specs, failures in ((mix, 0), (straddling, 4)):
