@@ -64,6 +64,7 @@ from repro.errors import (
     SimulationError,
     NonBinaryControlError,
     StoreError,
+    StoreCorruptError,
     StoreMismatchError,
     StoreVersionError,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "SimulationError",
     "NonBinaryControlError",
     "StoreError",
+    "StoreCorruptError",
     "StoreMismatchError",
     "StoreVersionError",
     # substrates

@@ -642,14 +642,14 @@ def _resolve_target(text: str, n_qubits: int = 3, radix: int = 2):
     return parse_target(text, n_qubits=n_qubits, radix=radix)
 
 
-def _print_result(result) -> bool:
+def _print_result(result, cost_model) -> bool:
     from repro.core.schedule import depth
     from repro.render.diagram import circuit_diagram
     from repro.sim.verify import verify_synthesis
 
     print(f"{result.circuit}   [depth {depth(result.circuit)}]")
     print(circuit_diagram(result.circuit))
-    report = verify_synthesis(result)
+    report = verify_synthesis(result, cost_model)
     if "mv-permutation" in report.checks or any(
         f.startswith("mv-permutation") for f in report.failures
     ):
@@ -670,8 +670,9 @@ def _cmd_synth(
     server: str | None = None,
     store_alias: str | None = None,
 ) -> int:
+    from repro.core.cost import UNIT_COST
     from repro.errors import SpecificationError
-    from repro.gates.library import GateLibrary
+    from repro.gates.library import library_for
 
     if (target_text is None) == (batch_file is None):
         raise SpecificationError(
@@ -693,6 +694,7 @@ def _cmd_synth(
         from repro.io import open_store
 
         header, library, search = open_store(store)
+        cost_model = header.cost_model
         bound = _store_bound(cost_bound, header.expanded_to, store)
         batch = BatchSynthesizer(search, cost_bound=bound)
         print(
@@ -701,7 +703,8 @@ def _cmd_synth(
             f"serving cost <= {bound})\n"
         )
     else:
-        library = GateLibrary(3)
+        library = library_for(3)
+        cost_model = UNIT_COST
         batch = None
         if cost_bound is None:
             from repro.core.mce import DEFAULT_COST_BOUND
@@ -709,7 +712,9 @@ def _cmd_synth(
             cost_bound = DEFAULT_COST_BOUND
 
     if batch_file is not None:
-        return _synth_batch(batch_file, library, batch, cost_bound, save)
+        return _synth_batch(
+            batch_file, library, batch, cost_bound, save, cost_model
+        )
 
     target = _resolve_target(
         target_text, library.n_qubits, library.space.radix
@@ -726,7 +731,7 @@ def _cmd_synth(
             results = express_all(target, library, cost_bound=cost_bound)
         else:
             results = [express(target, library, cost_bound=cost_bound)]
-    return _print_synth_results(results, save)
+    return _print_synth_results(results, save, cost_model)
 
 
 def _synth_via_server(
@@ -743,15 +748,17 @@ def _synth_via_server(
     The result body (everything after the banner line) is byte-
     identical to ``repro synth --store`` against the same store: the
     server ships :func:`repro.io.result_to_dict` records, the client
-    rebuilds and *re-verifies* them locally, and the shared printing
-    path does the rest.  *store_alias* routes every request on a
-    multi-store server.
+    rebuilds and certifies them locally under the cost model
+    ``store-info`` reports, and the shared printing path does the rest.
+    *store_alias* routes every request on a multi-store server.
     """
     from repro.client import ServeClient
-    from repro.gates.library import GateLibrary
+    from repro.core.cost import CostModel
+    from repro.gates.library import library_for
 
     with ServeClient(server, store=store_alias) as client:
         info = client.store_info()
+        cost_model = CostModel(**info["cost_model"])
         bound = _store_bound(
             cost_bound, info["serving_cost_bound"], f"server {server}"
         )
@@ -761,34 +768,26 @@ def _synth_via_server(
             f"(no re-expansion, serving cost <= {bound})\n"
         )
         if batch_file is not None:
-            radix = int(info.get("radix", 2))
-            if radix == 3:
-                from repro.gates.ternary import ternary_library
-
-                library = ternary_library(info["n_qubits"])
-            elif radix == 4:
-                from repro.gates.quaternary import quaternary_library
-
-                library = quaternary_library(info["n_qubits"])
-            else:
-                library = GateLibrary(info["n_qubits"])
+            library = library_for(info["n_qubits"], int(info.get("radix", 2)))
             return _synth_batch(
-                batch_file, library, None, cost_bound, save, client=client
+                batch_file, library, None, cost_bound, save, cost_model,
+                client=client,
             )
         results = client.synth_results(
-            target_text, all=all_implementations, cost_bound=cost_bound
+            target_text, all=all_implementations, cost_bound=cost_bound,
+            cost_model=cost_model,
         )
-        return _print_synth_results(results, save)
+        return _print_synth_results(results, save, cost_model)
 
 
-def _print_synth_results(results, save: str | None) -> int:
+def _print_synth_results(results, save: str | None, cost_model) -> int:
     """The shared result-printing tail of every ``repro synth`` backend."""
     target = results[0].target
     print(
         f"target {target.cycle_string()} -- minimal quantum cost "
         f"{results[0].cost}, {len(results)} implementation(s):\n"
     )
-    verified = [_print_result(result) for result in results]
+    verified = [_print_result(result, cost_model) for result in results]
     if save is not None:
         from repro.io import save_result
 
@@ -803,6 +802,7 @@ def _synth_batch(
     batch,
     cost_bound: int,
     save: str | None,
+    cost_model,
     client=None,
 ) -> int:
     from repro.errors import CostBoundExceededError
@@ -836,7 +836,7 @@ def _synth_batch(
                 entry = entries[i]
                 if not entry["ok"]:
                     raise error_to_exception(entry["error"])
-                result = result_from_dict(entry["result"])
+                result = result_from_dict(entry["result"], cost_model)
             elif batch is not None:
                 result = batch.synthesize(target)
             else:
@@ -847,7 +847,7 @@ def _synth_batch(
             print(f"{spec:24} -> no realization ({exc})")
             failures += 1
             continue
-        ok = verify_synthesis(result)
+        ok = verify_synthesis(result, cost_model)
         results.append(result)
         status = "ok" if ok else "VERIFY FAILED"
         if not ok:
@@ -926,7 +926,7 @@ def _cmd_precompute(
         read_header,
     )
     from repro.errors import StoreMismatchError
-    from repro.gates.library import GateLibrary
+    from repro.gates.library import library_for
     from repro.io import open_store, save_search
 
     if codec is not None and format_version != 3:
@@ -948,16 +948,7 @@ def _cmd_precompute(
                 "library; MV gate costs are fixed by the digit library "
                 "(singles 1, controlled 2)"
             )
-        if radix == 3:
-            from repro.gates.ternary import ternary_library
-
-            library = ternary_library(qubits)
-        else:
-            from repro.gates.quaternary import quaternary_library
-
-            library = quaternary_library(qubits)
-    else:
-        library = GateLibrary(qubits)
+    library = library_for(qubits, radix)
     cost_model = CostModel(
         v_cost=v_cost, vdag_cost=vdag_cost, cnot_cost=cnot_cost
     )

@@ -26,7 +26,7 @@ Example::
     with ServeClient("127.0.0.1:7205") as client:
         print(client.healthz()["status"])
         record = client.synth("toffoli")["results"][0]
-        results = client.synth_results("toffoli")  # verified SynthesisResult
+        results = client.synth_results("toffoli")  # certified SynthesisResult
 
     with ServeClient("unix:/tmp/repro.sock", store="deep") as client:
         client.synth_batch(["toffoli", "peres"])
@@ -292,21 +292,32 @@ class ServeClient:
         allow_not: bool = True,
         cost_bound: int | None = None,
         store: str | None = None,
+        cost_model=None,
     ) -> list:
-        """Like :meth:`synth`, rebuilt into verified ``SynthesisResult``s.
+        """Like :meth:`synth`, rebuilt into certified ``SynthesisResult``s.
 
-        Every record is re-verified locally
-        (:func:`repro.io.result_from_dict` recomputes the circuit's
-        permutation and compares), so a lying or corrupted server fails
-        loudly instead of returning a wrong circuit.
+        Every record is certified locally by
+        :func:`repro.io.result_from_dict` (composing the library's gate
+        tables against the record's target and cost), so a lying or
+        corrupted server fails loudly instead of returning a wrong
+        circuit.  Costs are checked under *cost_model*; ``None`` asks
+        the server's ``store-info`` for the store's model (one extra
+        round trip -- pass it when calling in a loop).
         """
+        from repro.core.cost import CostModel
         from repro.io import result_from_dict
 
+        if cost_model is None:
+            info = self.store_info(store=store)
+            cost_model = CostModel(**info["cost_model"])
         payload = self.synth(
             target, all=all, allow_not=allow_not, cost_bound=cost_bound,
             store=store,
         )
-        return [result_from_dict(record) for record in payload["results"]]
+        return [
+            result_from_dict(record, cost_model)
+            for record in payload["results"]
+        ]
 
     def synth_batch(
         self,

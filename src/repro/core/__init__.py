@@ -47,6 +47,7 @@ from repro.core.fmcf import CostTable, find_minimum_cost_circuits
 from repro.core.mce import (
     DEFAULT_COST_BOUND,
     SynthesisResult,
+    certify,
     express,
     express_all,
     minimal_cost,
@@ -126,6 +127,7 @@ __all__ = [
     "find_minimum_cost_circuits",
     "DEFAULT_COST_BOUND",
     "SynthesisResult",
+    "certify",
     "express",
     "express_all",
     "minimal_cost",

@@ -43,7 +43,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.errors import CostBoundExceededError, SpecificationError
+from repro.errors import (
+    CostBoundExceededError,
+    SpecificationError,
+    StoreCorruptError,
+)
 from repro.core.fmcf import CostTable
 from repro.core.mce import (
     DEFAULT_COST_BOUND,
@@ -160,6 +164,8 @@ class BatchSynthesizer:
             self._index = build_remainder_index(search, cost_bound)
         n_binary = self._library.space.n_binary
         self._identity_images = Permutation.identity(n_binary).images
+        # Cost levels up to this one passed certify_members().
+        self._certified_to = 0
 
     def warm(self) -> "BatchSynthesizer":
         """Freeze the search and pre-touch every query path once.
@@ -245,14 +251,40 @@ class BatchSynthesizer:
             remainder, f"permutation {target.cycle_string()}"
         )
         return _results_from_rows(
-            rows,
-            self._search,
-            target,
-            not_mask,
-            not_gates,
-            self._search.cost_model,
-            first_only,
+            rows, self._search, target, not_mask, not_gates, first_only
         )
+
+    def certify_members(self, cost_bound: int) -> None:
+        """Certify one witness of every indexed function up to *cost_bound*.
+
+        The check behind a served cost table's members: each function's
+        first witness must realize it at exactly its indexed minimal
+        cost (and compose to its row's stored permutation).  The index
+        and the frozen closure never change, so each cost level is
+        certified once per instance.  A counting-only closure has no
+        witnesses and passes as indexed.
+
+        Raises:
+            StoreCorruptError: a witness fails certification or costs
+                other than its function's indexed cost.
+        """
+        done = self._certified_to
+        if cost_bound <= done or not self._search.tracks_parents:
+            return
+        for remainder, (cost, rows) in self._index.items():
+            if not done < cost <= cost_bound or (
+                remainder == self._identity_images
+            ):
+                continue
+            (result,) = _results_from_rows(
+                rows, self._search, Permutation(remainder), 0, (), True
+            )
+            if result.cost != cost:
+                raise StoreCorruptError(
+                    f"{result.target.cycle_string()} is indexed at cost "
+                    f"{cost} but its witness costs {result.cost}"
+                )
+        self._certified_to = cost_bound
 
     def minimal_cost(self, target: Permutation, allow_not: bool = True) -> int:
         """Minimal quantum cost of a target, without witness extraction."""

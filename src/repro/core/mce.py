@@ -11,18 +11,30 @@ with an optional *free* layer of NOT gates in front:
    restriction to S equals the remainder; the first hit is cost-minimal
    (Theorem 3).
 3. Walk the parent pointers to extract the witness cascade.
+
+:func:`certify` is the one verifier every witness passes: it composes
+the library's cached gate tables, so checking an answer costs
+microseconds whether it is about to leave the server or has just
+arrived at a client.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.errors import CostBoundExceededError, SpecificationError
+from repro.errors import (
+    CostBoundExceededError,
+    InvalidValueError,
+    SpecificationError,
+    StoreCorruptError,
+)
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
 from repro.core.search import CascadeSearch
 from repro.gates.gate import Gate
-from repro.gates.library import GateLibrary
+from repro.gates.library import GateLibrary, LibraryGate
 from repro.gates.named import not_layer_permutation
 from repro.perm.permutation import Permutation
 
@@ -181,41 +193,171 @@ def _not_layer_result(
     )
 
 
+@lru_cache(maxsize=8)
+def not_gates_by_name(n_qubits: int) -> dict[str, Gate]:
+    """The NOT gates of a register, keyed by name (``N_A`` ...)."""
+    gates = (Gate.not_(wire, n_qubits) for wire in range(n_qubits))
+    return {gate.name: gate for gate in gates}
+
+
+@lru_cache(maxsize=64)
+def _not_layer_images(not_mask: int, n_qubits: int) -> bytes:
+    return not_layer_permutation(not_mask, n_qubits).images
+
+
+def certify(
+    library: GateLibrary,
+    gates: Sequence[str],
+    target: Permutation,
+    cost: int,
+    cost_model: CostModel = UNIT_COST,
+) -> Permutation:
+    """Check that a named cascade realizes *target* at *cost*.
+
+    *gates* are gate names in cascade order: an optional leading layer
+    of NOTs (``N_B``; binary libraries only) followed by library gates.
+    The NOT layer folds into an XOR mask and the library gates compose
+    through their cached translate tables, so the check costs
+    microseconds.  Before each library gate the images of the binary
+    labels must avoid that gate's banned set (Definition 1, the rule
+    ``Circuit.strict_apply`` enforces on patterns), and at the end the
+    binary labels must map onto binary labels.  Then
+    ``not_layer_permutation(mask) * cascade`` restricted to the binary
+    labels must equal *target*, and the library gates' costs under
+    *cost_model* must sum to *cost*.
+
+    Returns:
+        The cascade's label permutation (the library gates only).
+
+    Raises:
+        SpecificationError: an unknown gate name, a NOT after a library
+            gate, or any failed check.
+    """
+    not_gates = not_gates_by_name(library.n_qubits)
+    binary = library.space.radix == 2
+    not_mask = 0
+    entries: list[LibraryGate] = []
+    for name in gates:
+        entry = library.get(name)
+        if entry is not None:
+            entries.append(entry)
+            continue
+        gate = not_gates.get(name) if binary else None
+        if gate is None:
+            raise SpecificationError(f"gate {name!r} is not in the library")
+        if entries:
+            raise SpecificationError(
+                f"NOT gate {name} follows a two-qubit gate; only a leading "
+                "NOT layer is free (Theorem 2)"
+            )
+        not_mask ^= 1 << (library.n_qubits - 1 - gate.target)
+    return _certify_entries(
+        library, not_mask, entries, target, cost, cost_model
+    )
+
+
+def _certify_entries(
+    library: GateLibrary,
+    not_mask: int,
+    entries: Sequence[LibraryGate],
+    target: Permutation,
+    cost: int,
+    cost_model: CostModel,
+) -> Permutation:
+    """:func:`certify` for resolved library entries (the server's path)."""
+    space = library.space
+    n_binary = space.n_binary
+    if target.degree != n_binary:
+        raise SpecificationError(
+            f"target degree {target.degree} != {n_binary} binary labels "
+            f"of a {library.n_qubits}-wire register"
+        )
+    images = bytes(range(space.size))
+    total = 0
+    for entry in entries:
+        banned = entry.banned_bytes
+        # Deleting the banned labels shortens the binary labels' images
+        # exactly when one of them is banned for this gate.
+        head = images[:n_binary]
+        if banned and len(head.translate(None, banned)) != n_binary:
+            raise SpecificationError(
+                f"{entry.name} sees a non-binary value on a control; the "
+                "cascade is not a reasonable product (Definition 1)"
+            )
+        images = images.translate(entry.table)
+        total += cost_model.gate_cost(entry.gate.kind)
+    realized = images[:n_binary]
+    if max(realized) >= n_binary:
+        raise SpecificationError(
+            "the cascade maps a binary input to a mixed output; it is "
+            "probabilistic, not reversible"
+        )
+    if not_mask:
+        # (d0 * cascade)(x) = cascade(x ^ mask), composed as a translate.
+        d0 = _not_layer_images(not_mask, library.n_qubits)
+        realized = d0.translate(realized.ljust(256, b"\0"))
+    if realized != target.images:
+        raise SpecificationError(
+            f"the circuit realizes {Permutation(realized).cycle_string()}, "
+            f"not {target.cycle_string()}"
+        )
+    if total != cost:
+        raise SpecificationError(
+            f"claimed cost {cost} disagrees with the cascade's cost {total}"
+        )
+    return Permutation(images)
+
+
 def _results_from_rows(
     rows,
     search: CascadeSearch,
     target: Permutation,
     not_mask: int,
     not_gates: tuple[Gate, ...],
-    cost_model: CostModel,
     first_only: bool,
 ) -> list[SynthesisResult]:
-    """Turn matching *global closure rows* into witness-backed results.
+    """Turn matching *global closure rows* into certified results.
 
     Witness extraction walks parent arrays directly by row -- the path
     shared by the level scan here, by
     :class:`~repro.core.batch.BatchSynthesizer` and by the v2 store's
     serialized remainder index (no byte-level lookups, O(cost) per
-    witness).
+    witness).  Every witness is certified before it is returned: it
+    must realize *target* at its row's cost, and compose to exactly
+    the row's stored permutation.
+
+    Raises:
+        StoreCorruptError: a witness fails either check -- the closure's
+            parent, gate, permutation or index data is corrupted.
     """
     library = search.library
     results = []
     for row in rows:
         row = int(row)
-        gates = tuple(
-            library[i].gate for i in search.witness_indices_for_row(row)
-        )
-        cascade = Circuit(gates, library.n_qubits)
-        circuit = Circuit(not_gates + gates, library.n_qubits)
+        try:
+            indices = search.witness_indices_for_row(row)
+            entries = [library.gates[i] for i in indices]
+            cost = search.cost_of_row(row)
+            cascade = _certify_entries(
+                library, not_mask, entries, target, cost, search.cost_model
+            )
+        except (InvalidValueError, SpecificationError) as exc:
+            raise StoreCorruptError(
+                f"closure row {row}: witness fails certification: {exc}"
+            ) from None
+        if cascade.images != search.perm_bytes_at(row):
+            raise StoreCorruptError(
+                f"closure row {row}: witness does not compose to the "
+                "row's stored permutation"
+            )
+        gates = tuple(entry.gate for entry in entries)
         results.append(
             SynthesisResult(
                 target=target,
-                circuit=circuit,
-                cost=cascade.cost(cost_model),
+                circuit=Circuit(not_gates + gates, library.n_qubits),
+                cost=cost,
                 not_mask=not_mask,
-                cascade_permutation=Permutation.from_images(
-                    search.perm_bytes_at(row)
-                ),
+                cascade_permutation=cascade,
             )
         )
         if first_only:
@@ -249,8 +391,7 @@ def _express_impl(
         rows = search.find_matching_rows(cost, wanted)
         if rows:
             return _results_from_rows(
-                rows, search, target, not_mask, not_gates, cost_model,
-                first_only,
+                rows, search, target, not_mask, not_gates, first_only
             )
     raise CostBoundExceededError(
         f"permutation {target.cycle_string()}", cost_bound

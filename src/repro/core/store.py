@@ -158,7 +158,7 @@ from repro.core.cost import CostModel, UNIT_COST
 from repro.core.kernel import compute_masks, mask_word_count
 from repro.core.search import CascadeSearch, SearchArrays
 from repro.gates.kinds import GateKind
-from repro.gates.library import GateLibrary
+from repro.gates.library import DEFAULT_KINDS, GateLibrary, library_for
 from repro.mvl.labels import label_space
 
 MAGIC_PREFIX = b"RPROCLS"
@@ -386,29 +386,38 @@ class StoreHeader:
         return sum(self.level_sizes)
 
     def rebuild_library(self) -> GateLibrary:
-        """The library this store was expanded under, by family."""
-        if self.library_family == "ternary-diwei":
-            from repro.gates.ternary import ternary_library
+        """The library this store was expanded under, by family.
 
-            return ternary_library(self.n_qubits)
-        if self.library_family == "quaternary-ms":
-            from repro.gates.quaternary import quaternary_library
-
-            return quaternary_library(self.n_qubits)
-        if self.library_family != "paper":
+        Default libraries come from the shared
+        :func:`~repro.gates.library.library_for` cache; only a paper
+        library with a trimmed alphabet or a non-default label space is
+        built afresh.
+        """
+        radix = _FAMILY_RADIX.get(self.library_family)
+        if radix is None:
             raise StoreError(
                 f"store was built by unknown library family "
                 f"{self.library_family!r}; this build knows 'paper', "
                 "'ternary-diwei' and 'quaternary-ms'"
             )
+        if radix != 2:
+            return library_for(self.n_qubits, radix)
         try:
             kinds = tuple(GateKind[name] for name in self.gate_kinds)
         except KeyError as exc:
             raise StoreError(f"store names unknown gate kind {exc}") from None
+        if kinds == DEFAULT_KINDS and self.space_reduced and (
+            self.space_ordering == "value"
+        ):
+            return library_for(self.n_qubits)
         space = label_space(
             self.n_qubits, reduced=self.space_reduced, ordering=self.space_ordering
         )
         return GateLibrary(self.n_qubits, space=space, kinds=kinds)
+
+
+#: Library family -> wire radix of its default library.
+_FAMILY_RADIX = {"paper": 2, "ternary-diwei": 3, "quaternary-ms": 4}
 
 
 def _header_dict(header: StoreHeader) -> dict:

@@ -84,6 +84,18 @@ class StoreMismatchError(StoreError):
     """
 
 
+class StoreCorruptError(StoreError):
+    """A closure store served a witness that fails certification.
+
+    Raised before an answer leaves the process when a stored witness
+    cascade does not compose to its row's stored permutation, or its
+    row does not realize the requested target at the row's cost --
+    corrupted parent, gate or index sections.  The server maps it to
+    ``STORE_CORRUPT`` (HTTP 500), so a fleet router fails the request
+    over instead of returning wrong bytes.
+    """
+
+
 class ServerError(ReproError):
     """The synthesis service failed outside of normal query semantics.
 

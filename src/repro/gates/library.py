@@ -18,6 +18,7 @@ Definition 1's *reasonable product* test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import permutations as _wire_pairs
 
 from repro.errors import InvalidGateError
@@ -25,6 +26,10 @@ from repro.gates.gate import Gate, wire_letter
 from repro.gates.kinds import GateKind
 from repro.mvl.labels import LabelSpace, label_space
 from repro.perm.permutation import Permutation
+
+
+#: The default gate kinds of the paper's binary library, in entry order.
+DEFAULT_KINDS = (GateKind.V, GateKind.VDAG, GateKind.CNOT)
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,19 @@ class LibraryGate:
     def name(self) -> str:
         return self.gate.name
 
-    @property
+    @cached_property
     def table(self) -> bytes:
         """The 256-byte translate table of the permutation."""
         return self.permutation.table()
+
+    @cached_property
+    def banned_bytes(self) -> bytes:
+        """The banned labels as bytes, for ``bytes.translate`` deletion."""
+        return bytes(
+            label
+            for label in range(self.permutation.degree)
+            if (self.banned_mask >> label) & 1
+        )
 
     def __str__(self) -> str:
         return self.name
@@ -77,7 +91,7 @@ class GateLibrary:
         self,
         n_qubits: int = 3,
         space: LabelSpace | None = None,
-        kinds: tuple[GateKind, ...] = (GateKind.V, GateKind.VDAG, GateKind.CNOT),
+        kinds: tuple[GateKind, ...] = DEFAULT_KINDS,
     ):
         if space is None:
             space = label_space(n_qubits, reduced=True)
@@ -182,6 +196,10 @@ class GateLibrary:
                 f"({', '.join(sorted(self._by_name))})"
             ) from None
 
+    def get(self, name: str) -> LibraryGate | None:
+        """The entry named *name*, or None when the library has none."""
+        return self._by_name.get(name)
+
     def entry_for(self, gate: Gate) -> LibraryGate:
         """The library entry wrapping an equal placed gate."""
         return self.by_name(gate.name)
@@ -261,3 +279,34 @@ class GateLibrary:
             f"GateLibrary(n_qubits={self._n_qubits}, "
             f"n_gates={len(self._gates)}, space={self._space!r})"
         )
+
+
+@lru_cache(maxsize=16)
+def library_for(n_qubits: int, radix: int = 2) -> GateLibrary:
+    """The shared default library of a register: one instance per key.
+
+    Radix 2 is the paper's V/V+/CNOT library on the reduced label
+    space; radix 3 and 4 are the Di & Wei ternary and the
+    Muthukrishnan--Stroud quaternary digit libraries.  Libraries are
+    immutable, so every caller -- stores, clients, the CLI -- shares
+    the instance and its cached gate tables.
+
+    Raises:
+        InvalidGateError: an unsupported radix or register width.
+    """
+    if radix == 2:
+        if not 1 <= n_qubits <= 4:
+            # Five qubits already exceed the 256-label permutation cap.
+            raise InvalidGateError(
+                f"the binary library spans 1..4 qubits, not {n_qubits}"
+            )
+        return GateLibrary(n_qubits)
+    if radix == 3:
+        from repro.gates.ternary import ternary_library
+
+        return ternary_library(n_qubits)
+    if radix == 4:
+        from repro.gates.quaternary import quaternary_library
+
+        return quaternary_library(n_qubits)
+    raise InvalidGateError(f"no gate library for radix {radix}")

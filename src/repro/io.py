@@ -43,9 +43,10 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.errors import SpecificationError
+from repro.errors import InvalidGateError, SpecificationError
 from repro.core.circuit import Circuit
-from repro.core.mce import SynthesisResult
+from repro.core.cost import CostModel, UNIT_COST
+from repro.core.mce import SynthesisResult, certify, not_gates_by_name
 from repro.core.store import (  # noqa: F401  (re-exported persistence facade)
     StoreHeader,
     load_search,
@@ -55,6 +56,7 @@ from repro.core.store import (  # noqa: F401  (re-exported persistence facade)
     save_search,
     verify_store,
 )
+from repro.gates.library import library_for
 from repro.perm.permutation import Permutation
 
 
@@ -107,8 +109,6 @@ def circuit_from_dict(data: dict[str, Any]) -> Circuit:
         raise SpecificationError(f"malformed circuit record: {exc}") from None
     if n_qubits < 1:
         raise SpecificationError(f"bad register width {n_qubits}")
-    from repro.errors import InvalidGateError
-
     try:
         if radix != 2:
             from repro.gates.mv import MVGate
@@ -159,114 +159,68 @@ def result_to_dict(result: SynthesisResult) -> dict[str, Any]:
     return record
 
 
-def result_circuit_from_dict(data: dict[str, Any]) -> tuple[Circuit, Permutation]:
-    """Rebuild (circuit, target) from a result record and re-verify.
-
-    The stored target is recomputed from the circuit and compared, so a
-    corrupted or hand-edited file fails loudly instead of silently
-    returning a wrong circuit.
-
-    Raises:
-        SpecificationError: if the circuit no longer realizes the stored
-            target or the stored cost disagrees.
-    """
-    circuit = circuit_from_dict(data)
-    try:
-        radix = int(data.get("radix", 2))
-    except (TypeError, ValueError) as exc:
-        raise SpecificationError(f"malformed result record: {exc}") from None
-    degree = radix**circuit.n_qubits
-    try:
-        target = Permutation.from_cycle_string(degree, str(data["target"]))
-        stored_cost = int(data["cost"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecificationError(f"malformed result record: {exc}") from None
-    from repro.errors import InvalidCircuitError, NonBinaryControlError
-
-    if radix != 2:
-        # MV cascades live entirely at the digit-permutation level: the
-        # circuit's recomputed label permutation is the whole semantics,
-        # and cost follows the library convention carried by the gates.
-        from repro.mvl.labels import label_space
-
-        realized = circuit.permutation(
-            label_space(circuit.n_qubits, radix=radix)
-        )
-        if realized != target:
-            raise SpecificationError(
-                f"stored circuit realizes {realized.cycle_string()}, "
-                f"record claims {data['target']}"
-            )
-        if circuit.cost() != stored_cost:
-            raise SpecificationError(
-                f"stored cost {stored_cost} disagrees with the circuit's "
-                f"gate cost {circuit.cost()}"
-            )
-        return circuit, target
-    try:
-        realized = circuit.binary_permutation()
-    except (InvalidCircuitError, NonBinaryControlError) as exc:
-        raise SpecificationError(
-            f"stored circuit is not a reversible cascade: {exc}"
-        ) from None
-    if realized != target:
-        raise SpecificationError(
-            f"stored circuit realizes {realized.cycle_string()}, "
-            f"record claims {data['target']}"
-        )
-    if circuit.two_qubit_count != stored_cost:
-        raise SpecificationError(
-            f"stored cost {stored_cost} disagrees with the circuit's "
-            f"{circuit.two_qubit_count} two-qubit gates"
-        )
-    return circuit, target
-
-
-def result_from_dict(data: dict[str, Any]) -> SynthesisResult:
+def result_from_dict(
+    data: dict[str, Any], cost_model: CostModel = UNIT_COST
+) -> SynthesisResult:
     """Rebuild a full :class:`SynthesisResult` from a result record.
 
-    The inverse of :func:`result_to_dict`, with the same re-verification
-    as :func:`result_circuit_from_dict` -- the circuit must actually
-    realize the stored target at the stored cost.  This is how
-    ``repro synth --server`` turns the service's JSON records back into
-    first-class results: the cascade's label permutation is recomputed
-    locally (on the default reduced label space), so a corrupted or
-    malicious response cannot smuggle in a wrong circuit.
+    The inverse of :func:`result_to_dict`, certified on the way in: the
+    gate names are looked up in the shared library of the record's
+    ``(n_qubits, radix)`` (:func:`~repro.gates.library.library_for`)
+    and :func:`~repro.core.mce.certify` composes the library's cached
+    gate tables to prove that the circuit realizes the stored target at
+    the stored cost under *cost_model* (the store's model -- ``repro
+    synth --store`` passes its header's, ``--server`` the one
+    ``store-info`` reports).  This is how ``repro synth --server`` turns
+    the service's JSON records back into first-class results, so a
+    corrupted or malicious response cannot smuggle in a wrong circuit;
+    the server certifies every witness the same way before sending it.
 
     Raises:
-        SpecificationError: malformed record or failed re-verification.
+        SpecificationError: malformed record or failed certification.
     """
-    circuit, target = result_circuit_from_dict(data)
     try:
-        not_mask = int(data.get("not_mask", 0))
+        n_qubits = int(data["n_qubits"])
+        names = [str(name) for name in data["gates"]]
         radix = int(data.get("radix", 2))
-    except (TypeError, ValueError) as exc:
-        raise SpecificationError(f"malformed result record: {exc}") from None
-    if radix != 2:
-        # MV libraries have no NOT layer (Theorem 2 is binary), so the
-        # cascade *is* the whole circuit and its label permutation is the
-        # target itself.
-        from repro.mvl.labels import label_space
-
-        space = label_space(circuit.n_qubits, radix=radix)
-        return SynthesisResult(
-            target=target,
-            circuit=circuit,
-            cost=int(data["cost"]),
-            not_mask=not_mask,
-            cascade_permutation=circuit.permutation(space),
+        cost = int(data["cost"])
+        not_mask = int(data.get("not_mask", 0))
+        library = library_for(n_qubits, radix)
+        # n_binary is 2**n on binary registers, radix**n on digit ones.
+        target = Permutation.from_cycle_string(
+            library.space.n_binary, str(data["target"])
         )
-    two_qubit = Circuit(
-        tuple(g for g in circuit.gates if g.kind.is_two_qubit),
-        circuit.n_qubits,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecificationError(f"malformed result record: {exc}") from None
+    cascade = certify(library, names, target, cost, cost_model)
+    not_gates = not_gates_by_name(n_qubits)
+    gates = []
+    for name in names:
+        entry = library.get(name)
+        gates.append(not_gates[name] if entry is None else entry.gate)
     return SynthesisResult(
         target=target,
-        circuit=circuit,
-        cost=int(data["cost"]),
+        circuit=Circuit(gates, n_qubits),
+        cost=cost,
         not_mask=not_mask,
-        cascade_permutation=two_qubit.permutation(),
+        cascade_permutation=cascade,
     )
+
+
+def result_circuit_from_dict(
+    data: dict[str, Any], cost_model: CostModel = UNIT_COST
+) -> tuple[Circuit, Permutation]:
+    """Rebuild and certify (circuit, target) from a result record.
+
+    See :func:`result_from_dict`: a corrupted or hand-edited file fails
+    loudly instead of silently returning a wrong circuit.
+
+    Raises:
+        SpecificationError: if the circuit does not realize the stored
+            target at the stored cost.
+    """
+    result = result_from_dict(data, cost_model)
+    return result.circuit, result.target
 
 
 def save_result(result: SynthesisResult, path: str | Path) -> None:

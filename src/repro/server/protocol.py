@@ -83,6 +83,7 @@ from repro.errors import (
     ReproError,
     ServerError,
     SpecificationError,
+    StoreCorruptError,
     StoreError,
     StoreMismatchError,
     StoreVersionError,
@@ -113,6 +114,7 @@ _ERROR_TABLE: tuple[tuple[type, str, int], ...] = (
     (FleetOverloadedError, "FLEET_OVERLOADED", 503),
     (StoreMismatchError, "store-mismatch", 409),
     (StoreVersionError, "store-version", 500),
+    (StoreCorruptError, "STORE_CORRUPT", 500),
     (StoreError, "store-error", 500),
     (FrozenSearchError, "frozen", 409),
     (SpecificationError, "specification", 400),
@@ -130,6 +132,7 @@ _CODE_TO_EXCEPTION = {
     "FLEET_OVERLOADED": FleetOverloadedError,
     "store-mismatch": StoreMismatchError,
     "store-version": StoreVersionError,
+    "STORE_CORRUPT": StoreCorruptError,
     "store-error": StoreError,
     "frozen": FrozenSearchError,
     "specification": SpecificationError,

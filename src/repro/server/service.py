@@ -660,6 +660,8 @@ def _run_cost_table(state: StoreState, params: dict) -> dict:
         "a_sizes": list(table.a_sizes[: bound + 1]),
     }
     if params.get("include_members", False):
+        # No member leaves unchecked: each one's witness is certified.
+        state.batch.certify_members(bound)
         payload["members"] = [
             [perm.cycle_string() for perm in members]
             for members in classes

@@ -33,6 +33,7 @@ import pytest
 from repro.cli import main
 from repro.client import ServeClient, http_request, wait_until_ready
 from repro.core.batch import BatchSynthesizer
+from repro.core.cost import CostModel
 from repro.core.search import CascadeSearch
 from repro.core.store import save_search
 from repro.errors import (
@@ -1190,3 +1191,135 @@ class TestCliGolden:
              "--port", "0"]
         ) == 1
         assert "at most one of --port and --no-tcp" in capsys.readouterr().err
+
+
+WEIGHTED = CostModel(v_cost=2, vdag_cost=2)
+
+
+@pytest.fixture(scope="module")
+def weighted_store_path(tmp_path_factory):
+    """A store expanded under V/V+ cost 2 (Peres costs 7 there)."""
+    path = tmp_path_factory.mktemp("serve-weighted") / "weighted.rpro"
+    search = CascadeSearch(GateLibrary(3), WEIGHTED, track_parents=True)
+    search.extend_to(7)
+    save_search(search, path)
+    return str(path)
+
+
+class TestWeightedCostModel:
+    """Answers are checked under the store's cost model, not unit cost."""
+
+    def test_store_and_server_verify_and_agree(
+        self, weighted_store_path, capsys, tmp_path
+    ):
+        assert main(["synth", "peres", "--store", weighted_store_path]) == 0
+        store_out = capsys.readouterr().out
+        assert "minimal quantum cost 7" in store_out
+        assert "FAILED" not in store_out
+        batch_file = tmp_path / "targets.txt"
+        batch_file.write_text("peres\ng2\n")
+        assert main(["synth", "--store", weighted_store_path,
+                     "--batch", str(batch_file)]) == 0
+        store_batch = capsys.readouterr().out
+        with BackgroundServer(weighted_store_path) as srv:
+            assert main(
+                ["synth", "peres", "--server", srv.address_text]
+            ) == 0
+            server_out = capsys.readouterr().out
+            assert main(["synth", "--server", srv.address_text,
+                         "--batch", str(batch_file)]) == 0
+            server_batch = capsys.readouterr().out
+        body = TestCliGolden._body
+        assert body(store_out) == body(server_out)
+        assert body(store_batch) == body(server_batch)
+
+    def test_served_record_certifies_under_the_store_model(
+        self, weighted_store_path
+    ):
+        from repro.core.cost import UNIT_COST
+        from repro.io import result_from_dict
+
+        with BackgroundServer(weighted_store_path) as srv:
+            with ServeClient(srv.address_text) as handle:
+                record = handle.synth("peres")["results"][0]
+                (result,) = handle.synth_results("peres")
+        assert result.cost == 7
+        assert result_from_dict(record, WEIGHTED) == result
+        with pytest.raises(SpecificationError, match="cost"):
+            result_from_dict(record, UNIT_COST)
+
+
+@pytest.fixture(scope="module")
+def corrupt_store_path(tmp_path_factory):
+    """A cost-5 v2 store whose ``gates`` section is off by one (mod 18).
+
+    The lazy open checks only the index sections' digests, so the store
+    opens and serves; only certification can catch the wrong witnesses.
+    """
+    import numpy as np
+
+    from repro.io import read_header
+
+    path = tmp_path_factory.mktemp("serve-corrupt") / "corrupt.rpro"
+    search = CascadeSearch(GateLibrary(3), track_parents=True)
+    search.extend_to(5)
+    save_search(search, path, format_version=2)
+    header = read_header(path)
+    data = bytearray(path.read_bytes())
+    offset, length = header.sections["gates"]
+    start = len(data) - header.payload_size + offset
+    gates = np.frombuffer(bytes(data[start:start + length]), dtype="<i4")
+    data[start:start + length] = ((gates + 1) % 18).astype("<i4").tobytes()
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+class TestCorruptStore:
+    """A wrong witness becomes STORE_CORRUPT, never an ``ok`` answer."""
+
+    TARGETS = ["toffoli", "peres", "g2", "g3", "(5,7,6,8)"]
+
+    def test_raw_ndjson_synth_is_store_corrupt(self, corrupt_store_path):
+        with BackgroundServer(corrupt_store_path) as srv:
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(
+                    b'{"id": 1, "op": "synth", '
+                    b'"params": {"target": "toffoli"}}\n'
+                )
+                stream.flush()
+                reply = json.loads(stream.readline())
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "STORE_CORRUPT"
+        # A 5xx fault: the client rebuilds the error, a router fails over.
+        from repro.errors import StoreCorruptError
+        from repro.server.protocol import SERVER_FAULT_CODES
+
+        exc = error_to_exception(reply["error"])
+        assert isinstance(exc, StoreCorruptError)
+        assert error_payload(exc) == (reply["error"], 500)
+        assert "STORE_CORRUPT" in SERVER_FAULT_CODES
+
+    def test_batch_reports_store_corrupt_per_entry(self, corrupt_store_path):
+        with BackgroundServer(corrupt_store_path) as srv:
+            with ServeClient(srv.address_text) as handle:
+                reply = handle.synth_batch(self.TARGETS + ["swap_bc"])
+        entries = reply["results"]
+        assert [entry["ok"] for entry in entries] == [False] * 6
+        assert {entry["error"]["code"] for entry in entries} == {
+            "STORE_CORRUPT"
+        }
+
+    def test_cost_table_members_are_certified(self, corrupt_store_path):
+        from repro.errors import StoreCorruptError
+
+        with BackgroundServer(corrupt_store_path) as srv:
+            with ServeClient(srv.address_text) as handle:
+                # Class sizes come from the index alone: no witness.
+                assert handle.cost_table()["g_sizes"][:2] == [1, 6]
+                with pytest.raises(StoreCorruptError):
+                    handle.cost_table(include_members=True)
+
+    def test_store_cli_refuses_to_print(self, corrupt_store_path, capsys):
+        assert main(["synth", "toffoli", "--store", corrupt_store_path]) == 1
+        assert "fails certification" in capsys.readouterr().err
