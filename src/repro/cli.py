@@ -755,6 +755,7 @@ def _synth_via_server(
     from repro.client import ServeClient
     from repro.core.cost import CostModel
     from repro.gates.library import library_for
+    from repro.io import result_from_dict
 
     with ServeClient(server, store=store_alias) as client:
         info = client.store_info()
@@ -773,10 +774,13 @@ def _synth_via_server(
                 batch_file, library, None, cost_bound, save, cost_model,
                 client=client,
             )
-        results = client.synth_results(
-            target_text, all=all_implementations, cost_bound=cost_bound,
-            cost_model=cost_model,
+        payload = client.synth(
+            target_text, all=all_implementations, cost_bound=cost_bound
         )
+        results = [
+            result_from_dict(record, cost_model)
+            for record in payload["results"]
+        ]
         return _print_synth_results(results, save, cost_model)
 
 

@@ -292,7 +292,6 @@ class ServeClient:
         allow_not: bool = True,
         cost_bound: int | None = None,
         store: str | None = None,
-        cost_model=None,
     ) -> list:
         """Like :meth:`synth`, rebuilt into certified ``SynthesisResult``s.
 
@@ -300,16 +299,14 @@ class ServeClient:
         :func:`repro.io.result_from_dict` (composing the library's gate
         tables against the record's target and cost), so a lying or
         corrupted server fails loudly instead of returning a wrong
-        circuit.  Costs are checked under *cost_model*; ``None`` asks
-        the server's ``store-info`` for the store's model (one extra
-        round trip -- pass it when calling in a loop).
+        circuit.  Costs are checked under the cost model the server's
+        ``store-info`` reports for the store.
         """
         from repro.core.cost import CostModel
         from repro.io import result_from_dict
 
-        if cost_model is None:
-            info = self.store_info(store=store)
-            cost_model = CostModel(**info["cost_model"])
+        info = self.store_info(store=store)
+        cost_model = CostModel(**info["cost_model"])
         payload = self.synth(
             target, all=all, allow_not=allow_not, cost_bound=cost_bound,
             store=store,

@@ -158,7 +158,7 @@ from repro.core.cost import CostModel, UNIT_COST
 from repro.core.kernel import compute_masks, mask_word_count
 from repro.core.search import CascadeSearch, SearchArrays
 from repro.gates.kinds import GateKind
-from repro.gates.library import DEFAULT_KINDS, GateLibrary, library_for
+from repro.gates.library import GateLibrary, library_for
 from repro.mvl.labels import label_space
 
 MAGIC_PREFIX = b"RPROCLS"
@@ -388,10 +388,9 @@ class StoreHeader:
     def rebuild_library(self) -> GateLibrary:
         """The library this store was expanded under, by family.
 
-        Default libraries come from the shared
-        :func:`~repro.gates.library.library_for` cache; only a paper
-        library with a trimmed alphabet or a non-default label space is
-        built afresh.
+        The digit families come from the shared
+        :func:`~repro.gates.library.library_for` cache; the paper
+        family is built from the header's gate kinds and label space.
         """
         radix = _FAMILY_RADIX.get(self.library_family)
         if radix is None:
@@ -406,10 +405,6 @@ class StoreHeader:
             kinds = tuple(GateKind[name] for name in self.gate_kinds)
         except KeyError as exc:
             raise StoreError(f"store names unknown gate kind {exc}") from None
-        if kinds == DEFAULT_KINDS and self.space_reduced and (
-            self.space_ordering == "value"
-        ):
-            return library_for(self.n_qubits)
         space = label_space(
             self.n_qubits, reduced=self.space_reduced, ordering=self.space_ordering
         )

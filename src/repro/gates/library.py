@@ -28,10 +28,6 @@ from repro.mvl.labels import LabelSpace, label_space
 from repro.perm.permutation import Permutation
 
 
-#: The default gate kinds of the paper's binary library, in entry order.
-DEFAULT_KINDS = (GateKind.V, GateKind.VDAG, GateKind.CNOT)
-
-
 @dataclass(frozen=True)
 class LibraryGate:
     """A gate bundled with its search-time data.
@@ -91,7 +87,7 @@ class GateLibrary:
         self,
         n_qubits: int = 3,
         space: LabelSpace | None = None,
-        kinds: tuple[GateKind, ...] = DEFAULT_KINDS,
+        kinds: tuple[GateKind, ...] = (GateKind.V, GateKind.VDAG, GateKind.CNOT),
     ):
         if space is None:
             space = label_space(n_qubits, reduced=True)

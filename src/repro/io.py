@@ -171,7 +171,8 @@ def result_from_dict(
     gate tables to prove that the circuit realizes the stored target at
     the stored cost under *cost_model* (the store's model -- ``repro
     synth --store`` passes its header's, ``--server`` the one
-    ``store-info`` reports).  This is how ``repro synth --server`` turns
+    ``store-info`` reports), and a stored ``not_mask`` must match the
+    circuit's leading NOT gates.  This is how ``repro synth --server`` turns
     the service's JSON records back into first-class results, so a
     corrupted or malicious response cannot smuggle in a wrong circuit;
     the server certifies every witness the same way before sending it.
@@ -184,7 +185,8 @@ def result_from_dict(
         names = [str(name) for name in data["gates"]]
         radix = int(data.get("radix", 2))
         cost = int(data["cost"])
-        not_mask = int(data.get("not_mask", 0))
+        claimed_mask = data.get("not_mask")
+        claimed_mask = None if claimed_mask is None else int(claimed_mask)
         library = library_for(n_qubits, radix)
         # n_binary is 2**n on binary registers, radix**n on digit ones.
         target = Permutation.from_cycle_string(
@@ -195,9 +197,21 @@ def result_from_dict(
     cascade = certify(library, names, target, cost, cost_model)
     not_gates = not_gates_by_name(n_qubits)
     gates = []
+    not_mask = 0
     for name in names:
         entry = library.get(name)
-        gates.append(not_gates[name] if entry is None else entry.gate)
+        if entry is None:
+            # certify() admitted only a leading layer of known NOTs.
+            gate = not_gates[name]
+            not_mask ^= 1 << (n_qubits - 1 - gate.target)
+        else:
+            gate = entry.gate
+        gates.append(gate)
+    if claimed_mask is not None and claimed_mask != not_mask:
+        raise SpecificationError(
+            f"stored not_mask {claimed_mask} disagrees with the circuit's "
+            f"NOT layer (mask {not_mask})"
+        )
     return SynthesisResult(
         target=target,
         circuit=Circuit(gates, n_qubits),

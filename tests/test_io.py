@@ -12,6 +12,7 @@ from repro.io import (
     circuit_from_dict,
     circuit_to_dict,
     load_result,
+    result_from_dict,
     result_to_dict,
     result_circuit_from_dict,
     save_result,
@@ -92,6 +93,15 @@ class TestResultRoundTrip:
         circuit, loaded_target = load_result(path)
         assert loaded_target == target
         assert circuit.binary_permutation() == target
+
+    def test_tampered_not_mask_rejected(self, library3, search3):
+        target = named.not_layer_permutation(0b110) * named.PERES
+        record = result_to_dict(express(target, library3, search=search3))
+        assert record["not_mask"] == 0b110
+        assert result_from_dict(record).not_mask == 0b110
+        record["not_mask"] = 0b011  # the circuit's NOT layer is 0b110
+        with pytest.raises(SpecificationError, match="not_mask"):
+            result_from_dict(record)
 
 
 class TestBatchFiles:
