@@ -2,16 +2,17 @@
 
 The seed engine extended a level by looping over every (cascade, gate)
 pair in Python: one ``bytes.translate`` per candidate plus a dict lookup
-for dedup.  This module replaces that inner loop with whole-level array
-operations on a :class:`VectorEngine`:
+for dedup.  This module replaces that inner loop with array operations
+over fixed-size candidate batches on a :class:`VectorEngine`:
 
 * **Representation.**  Each discovered permutation is one row of a
   contiguous ``(n_rows, padded_width)`` uint8 array (padded to a
   multiple of 8 so rows view as uint64 words); rows are appended in
   discovery order, so a row index is the permutation's *global index*
-  and levels are contiguous row ranges.  Parallel per-level arrays hold
-  the S-image bitmask (``mask_words`` uint64 words per row), the parent
-  global row and the appended gate index.
+  and levels are contiguous row ranges.  A parallel global array holds
+  each row's S-image bitmask (``mask_words`` uint64 words per row);
+  per-level arrays hold the parent global row and the appended gate
+  index.
 
 * **Candidate generation.**  Per gate, Definition 1's reasonable-product
   test is one vectorized mask filter (``masks & banned == 0``) and
@@ -28,9 +29,15 @@ operations on a :class:`VectorEngine`:
   smaller library-gate index -- is guaranteed to have produced.  On the
   paper's 3-qubit library this removes ~75% of the duplicate candidate
   mass at the deep levels without touching a single row byte (see
-  :class:`RelationFilter` for why it cannot change results).  The same
-  tables push a parent's S-image mask through the appended gate, so
-  accepted rows get their masks without re-reading their images.
+  :class:`RelationFilter` for why it cannot change results).
+
+* **Streaming.**  A level's planned candidates are composed, hashed and
+  committed one fixed-size batch (:data:`_BATCH_BYTES` of rows) at a
+  time, in library-gate order, through one reused scratch buffer; the
+  row store is sized once per level to the plan's upper bound.  Each
+  batch dedups against every row committed before it -- earlier levels
+  and earlier batches alike -- so the closure is the one a single
+  whole-level batch would find, at a fraction of the scratch memory.
 
 * **Dedup.**  New candidates are separated from duplicates by a
   :class:`~repro.core.dedup.ShardedDedupTable`: per-shard
@@ -120,6 +127,9 @@ def pack_rows(rows: np.ndarray, degree: int) -> np.ndarray:
 
 #: Row-block size for cache-blocked column sweeps (rows * width ~ L2).
 _CHUNK = 1 << 16
+#: Candidate rows composed and committed per batch, in bytes of packed
+#: rows (95,325 rows at 4 qubits): bounds the expansion scratch.
+_BATCH_BYTES = 16 << 20
 
 
 def hash_rows(packed: np.ndarray) -> np.ndarray:
@@ -163,14 +173,16 @@ def compute_masks(perms: np.ndarray, n_binary: int, words: int) -> np.ndarray:
             for j in range(1, n_binary):
                 mask |= _BIT64[block[:, j]]
             out[start : start + _CHUNK, 0] = mask
-    else:
-        img = perms[:, :n_binary].astype(np.uint64)
-        word_idx = img >> np.uint64(6)
-        bit = _ONE << (img & np.uint64(63))
-        for w in range(words):
-            out[:, w] = np.bitwise_or.reduce(
-                np.where(word_idx == w, bit, np.uint64(0)), axis=1
-            )
+        return out
+    flat = out.reshape(-1)
+    for start in range(0, n, _CHUNK):
+        block = perms[start : start + _CHUNK]
+        base = np.arange(start, start + block.shape[0], dtype=np.int64) * words
+        # One scatter per column: each row's word index is distinct
+        # within a column, so the buffered ``|=`` loses no bits.
+        for j in range(n_binary):
+            img = block[:, j]
+            flat[base + (img >> 6)] |= _BIT64[img & 63]
     return out
 
 
@@ -480,9 +492,9 @@ class VectorEngine:
     """Array-backed closure state plus the vectorized expansion kernel.
 
     One engine instance owns everything the expansion touches: the
-    global row store (packed permutations + hashes), the per-level
-    mask, parent and gate arrays, the relation filter and the sharded
-    dedup table.  The public :class:`~repro.core.search.CascadeSearch`
+    global row store (packed permutations, hashes and S-image masks),
+    the per-level parent and gate arrays, the relation filter and the
+    sharded dedup table.  The public :class:`~repro.core.search.CascadeSearch`
     holds either one engine or a :class:`~repro.core.search.SearchArrays`
     snapshot and answers every query from those arrays.
 
@@ -526,15 +538,15 @@ class VectorEngine:
         cap = 1024
         self._perms = np.empty((cap, self.width), dtype=np.uint8)
         self._hashes = np.empty(cap, dtype=np.uint64)
+        # Global S-image masks in row order: commit writes them, the
+        # relation filter gathers parent masks from them, and each
+        # ``level_masks[k]`` is a view of one level's range.
+        self._masks = np.empty((cap, self.mask_words), dtype=np.uint64)
         self.n_rows = 0
         self.offsets: list[int] = [0]
         self.level_masks: list[np.ndarray] = []
         self.level_parents: list[np.ndarray] = []
         self.level_gates: list[np.ndarray] = []
-        # Global S-image masks, grown in row order (parent-mask lookups
-        # for the relation filter gather straight from it).
-        self._gmasks = np.empty((cap, self.mask_words), dtype=np.uint64)
-        self._gmask_rows = 0
 
         self._checkpoint = None
         if checkpoint_dir is not None:
@@ -575,6 +587,10 @@ class VectorEngine:
     def all_perms_raw(self) -> np.ndarray:
         """Degree-wide view of every row, level-major discovery order."""
         return self._perms[: self.n_rows, : self.degree]
+
+    def all_masks(self) -> np.ndarray:
+        """``(n_rows, mask_words)`` view of every row's S-image mask."""
+        return self._masks[: self.n_rows]
 
     def row_bytes(self, row: int) -> bytes:
         """The raw image bytes of one global row."""
@@ -631,36 +647,29 @@ class VectorEngine:
             stats["dedup_spilled"] = True
         return stats
 
-    def _grow_rows(self, extra: int) -> None:
+    def _reserve_rows(self, extra: int) -> None:
+        """Make room for *extra* more rows in the row, hash and mask arrays.
+
+        Capacity at least doubles, so replaying many small levels stays
+        amortized; pages past ``n_rows`` that are never written cost no
+        resident memory.
+        """
         need = self.n_rows + extra
         cap = self._perms.shape[0]
         if need <= cap:
             return
-        while cap < need:
-            cap *= 2
-        perms = np.empty((cap, self.width), dtype=np.uint8)
-        perms[: self.n_rows] = self._perms[: self.n_rows]
-        self._perms = perms
-        hashes = np.empty(cap, dtype=np.uint64)
-        hashes[: self.n_rows] = self._hashes[: self.n_rows]
-        self._hashes = hashes
-
-    def _sync_gmasks(self) -> None:
-        """Copy level masks not yet mirrored into the global mask array."""
-        if self._gmask_rows == self.n_rows:
-            return
-        cap = self._gmasks.shape[0]
-        if self.n_rows > cap:
-            while cap < self.n_rows:
-                cap *= 2
-            grown = np.empty((cap, self.mask_words), dtype=np.uint64)
-            grown[: self._gmask_rows] = self._gmasks[: self._gmask_rows]
-            self._gmasks = grown
-        for level in range(self.level_of_row(self._gmask_rows), self.n_levels):
-            start, stop = self.offsets[level], self.offsets[level + 1]
-            lo = max(self._gmask_rows, start)
-            self._gmasks[lo:stop] = self.level_masks[level][lo - start :]
-        self._gmask_rows = self.n_rows
+        cap = max(need, 2 * cap)
+        n = self.n_rows
+        for name in ("_perms", "_hashes", "_masks"):
+            old = getattr(self, name)
+            grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+            grown[:n] = old[:n]
+            setattr(self, name, grown)
+        # Re-point the level views so the old buffer can be freed.
+        self.level_masks = [
+            self._masks[self.offsets[k] : self.offsets[k + 1]]
+            for k in range(self.n_levels)
+        ]
 
     def _append_level(
         self,
@@ -671,12 +680,21 @@ class VectorEngine:
         gates: np.ndarray,
     ) -> None:
         n = perms.shape[0]
-        self._grow_rows(n)
-        self._perms[self.n_rows : self.n_rows + n] = perms
-        self._hashes[self.n_rows : self.n_rows + n] = hashes
-        self.n_rows += n
-        self.offsets.append(self.n_rows)
-        self.level_masks.append(masks)
+        self._reserve_rows(n)
+        start = self.n_rows
+        self._perms[start : start + n] = perms
+        self._hashes[start : start + n] = hashes
+        self._masks[start : start + n] = masks
+        self._close_level(start + n, parents, gates)
+
+    def _close_level(
+        self, stop: int, parents: np.ndarray, gates: np.ndarray
+    ) -> None:
+        """Record rows ``n_rows..stop`` (already in the store) as a level."""
+        start = self.n_rows
+        self.n_rows = stop
+        self.offsets.append(stop)
+        self.level_masks.append(self._masks[start:stop])
         self.level_parents.append(parents)
         self.level_gates.append(gates)
 
@@ -802,9 +820,8 @@ class VectorEngine:
         valid = (qs >= 0) & (prs >= 0)
         if not valid.any():
             return kept
-        self._sync_gmasks()
         vi = np.flatnonzero(valid)
-        skip_valid = self._filter.prune(gi, qs[vi], self._gmasks[prs[vi]])
+        skip_valid = self._filter.prune(gi, qs[vi], self._masks[prs[vi]])
         if not skip_valid.any():
             return kept
         drop = np.zeros(kept.shape[0], dtype=bool)
@@ -812,85 +829,88 @@ class VectorEngine:
         return kept[~drop]
 
     def _generate_candidates(self, chunks, total: int):
-        """Compose + hash all planned candidates.
+        """Compose + hash the planned candidates, one batch at a time.
 
-        Returns ``(cand, ch, parents, gates)``: packed candidate rows,
-        their hashes, parent global rows (None when neither witnesses
-        nor the relation filter need them) and appended-gate indices,
-        all in chunk order.  Scratch buffers are reused across levels,
-        so repeated levels skip realloc + page faults.
+        Walks *chunks* in order, slicing them into batches of at most
+        :data:`_BATCH_BYTES` of rows, and yields ``(cand, ch, parents,
+        gates)`` per batch: packed candidate rows, their hashes, parent
+        global rows (None when neither witnesses nor the relation filter
+        need them) and appended-gate indices.  All four are views of one
+        batch-sized scratch, reused across batches and levels (repeated
+        levels skip realloc and page faults), so the consumer must be
+        done with a batch before it asks for the next.
         """
-        if self._meta_buf is None or self._meta_buf.shape[1] < total:
-            self._meta_buf = np.empty((2, max(total, 4096)), dtype=np.int32)
+        size = min(total, max(1, _BATCH_BYTES // self.width))
+        if self._cand_buf is None or self._cand_buf.shape[0] < size:
+            self._cand_buf = np.empty((size, self.width), dtype=np.uint8)
+            self._hash_buf = np.empty(size, dtype=np.uint64)
+            self._meta_buf = np.empty((2, size), dtype=np.int32)
+        cand, ch = self._cand_buf, self._hash_buf
         # The filter reads candidate parents even on counting-only runs;
         # the export layer still honours track_parents.
         keep_parents = self.track_parents or self._filter is not None
-        parents = self._meta_buf[0, :total] if keep_parents else None
-        gates = self._meta_buf[1, :total]
-        if self._cand_buf is None or self._cand_buf.shape[0] < total:
-            cap = max(total, 4096)
-            self._cand_buf = np.empty((cap, self.width), dtype=np.uint8)
-            self._hash_buf = np.empty(cap, dtype=np.uint64)
-        cand, ch = self._cand_buf[:total], self._hash_buf[:total]
+        parents = self._meta_buf[0] if keep_parents else None
+        gates = self._meta_buf[1]
         cand16 = cand.view(np.uint16)
         tables16 = self.gate_rows.tables16
+
+        def batch(n):
+            return (
+                cand[:n],
+                ch[:n],
+                None if parents is None else parents[:n],
+                gates[:n],
+            )
+
         pos = 0
         for gi, src, kept in chunks:
-            m = kept.size
-            # mode="clip" skips the bounds check; uint16 indices cannot
-            # exceed the 65536-entry pair table anyway.
-            np.take(
-                tables16[gi],
-                np.take(self.level_perms(src).view(np.uint16), kept, axis=0),
-                out=cand16[pos : pos + m],
-                mode="clip",
-            )
-            # Hash while the freshly written block is still cache-hot.
-            ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
-            if parents is not None:
-                parents[pos : pos + m] = self.offsets[src] + kept
-            gates[pos : pos + m] = gi
-            pos += m
-        return cand, ch, parents, gates
+            perms16 = self.level_perms(src).view(np.uint16)
+            done = 0
+            while done < kept.size:
+                # A chunk may straddle batch boundaries.
+                m = min(kept.size - done, size - pos)
+                rows = kept[done : done + m]
+                # mode="clip" skips the bounds check; uint16 indices
+                # cannot exceed the 65536-entry pair table anyway.
+                np.take(
+                    tables16[gi],
+                    np.take(perms16, rows, axis=0),
+                    out=cand16[pos : pos + m],
+                    mode="clip",
+                )
+                # Hash while the freshly written block is still cache-hot.
+                ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
+                if parents is not None:
+                    parents[pos : pos + m] = self.offsets[src] + rows
+                gates[pos : pos + m] = gi
+                pos += m
+                done += m
+                if pos == size:
+                    yield batch(pos)
+                    pos = 0
+        if pos:
+            yield batch(pos)
 
-    def _commit_level(self, cand, ch, parents, gates) -> int:
-        """Dedup the candidate batch and append the accepted rows.
+    def _commit_batch(self, cand, ch, stop: int) -> np.ndarray:
+        """Dedup one candidate batch and store its new rows.
 
-        With the relation filter active, accepted-row masks come from
-        their parents: ``mask(t_g . a) = perm_g(mask(a))`` -- pushing
-        the parent's S-image mask through the appended gate's byte
-        tables is cheaper than recomputing masks from the row images,
-        and exactly equal.
+        Accepted rows (with their hashes and S-image masks) are written
+        at ``stop``, the end of the rows committed so far; returns the
+        accepted candidates' batch indices.
         """
-        self._table.reserve(ch, self._hashes, self.n_rows)
+        self._table.reserve(ch, self._hashes, stop)
         new_mask = self._table.dedup_commit(
-            cand.view(np.uint64), ch, self._perms.view(np.uint64), self.n_rows
+            cand.view(np.uint64), ch, self._perms.view(np.uint64), stop
         )
         accepted = np.flatnonzero(new_mask)
-        n_new = accepted.size
-        self._grow_rows(n_new)
-        start = self.n_rows
-        new_perms = self._perms[start : start + n_new]
+        end = stop + accepted.size
+        new_perms = self._perms[stop:end]
         np.take(cand, accepted, axis=0, out=new_perms)
-        np.take(ch, accepted, out=self._hashes[start : start + n_new])
-        acc_gates = gates[accepted]
-        if parents is None:
-            acc_parents = np.empty(0, dtype=np.int32)
-        else:
-            acc_parents = parents[accepted]
-        if self._filter is None:
-            masks = compute_masks(new_perms, self.n_binary, self.mask_words)
-        else:
-            self._sync_gmasks()  # parents precede this level: all synced
-            masks = self._filter.permuted_masks(
-                self._gmasks[acc_parents], acc_gates
-            )
-        self.n_rows += n_new
-        self.offsets.append(self.n_rows)
-        self.level_masks.append(masks)
-        self.level_parents.append(acc_parents)
-        self.level_gates.append(acc_gates)
-        return int(n_new)
+        np.take(ch, accepted, out=self._hashes[stop:end])
+        self._masks[stop:end] = compute_masks(
+            new_perms, self.n_binary, self.mask_words
+        )
+        return accepted
 
     def expand_level(self, cost: int) -> int:
         """Compute the next level (must be ``n_levels``); returns its size."""
@@ -915,20 +935,28 @@ class VectorEngine:
                 kept=int(total),
                 rows=int(self.n_rows),
             )
-        if total:
-            cand, ch, parents, gates = self._generate_candidates(chunks, total)
-            if progress is not None:
-                progress.emit("generate", level=cost, candidates=int(total))
-            n_new = self._commit_level(cand, ch, parents, gates)
-        else:
-            n_new = 0
-            self._append_level(
-                np.empty((0, self.width), dtype=np.uint8),
-                np.empty(0, dtype=np.uint64),
-                np.empty((0, self.mask_words), dtype=np.uint64),
-                np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int32),
-            )
+        # The plan's kept count bounds the accepted rows: size the store
+        # once, so no batch reallocates it mid-level.
+        self._reserve_rows(total)
+        stop = self.n_rows
+        acc_parents: list[np.ndarray] = []
+        acc_gates: list[np.ndarray] = []
+        for cand, ch, parents, gates in self._generate_candidates(
+            chunks, total
+        ):
+            accepted = self._commit_batch(cand, ch, stop)
+            stop += accepted.size
+            acc_gates.append(gates[accepted])
+            if parents is not None:
+                acc_parents.append(parents[accepted])
+        if progress is not None and total:
+            progress.emit("generate", level=cost, candidates=int(total))
+        n_new = stop - self.n_rows
+        self._close_level(
+            stop,
+            np.concatenate(acc_parents or [np.empty(0, dtype=np.int32)]),
+            np.concatenate(acc_gates or [np.empty(0, dtype=np.int32)]),
+        )
         if progress is not None:
             progress.emit(
                 "commit",

@@ -856,7 +856,7 @@ class CascadeSearch:
             mask_words=engine.mask_words,
             level_offsets=np.asarray(engine.offsets, dtype=np.int64),
             perms=engine.all_perms_raw(),
-            masks=np.concatenate(engine.level_masks),
+            masks=engine.all_masks(),
             parents=parents,
             gates=gates,
             elapsed_seconds=self._elapsed,

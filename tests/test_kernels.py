@@ -12,6 +12,7 @@ the bulk pack/unpack adapters.
 import numpy as np
 import pytest
 
+import repro.core.kernel as kernel_module
 from repro.core.cost import CostModel
 from repro.core.kernel import (
     compute_masks,
@@ -86,6 +87,19 @@ class TestKernelEquivalence:
         library = GateLibrary(4)
         vector, translate = _pair(library, bound=2)
         _assert_identical(vector, translate, 2)
+
+    def test_candidate_scratch_is_one_batch(self, library3, monkeypatch):
+        """Levels stream through one batch-sized scratch: after cost 5
+        (tens of thousands of candidates a level) it holds 64 rows."""
+        search = CascadeSearch(library3, kernel="vector")
+        engine = search._engine
+        monkeypatch.setattr(kernel_module, "_BATCH_BYTES", 64 * engine.width)
+        search.extend_to(5)
+        assert search.stats().level_sizes == (1, 18, 162, 1017, 5364, 25761)
+        assert engine._cand_buf.shape[0] <= 64
+        assert engine._hash_buf.shape[0] <= 64
+        assert engine._meta_buf.shape[1] <= 64
+        search.close()
 
     def test_incremental_extension_matches_one_shot(self, library3):
         stepwise = CascadeSearch(library3, kernel="vector")
@@ -209,6 +223,21 @@ class TestKernelPrimitives:
         masks = compute_masks(perms, 16, 3)
         for (perm, mask), row in zip(search.level(1), masks):
             assert mask_words_to_int(row) == mask
+
+    def test_multiword_masks_across_row_blocks(self, monkeypatch):
+        """The blocked per-column scatter sets every image bit, block
+        boundaries included."""
+        monkeypatch.setattr(kernel_module, "_CHUNK", 64)
+        rng = np.random.default_rng(7)
+        perms = rng.permuted(
+            np.tile(np.arange(176, dtype=np.uint8), (300, 1)), axis=1
+        )
+        masks = compute_masks(perms, 16, 3)
+        for row, words in zip(perms, masks):
+            expected = 0
+            for image in row[:16].tolist():
+                expected |= 1 << image
+            assert mask_words_to_int(words) == expected
 
     def test_hash_is_deterministic_and_spread(self):
         rng = np.random.default_rng(42)

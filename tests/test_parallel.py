@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.core.kernel as kernel_module
 from repro.core.cost import CostModel
 from repro.core.dedup import ShardedDedupTable, parse_budget, shard_of
 from repro.core.kernel import (
@@ -29,7 +30,8 @@ from repro.core.kernel import (
 from repro.core.search import CascadeSearch
 from repro.errors import InvalidValueError
 from repro.gates.kinds import GateKind
-from repro.gates.library import GateLibrary
+from repro.gates.library import GateLibrary, library_for
+from repro.io import save_search
 
 
 def _trio(library, cost_model=None, bound=3, track_parents=True, options=None):
@@ -427,13 +429,17 @@ class TestSpilledExpansion:
         assert CascadeSearch(library3, kernel="translate").shard_layout() is None
 
 
-def _crash_after_dedup(monkeypatch):
-    """Make the next dedup batch mutate the slabs, then die."""
+def _crash_after_dedup(monkeypatch, batches=1):
+    """Let the next *batches* dedup batches mutate the slabs, then die."""
     real_commit = ShardedDedupTable.dedup_commit
+    calls = []
 
     def crash(self, *args, **kwargs):
-        real_commit(self, *args, **kwargs)  # slabs now hold claims/commits
-        raise RuntimeError("simulated crash mid-level")
+        result = real_commit(self, *args, **kwargs)  # slabs hold claims/commits
+        calls.append(1)
+        if len(calls) == batches:
+            raise RuntimeError("simulated crash mid-level")
+        return result
 
     monkeypatch.setattr(ShardedDedupTable, "dedup_commit", crash)
     return lambda: monkeypatch.setattr(
@@ -489,6 +495,39 @@ class TestCheckpointResume:
         resumed.extend_to(5)
         _assert_identical(self._reference(library3, 5), resumed, 5)
         resumed.close()
+
+    def test_crash_after_second_batch_resumes_byte_identical(
+        self, library3, tmp_path, monkeypatch
+    ):
+        """A crash between two committed batches of one level leaves
+        earlier batches' rows in the slabs: resume must sweep them and
+        write the same store bytes as an uninterrupted run."""
+        checkpoint = tmp_path / "ckpt"
+        first = CascadeSearch(
+            library3, kernel_options=self._options(checkpoint),
+        )
+        first.extend_to(3)
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, first, 7)
+            _crash_after_dedup(patch, batches=2)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                first.extend_to(4)
+        del first
+
+        resumed = CascadeSearch(
+            library3, kernel_options=self._options(checkpoint),
+        )
+        assert resumed.was_restored and resumed.expanded_to == 3
+        resumed.extend_to(5)
+        _assert_identical(self._reference(library3, 5), resumed, 5)
+        clean = CascadeSearch(library3, kernel="vector")
+        clean.extend_to(5)
+        assert (
+            save_search(resumed, tmp_path / "resumed.rpro").payload_sha256
+            == save_search(clean, tmp_path / "clean.rpro").payload_sha256
+        )
+        resumed.close()
+        clean.close()
 
     def test_corrupted_slab_file_is_rebuilt(self, library3, tmp_path):
         first = CascadeSearch(
@@ -570,6 +609,54 @@ class TestCheckpointResume:
         assert manifest["shard_bits"] == 3
         assert manifest["level_offsets"] == [0, 1, 19, 181]
         assert len(manifest["library_fingerprint"]) == 64
+
+
+def _batch_rows(monkeypatch, search, rows):
+    """Make *search*'s engine compose and commit *rows* candidates a batch."""
+    monkeypatch.setattr(
+        kernel_module, "_BATCH_BYTES", rows * search._engine.width
+    )
+
+
+class TestStreamedBatches:
+    """A level streamed through tiny batches is the level one whole-level
+    batch finds: same rows, order, parents and store bytes."""
+
+    @pytest.mark.parametrize(
+        "n_qubits, radix, cost_model, bound, options",
+        [
+            (3, 2, None, 5, None),
+            (3, 2, CostModel(v_cost=2, vdag_cost=1, cnot_cost=1), 5, None),
+            (2, 3, None, 4, None),
+            (3, 2, None, 5, {"shard_bits": 3, "memory_budget": 0}),
+        ],
+        ids=["n3-cost5", "v-cost-2", "ternary-n2", "spilled"],
+    )
+    def test_seven_row_batches_match_translate(
+        self, n_qubits, radix, cost_model, bound, options, monkeypatch,
+        tmp_path,
+    ):
+        library = library_for(n_qubits, radix)
+        kwargs = {"track_parents": True}
+        if cost_model is not None:
+            kwargs["cost_model"] = cost_model
+        batched = CascadeSearch(
+            library, kernel="vector", kernel_options=options, **kwargs
+        )
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, batched, 7)
+            batched.extend_to(bound)
+        reference = CascadeSearch(library, kernel="translate", **kwargs)
+        reference.extend_to(bound)
+        _assert_identical(reference, batched, bound)
+        default = CascadeSearch(library, kernel="vector", **kwargs)
+        default.extend_to(bound)
+        assert (
+            save_search(batched, tmp_path / "batched.rpro").payload_sha256
+            == save_search(default, tmp_path / "default.rpro").payload_sha256
+        )
+        batched.close()
+        default.close()
 
 
 class TestRelationFilter:
