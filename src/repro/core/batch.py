@@ -212,13 +212,25 @@ class BatchSynthesizer:
 
     # -- single-target queries ----------------------------------------------------------
 
-    def _lookup(
-        self, remainder: Permutation, description: str
-    ) -> tuple[int, Sequence[int]]:
-        hit = self._index.get(remainder.images)
-        if hit is None:
-            raise CostBoundExceededError(description, self._cost_bound)
-        return hit
+    def witness_rows(self, remainder: bytes) -> Sequence[int] | None:
+        """The closure rows whose witnesses realize a NOT-free remainder.
+
+        *remainder* is the remainder's image bytes (see
+        :func:`~repro.core.mce.strip_not_layer`).  Returns the rows at
+        its minimal cost, in row order, or None when no cascade within
+        the bound realizes it.
+
+        Raises:
+            SpecificationError: the closure tracks no parents, so it has
+                no witnesses.
+        """
+        if not self._search.tracks_parents:
+            raise SpecificationError(
+                "closure was computed without parent tracking; it can "
+                "answer costs but not witness circuits"
+            )
+        hit = self._index.get(remainder)
+        return None if hit is None else hit[1]
 
     def synthesize(
         self, target: Permutation, allow_not: bool = True
@@ -242,14 +254,11 @@ class BatchSynthesizer:
             return [
                 _not_layer_result(target, self._library, not_mask, not_gates)
             ]
-        if not self._search.tracks_parents:
-            raise SpecificationError(
-                "closure was computed without parent tracking; it can "
-                "answer costs but not witness circuits"
+        rows = self.witness_rows(remainder.images)
+        if rows is None:
+            raise CostBoundExceededError(
+                f"permutation {target.cycle_string()}", self._cost_bound
             )
-        _cost, rows = self._lookup(
-            remainder, f"permutation {target.cycle_string()}"
-        )
         return _results_from_rows(
             rows, self._search, target, not_mask, not_gates, first_only
         )
@@ -293,10 +302,12 @@ class BatchSynthesizer:
         )
         if remainder.is_identity:
             return 0
-        cost, _rows = self._lookup(
-            remainder, f"permutation {target.cycle_string()}"
-        )
-        return cost
+        hit = self._index.get(remainder.images)
+        if hit is None:
+            raise CostBoundExceededError(
+                f"permutation {target.cycle_string()}", self._cost_bound
+            )
+        return hit[0]
 
     # -- batch queries ------------------------------------------------------------------
 

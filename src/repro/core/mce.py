@@ -161,20 +161,43 @@ def normalize_target(
             layer while ``allow_not=False``.
     """
     _check_target(target, library)
+    not_mask, remainder = strip_not_layer(target.images, library, allow_not)
+    return (
+        not_mask,
+        Permutation(remainder),
+        _not_layer_gates(not_mask, library.n_qubits),
+    )
+
+
+def strip_not_layer(
+    images: bytes, library: GateLibrary, allow_not: bool = True
+) -> tuple[int, bytes]:
+    """:func:`normalize_target` on a target's image bytes.
+
+    Returns ``(not_mask, remainder images)``.  The mask is the
+    preimage of the all-zero pattern, and the remainder is one
+    translate through the mask's cached NOT-layer images, so the
+    server normalizes a target without building a permutation.
+
+    Raises:
+        SpecificationError: the target needs a NOT layer while
+            ``allow_not=False``.
+    """
     if library.space.radix != 2:
         # Theorem 2 is a binary statement: MV libraries have no free NOT
         # layer, so the target is searched for as-is.
-        return 0, target, ()
-    zero_preimage = target.inverse()(0)
-    not_mask = zero_preimage if allow_not else 0
-    if not allow_not and zero_preimage != 0:
+        return 0, images
+    not_mask = images.index(0)
+    if not not_mask:
+        return 0, images
+    if not allow_not:
         raise SpecificationError(
             "target moves the all-zero pattern; it needs a NOT layer "
             "(allow_not=True) since no NOT-free cascade can move it"
         )
-    d0 = not_layer_permutation(not_mask, library.n_qubits)
-    remainder = d0 * target  # g = d0 * remainder with d0 an involution
-    return not_mask, remainder, _not_layer_gates(not_mask, library.n_qubits)
+    # g = d0 * remainder with d0 an involution: remainder(x) = g(d0(x)).
+    d0 = _not_layer_images(not_mask, library.n_qubits)
+    return not_mask, d0.translate(images.ljust(256, b"\0"))
 
 
 def _not_layer_result(
@@ -203,6 +226,12 @@ def not_gates_by_name(n_qubits: int) -> dict[str, Gate]:
 @lru_cache(maxsize=64)
 def _not_layer_images(not_mask: int, n_qubits: int) -> bytes:
     return not_layer_permutation(not_mask, n_qubits).images
+
+
+@lru_cache(maxsize=64)
+def not_layer_names(not_mask: int, n_qubits: int) -> tuple[str, ...]:
+    """The gate names of *not_mask*'s NOT layer (``N_A`` ...), cached."""
+    return tuple(gate.name for gate in _not_layer_gates(not_mask, n_qubits))
 
 
 def certify(
@@ -308,6 +337,48 @@ def _certify_entries(
     return Permutation(images)
 
 
+def certify_row(
+    search: CascadeSearch, row: int, not_mask: int, target: Permutation
+) -> tuple[list[LibraryGate], int, Permutation]:
+    """Extract and certify the witness cascade of one closure row.
+
+    The one certify step every witness passes, whether it becomes a
+    :class:`SynthesisResult` (:func:`_results_from_rows`) or a served
+    wire record (:mod:`repro.server.service`).  The witness walks the
+    parent arrays by row; behind the NOT layer of *not_mask* it must
+    realize *target* at the row's cost under the search's cost model
+    (:func:`_certify_entries`), and compose to exactly the row's stored
+    permutation.
+
+    Returns:
+        ``(entries, cost, cascade)``: the library entries in cascade
+        order, the row's cost and the cascade's label permutation.
+
+    Raises:
+        StoreCorruptError: a witness fails either check -- the closure's
+            parent, gate, permutation or index data is corrupted.
+    """
+    row = int(row)
+    library = search.library
+    try:
+        indices = search.witness_indices_for_row(row)
+        entries = [library.gates[i] for i in indices]
+        cost = search.cost_of_row(row)
+        cascade = _certify_entries(
+            library, not_mask, entries, target, cost, search.cost_model
+        )
+    except (InvalidValueError, SpecificationError) as exc:
+        raise StoreCorruptError(
+            f"closure row {row}: witness fails certification: {exc}"
+        ) from None
+    if cascade.images != search.perm_bytes_at(row):
+        raise StoreCorruptError(
+            f"closure row {row}: witness does not compose to the "
+            "row's stored permutation"
+        )
+    return entries, cost, cascade
+
+
 def _results_from_rows(
     rows,
     search: CascadeSearch,
@@ -322,39 +393,21 @@ def _results_from_rows(
     shared by the level scan here, by
     :class:`~repro.core.batch.BatchSynthesizer` and by the v2 store's
     serialized remainder index (no byte-level lookups, O(cost) per
-    witness).  Every witness is certified before it is returned: it
-    must realize *target* at its row's cost, and compose to exactly
-    the row's stored permutation.
+    witness).  Every witness passes :func:`certify_row` before it is
+    returned.
 
     Raises:
-        StoreCorruptError: a witness fails either check -- the closure's
-            parent, gate, permutation or index data is corrupted.
+        StoreCorruptError: a witness fails certification.
     """
-    library = search.library
+    n_qubits = search.library.n_qubits
     results = []
     for row in rows:
-        row = int(row)
-        try:
-            indices = search.witness_indices_for_row(row)
-            entries = [library.gates[i] for i in indices]
-            cost = search.cost_of_row(row)
-            cascade = _certify_entries(
-                library, not_mask, entries, target, cost, search.cost_model
-            )
-        except (InvalidValueError, SpecificationError) as exc:
-            raise StoreCorruptError(
-                f"closure row {row}: witness fails certification: {exc}"
-            ) from None
-        if cascade.images != search.perm_bytes_at(row):
-            raise StoreCorruptError(
-                f"closure row {row}: witness does not compose to the "
-                "row's stored permutation"
-            )
+        entries, cost, cascade = certify_row(search, row, not_mask, target)
         gates = tuple(entry.gate for entry in entries)
         results.append(
             SynthesisResult(
                 target=target,
-                circuit=Circuit(not_gates + gates, library.n_qubits),
+                circuit=Circuit(not_gates + gates, n_qubits),
                 cost=cost,
                 not_mask=not_mask,
                 cascade_permutation=cascade,

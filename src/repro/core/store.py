@@ -1861,11 +1861,16 @@ def projected_shard_layout(
 
 
 def verify_store(path: str | Path) -> StoreHeader:
-    """Full integrity pass: framing, checksum and structural invariants.
+    """Full integrity pass: framing, checksum, structure and witnesses.
 
     Reads the entire file (unlike the lazy v2/v3 open) and raises
     :class:`StoreError` on any corruption; returns the header on
-    success.
+    success.  On a parent-tracking store it also certifies one witness
+    of every indexed function
+    (:meth:`~repro.core.batch.BatchSynthesizer.certify_members`): the
+    eager form of the check every served witness passes, so a store
+    whose sections were altered under a rewritten digest fails here
+    rather than at serve time.
     """
     data = Path(path).read_bytes()
     header, payload = _split(data)
@@ -1886,7 +1891,7 @@ def verify_store(path: str | Path) -> StoreHeader:
         index = _v2_remainder_index(header, payload)
     library = header.rebuild_library()
     # Full structural validation (identity row, offsets, shapes).
-    CascadeSearch.from_arrays(
+    search = CascadeSearch.from_arrays(
         library, arrays, header.cost_model, validate=True
     )
     if arrays.parents is not None:
@@ -1901,6 +1906,13 @@ def verify_store(path: str | Path) -> StoreHeader:
             int(rows.min()) < 1 or int(rows.max()) >= n
         ):
             raise StoreError("remainder index row outside the closure")
+    if arrays.parents is not None:
+        from repro.core.batch import BatchSynthesizer
+
+        if index:
+            search.attach_remainder_index(header.expanded_to, index)
+        # A failed witness raises StoreCorruptError, a StoreError.
+        BatchSynthesizer(search).certify_members(header.expanded_to)
     return header
 
 

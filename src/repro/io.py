@@ -40,6 +40,7 @@ Two heavier persistence layers build on this module:
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -143,20 +144,41 @@ def _result_radix(result: SynthesisResult) -> int:
     )
 
 
-def result_to_dict(result: SynthesisResult) -> dict[str, Any]:
-    """Plain-dict form of a synthesis result (circuit + provenance).
+def result_record(
+    n_qubits: int,
+    radix: int,
+    gates: Sequence[str],
+    target: str,
+    cost: int,
+    not_mask: int,
+) -> dict[str, Any]:
+    """The result-record shape: the one writer of every result dict.
 
-    MV results additionally record their ``radix``; binary records are
-    byte-identical to what this function has always produced.
+    *gates* are gate names in cascade order and *target* is the target's
+    cycle string.  MV records additionally carry their ``radix``;
+    binary records omit it.  :func:`result_to_dict` and the server's
+    query path both write through here, so a saved and a served record
+    of the same answer are the same bytes.
     """
-    record = circuit_to_dict(result.circuit)
-    radix = _result_radix(result)
+    record: dict[str, Any] = {"n_qubits": n_qubits, "gates": list(gates)}
     if radix != 2:
         record["radix"] = radix
-    record["target"] = result.target.cycle_string()
-    record["cost"] = result.cost
-    record["not_mask"] = result.not_mask
+    record["target"] = target
+    record["cost"] = cost
+    record["not_mask"] = not_mask
     return record
+
+
+def result_to_dict(result: SynthesisResult) -> dict[str, Any]:
+    """Plain-dict form of a synthesis result (circuit + provenance)."""
+    return result_record(
+        result.circuit.n_qubits,
+        _result_radix(result),
+        result.circuit.names(),
+        result.target.cycle_string(),
+        result.cost,
+        result.not_mask,
+    )
 
 
 def result_from_dict(

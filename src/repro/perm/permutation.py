@@ -19,6 +19,8 @@ from collections.abc import Iterable, Sequence
 from repro.errors import InvalidPermutationError
 
 _MAX_DEGREE = 256
+#: The paper's 1-based label of every point, as cycle-notation text.
+_LABELS = tuple(str(point + 1) for point in range(_MAX_DEGREE))
 # Cache of identity translation tails, keyed by degree.
 _TAILS: dict[int, bytes] = {}
 
@@ -300,12 +302,19 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation with the paper's 1-based labels, e.g. ``(5,7,6,8)``."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join(
-            "(" + ",".join(str(p + 1) for p in cycle) + ")" for cycle in cycles
-        )
+        images = self._images
+        seen = bytearray(len(images))
+        parts = []
+        for start, point in enumerate(images):
+            if point == start or seen[start]:
+                continue
+            cycle = [_LABELS[start]]
+            while point != start:
+                seen[point] = 1
+                cycle.append(_LABELS[point])
+                point = images[point]
+            parts.append("(" + ",".join(cycle) + ")")
+        return "".join(parts) or "()"
 
     @classmethod
     def from_cycle_string(cls, degree: int, text: str) -> "Permutation":

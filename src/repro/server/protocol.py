@@ -31,6 +31,10 @@ Operations (the JSON surface is identical under both framings)::
                                                       p50/p90/p99 timings
     metrics       --                                  Prometheus exposition text
 
+The flags ``all``, ``allow_not`` and ``include_members`` are JSON
+booleans, and ``cost_bound`` is a non-negative integer (not a
+boolean); any other value is a ``protocol`` error.
+
 Every store-touching operation additionally accepts an optional
 **store selector** -- a registry alias or a ``LIBFP:COSTFP``
 fingerprint pair (see :mod:`repro.server.registry`).  In the NDJSON
@@ -39,8 +43,9 @@ in HTTP it is the ``store`` query parameter or body key.  Servers with
 one store treat an absent selector as that store; servers with several
 answer a structured ``protocol`` error listing the aliases.
 
-``record`` is the JSON result form of :func:`repro.io.result_to_dict`
-(n_qubits / gates / target / cost / not_mask), so server responses can
+``record`` is the JSON result form :func:`repro.io.result_record`
+writes (n_qubits / gates / [radix] / target / cost / not_mask, the
+shape of :func:`repro.io.result_to_dict`), so server responses can
 be re-verified and re-loaded client-side exactly like ``synth --save``
 files.  HTTP routes: ``POST /synth``, ``POST /synth-batch``,
 ``GET|POST /cost-table``, ``GET /store-info``, ``GET /healthz``,

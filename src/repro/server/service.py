@@ -9,10 +9,13 @@ operation on the asyncio event loop.
 Concurrency model
 -----------------
 
-* Every operation runs inline on the event loop.  A lookup in the
-  precomputed closure takes tens of microseconds, less than a thread
-  hop would cost, and each connection is served one request at a time,
-  so there is nothing to queue or coalesce.
+* Every operation runs inline on the event loop.  A served target is
+  one spec parse, one remainder-index lookup, one parent walk and one
+  table-composing certify, written straight into its wire record
+  (:func:`_synth_records`): about 45 microseconds, 1.5 ms for a
+  32-target batch of the 3-qubit cost-7 store on a 2-CPU box.  That
+  is less than a thread hop would cost, and each connection is served
+  one request at a time, so there is nothing to queue or coalesce.
 * ``synth-batch`` runs its targets in chunks of :data:`BATCH_CHUNK`
   and yields to the loop between chunks, so a long batch delays a
   concurrent ``synth`` by about one chunk, not by the whole batch.
@@ -76,12 +79,20 @@ from typing import Sequence
 from repro.errors import (
     CostBoundExceededError,
     ProtocolError,
+    ReproError,
     ServerError,
     SpecificationError,
 )
 from repro._version import __version__
 from repro.core.batch import BatchSynthesizer
+from repro.core.mce import certify_row, not_layer_names, strip_not_layer
 from repro.core.store import section_cache_stats
+from repro.io import (
+    open_store,
+    parse_target,
+    resolve_cost_bound,
+    result_record,
+)
 from repro.server.protocol import OPERATIONS, Request, error_payload
 from repro.server.registry import StoreRegistry, build_registry
 from repro.telemetry import (
@@ -113,6 +124,9 @@ class StoreState:
     #: endpoint slices this instead of rebuilding ~|G| Permutation
     #: objects per request.
     table: object  # repro.core.fmcf.CostTable
+    #: The library's gate names in index order: served records name
+    #: witness gates by index, without re-deriving names per gate.
+    gate_names: tuple[str, ...]
 
 
 def _section_cache_reader(stat: str):
@@ -129,8 +143,6 @@ def open_store_state(path: str, cost_bound: int | None = None) -> StoreState:
         StoreError / StoreMismatchError: unreadable or mismatched store.
         SpecificationError: *cost_bound* exceeds the store's bound.
     """
-    from repro.io import open_store, resolve_cost_bound
-
     header, library, search = open_store(path)
     bound = resolve_cost_bound(cost_bound, header.expanded_to, str(path))
     search.freeze()
@@ -138,6 +150,7 @@ def open_store_state(path: str, cost_bound: int | None = None) -> StoreState:
     return StoreState(
         path=str(path), header=header, library=library, batch=batch,
         cost_bound=bound, table=batch.cost_table(),
+        gate_names=tuple(entry.name for entry in library.gates),
     )
 
 
@@ -507,8 +520,6 @@ class SynthesisService:
 
 
 def _parse_spec(state: StoreState, spec: object):
-    from repro.io import parse_target
-
     if not isinstance(spec, str):
         raise ProtocolError("target must be a spec string")
     return parse_target(
@@ -519,52 +530,84 @@ def _parse_spec(state: StoreState, spec: object):
 
 
 def _check_query_bound(state: StoreState, params: dict) -> int:
-    from repro.io import resolve_cost_bound
-
     bound = params.get("cost_bound")
-    if bound is not None and (not isinstance(bound, int) or bound < 0):
+    # bool is an int subclass: a JSON ``true`` is no bound.
+    if bound is not None and (
+        not isinstance(bound, int) or isinstance(bound, bool) or bound < 0
+    ):
         raise ProtocolError("cost_bound must be a non-negative integer")
     return resolve_cost_bound(bound, state.cost_bound, state.path)
 
 
-def _synthesize_bounded(
-    state: StoreState, target, bound: int, allow_not: bool, all_: bool
-) -> list:
-    """Synthesize under a per-query bound with local-identical errors.
+def _flag(params: dict, name: str, default: bool) -> bool:
+    """A boolean query flag; ``"false"`` or ``0`` is refused, not truthy."""
+    value = params.get(name, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{name} must be a boolean")
+    return value
 
-    A ``CostBoundExceededError`` must cite the *resolved query* bound --
-    the bound a local ``BatchSynthesizer(search, cost_bound=bound)``
-    would have been built with -- not the (possibly deeper) serving
-    bound, so the server-side message stays byte-identical to the
-    ``--store`` path's.
+
+def _synth_records(
+    state: StoreState, target, bound: int, allow_not: bool, all_: bool
+) -> list[dict]:
+    """One parsed target's certified wire records, from the index hit.
+
+    The per-target step of ``synth`` and ``synth-batch``: strip the
+    free NOT layer on the target's image bytes, look the remainder up
+    in the remainder index, certify the first row's
+    witness (every row's with *all_*) with
+    :func:`~repro.core.mce.certify_row`, and write each record from the
+    witness's gate indices.  The records equal ``result_to_dict`` of
+    ``BatchSynthesizer.synthesize`` (``synthesize_all``) with a query
+    bound of *bound*, and so do the errors: a
+    ``CostBoundExceededError`` cites *bound*, as a local
+    ``BatchSynthesizer(search, cost_bound=bound)`` would.
+
+    Raises:
+        ReproError: a NOT layer with ``allow_not`` false, a
+            counting-only store, no realization within *bound*, or a
+            witness that fails certification (``StoreCorruptError``).
     """
-    description = f"permutation {target.cycle_string()}"
-    try:
-        if all_:
-            results = state.batch.synthesize_all(target, allow_not=allow_not)
-        else:
-            results = [state.batch.synthesize(target, allow_not=allow_not)]
-    except CostBoundExceededError:
-        raise CostBoundExceededError(description, bound) from None
-    kept = [result for result in results if result.cost <= bound]
-    if not kept:
-        raise CostBoundExceededError(description, bound)
-    return kept
+    library = state.library
+    n_qubits = library.n_qubits
+    radix = library.space.radix
+    not_mask, remainder = strip_not_layer(target.images, library, allow_not)
+    not_names = not_layer_names(not_mask, n_qubits)
+    if remainder == bytes(range(len(remainder))):
+        return [result_record(
+            n_qubits, radix, not_names, target.cycle_string(), 0, not_mask
+        )]
+    rows = state.batch.witness_rows(remainder)
+    text = target.cycle_string()
+    records = []
+    if rows is not None:
+        names = state.gate_names
+        for row in rows if all_ else rows[:1]:
+            entries, cost, _cascade = certify_row(
+                state.batch.search, row, not_mask, target
+            )
+            if cost <= bound:
+                gates = not_names + tuple(names[e.index] for e in entries)
+                records.append(result_record(
+                    n_qubits, radix, gates, text, cost, not_mask
+                ))
+    if not records:
+        raise CostBoundExceededError(f"permutation {text}", bound)
+    return records
 
 
 def _run_synth(state: StoreState, params: dict) -> dict:
-    from repro.io import result_to_dict
-
-    target = _parse_spec(state, params.get("target"))
-    bound = _check_query_bound(state, params)
-    allow_not = bool(params.get("allow_not", True))
-    results = _synthesize_bounded(
-        state, target, bound, allow_not, bool(params.get("all", False))
+    records = _synth_records(
+        state,
+        _parse_spec(state, params.get("target")),
+        _check_query_bound(state, params),
+        _flag(params, "allow_not", True),
+        _flag(params, "all", False),
     )
     return {
-        "target": target.cycle_string(),
-        "cost": results[0].cost,
-        "results": [result_to_dict(result) for result in results],
+        "target": records[0]["target"],
+        "cost": records[0]["cost"],
+        "results": records,
     }
 
 
@@ -572,32 +615,29 @@ def _synth_batch_chunks(state: StoreState, params: dict):
     """A ``synth-batch``'s entries, :data:`BATCH_CHUNK` targets at a time.
 
     One entry per spec, errors reported per entry, never wholesale.
-    The success path is exactly
-    :meth:`BatchSynthesizer.synthesize_many`'s loop body, so an all-ok
-    batch returns results identical to calling it directly
-    (``tests/test_server.py`` and ``benchmarks/bench_serve.py`` pin
-    this); any per-target failure -- unparseable spec, over-bound cost
-    -- becomes that entry's structured ``{ok: false, error}`` record
-    instead of failing the sibling targets.
+    Each entry is :func:`_synth_records`' first record, so an all-ok
+    batch answers the records of
+    :meth:`BatchSynthesizer.synthesize_many` (``tests/test_server.py``
+    and ``benchmarks/bench_serve.py`` pin this); any per-target failure
+    -- unparseable spec, over-bound cost -- becomes that entry's
+    structured ``{ok: false, error}`` record instead of failing the
+    sibling targets.
     """
-    from repro.errors import ReproError
-    from repro.io import result_to_dict
-
     specs = params.get("targets")
     if not isinstance(specs, list):
         raise ProtocolError("targets must be a list of spec strings")
     bound = _check_query_bound(state, params)
-    allow_not = bool(params.get("allow_not", True))
+    allow_not = _flag(params, "allow_not", True)
 
     for first in range(0, len(specs), BATCH_CHUNK):
         chunk: list[dict] = []
         for spec in specs[first:first + BATCH_CHUNK]:
             try:
                 target = _parse_spec(state, spec)
-                result = _synthesize_bounded(
-                    state, target, bound, allow_not, all_=False
-                )[0]
-                chunk.append({"ok": True, "result": result_to_dict(result)})
+                (record,) = _synth_records(
+                    state, target, bound, allow_not, False
+                )
+                chunk.append({"ok": True, "result": record})
             except ReproError as exc:
                 chunk.append({"ok": False, "error": error_payload(exc)[0]})
         yield chunk
@@ -659,7 +699,7 @@ def _run_cost_table(state: StoreState, params: dict) -> dict:
         "b_sizes": list(table.b_sizes[: bound + 1]),
         "a_sizes": list(table.a_sizes[: bound + 1]),
     }
-    if params.get("include_members", False):
+    if _flag(params, "include_members", False):
         # No member leaves unchecked: each one's witness is certified.
         state.batch.certify_members(bound)
         payload["members"] = [

@@ -29,6 +29,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.client import ServeClient, http_request, wait_until_ready
@@ -41,11 +43,12 @@ from repro.errors import (
     FrozenSearchError,
     InvalidPermutationError,
     ProtocolError,
+    ReproError,
     ServerError,
     SpecificationError,
 )
-from repro.gates.library import GateLibrary
-from repro.io import load_access_log, open_store, result_to_dict
+from repro.gates.library import GateLibrary, library_for
+from repro.io import load_access_log, open_store, parse_target, result_to_dict
 from repro.server import (
     BackgroundServer,
     SynthesisService,
@@ -537,6 +540,22 @@ class TestMalformedRequests:
     def test_client_rejects_wrong_params_type(self, client):
         with pytest.raises(ProtocolError):
             client.call("synth", target=123)
+
+    @pytest.mark.parametrize("op, params", [
+        ("synth", {"target": "peres", "cost_bound": True}),
+        ("synth-batch", {"targets": ["peres"], "cost_bound": True}),
+        ("cost-table", {"cost_bound": False}),
+        ("synth", {"target": "(1,2)", "allow_not": "false"}),
+        ("synth", {"target": "peres", "allow_not": None}),
+        ("synth", {"target": "peres", "all": 1}),
+        ("synth-batch", {"targets": ["(1,2)"], "allow_not": 0}),
+        ("cost-table", {"include_members": "yes"}),
+    ])
+    def test_non_boolean_flags_are_refused(self, client, op, params):
+        """``true`` is no cost bound and ``"false"`` is not false: the
+        wire flags take JSON booleans only."""
+        with pytest.raises(ProtocolError):
+            client.call(op, **params)
 
 
 class TestConcurrency:
@@ -1250,6 +1269,124 @@ class TestWeightedCostModel:
 
 
 @pytest.fixture(scope="module")
+def ternary_store_path(tmp_path_factory):
+    """A two-wire Di & Wei ternary store (records carry ``radix``)."""
+    path = tmp_path_factory.mktemp("serve-ternary") / "ternary.rpro"
+    search = CascadeSearch(library_for(2, 3), track_parents=True)
+    search.extend_to(4)
+    save_search(search, path)
+    return str(path)
+
+
+def _reference_records(reference, spec, radix, allow_not, all_):
+    """The target and ``result_to_dict`` records of a local synthesis."""
+    n_qubits = reference.search.library.n_qubits
+    target = parse_target(spec, n_qubits=n_qubits, radix=radix)
+    if all_:
+        results = reference.synthesize_all(target, allow_not=allow_not)
+    else:
+        results = [reference.synthesize(target, allow_not=allow_not)]
+    return target, [result_to_dict(result) for result in results]
+
+
+class TestServedRecordsDifferential:
+    """``execute_query`` against ``result_to_dict(batch.synthesize*())``.
+
+    The served path renders each record straight from the index hit;
+    the reference builds ``SynthesisResult`` objects through a local
+    ``BatchSynthesizer(search, cost_bound=bound)`` at the query's bound.
+    Both must give the same payload bytes, errors included, on a binary
+    store, a weighted-cost store and a ternary store.
+    """
+
+    BAD_SPECS = ("(1,2,99)", "not-a-gate", "(1,1)")
+
+    @pytest.fixture(
+        scope="class",
+        params=["store_path", "weighted_store_path", "ternary_store_path"],
+    )
+    def served(self, request):
+        path = request.getfixturevalue(request.param)
+        state = open_store_state(path)
+        _header, _library, search = open_store(path)
+        binary = state.library.space.radix == 2
+        full = BatchSynthesizer(search)
+        pools = [
+            [target.cycle_string()
+             for target in full.targets_at_cost(cost, binary)]
+            for cost in range(full.cost_bound + 1)
+        ]
+        references = {
+            bound: BatchSynthesizer(search, cost_bound=bound)
+            for bound in range(full.cost_bound + 1)
+        }
+        return SimpleNamespace(
+            state=state,
+            pools=[pool for pool in pools if pool],
+            references=references,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_payload_bytes_equal_the_reference(self, served, data):
+        state = served.state
+        radix = state.library.space.radix
+        specs = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(served.pools).flatmap(st.sampled_from),
+                st.sampled_from(self.BAD_SPECS),
+            ),
+            min_size=1, max_size=BATCH_CHUNK + 4,
+        ))
+        bound = data.draw(st.one_of(
+            st.none(), st.integers(0, state.cost_bound)
+        ))
+        allow_not = data.draw(st.booleans())
+        all_ = data.draw(st.booleans())
+        params = {"allow_not": allow_not}
+        if bound is not None:
+            params["cost_bound"] = bound
+        reference = served.references[
+            state.cost_bound if bound is None else bound
+        ]
+
+        try:
+            target, records = _reference_records(
+                reference, specs[0], radix, allow_not, all_
+            )
+            want = {"target": target.cycle_string(),
+                    "cost": records[0]["cost"], "results": records}
+        except ReproError as exc:
+            want = error_payload(exc)
+        try:
+            got = execute_query(
+                state, "synth", {"target": specs[0], "all": all_, **params}
+            )
+        except ReproError as exc:
+            got = error_payload(exc)
+        assert json.dumps(got) == json.dumps(want)
+
+        entries = []
+        for spec in specs:
+            try:
+                _target, records = _reference_records(
+                    reference, spec, radix, allow_not, False
+                )
+                entries.append({"ok": True, "result": records[0]})
+            except ReproError as exc:
+                entries.append({"ok": False, "error": error_payload(exc)[0]})
+        want = {
+            "results": entries,
+            "count": len(entries),
+            "failures": sum(not entry["ok"] for entry in entries),
+        }
+        got = execute_query(
+            state, "synth-batch", {"targets": specs, **params}
+        )
+        assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.fixture(scope="module")
 def corrupt_store_path(tmp_path_factory):
     """A cost-5 v2 store whose ``gates`` section is off by one (mod 18).
 
@@ -1276,6 +1413,45 @@ def corrupt_store_path(tmp_path_factory):
 
 class TestCorruptStore:
     """A wrong witness becomes STORE_CORRUPT, never an ``ok`` answer."""
+
+    def test_verify_store_certifies_witnesses(
+        self, corrupt_store_path, tmp_path
+    ):
+        """The shifted ``gates`` section under a rewritten digest (and the
+        identity row's ``-1`` kept, so the structural checks pass) fails
+        ``repro store verify`` at its witnesses, not only at serve time."""
+        import hashlib
+
+        import numpy as np
+
+        from repro.errors import StoreError
+        from repro.io import read_header, verify_store
+
+        header = read_header(corrupt_store_path)
+        data = bytearray(Path(corrupt_store_path).read_bytes())
+        payload_start = len(data) - header.payload_size
+        offset, length = header.sections["gates"]
+        start = payload_start + offset
+        gates = np.frombuffer(
+            bytes(data[start:start + length]), dtype="<i4"
+        ).copy()
+        gates[0] = -1
+        data[start:start + length] = gates.tobytes()
+        frame = json.loads(data[12:12 + int.from_bytes(data[8:12], "little")])
+        frame["payload_sha256"] = hashlib.sha256(
+            bytes(data[payload_start:])
+        ).hexdigest()
+        blob = json.dumps(frame, separators=(",", ":")).encode()
+        blob += b" " * ((-(12 + len(blob))) % 8)
+        bad = tmp_path / "rehashed.rpro"
+        bad.write_bytes(
+            bytes(data[:8]) + len(blob).to_bytes(4, "little") + blob
+            + bytes(data[payload_start:])
+        )
+        assert read_header(bad).payload_sha256 == frame["payload_sha256"]
+        with pytest.raises(StoreError, match="fails certification"):
+            verify_store(bad)
+        assert main(["store", "verify", str(bad)]) == 1
 
     TARGETS = ["toffoli", "peres", "g2", "g3", "(5,7,6,8)"]
 
