@@ -50,51 +50,82 @@ the full integrity pass a lazy open skips.
 See README.md for the full tour and DESIGN.md for the architecture.
 """
 
+from importlib import import_module as _import_module
+
 from repro._version import __version__
 
-from repro.errors import (
-    ReproError,
-    InvalidValueError,
-    InvalidGateError,
-    InvalidCircuitError,
-    InvalidPermutationError,
-    SynthesisError,
-    CostBoundExceededError,
-    SpecificationError,
-    SimulationError,
-    NonBinaryControlError,
-    StoreError,
-    StoreCorruptError,
-    StoreMismatchError,
-    StoreVersionError,
-)
-from repro.mvl import Qv, Pattern, LabelSpace, label_space
-from repro.linalg import DyadicComplex, Matrix
-from repro.perm import Permutation, PermutationGroup, symmetric_group
-from repro.gates import Gate, GateKind, GateLibrary, TruthTable, named
-from repro.core import (
-    Circuit,
-    CostModel,
-    CascadeSearch,
-    SearchArrays,
-    StoreHeader,
-    BatchSynthesizer,
-    CostTable,
-    dump_search,
-    find_minimum_cost_circuits,
-    express,
-    express_all,
-    express_probabilistic,
-    load_search,
-    loads_search,
-    migrate_store,
-    open_store,
-    ProbabilisticSpec,
-    read_header,
-    save_search,
-    SynthesisResult,
-    verify_store,
-)
+#: Exported name -> the module it is imported from on first use.  The
+#: names load lazily (PEP 562) so that processes which only route or
+#: probe -- ``repro fleet serve``'s own process, clients -- never pay
+#: for importing the closure engine and numpy.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.errors": (
+            "ReproError",
+            "InvalidValueError",
+            "InvalidGateError",
+            "InvalidCircuitError",
+            "InvalidPermutationError",
+            "SynthesisError",
+            "CostBoundExceededError",
+            "SpecificationError",
+            "SimulationError",
+            "NonBinaryControlError",
+            "StoreError",
+            "StoreCorruptError",
+            "StoreMismatchError",
+            "StoreVersionError",
+        ),
+        "repro.mvl": ("Qv", "Pattern", "LabelSpace", "label_space"),
+        "repro.linalg": ("DyadicComplex", "Matrix"),
+        "repro.perm": ("Permutation", "PermutationGroup", "symmetric_group"),
+        "repro.gates": (
+            "Gate", "GateKind", "GateLibrary", "TruthTable", "named",
+        ),
+        "repro.core": (
+            "Circuit",
+            "CostModel",
+            "CascadeSearch",
+            "SearchArrays",
+            "StoreHeader",
+            "BatchSynthesizer",
+            "CostTable",
+            "dump_search",
+            "find_minimum_cost_circuits",
+            "express",
+            "express_all",
+            "express_probabilistic",
+            "load_search",
+            "loads_search",
+            "migrate_store",
+            "open_store",
+            "ProbabilisticSpec",
+            "read_header",
+            "save_search",
+            "SynthesisResult",
+            "verify_store",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "__version__",

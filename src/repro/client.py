@@ -55,6 +55,11 @@ DEFAULT_TIMEOUT = 30.0
 #: Ceiling on the retry backoff between attempts, in seconds.
 MAX_BACKOFF = 2.0
 
+#: Longest sleep between :func:`wait_until_ready` polls, in seconds.  A
+#: refused connect costs microseconds, and a fleet cannot route until
+#: its last replica is seen, so polls stay short.
+READY_POLL_CAP = 0.02
+
 
 class _TransportFailure(Exception):
     """Internal: a retryable transport-level failure (never surfaced).
@@ -494,14 +499,15 @@ def wait_until_ready(
     is clamped to the *remaining* deadline (never beyond 5 s), so a
     caller asking for ``timeout=0.3`` cannot be held up for seconds by
     a black-holed connect; between attempts the poll interval backs off
-    geometrically from *interval* up to one second.
+    geometrically from *interval* but never past :data:`READY_POLL_CAP`,
+    so a server that starts listening is seen within one short poll.
 
     Raises:
         ServerError: the server did not come up within *timeout*.
     """
     deadline = time.monotonic() + timeout
     last_error = "no attempt made"
-    delay = interval
+    delay = min(interval, READY_POLL_CAP)
     attempts = 0
     while True:
         remaining = deadline - time.monotonic()
@@ -521,7 +527,7 @@ def wait_until_ready(
         if remaining <= 0:
             break
         time.sleep(min(delay, remaining))
-        delay = min(delay * 2, 1.0)
+        delay = min(delay * 2, READY_POLL_CAP)
     raise ServerError(
         f"server {address} not ready after {timeout:.0f}s ({last_error})"
     )

@@ -44,7 +44,11 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.errors import InvalidGateError, SpecificationError
+from repro.errors import (
+    InvalidGateError,
+    InvalidPermutationError,
+    SpecificationError,
+)
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
 from repro.core.mce import SynthesisResult, certify, not_gates_by_name
@@ -57,8 +61,10 @@ from repro.core.store import (  # noqa: F401  (re-exported persistence facade)
     save_search,
     verify_store,
 )
+from repro.gates import named
 from repro.gates.library import library_for
 from repro.perm.permutation import Permutation
+from repro.telemetry.logwriter import rotated_access_logs
 
 
 def resolve_cost_bound(
@@ -281,8 +287,6 @@ def parse_target(text: str, n_qubits: int = 3, radix: int = 2) -> Permutation:
     parsed as 1-based cycle notation on the ``radix**n_qubits`` labels,
     e.g. ``"(5,7,6,8)"``.  The named catalog is binary-only.
     """
-    from repro.gates import named
-
     key = text.strip().lower()
     if radix == 2 and n_qubits == 3 and key in named.TARGETS:
         return named.TARGETS[key]
@@ -300,8 +304,6 @@ def load_targets(
     Raises:
         SpecificationError: on an unparseable line (with its number).
     """
-    from repro.errors import InvalidPermutationError
-
     pairs: list[tuple[str, Permutation]] = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         spec = line.split("#", 1)[0].strip()
@@ -339,27 +341,6 @@ def _parse_access_record(
             + ", ".join(missing)
         )
     return record
-
-
-def rotated_access_logs(path: str | Path) -> list[Path]:
-    """The rotated set for an access log, oldest first, active log last.
-
-    ``repro serve --access-log-max-bytes`` rotates ``log -> log.1 ->
-    log.2 ...`` (higher suffix = older), so reading ``log.N ... log.1,
-    log`` yields every surviving record in arrival order.  Only numeric
-    suffixes belong to the set; missing files are simply absent.
-    """
-    base = Path(path)
-    prefix = base.name + "."
-    indexed: list[tuple[int, Path]] = []
-    if base.parent.is_dir():
-        for entry in base.parent.iterdir():
-            suffix = entry.name[len(prefix):]
-            if entry.name.startswith(prefix) and suffix.isdigit():
-                indexed.append((int(suffix), entry))
-    ordered = [entry for _index, entry in sorted(indexed, reverse=True)]
-    ordered.append(base)
-    return ordered
 
 
 def load_access_log(

@@ -54,22 +54,45 @@ and keeps the concurrency story trivial (see the thread-safety contract
 on :class:`~repro.core.batch.BatchSynthesizer`).
 """
 
-from repro.server.app import BackgroundServer, ReproServer, run_server
-from repro.server.protocol import (
-    DEFAULT_PORT,
-    OPERATIONS,
-    Request,
-    error_payload,
-    error_to_exception,
-    parse_address,
-    parse_endpoint,
-)
-from repro.server.registry import StoreRegistry, build_registry
-from repro.server.service import (
-    StoreState,
-    SynthesisService,
-    open_store_state,
-)
+from importlib import import_module as _import_module
+
+#: Exported name -> defining module, imported on first use (PEP 562):
+#: the fleet router needs the protocol and the front end, never the
+#: closure engine behind :class:`SynthesisService`.
+_EXPORTS = {
+    "BackgroundServer": "repro.server.app",
+    "ReproServer": "repro.server.app",
+    "run_server": "repro.server.app",
+    "DEFAULT_PORT": "repro.server.protocol",
+    "OPERATIONS": "repro.server.protocol",
+    "Request": "repro.server.protocol",
+    "error_payload": "repro.server.protocol",
+    "error_to_exception": "repro.server.protocol",
+    "parse_address": "repro.server.protocol",
+    "parse_endpoint": "repro.server.protocol",
+    "StoreRegistry": "repro.server.registry",
+    "build_registry": "repro.server.registry",
+    "StoreState": "repro.server.service",
+    "SynthesisService": "repro.server.service",
+    "open_store_state": "repro.server.service",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "BackgroundServer",

@@ -37,7 +37,7 @@ import signal
 import socket
 import stat
 import threading
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from dataclasses import replace
 
@@ -53,8 +53,10 @@ from repro.server.protocol import (
     http_text_response,
     read_http_request,
 )
-from repro.server.service import SynthesisService
 from repro.telemetry.trace import TRACE_HEADER
+
+if TYPE_CHECKING:
+    from repro.server.service import SynthesisService
 
 #: Default bound on the graceful drain: how long close() waits for
 #: in-flight requests to finish before aborting their transports.
@@ -413,6 +415,10 @@ async def run_server(
     up (the CLI prints its "listening on" line from it).  Returns the
     process exit code.
     """
+    # Imported here, not at module level: the fleet router runs this
+    # module's front end and must not load the closure engine.
+    from repro.server.service import SynthesisService
+
     service = SynthesisService(
         stores,
         cost_bound=cost_bound,

@@ -381,8 +381,12 @@ class SynthesisService:
             payload, status = error_payload(exc)
             domain = "server" if status >= 500 else "client"
             self._m_errors.inc(domain=domain)
-            self._finish_request(request, alias, started, 0.0,
-                                 payload["code"])
+            # A request that failed to resolve its store logs the
+            # selector it sent, so `repro replay` re-sends that selector.
+            self._finish_request(
+                request, request.store if alias is None else alias,
+                started, 0.0, payload["code"],
+            )
             raise
         self._finish_request(request, alias, started, execute, "ok")
         return result

@@ -28,6 +28,7 @@ import contextlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from ..errors import SpecificationError
 from .registry import MetricsRegistry
@@ -178,3 +179,24 @@ class AccessLogWriter:
         self._file = open(path, "a", encoding="utf-8")
         if self._m_records is not None:
             self._m_rotations.inc()
+
+
+def rotated_access_logs(path: str | Path) -> list[Path]:
+    """The rotated set for an access log, oldest first, active log last.
+
+    :meth:`AccessLogWriter._rotate` shifts ``log -> log.1 -> log.2
+    ...`` (higher suffix = older), so reading ``log.N ... log.1, log``
+    yields every surviving record in arrival order.  Only numeric
+    suffixes belong to the set; missing files are simply absent.
+    """
+    base = Path(path)
+    prefix = base.name + "."
+    indexed: list[tuple[int, Path]] = []
+    if base.parent.is_dir():
+        for entry in base.parent.iterdir():
+            suffix = entry.name[len(prefix):]
+            if entry.name.startswith(prefix) and suffix.isdigit():
+                indexed.append((int(suffix), entry))
+    ordered = [entry for _index, entry in sorted(indexed, reverse=True)]
+    ordered.append(base)
+    return ordered

@@ -15,7 +15,7 @@ server's healthz reports bucket estimates, not raw-sample ranks).
 
 Rotated sets are included by default: naming ``b0.access.ndjson``
 reads ``b0.access.ndjson.N ... .1`` first, in arrival order, exactly
-like :func:`repro.io.rotated_access_logs`.
+like :func:`~repro.telemetry.logwriter.rotated_access_logs`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from ..io import rotated_access_logs
+from .logwriter import rotated_access_logs
 from .registry import percentile_summary
 
 #: Record kinds ``classify_record`` can return.

@@ -1,8 +1,15 @@
 """The public API surface: imports, exports, version, packaging."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
+import repro.server
 
 
 class TestTopLevelExports:
@@ -28,6 +35,57 @@ class TestTopLevelExports:
             "LabelSpace",
         ):
             assert hasattr(repro, name), name
+
+
+#: Each lazily exporting package, with the names it binds at import.
+LAZY_PACKAGES = [(repro, {"__version__"}), (repro.server, set())]
+
+
+@pytest.mark.parametrize(
+    "package, eager", LAZY_PACKAGES, ids=["repro", "repro.server"]
+)
+class TestLazyExports:
+    def test_table_and_eager_names_are_exactly_all(self, package, eager):
+        assert len(package.__all__) == len(set(package.__all__))
+        assert not eager & set(package._EXPORTS)
+        assert set(package._EXPORTS) | eager == set(package.__all__)
+
+    def test_each_name_is_the_defining_modules_object(self, package, eager):
+        for name, module in package._EXPORTS.items():
+            defining = importlib.import_module(module)
+            assert getattr(package, name) is getattr(defining, name), name
+
+    def test_star_import_binds_every_name(self, package, eager):
+        namespace: dict = {}
+        exec(f"from {package.__name__} import *", namespace)
+        for name in package.__all__:
+            assert namespace[name] is getattr(package, name), name
+
+    def test_unknown_name_raises_attribute_error(self, package, eager):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            package.no_such_export  # noqa: B018
+        assert not hasattr(package, "no_such_export")
+
+
+def test_router_process_never_imports_the_closure_engine():
+    """What ``repro fleet serve``'s own process imports leaves numpy and
+    the closure engine unloaded; only its replicas need them."""
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.fleet.manager, repro.fleet.router\n"
+        "import repro.fleet.supervisor, repro.server.app, repro.client\n"
+        "print(sorted(m for m in ('numpy', 'repro.core') "
+        "if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestSubpackageImports:

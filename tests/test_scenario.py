@@ -24,7 +24,8 @@ import pytest
 from repro.cli import main
 from repro.core.search import CascadeSearch
 from repro.core.store import save_search
-from repro.errors import SpecificationError
+from repro.client import ServeClient
+from repro.errors import ProtocolError, SpecificationError
 from repro.fleet.manager import BackgroundFleet
 from repro.fleet.router import HashRing
 from repro.fleet.supervisor import GuardRails
@@ -336,6 +337,26 @@ class TestReplay:
         assert rc == 0
         report = json.loads(Path(out).read_text())
         assert report["clean"] and report["result_byte_diffs"] == 0
+
+    def test_unresolved_store_error_replays_as_reproduced(
+        self, store_path, tmp_path
+    ):
+        """A request naming a store the server lacks is logged with
+        that selector, so replay re-sends it and reproduces the error
+        instead of answering from the sole store."""
+        log = str(tmp_path / "access.ndjson")
+        with BackgroundServer(store_path, access_log=log) as server:
+            with ServeClient(server.address_text) as client:
+                with pytest.raises(ProtocolError):
+                    client.synth("peres", store="deep")
+        records, _tail = scenario.load_trace(log)
+        assert [(r["store"], r["outcome"]) for r in records] == [
+            ("deep", "protocol"),
+        ]
+        with BackgroundServer(store_path) as server:
+            report = scenario.replay(records, server.address_text)
+        assert report["replayed"] == report["errors"] == 1
+        assert report["outcome_mismatches"] == 0 and report["clean"]
 
     def test_outcome_drift_is_reported_and_fails(
         self, store_path, tmp_path, capsys

@@ -55,7 +55,11 @@ from repro.server import (
     parse_address,
     parse_endpoint,
 )
-from repro.server.protocol import error_payload, error_to_exception
+from repro.server.protocol import (
+    encode_response,
+    error_payload,
+    error_to_exception,
+)
 from repro.server.registry import (
     StoreRegistry,
     derive_alias,
@@ -1046,7 +1050,7 @@ class TestAccessLog:
         assert records[0]["store"] == "deep"
         assert records[0]["outcome"] == "ok"
         assert records[2]["outcome"] == "protocol"
-        assert records[2]["store"] is None  # resolution failed
+        assert records[2]["store"] == "nope"  # the selector it sent
         for record in records:
             assert record["queue_wait_ms"] >= 0.0
             assert record["execute_ms"] >= 0.0
@@ -1080,6 +1084,41 @@ class TestWaitUntilReady:
     def test_tiny_timeout_still_attempts_once(self, server):
         health = wait_until_ready(server.address_text, timeout=0.001)
         assert health["status"] == "ok"
+
+    def test_late_listener_is_seen_within_one_short_poll(self):
+        """A server that starts listening mid-wait is noticed at once,
+        not at the next step of a geometric backoff (a fleet routes
+        nothing until its last replica is seen)."""
+        workdir = tempfile.mkdtemp(prefix="repro-sock-")
+        path = os.path.join(workdir, "late.sock")
+        listening_at: list[float] = []
+
+        def listen_late():
+            time.sleep(0.4)
+            with socket.socket(socket.AF_UNIX) as listener:
+                listener.bind(path)
+                listener.listen()
+                listening_at.append(time.monotonic())
+                listener.settimeout(10)
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as reader:
+                    request = json.loads(reader.readline())
+                    conn.sendall(
+                        encode_response(request.get("id"), {"status": "ok"})
+                    )
+
+        thread = threading.Thread(target=listen_late, daemon=True)
+        thread.start()
+        try:
+            health = wait_until_ready(f"unix:{path}", timeout=10)
+            returned_at = time.monotonic()
+        finally:
+            thread.join(timeout=10)
+            shutil.rmtree(workdir, ignore_errors=True)
+        assert not thread.is_alive()
+        assert health["status"] == "ok"
+        lag = returned_at - listening_at[0]
+        assert lag < 0.1, f"ready {lag * 1e3:.0f} ms after the listener"
 
 
 class TestServeSubprocess:
