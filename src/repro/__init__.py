@@ -25,9 +25,8 @@ number of synthesis queries against the loaded store::
     library = GateLibrary(n_qubits=3)
 
     # Precompute (once; `repro precompute closure.rpro` from a shell).
-    # The default NumPy kernel builds the paper's cost-7 closure in a
-    # fraction of a second; kernel="translate" keeps the byte-level
-    # reference loop.
+    # The NumPy kernel builds the paper's cost-7 closure in a fraction
+    # of a second.
     search = CascadeSearch(library, track_parents=True)
     search.extend_to(7)
     save_search(search, "closure.rpro")

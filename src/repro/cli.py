@@ -316,13 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and cost-model flags must match the existing store)",
     )
     p_pre.add_argument(
-        "--kernel", choices=("vector", "translate"), default=None,
-        help="expansion kernel (vector: the NumPy engine with sharded "
-        "dedup, default; translate: the byte-level reference loop, "
-        "which takes none of --dedup-budget/--shard-bits/"
-        "--checkpoint-dir)",
-    )
-    p_pre.add_argument(
         "--format-version", type=int, choices=(2, 3), default=None,
         help="store format to write (default: 2, the memory-mapped "
         "layout with the serialized remainder index; 3 compresses the "
@@ -869,19 +862,13 @@ def _synth_batch(
     return 1 if failures else 0
 
 
-def _resolve_precompute_kernel(
-    kernel: str | None,
+def _precompute_kernel_options(
     dedup_budget: str | None,
     shard_bits: int | None,
     checkpoint_dir: str | None,
-) -> tuple[str, dict]:
-    """Pick the expansion kernel + options from the precompute flags.
-
-    The engine tunables belong to the vector kernel (the default); on
-    the translate kernel they are refused rather than silently ignored.
-    """
+) -> dict:
+    """The vector-engine tunables given by the precompute flags."""
     from repro.core.dedup import parse_budget
-    from repro.errors import SpecificationError
 
     options: dict = {}
     if dedup_budget is not None:
@@ -890,15 +877,7 @@ def _resolve_precompute_kernel(
         options["shard_bits"] = shard_bits
     if checkpoint_dir is not None:
         options["checkpoint_dir"] = checkpoint_dir
-    if kernel is None:
-        kernel = "vector"
-    elif options and kernel != "vector":
-        raise SpecificationError(
-            "--dedup-budget/--shard-bits/--checkpoint-dir are "
-            f"vector-kernel options; they cannot combine with "
-            f"--kernel {kernel}"
-        )
-    return kernel, options
+    return options
 
 
 def _cmd_precompute(
@@ -911,7 +890,6 @@ def _cmd_precompute(
     cnot_cost: int,
     radix: int = 2,
     extend: bool = False,
-    kernel: str | None = None,
     format_version: int | None = None,
     codec: str | None = None,
     dedup_budget: str | None = None,
@@ -940,8 +918,8 @@ def _cmd_precompute(
             "--codec chooses the v3 section compression; it requires "
             "--format-version 3"
         )
-    kernel, kernel_options = _resolve_precompute_kernel(
-        kernel, dedup_budget, shard_bits, checkpoint_dir
+    kernel_options = _precompute_kernel_options(
+        dedup_budget, shard_bits, checkpoint_dir
     )
     if radix != 2:
         from repro.errors import SpecificationError
@@ -977,7 +955,7 @@ def _cmd_precompute(
                 "it as-is, or precompute a fresh parent-tracking store"
             )
         _header, library, search = open_store(out)
-        search.use_kernel(kernel, kernel_options or None)
+        search.set_kernel_options(kernel_options)
         previous = search.expanded_to
         if cost_bound <= previous:
             print(
@@ -987,7 +965,7 @@ def _cmd_precompute(
             return 0
         print(
             f"extending {out} from cost {previous} to {cost_bound} "
-            f"({kernel} kernel)"
+            "(vector kernel)"
         )
     else:
         previous = None
@@ -995,7 +973,6 @@ def _cmd_precompute(
             library,
             cost_model,
             track_parents=not no_parents,
-            kernel=kernel,
             kernel_options=kernel_options,
         )
         if search.was_restored and search.expanded_to:
@@ -1016,7 +993,7 @@ def _cmd_precompute(
             qubits=qubits,
             radix=radix,
             cost_bound=cost_bound,
-            kernel=kernel,
+            kernel="vector",
             track_parents=not no_parents,
             resumed_from=previous if previous is not None else 0,
         )
@@ -1824,7 +1801,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_precompute(
                 args.out, args.cost_bound, args.qubits, args.no_parents,
                 args.v_cost, args.vdag_cost, args.cnot_cost,
-                args.radix, args.extend, args.kernel, args.format_version,
+                args.radix, args.extend, args.format_version,
                 args.codec, args.dedup_budget,
                 args.shard_bits, args.checkpoint_dir,
                 args.progress, args.progress_log,

@@ -18,12 +18,7 @@
 
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
-from repro.core.search import (
-    KERNELS,
-    CascadeSearch,
-    SearchArrays,
-    SearchStats,
-)
+from repro.core.search import CascadeSearch, SearchArrays, SearchStats
 from repro.core.dedup import ShardedDedupTable, parse_budget
 from repro.core.kernel import RelationFilter, VectorEngine
 from repro.core.store import (
@@ -98,7 +93,6 @@ __all__ = [
     "Circuit",
     "CostModel",
     "UNIT_COST",
-    "KERNELS",
     "CascadeSearch",
     "SearchArrays",
     "SearchStats",

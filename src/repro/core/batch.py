@@ -121,7 +121,7 @@ class BatchSynthesizer:
     * call :meth:`CascadeSearch.freeze` on the wrapped search (or
       :meth:`warm`, which does it for you and exercises every query
       path once) before sharing an instance across threads;
-    * the search must not be extended or re-kerneled while queries are
+    * the search must not be extended or re-optioned while queries are
       in flight -- freezing makes those operations raise instead of
       racing.  For a search holding a vector engine the freeze also
       releases the expansion scratch buffers, so a serving process

@@ -19,7 +19,8 @@ partitionable:
 Sharding changes *where* a key lives, never *what* the table answers:
 first-discovery order is byte-identical for every shard count, budget
 and spill state.  ``tests/test_parallel.py`` and
-``tests/test_kernels.py`` pin this, forced hash collisions and claim
+``tests/test_kernels.py`` pin this against the reference oracle
+(``tests/reference_closure.py``), forced hash collisions and claim
 races included.
 
 Claim protocol (normative)
@@ -59,7 +60,7 @@ applies:
 3. *Empty* -- every candidate that probed this slot scatters its claim
    word (hash high | claim encoding) **in reverse candidate order**, so
    after numpy's last-write-wins scatter the *lowest* candidate id owns
-   the slot: first-discovery order is exactly the seed kernel's.  Each
+   the slot: first-discovery order is exactly the seed loop's.  Each
    claimant re-reads the slot; the winner is provisionally **new**,
    a loser whose hash-high matches the winner is an assumed
    batch-internal duplicate (queued as in 1), any other loser probes on.

@@ -58,11 +58,10 @@ over fixed-size candidate batches on a :class:`VectorEngine`:
 
 Determinism contract: for any library and cost model the engine
 discovers the same level sets, in the same order, with the same parent
-pointers as the seed ``bytes.translate`` kernel
-(``CascadeSearch(kernel="translate")``), for every value of
-``shard_bits`` and memory budget.  ``tests/test_kernels.py`` and
-``tests/test_parallel.py`` pin the equivalence, forced hash collisions
-and claim races included.
+pointers as the seed ``bytes.translate`` loop (the reference oracle in
+``tests/reference_closure.py``), for every value of ``shard_bits`` and
+memory budget.  ``tests/test_kernels.py`` and ``tests/test_parallel.py``
+pin the equivalence, forced hash collisions and claim races included.
 """
 
 from __future__ import annotations
@@ -775,8 +774,8 @@ class VectorEngine:
         candidates passing the reasonable-product and back-edge tests,
         *total* those the relation filter keeps.  Chunks are sorted by
         library-gate index: candidates must appear in gate order for
-        discovery order (and hence parent choice) to match the translate
-        kernel.
+        discovery order (and hence parent choice) to match the seed
+        ``bytes.translate`` loop.
         """
         rows = self.gate_rows
         chunks: list[tuple[int, int, np.ndarray]] = []

@@ -10,33 +10,25 @@ level sets are exactly the paper's ``B[k]`` (and their union ``A[k]``).
 
 The closure has one representation: arrays.  A search holds either a
 :class:`~repro.core.kernel.VectorEngine` (the live expansion state) or a
-:class:`SearchArrays` snapshot (store-loaded, possibly memory-mapped,
-or the output of the reference kernel) -- one row of image bytes per
-permutation plus S-image mask, parent and gate columns, in level-major
-discovery order.  Every query reads those arrays; :meth:`CascadeSearch.level`
-is a list view built from them on each call.
+:class:`SearchArrays` snapshot (store-loaded, possibly memory-mapped)
+-- one row of image bytes per permutation plus S-image mask, parent and
+gate columns, in level-major discovery order.  Every query reads those
+arrays; :meth:`CascadeSearch.level` is a list view built from them on
+each call.
 
-Two kernels drive the expansion:
+One kernel drives the expansion: the NumPy engine of
+:mod:`repro.core.kernel` -- a gate application is one mask filter plus
+one fancy-indexing composition, relation-filtered candidates dedup
+through a sharded, spillable hash table.  Tunables (shard bits, dedup
+memory budget, checkpoint directory) arrive via ``kernel_options``.  A
+snapshot is replayed into an engine at its first extension.
 
-* ``kernel="vector"`` (default): the NumPy engine of
-  :mod:`repro.core.kernel` -- a gate application is one mask filter
-  plus one fancy-indexing composition, relation-filtered candidates
-  dedup through a sharded, spillable hash table.  Tunables (shard
-  bits, dedup memory budget, checkpoint directory) arrive via
-  ``kernel_options``.
-* ``kernel="translate"``: the reference oracle -- one
-  ``bytes.translate`` per candidate with its own dict dedup, local to
-  one :meth:`CascadeSearch.extend_to` call.  It reads the current
-  levels from the arrays and appends the new ones to a fresh
-  :class:`SearchArrays` snapshot, so it never shares the vector
-  engine's dedup table (``benchmarks/bench_kernel.py`` uses it as the
-  baseline).
-
-Both kernels produce identical levels in identical discovery order with
-identical parent pointers; ``tests/test_kernels.py`` and
-``tests/test_parallel.py`` pin that equivalence.  Parent pointers give
-O(cost) witness extraction for MCE, and row-based accessors
-(:meth:`CascadeSearch.perm_bytes_at`,
+``tests/reference_closure.py`` keeps the seed algorithm (one
+``bytes.translate`` per candidate, a set for dedup) as the oracle;
+``tests/test_kernels.py``, ``tests/test_parallel.py`` and the golden
+tables pin identical levels, discovery order and parent pointers
+against it.  Parent pointers give O(cost) witness extraction for MCE,
+and row-based accessors (:meth:`CascadeSearch.perm_bytes_at`,
 :meth:`CascadeSearch.witness_indices_for_row`) let index-serving layers
 avoid byte-level lookups entirely.
 """
@@ -55,16 +47,12 @@ from repro.core.cost import CostModel, UNIT_COST
 from repro.core.kernel import (
     GateRows,
     VectorEngine,
-    compute_masks,
     mask_int_to_words,
     mask_word_count,
     mask_words_to_int,
 )
 from repro.gates.library import GateLibrary
-from repro.perm.permutation import Permutation, pack_images, unpack_images
-
-#: Kernel names accepted by :class:`CascadeSearch`.
-KERNELS = ("vector", "translate")
+from repro.perm.permutation import Permutation, unpack_images
 
 #: Vector-engine tunables accepted in ``kernel_options``.
 KERNEL_OPTIONS = ("shard_bits", "memory_budget", "checkpoint_dir")
@@ -178,13 +166,12 @@ class CascadeSearch:
             permutation, enabling :meth:`witness_circuit`.  Costs memory
             proportional to the closure size; disable for counting-only
             runs such as Table 2.
-        kernel: ``"vector"`` (NumPy engine, default) or ``"translate"``
-            (the reference pure-Python loop).  Both produce identical
-            closures; see the module docstring.
+        kernel: ``"vector"``, the only expansion kernel; any other
+            name is refused.
         kernel_options: tunables for the vector engine --
             ``shard_bits``, ``memory_budget``, ``checkpoint_dir`` (see
             :class:`repro.core.kernel.VectorEngine`); any other name is
-            refused.  Ignored by the translate kernel.
+            refused.
     """
 
     def __init__(
@@ -195,31 +182,19 @@ class CascadeSearch:
         kernel: str = "vector",
         kernel_options: dict | None = None,
     ):
-        if kernel not in KERNELS:
+        if kernel != "vector":
             raise InvalidValueError(
-                f"unknown kernel {kernel!r}; pick one of {KERNELS}"
+                f"unknown kernel {kernel!r}; the only kernel is 'vector'"
             )
         self._kernel_options = _checked_kernel_options(kernel_options)
         self._library = library
         self._cost_model = cost_model
         self._track_parents = track_parents
-        self._kernel = kernel
         space = library.space
         self._degree = space.size
         self._n_binary = space.n_binary
         self._s_mask = space.s_mask
         self._identity = bytes(range(self._degree))
-        # Hot-path gate rows for the translate kernel:
-        # (translate table, banned mask, cost, index).
-        self._rows = tuple(
-            (
-                entry.table,
-                entry.banned_mask,
-                cost_model.gate_cost(entry.gate.kind),
-                entry.index,
-            )
-            for entry in library.gates
-        )
         self._expanded_to = 0
         self._elapsed = 0.0
         self._restored = False
@@ -230,37 +205,33 @@ class CascadeSearch:
         self._progress = None
 
         # The closure: the vector engine (when present) or a raw
-        # SearchArrays snapshot (store-loaded, possibly memmapped, or
-        # written by the translate kernel) -- exactly one is set.
-        self._engine: VectorEngine | None = None
+        # SearchArrays snapshot (store-loaded, possibly memmapped) --
+        # exactly one is set.
         self._raw: SearchArrays | None = None
         # Shard layout recorded by the store this search was loaded from.
         self._recorded_shards: dict | None = None
-
-        if kernel == "translate":
-            self._raw = self._identity_arrays()
-        else:
-            self._engine = self._new_engine()
-            self._engine.seed_identity()
-            if self._kernel_options.get("checkpoint_dir"):
-                resumed = self._engine.try_resume()
-                if resumed:
-                    self._expanded_to = resumed
-                    self._restored = True
+        self._engine: VectorEngine | None = self._new_engine()
+        self._engine.seed_identity()
+        if self._kernel_options.get("checkpoint_dir"):
+            resumed = self._engine.try_resume()
+            if resumed:
+                self._expanded_to = resumed
+                self._restored = True
 
     # -- infrastructure ----------------------------------------------------------------
 
     def _gate_rows(self) -> GateRows:
+        entries = self._library.gates
         inverse = []
-        for entry in self._library.gates:
+        for entry in entries:
             try:
                 inverse.append(self._library.adjoint_entry(entry).index)
             except Exception:
                 inverse.append(-1)
         return GateRows(
-            [row[0] for row in self._rows],
-            [row[1] for row in self._rows],
-            [row[2] for row in self._rows],
+            [entry.table for entry in entries],
+            [entry.banned_mask for entry in entries],
+            [self._cost_model.gate_cost(entry.gate.kind) for entry in entries],
             inverse,
             mask_words=mask_word_count(self._degree),
         )
@@ -287,34 +258,6 @@ class CascadeSearch:
             **options,
         )
 
-    def _identity_arrays(self) -> SearchArrays:
-        """Level 0 alone: the identity singleton as a snapshot."""
-        words = mask_word_count(self._degree)
-        perms = np.frombuffer(self._identity, dtype=np.uint8)[None, :]
-        parents = gates = None
-        if self._track_parents:
-            parents = np.full(1, -1, dtype=np.int32)
-            gates = np.full(1, -1, dtype=np.int32)
-        return SearchArrays(
-            expanded_to=0,
-            degree=self._degree,
-            n_binary=self._n_binary,
-            mask_words=words,
-            level_offsets=np.array([0, 1], dtype=np.int64),
-            perms=perms,
-            masks=compute_masks(perms, self._n_binary, words),
-            parents=parents,
-            gates=gates,
-            elapsed_seconds=0.0,
-        )
-
-    def _mask_of(self, perm: bytes) -> int:
-        """Bitmask of the images of the binary labels under *perm*."""
-        mask = 0
-        for image in perm[: self._n_binary]:
-            mask |= 1 << image
-        return mask
-
     @property
     def library(self) -> GateLibrary:
         return self._library
@@ -332,11 +275,6 @@ class CascadeSearch:
     def tracks_parents(self) -> bool:
         return self._track_parents
 
-    @property
-    def kernel(self) -> str:
-        """The expansion kernel this search uses."""
-        return self._kernel
-
     def set_progress(self, reporter) -> None:
         """Attach a progress reporter (or detach with ``None``).
 
@@ -351,40 +289,27 @@ class CascadeSearch:
         if self._engine is not None:
             self._engine.progress = reporter
 
-    def use_kernel(self, kernel: str, kernel_options: dict | None = None) -> None:
-        """Switch the expansion kernel for future :meth:`extend_to` calls.
+    def set_kernel_options(self, kernel_options: dict) -> None:
+        """Replace the vector-engine tunables for future expansions.
 
-        Either kernel picks up the closure's arrays as they are: the
-        translate kernel reads them level by level, the vector engine
-        replays a snapshot into its dedup table at the next expansion.
-        Switching is therefore free until an expansion actually runs.
-        *kernel_options* replaces the vector-engine tunables when given
-        (unknown names are refused, as in the constructor); a live
-        engine built with other options hands its closure to a fresh
-        engine at the next expansion.
+        Unknown names are refused, as in the constructor.  Engine
+        options are fixed at construction, so a live engine built with
+        other options parks its closure as an array snapshot, which a
+        fresh engine replays at the next :meth:`extend_to` -- changing
+        options is free until an expansion actually runs.
         """
         if self._frozen:
             raise FrozenSearchError(
-                "search is frozen for serving; kernels cannot be switched"
+                "search is frozen for serving; kernel options cannot change"
             )
-        if kernel not in KERNELS:
-            raise InvalidValueError(
-                f"unknown kernel {kernel!r}; pick one of {KERNELS}"
-            )
-        if kernel_options is not None:
-            kernel_options = _checked_kernel_options(kernel_options)
-        self._kernel = kernel
-        if kernel_options is not None and kernel_options != (
-            self._kernel_options
-        ):
-            self._kernel_options = kernel_options
-            if self._engine is not None:
-                # Engine options are fixed at construction: park the
-                # closure as an array snapshot; _ensure_engine replays
-                # it into an engine built with the new options.
-                self._raw = self.export_arrays()
-                self._engine.close()
-                self._engine = None
+        kernel_options = _checked_kernel_options(kernel_options)
+        if kernel_options == self._kernel_options:
+            return
+        self._kernel_options = kernel_options
+        if self._engine is not None:
+            self._raw = self.export_arrays()
+            self._engine.close()
+            self._engine = None
 
     @property
     def frozen(self) -> bool:
@@ -399,7 +324,7 @@ class CascadeSearch:
         accessor only reads the
         closure's arrays -- the engine's, or a store's memory-mapped
         :class:`SearchArrays` -- and builds nothing lazily, but
-        :meth:`extend_to`, :meth:`use_kernel` and
+        :meth:`extend_to`, :meth:`set_kernel_options` and
         :meth:`attach_remainder_index` mutate the search outright.
         ``freeze()`` makes the concurrency contract explicit:
 
@@ -407,7 +332,8 @@ class CascadeSearch:
           so any latent inconsistency surfaces here instead of
           mid-query;
         * mutating operations (:meth:`extend_to` beyond the expanded
-          bound, :meth:`use_kernel`, :meth:`attach_remainder_index`)
+          bound, :meth:`set_kernel_options`,
+          :meth:`attach_remainder_index`)
           raise :class:`~repro.errors.FrozenSearchError` afterwards;
         * a vector engine's expansion scratch buffers are released
           (its dedup table stays, for row lookups).
@@ -436,13 +362,11 @@ class CascadeSearch:
     def shard_layout(self) -> dict | None:
         """Dedup-shard layout of the vector engine that built this closure.
 
-        ``None`` for translate-kernel searches; a store-loaded search
-        without an engine reports the layout its store recorded.  The
+        A search without an engine (store-loaded, or restored from a
+        snapshot) reports the layout recorded with it, or ``None``.  The
         v2/v3 store writers embed a non-None layout into the header so
         `repro store shards` can report it.
         """
-        if self._kernel != "vector":
-            return None
         if self._engine is None:
             return self._recorded_shards
         return self._engine.dedup_table.layout()
@@ -493,8 +417,7 @@ class CascadeSearch:
         """Release engine resources (dedup slabs, scratch buffers).
 
         Only a search holding a vector engine has any; calling this on
-        a translate-kernel or store-loaded search (or twice) is a
-        no-op.  After closing, level reads and witness walks keep
+        a store-loaded search (or twice) is a no-op.  After closing, level reads and witness walks keep
         working (they read the engine's arrays), but exact row lookups
         on the engine (:meth:`cost_of` / ``find_row``) need the dedup
         slabs and raise a clean :class:`~repro.errors.InvalidValueError`.
@@ -519,121 +442,27 @@ class CascadeSearch:
             )
         started = perf_counter()
         progress = self._progress
-        if self._kernel == "vector":
-            engine = self._ensure_engine()
-            engine.progress = progress
-            for cost in range(self._expanded_to + 1, cost_bound + 1):
-                if progress is not None:
-                    progress.emit("level-start", level=cost)
-                    level_started = perf_counter()
-                engine.expand_level(cost)
-                self._expanded_to = cost
-                if progress is not None:
-                    progress.emit(
-                        "level-end",
-                        level=cost,
-                        size=int(engine.level_size(cost)),
-                        rows=int(engine.n_rows),
-                        elapsed_s=round(perf_counter() - level_started, 6),
-                    )
-        else:
-            self._extend_translate(cost_bound)
+        engine = self._ensure_engine()
+        engine.progress = progress
+        for cost in range(self._expanded_to + 1, cost_bound + 1):
+            if progress is not None:
+                progress.emit("level-start", level=cost)
+                level_started = perf_counter()
+            engine.expand_level(cost)
+            self._expanded_to = cost
+            if progress is not None:
+                progress.emit(
+                    "level-end",
+                    level=cost,
+                    size=int(engine.level_size(cost)),
+                    rows=int(engine.n_rows),
+                    elapsed_s=round(perf_counter() - level_started, 6),
+                )
         # An attached store index only describes the pre-extension
         # closure file; release it (and its memmap pin) -- it is
         # rebuilt from the arrays on the next BatchSynthesizer.
         self._attached_index = None
         self._elapsed += perf_counter() - started
-
-    def _extend_translate(self, cost_bound: int) -> None:
-        """The reference kernel: ``bytes.translate`` plus a dict dedup.
-
-        The dedup set and level lists live only for this call: the
-        existing levels are read from the closure's arrays, and the new
-        ones are appended to a fresh :class:`SearchArrays` snapshot that
-        becomes the search's closure (any engine is closed).
-        """
-        base = self.export_arrays()
-        seen = set(unpack_images(np.asarray(base.perms)))
-        # cost -> (first global row, [(perm bytes, S-image mask)]).
-        levels: dict[int, tuple[int, list[tuple[bytes, int]]]] = {}
-
-        def source(cost: int):
-            if cost not in levels:
-                start, stop = base.level_rows(cost)
-                levels[cost] = (
-                    start,
-                    _level_pairs(base.perms[start:stop], base.masks[start:stop]),
-                )
-            return levels[cost]
-
-        offsets = [int(o) for o in base.level_offsets]
-        parents: list[int] = []
-        gates: list[int] = []
-        progress = self._progress
-        for cost in range(self._expanded_to + 1, cost_bound + 1):
-            if progress is not None:
-                progress.emit("level-start", level=cost)
-                level_started = perf_counter()
-            frontier: list[tuple[bytes, int]] = []
-            for table, banned, gate_cost, gate_index in self._rows:
-                if gate_cost > cost:
-                    continue
-                start, pairs = source(cost - gate_cost)
-                for row, (perm, mask) in enumerate(pairs, start):
-                    if mask & banned:
-                        continue
-                    product = perm.translate(table)
-                    if product in seen:
-                        continue
-                    seen.add(product)
-                    frontier.append((product, self._mask_of(product)))
-                    parents.append(row)
-                    gates.append(gate_index)
-            levels[cost] = (offsets[-1], frontier)
-            offsets.append(offsets[-1] + len(frontier))
-            if progress is not None:
-                progress.emit(
-                    "level-end",
-                    level=cost,
-                    size=len(frontier),
-                    rows=offsets[-1],
-                    elapsed_s=round(perf_counter() - level_started, 6),
-                )
-
-        new_perms = pack_images(
-            [
-                perm
-                for cost in range(self._expanded_to + 1, cost_bound + 1)
-                for perm, _mask in levels[cost][1]
-            ],
-            self._degree,
-        )
-        tracked = base.parents is not None
-        self._raw = SearchArrays(
-            expanded_to=cost_bound,
-            degree=self._degree,
-            n_binary=self._n_binary,
-            mask_words=base.mask_words,
-            level_offsets=np.array(offsets, dtype=np.int64),
-            perms=np.concatenate([np.asarray(base.perms), new_perms]),
-            masks=np.concatenate(
-                [
-                    np.asarray(base.masks),
-                    compute_masks(new_perms, self._n_binary, base.mask_words),
-                ]
-            ),
-            parents=np.concatenate(
-                [np.asarray(base.parents), np.array(parents, dtype=np.int32)]
-            ) if tracked else None,
-            gates=np.concatenate(
-                [np.asarray(base.gates), np.array(gates, dtype=np.int32)]
-            ) if tracked else None,
-            elapsed_seconds=base.elapsed_seconds,
-        )
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-        self._expanded_to = cost_bound
 
     # -- queries -----------------------------------------------------------------------
 
@@ -868,7 +697,6 @@ class CascadeSearch:
         library: GateLibrary,
         arrays: SearchArrays,
         cost_model: CostModel = UNIT_COST,
-        kernel: str = "vector",
         validate: bool = True,
         kernel_options: dict | None = None,
         shard_layout: dict | None = None,
@@ -880,8 +708,8 @@ class CascadeSearch:
         and nothing is read until a query touches it.  The result
         behaves exactly like the search the arrays were exported from:
         queries answer without re-expansion, and :meth:`extend_to`
-        continues the closure past the stored bound (the vector kernel
-        replays the arrays into an engine first).
+        continues the closure past the stored bound (the arrays are
+        replayed into an engine first).
 
         Args:
             validate: run structural sanity checks (shape/offset
@@ -896,7 +724,6 @@ class CascadeSearch:
             library,
             cost_model,
             track_parents=arrays.parents is not None,
-            kernel=kernel,
             kernel_options=kernel_options,
         )
         if validate:

@@ -347,7 +347,8 @@ class StoreHeader:
     payload_size: int
     payload_sha256: str
     #: Provenance: the expansion kernel that produced the closure
-    #: (``"vector"``/``"translate"``) and the writing build
+    #: (``"vector"`` on every store written now; older stores may name
+    #: a kernel that has since been removed) and the writing build
     #: (``"repro <version>"``).  Empty strings on stores written before
     #: these fields existed; purely informational -- compatibility is
     #: governed by the fingerprints, never by provenance.
@@ -665,7 +666,7 @@ def _v2_header(
         elapsed_seconds=arrays.elapsed_seconds,
         payload_size=payload_size,
         payload_sha256=payload_sha256,
-        kernel=search.kernel,
+        kernel="vector",
         writer=_writer_tag(),
         mask_words=arrays.mask_words,
         level_row_offsets=tuple(int(o) for o in arrays.level_offsets),

@@ -132,9 +132,9 @@ class FrozenSearchError(ReproError):
     """A mutating operation was attempted on a frozen search.
 
     :meth:`repro.core.search.CascadeSearch.freeze` pins a closure for
-    concurrent read-only serving; expanding it further or switching
-    kernels afterwards would race against in-flight queries, so those
-    operations are refused explicitly.
+    concurrent read-only serving; expanding it further or changing its
+    kernel options afterwards would race against in-flight queries, so
+    those operations are refused explicitly.
     """
 
 

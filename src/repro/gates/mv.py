@@ -244,7 +244,7 @@ def mv_library_gates(width: int, radix: int) -> tuple[MVGate, ...]:
     if radix**width > 256:
         raise InvalidGateError(
             f"radix {radix} width {width} needs {radix**width} labels; "
-            "the byte-translate kernel caps the degree at 256"
+            "closure rows hold one byte per label, capping the degree at 256"
         )
     gates: list[MVGate] = []
     for target in range(width):

@@ -90,7 +90,7 @@ def encode_v1(search: CascadeSearch, arrays=None) -> bytes:
         elapsed_seconds=arrays.elapsed_seconds,
         payload_size=len(payload),
         payload_sha256=hashlib.sha256(payload).hexdigest(),
-        kernel=search.kernel,
+        kernel="vector",
         writer=_writer_tag(),
         radix=library.space.radix,
         library_family=library.family,

@@ -253,26 +253,6 @@ class TestStoreMaintenance:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_translate_kernel_precompute_matches(self, capsys, tmp_path):
-        path = str(tmp_path / "tk.rpro")
-        assert main([
-            "precompute", path, "--cost-bound", "3", "--kernel", "translate",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "[1, 18, 162, 1017]" in out
-
-    def test_extend_honors_kernel_flag(self, capsys, tmp_path):
-        path = str(tmp_path / "ek.rpro")
-        assert main(["precompute", path, "--cost-bound", "3"]) == 0
-        capsys.readouterr()
-        assert main([
-            "precompute", path, "--extend", "--cost-bound", "4",
-            "--kernel", "translate",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "(translate kernel)" in out
-        assert "[1, 18, 162, 1017, 5364]" in out
-
     def test_extend_at_or_below_bound_is_a_noop(self, v2_path, capsys):
         assert main([
             "precompute", v2_path, "--extend", "--cost-bound", "3",
@@ -417,13 +397,14 @@ class TestParallelPrecompute:
         assert "total 6562" in out
 
     def test_store_shards_projected_layout(self, capsys, tmp_path):
-        # The translate kernel has no dedup table, so its store records
-        # no layout and `store shards` projects one.
+        # The reference oracle has no dedup table, so a store saved from
+        # it records no layout and `store shards` projects one.
+        from reference_closure import reference_search
+        from repro.gates.library import GateLibrary
+        from repro.io import save_search
+
         path = str(tmp_path / "seq.rpro")
-        assert main([
-            "precompute", path, "--cost-bound", "3", "--kernel", "translate",
-        ]) == 0
-        capsys.readouterr()
+        save_search(reference_search(GateLibrary(3), 3), path)
         assert main(["store", "shards", path]) == 0
         assert "no recorded shard layout" in capsys.readouterr().out
         assert main(["store", "shards", path, "--bits", "3"]) == 0
@@ -468,20 +449,19 @@ class TestParallelPrecompute:
             assert "--jobs" in capsys.readouterr().err
         assert not path.exists()
 
-    def test_parallel_kernel_name_is_gone(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("kernel", ["parallel", "translate"])
+    def test_parallel_kernel_name_is_gone(self, capsys, tmp_path, kernel):
+        """``--kernel`` went with the last alternative kernel: argparse
+        refuses the flag, whatever it names, and writes nothing."""
+        path = tmp_path / "p.rpro"
+        with pytest.raises(SystemExit) as excinfo:
             main([
-                "precompute", str(tmp_path / "p.rpro"), "--cost-bound", "3",
-                "--kernel", "parallel",
+                "precompute", str(path), "--cost-bound", "3",
+                "--kernel", kernel,
             ])
-
-    def test_parallel_flags_refuse_other_kernels(self, capsys, tmp_path):
-        path = str(tmp_path / "bad.rpro")
-        assert main([
-            "precompute", path, "--cost-bound", "3", "--shard-bits", "2",
-            "--kernel", "translate",
-        ]) == 1
-        assert "vector-kernel options" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_budget_spill_reported(self, capsys, tmp_path):
         path = str(tmp_path / "spill.rpro")

@@ -67,7 +67,7 @@ class TestDocsMentionTheWorkflows:
             "repro precompute",
             "repro serve",
             "--server",
-            "BENCH_kernel.json",
+            "perfbench/run.py",
             "BENCH_store.json",
             "BENCH_serve.json",
         ):

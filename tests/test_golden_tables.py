@@ -8,17 +8,19 @@ numbers, that is a results change, not a refactor: update the constants
 here in the same commit and say why.
 
 Every closure-level assertion runs six ways -- against the live vector
-search, the byte-level ``translate`` reference kernel, the vector engine
-with its dedup table spilled to disk, and store-roundtripped copies in
-the legacy v1 (written by the test encoder ``tests/legacy_v1.py``; the
-library only reads v1), memory-mapped v2 and compressed v3 formats
-(``dump_search``/``loads_search``) -- so both expansion kernels, both
+search, the byte-level ``translate`` reference oracle
+(``tests/reference_closure.py``), the vector engine with its dedup table
+spilled to disk, and store-roundtripped copies in the legacy v1 (written
+by the test encoder ``tests/legacy_v1.py``; the library only reads v1),
+memory-mapped v2 and compressed v3 formats
+(``dump_search``/``loads_search``) -- so the engine, the oracle, both
 engine configurations (in-RAM and disk-backed dedup slabs) and every
 persistence format are held to the same golden values.
 
-The spilled flavor keeps its historical param id ``parallel-kernel``
-(from when it named a worker-pool engine) so its test ids stay stable;
-it builds ``CascadeSearch(kernel="vector", kernel_options={"shard_bits":
+Two flavors keep historical param ids so their test ids stay stable:
+``translate-kernel`` is the oracle (from when it was a second kernel in
+``CascadeSearch``), and ``parallel-kernel`` (from when it named a
+worker-pool engine) builds ``CascadeSearch(kernel_options={"shard_bits":
 3, "memory_budget": 0})``.  A zero budget spills every shard from level
 1 on, so every golden count also passes through the memmapped slabs,
 which the live search (all slabs in RAM) never touches.
@@ -31,8 +33,10 @@ Documented deviations from the published Table 2 (see bench_table2.py):
 import pytest
 
 from legacy_v1 import encode_v1
+from reference_closure import reference_search
 from repro.core.batch import BatchSynthesizer
 from repro.core.fmcf import find_minimum_cost_circuits
+from repro.core.search import CascadeSearch
 from repro.core.store import dump_search, loads_search
 
 #: |B[k]|: distinct cascade permutations of minimal cost exactly k.
@@ -64,14 +68,22 @@ GOLDEN_NAMED = {
 }
 
 
-#: Closure flavors built by a fresh search (param id -> search kwargs).
-_KERNEL_FLAVORS = {
-    "translate-kernel": {"kernel": "translate"},
-    "parallel-kernel": {
-        "kernel": "vector",
-        "kernel_options": {"shard_bits": 3, "memory_budget": 0},
-    },
-}
+#: Closure flavors built fresh rather than from the shared search.
+_BUILT_FLAVORS = ("translate-kernel", "parallel-kernel")
+
+
+def _fresh_closure(request, flavor, library, bound):
+    """The closure to *bound*: the oracle for ``translate-kernel``, the
+    spilled engine for ``parallel-kernel``, else the default engine."""
+    if flavor == "translate-kernel":
+        return reference_search(library, bound)
+    options = None
+    if flavor == "parallel-kernel":
+        options = {"shard_bits": 3, "memory_budget": 0}
+    search = CascadeSearch(library, kernel_options=options)
+    request.addfinalizer(search.close)
+    search.extend_to(bound)
+    return search
 
 
 @pytest.fixture(
@@ -82,20 +94,13 @@ _KERNEL_FLAVORS = {
     ],
 )
 def closure(request, search3, library3):
-    """The cost-7 closure: both kernels, the spilled engine, every store
-    format."""
+    """The cost-7 closure: the engine, the oracle, the spilled engine,
+    every store format."""
     search3.extend_to(7)
     if request.param == "live":
         return search3
-    if request.param in _KERNEL_FLAVORS:
-        from repro.core.search import CascadeSearch
-
-        search = CascadeSearch(
-            library3, track_parents=True, **_KERNEL_FLAVORS[request.param]
-        )
-        request.addfinalizer(search.close)
-        search.extend_to(7)
-        return search
+    if request.param in _BUILT_FLAVORS:
+        return _fresh_closure(request, request.param, library3, 7)
     if request.param == "store-v1":
         return loads_search(encode_v1(search3), library3)
     version = {"store-v2": 2, "store-v3": 3}[request.param]
@@ -242,16 +247,9 @@ def ternary_library2():
     ],
 )
 def ternary_closure(request, ternary_library2):
-    """The ternary bound-4 closure: every kernel and mmap store format."""
-    from repro.core.search import CascadeSearch
-
-    search = CascadeSearch(
-        ternary_library2,
-        track_parents=True,
-        **_KERNEL_FLAVORS.get(request.param, {}),
-    )
-    request.addfinalizer(search.close)
-    search.extend_to(4)
+    """The ternary bound-4 closure: the engine, the oracle, the spilled
+    engine and every mmap store format."""
+    search = _fresh_closure(request, request.param, ternary_library2, 4)
     if request.param.startswith("store-"):
         version = {"store-v2": 2, "store-v3": 3}[request.param]
         return loads_search(
@@ -293,26 +291,18 @@ class TestTernaryClosure:
 
 
 class TestQuaternaryClosure:
-    """Pinned quaternary closure counts (vector kernel)."""
+    """Pinned quaternary closure counts."""
 
     def test_level_sizes_are_pinned(self):
-        from repro.core.search import CascadeSearch
         from repro.gates.quaternary import quaternary_library
 
         search = CascadeSearch(quaternary_library(2), track_parents=True)
         search.extend_to(3)
         assert list(search.stats().level_sizes) == GOLDEN_QUATERNARY_B
 
-    @pytest.mark.parametrize("flavor", sorted(_KERNEL_FLAVORS))
-    def test_level_sizes_pinned_on_every_kernel(self, flavor):
-        from repro.core.search import CascadeSearch
+    @pytest.mark.parametrize("flavor", _BUILT_FLAVORS)
+    def test_level_sizes_pinned_on_every_kernel(self, request, flavor):
         from repro.gates.quaternary import quaternary_library
 
-        search = CascadeSearch(
-            quaternary_library(2),
-            track_parents=True,
-            **_KERNEL_FLAVORS[flavor],
-        )
-        search.extend_to(3)
+        search = _fresh_closure(request, flavor, quaternary_library(2), 3)
         assert list(search.stats().level_sizes) == GOLDEN_QUATERNARY_B
-        search.close()

@@ -1,12 +1,12 @@
-"""Cross-kernel equivalence: the vector engine vs the translate loop.
+"""Engine equivalence: the vector engine vs the translate-loop oracle.
 
 The NumPy kernel is only a performance change -- for any library and
 cost model it must discover the same levels, in the same discovery
-order, with the same parent pointers as the byte-level reference
-kernel.  These tests pin that equivalence (the full cost-7 golden run
-lives in tests/test_golden_tables.py), plus the kernel-internal
-machinery: the dedup hash table's exactness under forced collisions and
-the bulk pack/unpack adapters.
+order, with the same parent pointers as the byte-level reference loop
+(``tests/reference_closure.py``).  These tests pin that equivalence
+(the full cost-7 golden run lives in tests/test_golden_tables.py), plus
+the kernel-internal machinery: the dedup hash table's exactness under
+forced collisions and the bulk pack/unpack adapters.
 """
 
 import numpy as np
@@ -25,17 +25,16 @@ from repro.core.search import CascadeSearch
 from repro.gates.kinds import GateKind
 from repro.gates.library import GateLibrary
 from repro.perm.permutation import pack_images, unpack_images
+from reference_closure import reference_search
 
 
 def _pair(library, cost_model=None, bound=3, track_parents=True):
     kwargs = {"track_parents": track_parents}
     if cost_model is not None:
         kwargs["cost_model"] = cost_model
-    vector = CascadeSearch(library, kernel="vector", **kwargs)
-    translate = CascadeSearch(library, kernel="translate", **kwargs)
+    vector = CascadeSearch(library, **kwargs)
     vector.extend_to(bound)
-    translate.extend_to(bound)
-    return vector, translate
+    return vector, reference_search(library, bound, **kwargs)
 
 
 def _assert_identical(vector, translate, bound):
@@ -68,7 +67,7 @@ class TestKernelEquivalence:
         ],
     )
     def test_non_unit_cost_models(self, library3, model):
-        """Empty levels and staggered source levels, both kernels."""
+        """Empty levels and staggered source levels, engine and oracle."""
         vector, translate = _pair(library3, cost_model=model, bound=4)
         _assert_identical(vector, translate, 4)
 
@@ -83,15 +82,24 @@ class TestKernelEquivalence:
         _assert_identical(vector, translate, 4)
 
     def test_four_qubit_multiword_masks(self):
-        """176 labels -> 3 mask words per row; kernels still agree."""
+        """176 labels -> 3 mask words per row; engine and oracle agree."""
         library = GateLibrary(4)
         vector, translate = _pair(library, bound=2)
         _assert_identical(vector, translate, 2)
 
+    @pytest.mark.parametrize("kernel", ["translate", "parallel"])
+    def test_only_the_vector_kernel_exists(self, library3, kernel):
+        """The byte-level loop lives in tests/ now; the parameter keeps
+        one value and names it when refusing any other."""
+        from repro.errors import InvalidValueError
+
+        with pytest.raises(InvalidValueError, match="'vector'"):
+            CascadeSearch(library3, kernel=kernel)
+
     def test_candidate_scratch_is_one_batch(self, library3, monkeypatch):
         """Levels stream through one batch-sized scratch: after cost 5
         (tens of thousands of candidates a level) it holds 64 rows."""
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         engine = search._engine
         monkeypatch.setattr(kernel_module, "_BATCH_BYTES", 64 * engine.width)
         search.extend_to(5)
@@ -102,27 +110,19 @@ class TestKernelEquivalence:
         search.close()
 
     def test_incremental_extension_matches_one_shot(self, library3):
-        stepwise = CascadeSearch(library3, kernel="vector")
+        stepwise = CascadeSearch(library3)
         for bound in range(5):
             stepwise.extend_to(bound)
-        oneshot = CascadeSearch(library3, kernel="vector")
+        oneshot = CascadeSearch(library3)
         oneshot.extend_to(4)
         _assert_identical(stepwise, oneshot, 4)
 
     def test_vector_continues_a_translate_closure(self, library3):
-        """Kernel handoff: restore the oracle's arrays, extend vectorized."""
-        translate = CascadeSearch(library3, kernel="translate")
-        translate.extend_to(3)
-        handoff = CascadeSearch.from_arrays(
-            library3, translate.export_arrays(), kernel="vector"
-        )
+        """Handoff: the engine extends the oracle's snapshot and ends
+        where the oracle does at the higher bound."""
+        handoff = reference_search(library3, 3)
         handoff.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(5)
-        assert handoff.stats().level_sizes == reference.stats().level_sizes
-        assert sorted(p for p, _m in handoff.level(5)) == sorted(
-            p for p, _m in reference.level(5)
-        )
+        _assert_identical(handoff, reference_search(library3, 5), 5)
 
     def test_queries_and_export_after_restored_vector_extension(
         self, library3
@@ -164,11 +164,10 @@ class TestForcedCollisions:
             return np.zeros(packed.shape[0], dtype=np.uint64)
 
         monkeypatch.setattr(kernel_module, "hash_rows", degenerate)
-        colliding = CascadeSearch(library2, kernel="vector")
+        colliding = CascadeSearch(library2)
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        reference = CascadeSearch(library2, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library2, 4)
         assert colliding.stats().level_sizes == reference.stats().level_sizes
         for cost in range(5):
             assert sorted(p for p, _m in colliding.level(cost)) == sorted(
@@ -187,11 +186,10 @@ class TestForcedCollisions:
             return real_hash(packed) & np.uint64(3)
 
         monkeypatch.setattr(kernel_module, "hash_rows", tiny)
-        colliding = CascadeSearch(library2, kernel="vector")
+        colliding = CascadeSearch(library2)
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        reference = CascadeSearch(library2, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library2, 4)
         # Even the discovery order and parent pointers survive, because
         # collision resolution is by candidate id.
         _assert_identical(colliding, reference, 4)
@@ -217,8 +215,7 @@ class TestKernelPrimitives:
 
     def test_multiword_masks_match_scalar(self):
         library = GateLibrary(4)
-        search = CascadeSearch(library, kernel="translate")
-        search.extend_to(1)
+        search = reference_search(library, 1)
         perms = pack_images([p for p, _m in search.level(1)], 176)
         masks = compute_masks(perms, 16, 3)
         for (perm, mask), row in zip(search.level(1), masks):
@@ -296,9 +293,11 @@ class TestRowAccessors:
         from repro.core.store import dump_search, loads_search
         from repro.errors import InvalidValueError
 
-        kernel = "translate" if form == "translate" else "vector"
-        search = CascadeSearch(library3, kernel=kernel)
-        search.extend_to(4)
+        if form == "translate":
+            search = reference_search(library3, 4)
+        else:
+            search = CascadeSearch(library3)
+            search.extend_to(4)
         if form == "store":
             search = loads_search(dump_search(search), library3)
         n = search.n_rows()

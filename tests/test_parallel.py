@@ -1,11 +1,12 @@
-"""The vector engine's option space vs the translate reference kernel.
+"""The vector engine's option space vs the translate-loop oracle.
 
 The engine's shard layout, memory budget, checkpointing and relation
 filter are only allowed to make expansion *faster* or *restartable*:
 for any library, cost model, shard count, memory budget and spill
 state the engine must produce levels
 byte-identical in content and discovery order -- with identical parent
-pointers -- to the byte-level ``translate`` kernel.  These tests pin
+pointers -- to the byte-level reference loop
+(``tests/reference_closure.py``).  These tests pin
 that determinism contract, the relation filter's exactness, the sharded
 dedup table's claim protocol under forced collisions and claim races,
 spill-to-disk behaviour, and the crash-mid-level checkpoint/resume
@@ -32,27 +33,24 @@ from repro.errors import InvalidValueError
 from repro.gates.kinds import GateKind
 from repro.gates.library import GateLibrary, library_for
 from repro.io import save_search
+from reference_closure import reference_search
 
 
 def _trio(library, cost_model=None, bound=3, track_parents=True, options=None):
-    """translate, default vector engine, and a vector-engine variant
+    """The oracle, default vector engine, and a vector-engine variant
     (single shard unless *options* say otherwise), all at *bound*."""
     kwargs = {"track_parents": track_parents}
     if cost_model is not None:
         kwargs["cost_model"] = cost_model
-    searches = [
-        CascadeSearch(library, kernel="translate", **kwargs),
-        CascadeSearch(library, kernel="vector", **kwargs),
+    engines = [
+        CascadeSearch(library, **kwargs),
         CascadeSearch(
-            library,
-            kernel="vector",
-            kernel_options=options or {"shard_bits": 0},
-            **kwargs,
+            library, kernel_options=options or {"shard_bits": 0}, **kwargs
         ),
     ]
-    for search in searches:
+    for search in engines:
         search.extend_to(bound)
-    return searches
+    return [reference_search(library, bound, **kwargs), *engines]
 
 
 def _assert_identical(reference, other, bound):
@@ -126,12 +124,9 @@ class TestKernelTrioEquivalence:
 
     @pytest.mark.parametrize("shard_bits", [0, 1, 5, 9])
     def test_shard_count_is_invisible(self, library3, shard_bits):
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library3, 4)
         sharded = CascadeSearch(
-            library3,
-            kernel="vector",
-            kernel_options={"shard_bits": shard_bits},
+            library3, kernel_options={"shard_bits": shard_bits}
         )
         sharded.extend_to(4)
         _assert_identical(reference, sharded, 4)
@@ -140,11 +135,10 @@ class TestKernelTrioEquivalence:
         """The always-on relation filter against the unfiltered
         reference: pruning provable duplicates changes no level, order
         or parent, one level deeper than the trio tests."""
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         assert search._engine._filter is not None
         search.extend_to(5)
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(5)
+        reference = reference_search(library3, 5)
         _assert_identical(reference, search, 5)
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", None])
@@ -152,9 +146,7 @@ class TestKernelTrioEquivalence:
         """The worker pool is gone: ``jobs`` is an unknown engine
         option whatever its value, refused by name."""
         with pytest.raises(InvalidValueError, match="jobs"):
-            CascadeSearch(
-                library3, kernel="vector", kernel_options={"jobs": jobs}
-            )
+            CascadeSearch(library3, kernel_options={"jobs": jobs})
 
     def test_unknown_engine_option_refused(self, library3):
         """A misspelt option is named, with the accepted ones listed --
@@ -165,12 +157,13 @@ class TestKernelTrioEquivalence:
             assert name in str(excinfo.value)
 
     def test_use_kernel_refuses_unknown_option(self, library3):
-        """use_kernel checks names up front instead of failing at the
-        next extend_to, and leaves the search usable."""
-        search = CascadeSearch(library3, kernel="vector")
+        """set_kernel_options (once ``use_kernel``; the id is kept for
+        stability) checks names up front instead of failing at the next
+        extend_to, and leaves the search usable."""
+        search = CascadeSearch(library3)
         search.extend_to(2)
         with pytest.raises(InvalidValueError, match="'jobs'"):
-            search.use_kernel("vector", {"jobs": 2})
+            search.set_kernel_options({"jobs": 2})
         search.extend_to(3)
         assert search.stats().level_sizes == (1, 18, 162, 1017)
         search.close()
@@ -181,41 +174,37 @@ class TestKernelTrioEquivalence:
             CascadeSearch(library3, kernel_options={"shard_bits": bits})
 
     def test_kernel_handoff_translate_to_vector(self, library3):
-        """use_kernel hands a byte-level closure to the engine
-        mid-expansion and stays byte-identical."""
-        handoff = CascadeSearch(library3, kernel="translate")
-        handoff.extend_to(3)
-        handoff.use_kernel("vector", {"shard_bits": 3})
+        """The engine, built with its own options, continues the
+        oracle's snapshot mid-expansion and stays byte-identical."""
+        handoff = reference_search(library3, 3)
+        handoff.set_kernel_options({"shard_bits": 3})
         handoff.extend_to(5)
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(5)
+        reference = reference_search(library3, 5)
         _assert_identical(reference, handoff, 5)
         assert handoff.shard_layout()["shard_bits"] == 3
 
     def test_new_engine_options_rebuild_the_engine(self, library3):
         """New options on a live engine take effect at the next
         expansion instead of being silently ignored."""
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         search.extend_to(3)
-        search.use_kernel("vector", {"shard_bits": 2})
+        search.set_kernel_options({"shard_bits": 2})
         search.extend_to(5)
         assert search.shard_layout()["shard_bits"] == 2
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(5)
+        reference = reference_search(library3, 5)
         _assert_identical(reference, search, 5)
 
     def test_restored_store_extends_with_parallel_kernel(self, library3):
         """A store-loaded closure deepens on the spilled engine."""
         from repro.core.store import dump_search, loads_search
 
-        base = CascadeSearch(library3, kernel="vector")
+        base = CascadeSearch(library3)
         base.extend_to(3)
         restored = loads_search(dump_search(base), library3)
-        restored.use_kernel("vector", {"shard_bits": 3, "memory_budget": 0})
+        restored.set_kernel_options({"shard_bits": 3, "memory_budget": 0})
         try:
             restored.extend_to(5)
-            reference = CascadeSearch(library3, kernel="translate")
-            reference.extend_to(5)
+            reference = reference_search(library3, 5)
             _assert_identical(reference, restored, 5)
         finally:
             restored.close()
@@ -233,12 +222,11 @@ class TestForcedCollisions:
 
         monkeypatch.setattr(kernel_module, "hash_rows", degenerate)
         colliding = CascadeSearch(
-            library2, kernel="vector", kernel_options={"shard_bits": 4}
+            library2, kernel_options={"shard_bits": 4}
         )
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        reference = CascadeSearch(library2, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library2, 4)
         assert colliding.stats().level_sizes == reference.stats().level_sizes
         for cost in range(5):
             assert sorted(p for p, _m in colliding.level(cost)) == sorted(
@@ -259,12 +247,11 @@ class TestForcedCollisions:
 
         monkeypatch.setattr(kernel_module, "hash_rows", tiny)
         colliding = CascadeSearch(
-            library2, kernel="vector", kernel_options={"shard_bits": 6}
+            library2, kernel_options={"shard_bits": 6}
         )
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        reference = CascadeSearch(library2, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library2, 4)
         _assert_identical(reference, colliding, 4)
 
     def test_top_bits_only_hash_exercises_cross_shard_spread(
@@ -281,12 +268,11 @@ class TestForcedCollisions:
 
         monkeypatch.setattr(kernel_module, "hash_rows", top_heavy)
         colliding = CascadeSearch(
-            library2, kernel="vector", kernel_options={"shard_bits": 6}
+            library2, kernel_options={"shard_bits": 6}
         )
         colliding.extend_to(4)
         monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        reference = CascadeSearch(library2, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library2, 4)
         _assert_identical(reference, colliding, 4)
 
 
@@ -408,11 +394,9 @@ class TestShardedDedupTable:
 
 class TestSpilledExpansion:
     def test_tiny_budget_spills_and_stays_exact(self, library3):
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library3, 4)
         budgeted = CascadeSearch(
             library3,
-            kernel="vector",
             kernel_options={"shard_bits": 4, "memory_budget": 1 << 14},
         )
         budgeted.extend_to(4)
@@ -421,12 +405,13 @@ class TestSpilledExpansion:
         budgeted.close()
 
     def test_shard_layout_reported(self, library3):
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         search.extend_to(3)
         layout = search.shard_layout()
         assert layout["shard_bits"] == 6
         assert sum(layout["rows_per_shard"]) == search.total_seen()
-        assert CascadeSearch(library3, kernel="translate").shard_layout() is None
+        # A snapshot restored without a recorded layout reports none.
+        assert reference_search(library3, 0).shard_layout() is None
 
 
 def _crash_after_dedup(monkeypatch, batches=1):
@@ -454,8 +439,7 @@ class TestCheckpointResume:
         return options
 
     def _reference(self, library, bound):
-        reference = CascadeSearch(library, kernel="translate")
-        reference.extend_to(bound)
+        reference = reference_search(library, bound)
         return reference
 
     def test_clean_resume_continues_identically(self, library3, tmp_path):
@@ -520,7 +504,7 @@ class TestCheckpointResume:
         assert resumed.was_restored and resumed.expanded_to == 3
         resumed.extend_to(5)
         _assert_identical(self._reference(library3, 5), resumed, 5)
-        clean = CascadeSearch(library3, kernel="vector")
+        clean = CascadeSearch(library3)
         clean.extend_to(5)
         assert (
             save_search(resumed, tmp_path / "resumed.rpro").payload_sha256
@@ -562,10 +546,7 @@ class TestCheckpointResume:
         )
         assert not fresh.was_restored and fresh.expanded_to == 0
         fresh.extend_to(3)
-        reference = CascadeSearch(
-            library3, other_model, kernel="translate"
-        )
-        reference.extend_to(3)
+        reference = reference_search(library3, 3, other_model)
         _assert_identical(reference, fresh, 3)
         fresh.close()
 
@@ -592,7 +573,7 @@ class TestCheckpointResume:
         # the precompute --extend path: load the store, point the
         # engine at the crashed checkpoint dir, deepen
         restored = loads_search(blob, library3)
-        restored.use_kernel("vector", self._options(tmp_path))
+        restored.set_kernel_options(self._options(tmp_path))
         restored.extend_to(4)
         _assert_identical(self._reference(library3, 4), restored, 4)
         restored.close()
@@ -641,15 +622,14 @@ class TestStreamedBatches:
         if cost_model is not None:
             kwargs["cost_model"] = cost_model
         batched = CascadeSearch(
-            library, kernel="vector", kernel_options=options, **kwargs
+            library, kernel_options=options, **kwargs
         )
         with monkeypatch.context() as patch:
             _batch_rows(patch, batched, 7)
             batched.extend_to(bound)
-        reference = CascadeSearch(library, kernel="translate", **kwargs)
-        reference.extend_to(bound)
+        reference = reference_search(library, bound, **kwargs)
         _assert_identical(reference, batched, bound)
-        default = CascadeSearch(library, kernel="vector", **kwargs)
+        default = CascadeSearch(library, **kwargs)
         default.extend_to(bound)
         assert (
             save_search(batched, tmp_path / "batched.rpro").payload_sha256
@@ -662,7 +642,7 @@ class TestStreamedBatches:
 class TestRelationFilter:
     def test_permuted_masks_match_composition(self, library3):
         """perm_g(mask(a)) must equal the mask of t_g . a exactly."""
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         search.extend_to(3)
         engine = search._engine
         rf = engine._filter
@@ -679,22 +659,21 @@ class TestRelationFilter:
 
     def test_filter_prunes_only_duplicates(self, library3):
         """The engine composes fewer candidates than the reasonable-
-        product test admits, yet commits the translate kernel's rows --
+        product test admits, yet commits the oracle's rows --
         the pruned mass was pure duplicates."""
         events = _Events()
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         search.set_progress(events)
         search.extend_to(4)
         plans = {fields["level"]: fields for fields in events.of("plan")}
         assert all(
             plans[c]["kept"] < plans[c]["planned"] for c in range(2, 5)
         ), plans
-        reference = CascadeSearch(library3, kernel="translate")
-        reference.extend_to(4)
+        reference = reference_search(library3, 4)
         _assert_identical(reference, search, 4)
 
     def test_relations_found_for_paper_library(self, library3):
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         rf = search._engine._filter
         assert rf is not None and rf.active
         # The paper's library commutes across disjoint wire pairs, and
@@ -739,7 +718,7 @@ class TestSyntheticSingleRelations:
 
     @staticmethod
     def _reference(gate_rows, degree, bound):
-        """First-discovery closure in the translate kernel's loop order:
+        """First-discovery closure in the oracle's loop order:
         ``(rows, offsets, parents, gates)`` in global row order."""
         rows = [bytes(range(degree))]
         seen = {rows[0]: 0}
@@ -783,7 +762,7 @@ class TestServingIntegration:
     def test_freeze_releases_workers(self, library3):
         """freeze() drops the expansion scratch buffers; row lookups
         (which need the dedup table) still work."""
-        search = CascadeSearch(library3, kernel="vector")
+        search = CascadeSearch(library3)
         search.extend_to(5)
         assert search._engine._cand_buf is not None
         search.freeze()
@@ -800,14 +779,13 @@ class TestServingIntegration:
 
         search = CascadeSearch(
             library3,
-            kernel="vector",
             kernel_options={"shard_bits": 3, "memory_budget": 0},
         )
         batch = BatchSynthesizer(search, cost_bound=5).warm()
         result = batch.synthesize(named.TARGETS["toffoli"])
         assert result.cost == 5
         reference = BatchSynthesizer(
-            CascadeSearch(library3, kernel="translate"), cost_bound=5
+            reference_search(library3, 5), cost_bound=5
         ).synthesize(named.TARGETS["toffoli"])
         assert str(result.circuit) == str(reference.circuit)
         search.close()

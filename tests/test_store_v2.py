@@ -385,9 +385,7 @@ class TestStreamedWriter:
         slabs) streams out with its shard layout and the default
         engine's payload, and serves the same closure."""
         search = CascadeSearch(
-            library3,
-            kernel="vector",
-            kernel_options={"shard_bits": 3, "memory_budget": 0},
+            library3, kernel_options={"shard_bits": 3, "memory_budget": 0}
         )
         search.extend_to(4)
         path = tmp_path / "parallel.rpro"
@@ -398,7 +396,7 @@ class TestStreamedWriter:
         header = read_header(path)
         assert header.shards == written.shards
         verify_store(path)
-        default = CascadeSearch(library3, kernel="vector")
+        default = CascadeSearch(library3)
         default.extend_to(4)
         in_ram = save_search(default, tmp_path / "in-ram.rpro")
         assert written.payload_sha256 == in_ram.payload_sha256
@@ -416,27 +414,31 @@ class TestStreamedWriter:
         assert sum(shards["rows_per_shard"]) == read_header(v2_path).total_seen
 
     def test_parallel_kernel_provenance_still_opens(self, v2_path, tmp_path):
-        """Stores written when the pooled engine was a separate
-        ``parallel`` kernel say so in their header; the field is only
-        provenance, so they open, verify and serve as before."""
+        """Stores written when the pooled engine (``parallel``) or the
+        byte-level loop (``translate``) was a separate kernel say so in
+        their header; the field is only provenance, so they open, verify
+        and serve as before."""
         import dataclasses
 
         from repro.core.store import _frame_header, _split
 
         header, payload = _split(v2_path.read_bytes())
-        old = dataclasses.replace(header, kernel="parallel")
-        path = tmp_path / "parallel-era.rpro"
-        path.write_bytes(_frame_header(old) + bytes(payload))
-        assert verify_store(path).kernel == "parallel"
-        _h, _l, loaded = open_store(path)
-        assert loaded.kernel == "vector"
-        assert loaded.stats().level_sizes == read_header(v2_path).level_sizes
+        for kernel in ("parallel", "translate"):
+            old = dataclasses.replace(header, kernel=kernel)
+            path = tmp_path / f"{kernel}-era.rpro"
+            path.write_bytes(_frame_header(old) + bytes(payload))
+            assert verify_store(path).kernel == kernel
+            opened, _l, loaded = open_store(path)
+            assert opened.kernel == kernel
+            assert loaded.stats().level_sizes == header.level_sizes
 
     def test_translate_store_has_no_shard_metadata(self, library3, tmp_path):
-        search = CascadeSearch(library3, kernel="translate")
-        search.extend_to(3)
+        """A closure without an engine (the reference oracle's snapshot)
+        has no dedup layout, so its store records none."""
+        from reference_closure import reference_search
+
         path = tmp_path / "translate.rpro"
-        save_search(search, path)
+        save_search(reference_search(library3, 3), path)
         assert read_header(path).shards == {}
 
 

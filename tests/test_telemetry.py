@@ -316,25 +316,21 @@ class TestProgressReporter:
         assert events == ["start", "done"]
 
 
-def _expand_with_progress(kernel: str, bound: int = 3, **options):
+def _expand_with_progress(**options):
     """Run one search with a reporter; returns (search, records)."""
     stream = io.StringIO()
     reporter = ProgressReporter(stream=stream)
-    search = CascadeSearch(
-        GateLibrary(3), kernel=kernel,
-        kernel_options=options or None,
-    )
+    search = CascadeSearch(GateLibrary(3), kernel_options=options or None)
     search.set_progress(reporter)
-    search.extend_to(bound)
+    search.extend_to(3)
     reporter.close()
     records = [json.loads(line) for line in stream.getvalue().splitlines()]
     return search, records
 
 
 class TestKernelProgressEvents:
-    @pytest.mark.parametrize("kernel", ["vector", "translate"])
-    def test_level_events_bracket_every_level(self, kernel):
-        search, records = _expand_with_progress(kernel)
+    def test_level_events_bracket_every_level(self):
+        search, records = _expand_with_progress()
         starts = [r["level"] for r in records if r["event"] == "level-start"]
         ends = [r for r in records if r["event"] == "level-end"]
         assert starts == [1, 2, 3]
@@ -344,7 +340,7 @@ class TestKernelProgressEvents:
             assert "elapsed_s" in record
 
     def test_vector_kernel_emits_phase_events_with_dedup_occupancy(self):
-        search, records = _expand_with_progress("vector")
+        search, records = _expand_with_progress()
         plans = [r for r in records if r["event"] == "plan"]
         commits = [r for r in records if r["event"] == "commit"]
         assert [r["level"] for r in plans] == [1, 2, 3]
@@ -358,7 +354,7 @@ class TestKernelProgressEvents:
 
     def test_parallel_kernel_reports_filter_and_checkpoints(self, tmp_path):
         search, records = _expand_with_progress(
-            "vector", checkpoint_dir=str(tmp_path / "ck")
+            checkpoint_dir=str(tmp_path / "ck")
         )
         try:
             plans = [r for r in records if r["event"] == "plan"]
@@ -376,8 +372,8 @@ class TestKernelProgressEvents:
             search.close()
 
     def test_progress_stream_is_deterministic(self):
-        _, first = _expand_with_progress("vector")
-        _, second = _expand_with_progress("vector")
+        _, first = _expand_with_progress()
+        _, second = _expand_with_progress()
         assert [strip_nondeterministic(r) for r in first] == [
             strip_nondeterministic(r) for r in second
         ]
@@ -385,7 +381,7 @@ class TestKernelProgressEvents:
     def test_store_bytes_identical_with_and_without_progress(self, tmp_path):
         plain = CascadeSearch(GateLibrary(3))
         plain.extend_to(3)
-        instrumented, _records = _expand_with_progress("vector")
+        instrumented, _records = _expand_with_progress()
         # The header's elapsed_seconds is the one wall-clock byte; zero
         # it on both sides so the comparison isolates telemetry effects.
         plain._elapsed = 0.0
