@@ -1040,6 +1040,28 @@ def _cmd_precompute(
     return 0
 
 
+def _serve_port(stores, store_dir, port, unix, no_tcp) -> int | None:
+    """The TCP port `serve` and `fleet serve` bind (None: unix only).
+
+    Refuses, before anything binds, a command line with nothing to
+    serve or nothing to listen on.
+    """
+    from repro.errors import SpecificationError
+    from repro.server import DEFAULT_PORT
+
+    if not stores and store_dir is None:
+        raise SpecificationError(
+            "nothing to serve: give store files and/or --store-dir"
+        )
+    if not no_tcp:
+        return DEFAULT_PORT if port is None else port
+    if unix is None:
+        raise SpecificationError("--no-tcp requires --unix PATH")
+    if port is not None:
+        raise SpecificationError("give at most one of --port and --no-tcp")
+    return None
+
+
 def _cmd_serve(
     stores: list[str],
     store_dir: str | None,
@@ -1058,26 +1080,13 @@ def _cmd_serve(
     import asyncio
 
     from repro.core.dedup import parse_budget
-    from repro.errors import SpecificationError
-    from repro.server import DEFAULT_PORT, run_server
+    from repro.server import run_server
 
     max_bytes = (
         None if access_log_max_bytes is None
         else parse_budget(access_log_max_bytes)
     )
-
-    if not stores and store_dir is None:
-        raise SpecificationError(
-            "nothing to serve: give store files and/or --store-dir"
-        )
-    if no_tcp:
-        if unix is None:
-            raise SpecificationError("--no-tcp requires --unix PATH")
-        if port is not None:
-            raise SpecificationError("give at most one of --port and --no-tcp")
-        bind_port = None
-    else:
-        bind_port = DEFAULT_PORT if port is None else port
+    bind_port = _serve_port(stores, store_dir, port, unix, no_tcp)
 
     def ready(address, service) -> None:
         for alias, state in service.registry:
@@ -1127,20 +1136,10 @@ def _cmd_fleet_serve(args) -> int:
     from repro.errors import SpecificationError
     from repro.fleet.manager import run_fleet
     from repro.fleet.supervisor import GuardRails
-    from repro.server import DEFAULT_PORT
 
-    if not args.stores and args.store_dir is None:
-        raise SpecificationError(
-            "nothing to serve: give store files and/or --store-dir"
-        )
-    if args.no_tcp:
-        if args.unix is None:
-            raise SpecificationError("--no-tcp requires --unix PATH")
-        if args.port is not None:
-            raise SpecificationError("give at most one of --port and --no-tcp")
-        bind_port = None
-    else:
-        bind_port = DEFAULT_PORT if args.port is None else args.port
+    bind_port = _serve_port(
+        args.stores, args.store_dir, args.port, args.unix, args.no_tcp
+    )
 
     faults: dict[int, str] = {}
     for item in args.fault or []:

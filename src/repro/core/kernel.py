@@ -9,10 +9,11 @@ over fixed-size candidate batches on a :class:`VectorEngine`:
   contiguous ``(n_rows, padded_width)`` uint8 array (padded to a
   multiple of 8 so rows view as uint64 words); rows are appended in
   discovery order, so a row index is the permutation's *global index*
-  and levels are contiguous row ranges.  A parallel global array holds
-  each row's S-image bitmask (``mask_words`` uint64 words per row);
-  per-level arrays hold the parent global row and the appended gate
-  index.
+  and levels are contiguous row ranges.  Parallel global arrays in the
+  same row order hold each row's S-image bitmask (``mask_words``
+  uint64 words per row), parent global row and appended gate index.
+  :meth:`VectorEngine.arrays` exposes them as one :class:`SearchArrays`
+  of views -- the form every closure read goes through.
 
 * **Candidate generation.**  Per gate, Definition 1's reasonable-product
   test is one vectorized mask filter (``masks & banned == 0``) and
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -487,15 +489,67 @@ class RelationFilter:
         return skip
 
 
+@dataclass
+class SearchArrays:
+    """Array form of an expanded closure (the store layout).
+
+    Rows appear in level-major discovery order, so a row index is the
+    permutation's *global index*; level ``k`` occupies rows
+    ``level_offsets[k]:level_offsets[k+1]``.  All arrays may be plain
+    ndarrays, views of a live engine's row store or read-only
+    ``np.memmap`` views -- treat them as immutable.
+
+    Attributes:
+        expanded_to: highest fully-computed cost level.
+        degree: label-space size (row width of *perms*).
+        n_binary: number of binary labels (the paper's set S).
+        mask_words: uint64 words per S-image mask row.
+        level_offsets: ``(expanded_to + 2,)`` int64 row offsets.
+        perms: ``(n, degree)`` uint8 image arrays.
+        masks: ``(n, mask_words)`` uint64 S-image masks.
+        parents: ``(n,)`` int32 parent global rows (row 0 = -1), or None
+            for counting-only closures.
+        gates: ``(n,)`` int32 appended-gate indices (row 0 = -1), or
+            None alongside *parents*.
+        elapsed_seconds: accumulated expansion wall time.
+    """
+
+    expanded_to: int
+    degree: int
+    n_binary: int
+    mask_words: int
+    level_offsets: np.ndarray
+    perms: np.ndarray
+    masks: np.ndarray
+    parents: np.ndarray | None
+    gates: np.ndarray | None
+    elapsed_seconds: float
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.level_offsets[-1])
+
+    @property
+    def level_sizes(self) -> tuple[int, ...]:
+        return tuple(
+            int(self.level_offsets[k + 1] - self.level_offsets[k])
+            for k in range(self.expanded_to + 1)
+        )
+
+    def level_rows(self, cost: int) -> tuple[int, int]:
+        """``(start, stop)`` global-row range of one level."""
+        return int(self.level_offsets[cost]), int(self.level_offsets[cost + 1])
+
+
 class VectorEngine:
     """Array-backed closure state plus the vectorized expansion kernel.
 
     One engine instance owns everything the expansion touches: the
-    global row store (packed permutations, hashes and S-image masks),
-    the per-level parent and gate arrays, the relation filter and the
-    sharded dedup table.  The public :class:`~repro.core.search.CascadeSearch`
-    holds either one engine or a :class:`~repro.core.search.SearchArrays`
-    snapshot and answers every query from those arrays.
+    global row store (packed permutations, hashes, S-image masks,
+    parents and gates), the relation filter and the sharded dedup
+    table.  :meth:`arrays` hands the committed rows out as one
+    :class:`SearchArrays` of views, which is all the public
+    :class:`~repro.core.search.CascadeSearch` reads.
 
     Saving an expansion goes through the streamed store writers
     (:func:`~repro.core.store.save_search`): both the memory-mapped v2
@@ -534,18 +588,19 @@ class VectorEngine:
         self.gate_rows = gate_rows
         self.track_parents = track_parents
 
+        # The row store: five arrays in global row order, grown
+        # together.  Parents and gates are recorded even for
+        # counting-only runs -- the relation filter reads them -- and
+        # are -1 where unknown (the identity row, replayed levels
+        # without provenance).
         cap = 1024
         self._perms = np.empty((cap, self.width), dtype=np.uint8)
         self._hashes = np.empty(cap, dtype=np.uint64)
-        # Global S-image masks in row order: commit writes them, the
-        # relation filter gathers parent masks from them, and each
-        # ``level_masks[k]`` is a view of one level's range.
         self._masks = np.empty((cap, self.mask_words), dtype=np.uint64)
+        self._parents = np.empty(cap, dtype=np.int32)
+        self._gates = np.empty(cap, dtype=np.int32)
         self.n_rows = 0
         self.offsets: list[int] = [0]
-        self.level_masks: list[np.ndarray] = []
-        self.level_parents: list[np.ndarray] = []
-        self.level_gates: list[np.ndarray] = []
 
         self._checkpoint = None
         if checkpoint_dir is not None:
@@ -575,41 +630,38 @@ class VectorEngine:
     def level_size(self, level: int) -> int:
         return self.offsets[level + 1] - self.offsets[level]
 
+    def _level_slice(self, level: int) -> slice:
+        """Global-row range of one level, for slicing the row store."""
+        return slice(self.offsets[level], self.offsets[level + 1])
+
     def level_perms(self, level: int) -> np.ndarray:
         """Padded ``(n, width)`` uint8 view of one level's rows."""
-        return self._perms[self.offsets[level] : self.offsets[level + 1]]
+        return self._perms[self._level_slice(level)]
 
-    def level_perms_raw(self, level: int) -> np.ndarray:
-        """Degree-wide ``(n, degree)`` view (drops the pad columns)."""
-        return self.level_perms(level)[:, : self.degree]
+    def arrays(self) -> SearchArrays:
+        """The committed rows as one :class:`SearchArrays` of views.
 
-    def all_perms_raw(self) -> np.ndarray:
-        """Degree-wide view of every row, level-major discovery order."""
-        return self._perms[: self.n_rows, : self.degree]
-
-    def all_masks(self) -> np.ndarray:
-        """``(n_rows, mask_words)`` view of every row's S-image mask."""
-        return self._masks[: self.n_rows]
-
-    def row_bytes(self, row: int) -> bytes:
-        """The raw image bytes of one global row."""
-        if not 0 <= row < self.n_rows:
-            raise InvalidValueError(f"row {row} outside 0..{self.n_rows - 1}")
-        return self._perms[row, : self.degree].tobytes()
-
-    def level_of_row(self, row: int) -> int:
-        """The level (= cost layer) a global row belongs to."""
-        import bisect
-
-        return bisect.bisect_right(self.offsets, row) - 1
-
-    def parent_of(self, row: int) -> tuple[int, int]:
-        """``(parent global row, gate index)`` of a non-identity row."""
-        level = self.level_of_row(row)
-        local = row - self.offsets[level]
-        return (
-            int(self.level_parents[level][local]),
-            int(self.level_gates[level][local]),
+        Views of the current buffers: rows committed later, and buffers
+        a later level grows into, are not in it -- take a fresh one
+        after each expansion.  Parents and gates are ``None`` unless the
+        engine tracks parents; ``elapsed_seconds`` is 0 (the search
+        that drives the engine keeps the time).
+        """
+        n = self.n_rows
+        parents = gates = None
+        if self.track_parents:
+            parents, gates = self._parents[:n], self._gates[:n]
+        return SearchArrays(
+            expanded_to=self.n_levels - 1,
+            degree=self.degree,
+            n_binary=self.n_binary,
+            mask_words=self.mask_words,
+            level_offsets=np.array(self.offsets, dtype=np.int64),
+            perms=self._perms[:n, : self.degree],
+            masks=self._masks[:n],
+            parents=parents,
+            gates=gates,
+            elapsed_seconds=0.0,
         )
 
     def find_row(self, images: bytes) -> int:
@@ -647,7 +699,7 @@ class VectorEngine:
         return stats
 
     def _reserve_rows(self, extra: int) -> None:
-        """Make room for *extra* more rows in the row, hash and mask arrays.
+        """Make room for *extra* more rows in the five row-store arrays.
 
         Capacity at least doubles, so replaying many small levels stays
         amortized; pages past ``n_rows`` that are never written cost no
@@ -659,43 +711,28 @@ class VectorEngine:
             return
         cap = max(need, 2 * cap)
         n = self.n_rows
-        for name in ("_perms", "_hashes", "_masks"):
+        for name in ("_perms", "_hashes", "_masks", "_parents", "_gates"):
             old = getattr(self, name)
             grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
             grown[:n] = old[:n]
             setattr(self, name, grown)
-        # Re-point the level views so the old buffer can be freed.
-        self.level_masks = [
-            self._masks[self.offsets[k] : self.offsets[k + 1]]
-            for k in range(self.n_levels)
-        ]
 
-    def _append_level(
-        self,
-        perms: np.ndarray,
-        hashes: np.ndarray,
-        masks: np.ndarray,
-        parents: np.ndarray,
-        gates: np.ndarray,
-    ) -> None:
+    def _append_level(self, perms, hashes, masks, parents, gates) -> None:
+        """Copy one level's rows into the store (scalars broadcast)."""
         n = perms.shape[0]
         self._reserve_rows(n)
-        start = self.n_rows
-        self._perms[start : start + n] = perms
-        self._hashes[start : start + n] = hashes
-        self._masks[start : start + n] = masks
-        self._close_level(start + n, parents, gates)
+        rows = slice(self.n_rows, self.n_rows + n)
+        self._perms[rows] = perms
+        self._hashes[rows] = hashes
+        self._masks[rows] = masks
+        self._parents[rows] = parents
+        self._gates[rows] = gates
+        self._close_level(rows.stop)
 
-    def _close_level(
-        self, stop: int, parents: np.ndarray, gates: np.ndarray
-    ) -> None:
+    def _close_level(self, stop: int) -> None:
         """Record rows ``n_rows..stop`` (already in the store) as a level."""
-        start = self.n_rows
         self.n_rows = stop
         self.offsets.append(stop)
-        self.level_masks.append(self._masks[start:stop])
-        self.level_parents.append(parents)
-        self.level_gates.append(gates)
 
     def seed_identity(self) -> None:
         """Install level 0: the identity singleton."""
@@ -707,8 +744,8 @@ class VectorEngine:
             identity,
             h,
             compute_masks(identity, self.n_binary, self.mask_words),
-            np.full(1, -1, dtype=np.int32),
-            np.full(1, -1, dtype=np.int32),
+            -1,
+            -1,
         )
         self._table.insert_distinct(
             h, np.ones(1, dtype=np.int32), self._hashes, self.n_rows
@@ -734,27 +771,23 @@ class VectorEngine:
         """
         self._discard_adopted_slabs()
         n = perms.shape[0]
-        # Explicit copies throughout: the inputs may be views of a
-        # memory-mapped store file, and the engine must not keep that
-        # mapping alive (the caller may re-save over the file).
+        # The inputs may be views of a memory-mapped store file, and the
+        # engine must not keep that mapping alive (the caller may
+        # re-save over the file): the row store copies them in.
         packed = pack_rows(np.array(perms, dtype=np.uint8), self.degree)
         hashes = hash_rows(packed)
         if masks is None:
             masks = compute_masks(packed, self.n_binary, self.mask_words)
         else:
-            masks = np.array(masks, dtype=np.uint64).reshape(
-                n, self.mask_words
-            )
-        if parents is None:
-            parents = np.full(n, -1, dtype=np.int32)
-        else:
-            parents = np.array(parents, dtype=np.int32)
-        if gates is None:
-            gates = np.full(n, -1, dtype=np.int32)
-        else:
-            gates = np.array(gates, dtype=np.int32)
+            masks = np.asarray(masks).reshape(n, self.mask_words)
         start = self.n_rows
-        self._append_level(packed, hashes, masks, parents, gates)
+        self._append_level(
+            packed,
+            hashes,
+            masks,
+            -1 if parents is None else parents,
+            -1 if gates is None else gates,
+        )
         if n:
             self._table.insert_distinct(
                 hashes,
@@ -785,7 +818,8 @@ class VectorEngine:
             src = cost - rows.costs[group[0]]
             if src < 0 or src >= self.n_levels or not self.level_size(src):
                 continue
-            masks = self.level_masks[src]
+            src_gates = self._gates[self._level_slice(src)]
+            masks = self._masks[self._level_slice(src)]
             banned = rows.banned[group[0]]
             if self.mask_words == 1:
                 keep_group = (masks[:, 0] & banned[0]) == 0
@@ -795,7 +829,7 @@ class VectorEngine:
                 inverse = rows.inverse[gi]
                 if inverse >= 0:
                     # p * g * g^-1 == p is always already discovered.
-                    keep = keep_group & (self.level_gates[src] != inverse)
+                    keep = keep_group & (src_gates != inverse)
                 else:
                     keep = keep_group
                 kept = np.flatnonzero(keep)
@@ -811,11 +845,9 @@ class VectorEngine:
     def _prune(self, src: int, gi: int, kept: np.ndarray) -> np.ndarray:
         """Drop kept rows whose gate-``gi`` candidates the filter proves
         to be duplicates of an earlier candidate."""
-        parents = self.level_parents[src]
-        if parents.shape[0] != self.level_size(src):
-            return kept  # restored level without provenance
-        qs = self.level_gates[src][kept]
-        prs = parents[kept]
+        rows = kept + self.offsets[src]
+        qs = self._gates[rows]
+        prs = self._parents[rows]
         valid = (qs >= 0) & (prs >= 0)
         if not valid.any():
             return kept
@@ -833,8 +865,7 @@ class VectorEngine:
         Walks *chunks* in order, slicing them into batches of at most
         :data:`_BATCH_BYTES` of rows, and yields ``(cand, ch, parents,
         gates)`` per batch: packed candidate rows, their hashes, parent
-        global rows (None when neither witnesses nor the relation filter
-        need them) and appended-gate indices.  All four are views of one
+        global rows and appended-gate indices.  All four are views of one
         batch-sized scratch, reused across batches and levels (repeated
         levels skip realloc and page faults), so the consumer must be
         done with a batch before it asks for the next.
@@ -845,21 +876,12 @@ class VectorEngine:
             self._hash_buf = np.empty(size, dtype=np.uint64)
             self._meta_buf = np.empty((2, size), dtype=np.int32)
         cand, ch = self._cand_buf, self._hash_buf
-        # The filter reads candidate parents even on counting-only runs;
-        # the export layer still honours track_parents.
-        keep_parents = self.track_parents or self._filter is not None
-        parents = self._meta_buf[0] if keep_parents else None
-        gates = self._meta_buf[1]
+        parents, gates = self._meta_buf
         cand16 = cand.view(np.uint16)
         tables16 = self.gate_rows.tables16
 
         def batch(n):
-            return (
-                cand[:n],
-                ch[:n],
-                None if parents is None else parents[:n],
-                gates[:n],
-            )
+            return cand[:n], ch[:n], parents[:n], gates[:n]
 
         pos = 0
         for gi, src, kept in chunks:
@@ -879,8 +901,7 @@ class VectorEngine:
                 )
                 # Hash while the freshly written block is still cache-hot.
                 ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
-                if parents is not None:
-                    parents[pos : pos + m] = self.offsets[src] + rows
+                parents[pos : pos + m] = self.offsets[src] + rows
                 gates[pos : pos + m] = gi
                 pos += m
                 done += m
@@ -890,12 +911,12 @@ class VectorEngine:
         if pos:
             yield batch(pos)
 
-    def _commit_batch(self, cand, ch, stop: int) -> np.ndarray:
+    def _commit_batch(self, cand, ch, parents, gates, stop: int) -> int:
         """Dedup one candidate batch and store its new rows.
 
-        Accepted rows (with their hashes and S-image masks) are written
-        at ``stop``, the end of the rows committed so far; returns the
-        accepted candidates' batch indices.
+        Accepted rows (with their hashes, S-image masks, parents and
+        gates) are written at ``stop``, the end of the rows committed
+        so far; returns how many were accepted.
         """
         self._table.reserve(ch, self._hashes, stop)
         new_mask = self._table.dedup_commit(
@@ -909,7 +930,9 @@ class VectorEngine:
         self._masks[stop:end] = compute_masks(
             new_perms, self.n_binary, self.mask_words
         )
-        return accepted
+        np.take(parents, accepted, out=self._parents[stop:end])
+        np.take(gates, accepted, out=self._gates[stop:end])
+        return accepted.size
 
     def expand_level(self, cost: int) -> int:
         """Compute the next level (must be ``n_levels``); returns its size."""
@@ -938,24 +961,14 @@ class VectorEngine:
         # once, so no batch reallocates it mid-level.
         self._reserve_rows(total)
         stop = self.n_rows
-        acc_parents: list[np.ndarray] = []
-        acc_gates: list[np.ndarray] = []
         for cand, ch, parents, gates in self._generate_candidates(
             chunks, total
         ):
-            accepted = self._commit_batch(cand, ch, stop)
-            stop += accepted.size
-            acc_gates.append(gates[accepted])
-            if parents is not None:
-                acc_parents.append(parents[accepted])
+            stop += self._commit_batch(cand, ch, parents, gates, stop)
         if progress is not None and total:
             progress.emit("generate", level=cost, candidates=int(total))
         n_new = stop - self.n_rows
-        self._close_level(
-            stop,
-            np.concatenate(acc_parents or [np.empty(0, dtype=np.int32)]),
-            np.concatenate(acc_gates or [np.empty(0, dtype=np.int32)]),
-        )
+        self._close_level(stop)
         if progress is not None:
             progress.emit(
                 "commit",
@@ -1009,12 +1022,13 @@ class VectorEngine:
         return identity
 
     def _write_level(self, level: int) -> None:
+        rows = self._level_slice(level)
         self._checkpoint.write_level(
             level,
-            self.level_perms_raw(level),
-            self.level_masks[level],
-            self.level_parents[level],
-            self.level_gates[level],
+            self._perms[rows, : self.degree],
+            self._masks[rows],
+            self._parents[rows],
+            self._gates[rows],
         )
 
     def _write_checkpoint(self, cost: int) -> None:
@@ -1062,11 +1076,9 @@ class VectorEngine:
             self._append_level(
                 packed,
                 hash_rows(packed),
-                np.array(data["masks"], dtype=np.uint64).reshape(
-                    packed.shape[0], self.mask_words
-                ),
-                np.array(data["parents"], dtype=np.int32),
-                np.array(data["gates"], dtype=np.int32),
+                data["masks"].reshape(packed.shape[0], self.mask_words),
+                data["parents"],
+                data["gates"],
             )
         self._table.sweep_uncommitted(self.n_rows)
         self._rebuild_shards(mismatched_only=True)

@@ -8,13 +8,15 @@ with non-unit cost models the search is a Dijkstra-style layered
 expansion; with the paper's unit costs it degenerates to plain BFS and the
 level sets are exactly the paper's ``B[k]`` (and their union ``A[k]``).
 
-The closure has one representation: arrays.  A search holds either a
-:class:`~repro.core.kernel.VectorEngine` (the live expansion state) or a
-:class:`SearchArrays` snapshot (store-loaded, possibly memory-mapped)
--- one row of image bytes per permutation plus S-image mask, parent and
-gate columns, in level-major discovery order.  Every query reads those
-arrays; :meth:`CascadeSearch.level` is a list view built from them on
-each call.
+The closure has one representation: a :class:`SearchArrays` -- one row
+of image bytes per permutation plus S-image mask, parent and gate
+columns, in level-major discovery order.  Every row read goes through
+the search's one snapshot.  A store-loaded search adopts the store's
+(possibly memory-mapped) arrays; a search that expands holds views of
+its :class:`~repro.core.kernel.VectorEngine`'s row store, taken again
+whenever the rows change (after an expansion, a replay or a resume),
+never per query.  :meth:`CascadeSearch.level` is a list view built from
+the snapshot on each call.
 
 One kernel drives the expansion: the NumPy engine of
 :mod:`repro.core.kernel` -- a gate application is one mask filter plus
@@ -46,6 +48,7 @@ from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
 from repro.core.kernel import (
     GateRows,
+    SearchArrays,
     VectorEngine,
     mask_int_to_words,
     mask_word_count,
@@ -73,57 +76,6 @@ def _checked_kernel_options(options: dict | None) -> dict:
             f"shard_bits must be an integer, got {bits!r}"
         )
     return options
-
-
-@dataclass
-class SearchArrays:
-    """Array-backed snapshot of an expanded search (the store form).
-
-    Rows appear in level-major discovery order, so a row index is the
-    permutation's *global index*; level ``k`` occupies rows
-    ``level_offsets[k]:level_offsets[k+1]``.  All arrays may be plain
-    ndarrays or read-only ``np.memmap`` views -- treat them as immutable.
-
-    Attributes:
-        expanded_to: highest fully-computed cost level.
-        degree: label-space size (row width of *perms*).
-        n_binary: number of binary labels (the paper's set S).
-        mask_words: uint64 words per S-image mask row.
-        level_offsets: ``(expanded_to + 2,)`` int64 row offsets.
-        perms: ``(n, degree)`` uint8 image arrays.
-        masks: ``(n, mask_words)`` uint64 S-image masks.
-        parents: ``(n,)`` int32 parent global rows (row 0 = -1), or None
-            for counting-only closures.
-        gates: ``(n,)`` int32 appended-gate indices (row 0 = -1), or
-            None alongside *parents*.
-        elapsed_seconds: accumulated expansion wall time.
-    """
-
-    expanded_to: int
-    degree: int
-    n_binary: int
-    mask_words: int
-    level_offsets: np.ndarray
-    perms: np.ndarray
-    masks: np.ndarray
-    parents: np.ndarray | None
-    gates: np.ndarray | None
-    elapsed_seconds: float
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.level_offsets[-1])
-
-    @property
-    def level_sizes(self) -> tuple[int, ...]:
-        return tuple(
-            int(self.level_offsets[k + 1] - self.level_offsets[k])
-            for k in range(self.expanded_to + 1)
-        )
-
-    def level_rows(self, cost: int) -> tuple[int, int]:
-        """``(start, stop)`` global-row range of one level."""
-        return int(self.level_offsets[cost]), int(self.level_offsets[cost + 1])
 
 
 @dataclass(frozen=True)
@@ -186,6 +138,18 @@ class CascadeSearch:
             raise InvalidValueError(
                 f"unknown kernel {kernel!r}; the only kernel is 'vector'"
             )
+        self._setup(library, cost_model, track_parents, kernel_options)
+        engine = self._engine = self._new_engine()
+        engine.seed_identity()
+        if self._kernel_options.get("checkpoint_dir"):
+            resumed = engine.try_resume()
+            if resumed:
+                self._expanded_to = resumed
+                self._restored = True
+        self._arrays = engine.arrays()
+
+    def _setup(self, library, cost_model, track_parents, kernel_options):
+        """Everything but the closure (shared with :meth:`from_arrays`)."""
         self._kernel_options = _checked_kernel_options(kernel_options)
         self._library = library
         self._cost_model = cost_model
@@ -203,20 +167,12 @@ class CascadeSearch:
         # Optional progress sink (duck-typed ProgressReporter),
         # forwarded onto whichever engine runs the expansion.
         self._progress = None
-
-        # The closure: the vector engine (when present) or a raw
-        # SearchArrays snapshot (store-loaded, possibly memmapped) --
-        # exactly one is set.
-        self._raw: SearchArrays | None = None
+        # The closure every row read goes through (see the module
+        # docstring), and the engine that extends it, if one exists.
+        self._arrays: SearchArrays | None = None
+        self._engine: VectorEngine | None = None
         # Shard layout recorded by the store this search was loaded from.
         self._recorded_shards: dict | None = None
-        self._engine: VectorEngine | None = self._new_engine()
-        self._engine.seed_identity()
-        if self._kernel_options.get("checkpoint_dir"):
-            resumed = self._engine.try_resume()
-            if resumed:
-                self._expanded_to = resumed
-                self._restored = True
 
     # -- infrastructure ----------------------------------------------------------------
 
@@ -294,9 +250,9 @@ class CascadeSearch:
 
         Unknown names are refused, as in the constructor.  Engine
         options are fixed at construction, so a live engine built with
-        other options parks its closure as an array snapshot, which a
-        fresh engine replays at the next :meth:`extend_to` -- changing
-        options is free until an expansion actually runs.
+        other options is closed; the closure's arrays stay valid, and a
+        fresh engine replays them at the next :meth:`extend_to` --
+        changing options is free until an expansion actually runs.
         """
         if self._frozen:
             raise FrozenSearchError(
@@ -307,7 +263,6 @@ class CascadeSearch:
             return
         self._kernel_options = kernel_options
         if self._engine is not None:
-            self._raw = self.export_arrays()
             self._engine.close()
             self._engine = None
 
@@ -321,9 +276,8 @@ class CascadeSearch:
 
         The long-lived service (:mod:`repro.server`) shares one search
         between its event loop and its store-opener thread.  Every query
-        accessor only reads the
-        closure's arrays -- the engine's, or a store's memory-mapped
-        :class:`SearchArrays` -- and builds nothing lazily, but
+        accessor only reads the closure's :class:`SearchArrays` and
+        builds nothing lazily, but
         :meth:`extend_to`, :meth:`set_kernel_options` and
         :meth:`attach_remainder_index` mutate the search outright.
         ``freeze()`` makes the concurrency contract explicit:
@@ -384,45 +338,41 @@ class CascadeSearch:
 
     def _level_arrays(self, cost: int):
         """``(perms (n, degree) u8, masks (n, W) u64)`` for one level."""
-        if self._engine is not None:
-            return (
-                self._engine.level_perms_raw(cost),
-                self._engine.level_masks[cost],
-            )
-        start, stop = self._raw.level_rows(cost)
-        return self._raw.perms[start:stop], self._raw.masks[start:stop]
+        start, stop = self._arrays.level_rows(cost)
+        return self._arrays.perms[start:stop], self._arrays.masks[start:stop]
 
     def _ensure_engine(self) -> VectorEngine:
-        """The vector engine, replaying the raw snapshot into it first."""
+        """The vector engine, replaying the snapshot into it first."""
         if self._engine is not None:
             return self._engine
         engine = self._new_engine()
-        raw = self._raw
-        for cost in range(raw.expanded_to + 1):
-            start, stop = raw.level_rows(cost)
+        arrays = self._arrays
+        for cost in range(arrays.expanded_to + 1):
+            start, stop = arrays.level_rows(cost)
             engine.load_level(
-                raw.perms[start:stop],
-                raw.masks[start:stop],
-                raw.parents[start:stop] if raw.parents is not None else None,
-                raw.gates[start:stop] if raw.gates is not None else None,
+                arrays.perms[start:stop],
+                arrays.masks[start:stop],
+                None if arrays.parents is None else arrays.parents[start:stop],
+                None if arrays.gates is None else arrays.gates[start:stop],
             )
-        # The engine copied everything out of the snapshot; drop the
-        # raw reference so a memory-mapped store file is no longer
-        # pinned (re-saving over it must work on every platform).
-        self._raw = None
+        # The engine copied every row in; its own views replace the
+        # snapshot, so a memory-mapped store file is no longer pinned
+        # (re-saving over it must work on every platform).
         self._engine = engine
+        self._arrays = engine.arrays()
         return engine
 
     def close(self) -> None:
         """Release engine resources (dedup slabs, scratch buffers).
 
         Only a search holding a vector engine has any; calling this on
-        a store-loaded search (or twice) is a no-op.  After closing, level reads and witness walks keep
-        working (they read the engine's arrays), but exact row lookups
-        on the engine (:meth:`cost_of` / ``find_row``) need the dedup
-        slabs and raise a clean :class:`~repro.errors.InvalidValueError`.
-        To keep a search fully queryable while only shedding the
-        expansion scratch, use :meth:`freeze` instead.
+        a store-loaded search (or twice) is a no-op.  After closing,
+        level reads and witness walks keep working (they read the
+        closure's arrays), but exact row lookups on the engine
+        (:meth:`cost_of` / ``find_row``) need the dedup slabs and raise
+        a clean :class:`~repro.errors.InvalidValueError`.  To keep a
+        search fully queryable while only shedding the expansion
+        scratch, use :meth:`freeze` instead.
         """
         if self._engine is not None:
             self._engine.close()
@@ -444,25 +394,32 @@ class CascadeSearch:
         progress = self._progress
         engine = self._ensure_engine()
         engine.progress = progress
-        for cost in range(self._expanded_to + 1, cost_bound + 1):
-            if progress is not None:
-                progress.emit("level-start", level=cost)
-                level_started = perf_counter()
-            engine.expand_level(cost)
-            self._expanded_to = cost
-            if progress is not None:
-                progress.emit(
-                    "level-end",
-                    level=cost,
-                    size=int(engine.level_size(cost)),
-                    rows=int(engine.n_rows),
-                    elapsed_s=round(perf_counter() - level_started, 6),
-                )
-        # An attached store index only describes the pre-extension
-        # closure file; release it (and its memmap pin) -- it is
-        # rebuilt from the arrays on the next BatchSynthesizer.
-        self._attached_index = None
-        self._elapsed += perf_counter() - started
+        # The snapshot's views would pin the row store's current
+        # buffers through a level that outgrows them; drop it for the
+        # expansion and take the grown store's views afterwards.
+        self._arrays = None
+        try:
+            for cost in range(self._expanded_to + 1, cost_bound + 1):
+                if progress is not None:
+                    progress.emit("level-start", level=cost)
+                    level_started = perf_counter()
+                engine.expand_level(cost)
+                self._expanded_to = cost
+                if progress is not None:
+                    progress.emit(
+                        "level-end",
+                        level=cost,
+                        size=int(engine.level_size(cost)),
+                        rows=int(engine.n_rows),
+                        elapsed_s=round(perf_counter() - level_started, 6),
+                    )
+        finally:
+            # An attached store index only describes the pre-extension
+            # closure file; release it (and its memmap pin) -- it is
+            # rebuilt from the arrays on the next BatchSynthesizer.
+            self._attached_index = None
+            self._elapsed += perf_counter() - started
+            self._arrays = engine.arrays()
 
     # -- queries -----------------------------------------------------------------------
 
@@ -480,16 +437,12 @@ class CascadeSearch:
     def level_size(self, cost: int) -> int:
         if cost > self._expanded_to:
             self.extend_to(cost)
-        if self._engine is not None:
-            return self._engine.level_size(cost)
-        start, stop = self._raw.level_rows(cost)
+        start, stop = self._arrays.level_rows(cost)
         return stop - start
 
     def total_seen(self) -> int:
         """|A[expanded_to]|: all distinct cascade permutations found."""
-        if self._engine is not None:
-            return self._engine.n_rows
-        return self._raw.n_rows
+        return self._arrays.n_rows
 
     def cost_of(self, perm: bytes | Permutation) -> int | None:
         """Minimal cost of a full label permutation, if discovered so far."""
@@ -510,22 +463,21 @@ class CascadeSearch:
         # -- and it never mutates, so frozen searches can serve
         # cost_of() concurrently.
         wanted = np.frombuffer(key, dtype=np.uint8)
-        raw = self._raw
-        for cost in range(raw.expanded_to + 1):
-            start, stop = raw.level_rows(cost)
+        arrays = self._arrays
+        for cost in range(arrays.expanded_to + 1):
+            start, stop = arrays.level_rows(cost)
             if start == stop:
                 continue
             hits = np.flatnonzero(
-                (raw.perms[start:stop] == wanted[None, :]).all(axis=1)
+                (arrays.perms[start:stop] == wanted[None, :]).all(axis=1)
             )
             if hits.size:
                 return start + int(hits[0])
         return -1
 
     def _level_of_row(self, row: int) -> int:
-        if self._engine is not None:
-            return self._engine.level_of_row(row)
-        return bisect.bisect_right(self._raw.level_offsets.tolist(), row) - 1
+        offsets = self._arrays.level_offsets.tolist()
+        return bisect.bisect_right(offsets, row) - 1
 
     @property
     def s_mask(self) -> int:
@@ -557,9 +509,7 @@ class CascadeSearch:
     def perm_bytes_at(self, row: int) -> bytes:
         """The image bytes of the permutation at a global row index."""
         self._check_row(row)
-        if self._engine is not None:
-            return self._engine.row_bytes(row)
-        return self._raw.perms[row].tobytes()
+        return self._arrays.perms[row].tobytes()
 
     def cost_of_row(self, row: int) -> int:
         """The level (= minimal cost) of a global row index."""
@@ -567,9 +517,7 @@ class CascadeSearch:
         return self._level_of_row(row)
 
     def _parent_of_row(self, row: int) -> tuple[int, int]:
-        if self._engine is not None:
-            return self._engine.parent_of(row)
-        return int(self._raw.parents[row]), int(self._raw.gates[row])
+        return int(self._arrays.parents[row]), int(self._arrays.gates[row])
 
     def witness_indices_for_row(self, row: int) -> list[int]:
         """Gate indices of the minimal cascade ending at a global row.
@@ -637,9 +585,7 @@ class CascadeSearch:
         return (masks == s_words[None, :]).all(axis=1)
 
     def _level_start(self, cost: int) -> int:
-        if self._engine is not None:
-            return self._engine.offsets[cost]
-        return int(self._raw.level_offsets[cost])
+        return int(self._arrays.level_offsets[cost])
 
     def attach_remainder_index(self, cost_bound: int, index: dict) -> None:
         """Attach a precomputed remainder index (deserialized from a store).
@@ -662,34 +608,12 @@ class CascadeSearch:
     def export_arrays(self) -> SearchArrays:
         """Snapshot the closure in array form (the store layout).
 
-        Returns views of the live arrays where possible -- treat the
-        result as read-only.
+        Returns the search's own snapshot -- for a search that expanded,
+        views of the engine's row store -- so treat it as read-only.
         """
-        if self._engine is None:
-            if self._raw.elapsed_seconds != self._elapsed:
-                return replace(self._raw, elapsed_seconds=self._elapsed)
-            return self._raw
-        engine = self._engine
-        parents = gates = None
-        if self._track_parents:
-            parents = np.concatenate(
-                [lvl.astype(np.int32) for lvl in engine.level_parents]
-            )
-            gates = np.concatenate(
-                [lvl.astype(np.int32) for lvl in engine.level_gates]
-            )
-        return SearchArrays(
-            expanded_to=self._expanded_to,
-            degree=self._degree,
-            n_binary=self._n_binary,
-            mask_words=engine.mask_words,
-            level_offsets=np.asarray(engine.offsets, dtype=np.int64),
-            perms=engine.all_perms_raw(),
-            masks=engine.all_masks(),
-            parents=parents,
-            gates=gates,
-            elapsed_seconds=self._elapsed,
-        )
+        if self._arrays.elapsed_seconds != self._elapsed:
+            return replace(self._arrays, elapsed_seconds=self._elapsed)
+        return self._arrays
 
     @classmethod
     def from_arrays(
@@ -720,16 +644,14 @@ class CascadeSearch:
                 :meth:`shard_layout` until an engine takes over, so a
                 re-save or migration keeps the build's provenance.
         """
-        search = cls(
-            library,
-            cost_model,
-            track_parents=arrays.parents is not None,
-            kernel_options=kernel_options,
+        # No engine until an extension needs one (see _ensure_engine).
+        search = cls.__new__(cls)
+        search._setup(
+            library, cost_model, arrays.parents is not None, kernel_options
         )
         if validate:
             search._validate_arrays(arrays)
-        search._engine = None
-        search._raw = arrays
+        search._arrays = arrays
         search._expanded_to = arrays.expanded_to
         search._elapsed = arrays.elapsed_seconds
         search._restored = True

@@ -251,18 +251,6 @@ class GateLibrary:
                 out[key] = self._space.banned_labels([a, b])
         return out
 
-    # -- search-facing views -----------------------------------------------------------
-
-    def search_rows(self) -> tuple[tuple[bytes, int, int], ...]:
-        """Per-gate ``(translate_table, banned_mask, cost)`` rows.
-
-        This is the hot-path view consumed by the cascade search; it
-        avoids touching Python objects inside the BFS inner loop.
-        """
-        return tuple(
-            (entry.table, entry.banned_mask, entry.cost) for entry in self._gates
-        )
-
     def circuit_permutation(self, gates) -> Permutation:
         """Product of library gates in cascade order (apply first to last)."""
         perm = Permutation.identity(self._space.size)

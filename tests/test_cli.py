@@ -229,6 +229,29 @@ class TestStoreMaintenance:
         assert main(["store", "info", v2_path]) == 0
         assert "cost bound 5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--no-parents"]], ids=["parents", "no-parents"]
+    )
+    def test_extend_writes_a_fresh_precomputes_bytes(
+        self, flags, capsys, tmp_path
+    ):
+        """Replaying a cost-4 store into the engine and extending it to
+        5 stores the payload and index of a fresh cost-5 precompute."""
+        from repro.core.store import read_header
+
+        extended = str(tmp_path / "extended.rpro")
+        fresh = str(tmp_path / "fresh.rpro")
+        assert main(["precompute", extended, "--cost-bound", "4", *flags]) == 0
+        assert main([
+            "precompute", extended, "--extend", "--cost-bound", "5", *flags,
+        ]) == 0
+        assert main(["precompute", fresh, "--cost-bound", "5", *flags]) == 0
+        capsys.readouterr()
+        ours, theirs = read_header(extended), read_header(fresh)
+        assert ours.expanded_to == theirs.expanded_to == 5
+        assert ours.payload_sha256 == theirs.payload_sha256
+        assert ours.index_sha256 == theirs.index_sha256
+
     def test_extend_refuses_mismatched_flags(self, v2_path, capsys):
         assert main([
             "precompute", v2_path, "--extend", "--cost-bound", "5",

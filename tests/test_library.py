@@ -110,14 +110,6 @@ class TestBannedMasks:
 
 
 class TestSearchView:
-    def test_search_rows_align_with_entries(self, library3):
-        rows = library3.search_rows()
-        assert len(rows) == 18
-        for entry, (table, banned, cost) in zip(library3.gates, rows):
-            assert table == entry.table
-            assert banned == entry.banned_mask
-            assert cost == 1
-
     def test_table_is_256_bytes(self, library3):
         for entry in library3:
             assert len(entry.table) == 256

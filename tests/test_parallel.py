@@ -646,8 +646,9 @@ class TestRelationFilter:
         search.extend_to(3)
         engine = search._engine
         rf = engine._filter
-        perms = engine.level_perms_raw(3)
-        masks = engine.level_masks[3]
+        arrays = engine.arrays()
+        start, stop = arrays.level_rows(3)
+        perms, masks = arrays.perms[start:stop], arrays.masks[start:stop]
         tables = engine.gate_rows.tables
         for gi in (0, 7, 17):
             table = np.frombuffer(tables[gi], dtype=np.uint8)
@@ -753,9 +754,10 @@ class TestSyntheticSingleRelations:
         # the cyclic group C8: closure saturates at 8 rows
         assert engine.n_rows == len(rows) == 8
         assert engine.offsets == offsets
-        assert [bytes(r) for r in engine.all_perms_raw()] == rows
-        assert np.concatenate(engine.level_parents).tolist() == parents
-        assert np.concatenate(engine.level_gates).tolist() == gates
+        arrays = engine.arrays()
+        assert [bytes(r) for r in arrays.perms] == rows
+        assert arrays.parents.tolist() == parents
+        assert arrays.gates.tolist() == gates
 
 
 class TestServingIntegration:

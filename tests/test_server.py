@@ -1256,7 +1256,37 @@ class TestCliGolden:
         assert "at most one of --port and --no-tcp" in capsys.readouterr().err
 
 
-WEIGHTED = CostModel(v_cost=2, vdag_cost=2)
+@pytest.mark.parametrize("verb", [["serve"], ["fleet", "serve"]])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "nothing to serve"),
+        (["x.rpro", "--no-tcp"], "--no-tcp requires --unix"),
+        (
+            ["x.rpro", "--no-tcp", "--unix", "x.sock", "--port", "0"],
+            "at most one of --port and --no-tcp",
+        ),
+    ],
+    ids=["no-stores", "no-tcp-without-unix", "port-and-no-tcp"],
+)
+def test_serve_verbs_refuse_before_binding(
+    verb, args, message, monkeypatch, capsys
+):
+    """`serve` and `fleet serve` check what to serve and where to listen
+    the same way, and exit 1 before starting anything."""
+    import repro.fleet.manager
+    import repro.server
+
+    def must_not_start(*_args, **_kwargs):
+        raise AssertionError("started despite a refused command line")
+
+    monkeypatch.setattr(repro.server, "run_server", must_not_start)
+    monkeypatch.setattr(repro.fleet.manager, "run_fleet", must_not_start)
+    assert main([*verb, *args]) == 1
+    assert message in capsys.readouterr().err
+
+
+WEIGHTED =CostModel(v_cost=2, vdag_cost=2)
 
 
 @pytest.fixture(scope="module")

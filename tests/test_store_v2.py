@@ -168,6 +168,27 @@ class TestLazyOpen:
         assert loaded.level(2) == search5.level(2)
         assert loaded.level_size(5) == search5.level_size(5)
 
+    def test_open_and_synth_build_no_engine(self, v2_path, monkeypatch):
+        """A store-loaded search answers from its arrays; only extending
+        past the stored bound builds (and replays into) an engine."""
+        import repro.core.search as search_module
+
+        built = []
+        real = search_module.VectorEngine
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "VectorEngine", counting)
+        _header, _library, loaded = open_store(v2_path)
+        result = BatchSynthesizer(loaded).synthesize(named.TARGETS["peres"])
+        assert result.cost == 4
+        assert len(built) == 0
+        loaded.extend_to(6)
+        assert len(built) == 1
+        loaded.close()
+
     def test_extend_after_lazy_load_matches_fresh(self, v2_path, library3):
         _header, _library, loaded = open_store(v2_path)
         loaded.extend_to(6)
