@@ -42,7 +42,7 @@ import socket
 import threading
 import time
 
-from repro.errors import ProtocolError, ServerError
+from repro.errors import InvalidValueError, ProtocolError, ServerError
 from repro.server.protocol import (
     DEFAULT_PORT,
     MAX_BODY,
@@ -135,9 +135,9 @@ class ServeClient:
         backoff: float = 0.05,
     ):
         if retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise InvalidValueError("retries must be >= 0")
         if backoff < 0:
-            raise ValueError("backoff must be >= 0")
+            raise InvalidValueError("backoff must be >= 0")
         self._family, self._target = parse_endpoint(
             address or str(DEFAULT_PORT)
         )

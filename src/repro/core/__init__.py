@@ -16,142 +16,93 @@
 * :mod:`repro.core.probabilistic` -- Section 4 probabilistic synthesis.
 """
 
-from repro.core.circuit import Circuit
-from repro.core.cost import CostModel, UNIT_COST
-from repro.core.search import CascadeSearch, SearchArrays, SearchStats
-from repro.core.dedup import ShardedDedupTable, parse_budget
-from repro.core.kernel import RelationFilter, VectorEngine
-from repro.core.store import (
-    StoreHeader,
-    cost_model_fingerprint,
-    dump_search,
-    library_fingerprint,
-    load_search,
-    loads_search,
-    migrate_store,
-    open_store,
-    read_header,
-    resolve_codec,
-    save_search,
-    section_cache_stats,
-    verify_store,
-)
-from repro.core.plan import ResourcePlan, plan_resources
-from repro.core.batch import BatchSynthesizer, build_remainder_index
-from repro.core.fmcf import CostTable, find_minimum_cost_circuits
-from repro.core.mce import (
-    DEFAULT_COST_BOUND,
-    SynthesisResult,
-    certify,
-    express,
-    express_all,
-    minimal_cost,
-    normalize_target,
-)
-from repro.core.probabilistic import (
-    ProbabilisticSpec,
-    ProbabilisticSynthesisResult,
-    express_probabilistic,
-)
-from repro.core.theorems import (
-    not_layer_circuit,
-    stabilizer_group,
-    paper_generator_group,
-    universality_group,
-    verify_theorem2,
-)
-from repro.core.universality import (
-    G4Analysis,
-    analyze_g4,
-    is_universal,
-    match_paper_representatives,
-    wire_relabeling_orbit,
-)
-from repro.core.identities import (
-    GatePairIdentity,
-    commuting_pairs,
-    commuting_feynman_pairs,
-    inverse_pairs,
-    cnot_emulations,
-    verify_adjoint_closure,
-    identity_catalog,
-)
-from repro.core.schedule import (
-    Schedule,
-    asap_schedule,
-    depth,
-    is_fully_sequential,
-    min_depth_implementation,
-)
-from repro.core.canonical import (
-    ImplementationFamilies,
-    classify_implementations,
-    xor_wires,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "Circuit",
-    "CostModel",
-    "UNIT_COST",
-    "CascadeSearch",
-    "SearchArrays",
-    "SearchStats",
-    "ShardedDedupTable",
-    "parse_budget",
-    "RelationFilter",
-    "VectorEngine",
-    "StoreHeader",
-    "cost_model_fingerprint",
-    "dump_search",
-    "library_fingerprint",
-    "load_search",
-    "loads_search",
-    "migrate_store",
-    "open_store",
-    "read_header",
-    "resolve_codec",
-    "save_search",
-    "section_cache_stats",
-    "verify_store",
-    "ResourcePlan",
-    "plan_resources",
-    "BatchSynthesizer",
-    "build_remainder_index",
-    "CostTable",
-    "find_minimum_cost_circuits",
-    "DEFAULT_COST_BOUND",
-    "SynthesisResult",
-    "certify",
-    "express",
-    "express_all",
-    "minimal_cost",
-    "normalize_target",
-    "ProbabilisticSpec",
-    "ProbabilisticSynthesisResult",
-    "express_probabilistic",
-    "not_layer_circuit",
-    "stabilizer_group",
-    "paper_generator_group",
-    "universality_group",
-    "verify_theorem2",
-    "G4Analysis",
-    "analyze_g4",
-    "is_universal",
-    "match_paper_representatives",
-    "wire_relabeling_orbit",
-    "GatePairIdentity",
-    "commuting_pairs",
-    "commuting_feynman_pairs",
-    "inverse_pairs",
-    "cnot_emulations",
-    "verify_adjoint_closure",
-    "identity_catalog",
-    "Schedule",
-    "asap_schedule",
-    "depth",
-    "is_fully_sequential",
-    "min_depth_implementation",
-    "ImplementationFamilies",
-    "classify_implementations",
-    "xor_wires",
-]
+#: Exported name -> defining module, imported on first use (PEP 562):
+#: a replica serving stores needs the store, batch index and MCE
+#: modules, never the paper-analysis ones (theorems, universality, ...).
+_EXPORTS = {
+    "Circuit": "repro.core.circuit",
+    "CostModel": "repro.core.cost",
+    "UNIT_COST": "repro.core.cost",
+    "CascadeSearch": "repro.core.search",
+    "SearchArrays": "repro.core.search",
+    "SearchStats": "repro.core.search",
+    "ShardedDedupTable": "repro.core.dedup",
+    "parse_budget": "repro.core.dedup",
+    "RelationFilter": "repro.core.kernel",
+    "VectorEngine": "repro.core.kernel",
+    "StoreHeader": "repro.core.store",
+    "cost_model_fingerprint": "repro.core.store",
+    "dump_search": "repro.core.store",
+    "library_fingerprint": "repro.core.store",
+    "load_search": "repro.core.store",
+    "loads_search": "repro.core.store",
+    "migrate_store": "repro.core.store",
+    "open_store": "repro.core.store",
+    "read_header": "repro.core.store",
+    "resolve_codec": "repro.core.store",
+    "save_search": "repro.core.store",
+    "section_cache_stats": "repro.core.store",
+    "verify_store": "repro.core.store",
+    "ResourcePlan": "repro.core.plan",
+    "plan_resources": "repro.core.plan",
+    "BatchSynthesizer": "repro.core.batch",
+    "build_remainder_index": "repro.core.batch",
+    "CostTable": "repro.core.fmcf",
+    "find_minimum_cost_circuits": "repro.core.fmcf",
+    "DEFAULT_COST_BOUND": "repro.core.mce",
+    "SynthesisResult": "repro.core.mce",
+    "certify": "repro.core.mce",
+    "express": "repro.core.mce",
+    "express_all": "repro.core.mce",
+    "minimal_cost": "repro.core.mce",
+    "normalize_target": "repro.core.mce",
+    "ProbabilisticSpec": "repro.core.probabilistic",
+    "ProbabilisticSynthesisResult": "repro.core.probabilistic",
+    "express_probabilistic": "repro.core.probabilistic",
+    "not_layer_circuit": "repro.core.theorems",
+    "stabilizer_group": "repro.core.theorems",
+    "paper_generator_group": "repro.core.theorems",
+    "universality_group": "repro.core.theorems",
+    "verify_theorem2": "repro.core.theorems",
+    "G4Analysis": "repro.core.universality",
+    "analyze_g4": "repro.core.universality",
+    "is_universal": "repro.core.universality",
+    "match_paper_representatives": "repro.core.universality",
+    "wire_relabeling_orbit": "repro.core.universality",
+    "GatePairIdentity": "repro.core.identities",
+    "commuting_pairs": "repro.core.identities",
+    "commuting_feynman_pairs": "repro.core.identities",
+    "inverse_pairs": "repro.core.identities",
+    "cnot_emulations": "repro.core.identities",
+    "verify_adjoint_closure": "repro.core.identities",
+    "identity_catalog": "repro.core.identities",
+    "Schedule": "repro.core.schedule",
+    "asap_schedule": "repro.core.schedule",
+    "depth": "repro.core.schedule",
+    "is_fully_sequential": "repro.core.schedule",
+    "min_depth_implementation": "repro.core.schedule",
+    "ImplementationFamilies": "repro.core.canonical",
+    "classify_implementations": "repro.core.canonical",
+    "xor_wires": "repro.core.canonical",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = list(_EXPORTS)

@@ -59,7 +59,7 @@ import random
 import time
 
 from repro._version import __version__
-from repro.errors import FleetOverloadedError, ServerError
+from repro.errors import FleetOverloadedError, InvalidValueError, ServerError
 from repro.server.protocol import (
     MAX_BODY,
     Request,
@@ -373,7 +373,7 @@ class RouterService:
         if not backends:
             raise ServerError("a fleet needs at least one backend")
         if retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise InvalidValueError("retries must be >= 0")
         self._retries = retries
         self._backoff = backoff
         self._attempt_timeout = attempt_timeout

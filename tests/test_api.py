@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.core
 import repro.server
 
 
@@ -38,11 +39,14 @@ class TestTopLevelExports:
 
 
 #: Each lazily exporting package, with the names it binds at import.
-LAZY_PACKAGES = [(repro, {"__version__"}), (repro.server, set())]
+LAZY_PACKAGES = [
+    (repro, {"__version__"}), (repro.core, set()), (repro.server, set()),
+]
 
 
 @pytest.mark.parametrize(
-    "package, eager", LAZY_PACKAGES, ids=["repro", "repro.server"]
+    "package, eager", LAZY_PACKAGES,
+    ids=["repro", "repro.core", "repro.server"],
 )
 class TestLazyExports:
     def test_table_and_eager_names_are_exactly_all(self, package, eager):
@@ -76,6 +80,32 @@ def test_router_process_never_imports_the_closure_engine():
         "import repro.fleet.supervisor, repro.server.app, repro.client\n"
         "print(sorted(m for m in ('numpy', 'repro.core') "
         "if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_serving_never_imports_the_paper_analysis_modules():
+    """A replica's service module loads the store/batch/MCE path only;
+    ``repro.core``'s lazy exports keep the analysis modules out."""
+    unused = tuple(
+        f"repro.core.{name}"
+        for name in (
+            "canonical", "identities", "plan", "probabilistic",
+            "schedule", "theorems", "universality",
+        )
+    )
+    code = (
+        "import sys\n"
+        "import repro.server.service\n"
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")

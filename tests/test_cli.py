@@ -1,9 +1,12 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import argparse
+import socket
+
 import pytest
 
 from legacy_v1 import write_v1
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.core.search import CascadeSearch
 from repro.gates.library import GateLibrary
 
@@ -354,8 +357,8 @@ class TestOtherCommands:
         assert "(5,7,6,8)" in out and "re-verified" in out
 
     def test_load_missing_file_is_clean_error(self, capsys, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["load", str(tmp_path / "nope.json")])
+        assert main(["load", str(tmp_path / "nope.json")]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_load_tampered_file_is_clean_error(self, capsys, tmp_path):
         import json
@@ -524,3 +527,127 @@ class TestParallelPrecompute:
         out = capsys.readouterr().out
         assert "(vector kernel)" in out
         assert "[1, 18, 162, 1017, 5364]" in out
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["store", "info", "{missing}"],
+    ["store", "verify", "{missing}"],
+    ["synth", "toffoli", "--store", "{missing}"],
+    ["synth", "--batch", "{missing}"],
+    ["plan", "{missing}"],
+    ["serve", "{missing}", "--port", "0"],
+    ["replay", "{missing}", "--server", "127.0.0.1:1"],
+    ["precompute", "{missing}/out.rpro", "--cost-bound", "1"],
+    ["synth", "toffoli", "--server", "127.0.0.1:{closed_port}"],
+], ids=[
+    "store-info", "store-verify", "synth-store", "synth-batch", "plan",
+    "serve", "replay", "precompute-dir", "synth-server",
+])
+def test_os_errors_are_clean_errors(argv, capsys, tmp_path):
+    """A missing file, directory or server is one `error:` line, exit 1."""
+    fill = {"missing": tmp_path / "missing", "closed_port": _closed_port()}
+    assert main([arg.format(**fill) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_retries_is_a_clean_error(capsys, tmp_path):
+    log = tmp_path / "access.ndjson"
+    log.write_text("")
+    argv = ["replay", str(log), "--server", "127.0.0.1:1", "--retries", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: retries must be >= 0\n"
+
+
+#: Every leaf verb's arguments: option strings (or a positional's
+#: dest), then ``=default`` unless None, then ``{choices}`` if any.
+SURFACE = {
+    "table1": "",
+    "table2": "--cost-bound --paper-pseudocode=False --store",
+    "synth": (
+        "target --all=False --cost-bound --save --store --batch "
+        "--server --store-alias"
+    ),
+    "serve": (
+        "stores --store-dir --host='127.0.0.1' --port --unix "
+        "--no-tcp=False --cost-bound --fault-seed=0 --access-log "
+        "--access-log-max-bytes --access-log-keep --drain-timeout "
+        "--fault"
+    ),
+    "fleet serve": (
+        "stores --store-dir --host='127.0.0.1' --port --unix "
+        "--no-tcp=False --cost-bound --fault-seed=0 --replicas=2 "
+        "--run-dir --ops-log --retries --attempt-timeout "
+        "--max-inflight --min-healthy --restart-budget --fault"
+    ),
+    "fleet status": "address --json=False",
+    "precompute": (
+        "--format-version{2,3} --codec{auto,zstd,zlib,raw} out "
+        "--cost-bound=7 --qubits=3 --radix=2{2,3,4} "
+        "--no-parents=False --v-cost=1 --vdag-cost=1 --cnot-cost=1 "
+        "--extend=False --dedup-budget --shard-bits --checkpoint-dir "
+        "--progress=False --progress-log"
+    ),
+    "store-info": "file",
+    "store info": "file",
+    "store shards": "file --bits",
+    "store verify": "file",
+    "store migrate": (
+        "--format-version{2,3} --codec{auto,zstd,zlib,raw} src dst"
+    ),
+    "plan": "store --cost-bound=7 --memory --json=False",
+    "load": (
+        "file --server --seed --requests --concurrency --timing=False "
+        "--retries=0 --dry-run=False --json --no-slo=False"
+    ),
+    "replay": (
+        "log --server --golden --no-rotated=False --strict=False "
+        "--timing=False --speed=1.0 --limit --retries=0 --json"
+    ),
+    "tail": (
+        "logs --trace --json=False --follow=False --interval=2.0 "
+        "--no-rotated=False"
+    ),
+    "identities": "",
+    "peres-family": "",
+    "banned-sets": "",
+    "compare": "",
+    "verify-gates": "",
+    "rng": "--bits=32 --seed",
+}
+
+
+def _surface(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _surface(child, path + (name,))
+            return
+    tokens = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        token = "/".join(action.option_strings) or action.dest
+        if action.default is not None:
+            token += f"={action.default!r}"
+        if action.choices is not None:
+            token += "{" + ",".join(map(str, action.choices)) + "}"
+        tokens.append(token)
+    yield " ".join(path), tokens
+
+
+def test_parser_surface_is_pinned():
+    """No verb gains, loses or re-defaults a flag unnoticed (help text
+    is free to change)."""
+    surface = {
+        verb: sorted(tokens) for verb, tokens in _surface(_build_parser())
+    }
+    assert surface == {
+        verb: sorted(spec.split()) for verb, spec in SURFACE.items()
+    }

@@ -28,7 +28,7 @@ from repro.client import ServeClient
 from repro.core.batch import BatchSynthesizer
 from repro.core.search import CascadeSearch
 from repro.core.store import save_search
-from repro.errors import FleetOverloadedError, ServerError
+from repro.errors import FleetOverloadedError, InvalidValueError, ServerError
 from repro.fleet.manager import BackgroundFleet, FleetManager
 from repro.fleet.router import CircuitBreaker, HashRing, RouterService
 from repro.fleet import supervisor as supervisor_module
@@ -208,6 +208,10 @@ class TestRouterUnits:
         )
         with pytest.raises(ServerError, match="no admitted backends"):
             asyncio.run(router.handle(request))
+
+    def test_negative_retries_is_a_repro_error(self):
+        with pytest.raises(InvalidValueError, match="retries"):
+            RouterService({"b0": "unix:/tmp/absent-0.sock"}, retries=-1)
 
 
 class _FakeBackend:
@@ -675,9 +679,9 @@ class TestClientRetries:
             listener.close()
 
     def test_constructor_validates_retry_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValueError, match="retries"):
             ServeClient("127.0.0.1:1", retries=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValueError, match="backoff"):
             ServeClient("127.0.0.1:1", backoff=-0.5)
 
 
