@@ -183,16 +183,20 @@ def _cmd_precompute(args) -> int:
         library_fingerprint,
         read_header,
     )
-    from repro.errors import StoreMismatchError
+    from repro.errors import SpecificationError, StoreMismatchError
     from repro.gates.library import library_for
     from repro.io import open_store, save_search
 
     out, cost_bound, no_parents = args.out, args.cost_bound, args.no_parents
     format_options = _format_options(args)
     kernel_options = _kernel_options(args)
+    # save_search writes next to OUT only after the whole expansion;
+    # an unwritable place must fail before it.
+    parent = Path(out).parent
+    if not parent.is_dir():
+        state = "is not a directory" if parent.exists() else "does not exist"
+        raise SpecificationError(f"cannot write {out}: {parent} {state}")
     if args.radix != 2:
-        from repro.errors import SpecificationError
-
         if (args.v_cost, args.vdag_cost, args.cnot_cost) != (1, 1, 1):
             raise SpecificationError(
                 "--v-cost/--vdag-cost/--cnot-cost tune the binary "

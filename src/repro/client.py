@@ -395,6 +395,51 @@ class ClientPool:
         self.close_all()
 
 
+def _http_exchange(
+    address: str,
+    method: str,
+    path: str,
+    headers: str,
+    payload: bytes,
+    timeout: float,
+) -> tuple[int, bytes]:
+    """Send one ``Connection: close`` HTTP/1.1 request; read to EOF.
+
+    *headers* are extra ``Name: value\\r\\n`` lines after ``Host`` and
+    ``Connection``.  Returns ``(status, raw body)``.
+    """
+    family, target = parse_endpoint(address)
+    host_header = (
+        "localhost" if family == "unix" else f"{target[0]}:{target[1]}"
+    )
+    head = (
+        f"{method} {path} HTTP/1.1\r\n"
+        f"Host: {host_header}\r\n"
+        "Connection: close\r\n"
+        f"{headers}"
+        "\r\n"
+    ).encode("ascii")
+    try:
+        with _open_socket(family, target, timeout) as sock:
+            sock.sendall(head + payload)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+    except OSError as exc:
+        raise ServerError(f"HTTP request to {address} failed: {exc}") from None
+    header, sep, rest = b"".join(chunks).partition(b"\r\n\r\n")
+    if not sep:
+        raise ProtocolError("malformed HTTP response (no header terminator)")
+    try:
+        status = int(header.split(None, 2)[1])
+    except (IndexError, ValueError):
+        raise ProtocolError("malformed HTTP response") from None
+    return status, rest
+
+
 def http_request(
     address: str,
     path: str,
@@ -410,38 +455,18 @@ def http_request(
     connection failure and :class:`ProtocolError` on an unparseable
     response.
     """
-    family, target = parse_endpoint(address)
-    host_header = "localhost" if family == "unix" else f"{target[0]}:{target[1]}"
     payload = b""
     if body is not None:
         payload = json.dumps(body, separators=(",", ":")).encode()
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: {host_header}\r\n"
-        "Connection: close\r\n"
+    status, rest = _http_exchange(
+        address, method, path,
         "Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        "\r\n"
-    ).encode("ascii")
+        f"Content-Length: {len(payload)}\r\n",
+        payload, timeout,
+    )
     try:
-        with _open_socket(family, target, timeout) as sock:
-            sock.sendall(head + payload)
-            chunks = []
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-    except OSError as exc:
-        raise ServerError(f"HTTP request to {address} failed: {exc}") from None
-    raw = b"".join(chunks)
-    header, sep, rest = raw.partition(b"\r\n\r\n")
-    if not sep:
-        raise ProtocolError("malformed HTTP response (no header terminator)")
-    try:
-        status = int(header.split(None, 2)[1])
         data = json.loads(rest) if rest.strip() else {}
-    except (IndexError, ValueError):
+    except ValueError:
         raise ProtocolError("malformed HTTP response") from None
     if not isinstance(data, dict):
         raise ProtocolError("HTTP response body must be a JSON object")
@@ -458,35 +483,7 @@ def fetch_metrics(
     Prometheus text exposition format.  Parse the result with
     :func:`repro.telemetry.parse_prometheus_text`.
     """
-    family, target = parse_endpoint(address)
-    host_header = (
-        "localhost" if family == "unix" else f"{target[0]}:{target[1]}"
-    )
-    head = (
-        f"GET /metrics HTTP/1.1\r\n"
-        f"Host: {host_header}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    ).encode("ascii")
-    try:
-        with _open_socket(family, target, timeout) as sock:
-            sock.sendall(head)
-            chunks = []
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-    except OSError as exc:
-        raise ServerError(f"HTTP request to {address} failed: {exc}") from None
-    raw = b"".join(chunks)
-    header, sep, rest = raw.partition(b"\r\n\r\n")
-    if not sep:
-        raise ProtocolError("malformed HTTP response (no header terminator)")
-    try:
-        status = int(header.split(None, 2)[1])
-    except (IndexError, ValueError):
-        raise ProtocolError("malformed HTTP response") from None
+    status, rest = _http_exchange(address, "GET", "/metrics", "", b"", timeout)
     return status, rest.decode("utf-8", errors="replace")
 
 

@@ -119,6 +119,19 @@ otherwise, or ``raw``):
   which is what lets a served store exceed RAM.
 * ``payload_sha256`` covers the stored (compressed) payload bytes.
 
+**One span table, one reader, one streamer.**  Both mapped formats are
+read and written through the same helpers.  :func:`_spans` presents a
+v2 section as one uncompressed span ``(offset, length, length)`` over
+all its rows and returns v3's ``chunks`` unchanged, so the layout check
+(:func:`_check_layout`), the payload reader (:class:`_Payload`: a
+zero-copy view of a raw v2 span, an inflate-on-touch for a v3 span)
+and the payload streamer (:func:`_stream_payload`: padding, the
+incremental sha256 and span recording for both writers) never ask
+which format they serve.  The format decides only the span granularity
+and whether spans are compressed (:func:`_compressed`), and the writer
+framing: v2 writes its header first and patches the digest in place,
+v3 spools its compressed spans before writing the header.
+
 **Format v1 (legacy; read and migrate only)** packs per-row records
 (image bytes + S-image mask bytes) level by level, then one ``(u32
 parent row, u16 gate)`` record per non-identity row.  A v1 payload is
@@ -455,7 +468,7 @@ def _header_dict(header: StoreHeader) -> dict:
         data["index_sha256"] = dict(header.index_sha256)
         if header.shards:
             data["shards"] = dict(header.shards)
-    if header.format_version >= 3:
+    if _compressed(header):
         data["codec"] = header.codec
         data["chunks"] = {
             name: [list(span) for span in spans]
@@ -603,53 +616,75 @@ def _row_bytes(arrays: SearchArrays, name: str, start: int, stop: int) -> bytes:
     ).tobytes()
 
 
-def _v2_section_plan(
-    n: int,
-    degree: int,
-    mask_words: int,
-    n_binary: int,
-    track_parents: bool,
-    index_entries: int,
-    index_matches: int,
-) -> tuple[dict[str, tuple[int, int]], int]:
-    """Section offsets/lengths (8-aligned) from the row/entry counts."""
-    lengths = {
-        "perms": n * degree,
-        "masks": n * mask_words * 8,
-        "rkeys": index_entries * n_binary,
-        "rcosts": index_entries * 4,
-        "rindptr": (index_entries + 1) * 8,
-        "rmatches": index_matches * 4,
+def _compressed(header: StoreHeader) -> bool:
+    """Whether a mapped store compresses its spans.
+
+    This also decides the span granularity: v3 compresses every span
+    and splits each row section into one span per level, v2 stores
+    each section as one raw span.
+    """
+    return header.format_version == 3
+
+
+def _spans(header: StoreHeader) -> dict[str, tuple[tuple[int, int, int], ...]]:
+    """The span table: section name -> ``(offset, stored, raw)`` spans.
+
+    A v2 section is one uncompressed span over all its rows (stored
+    length == raw length); a v3 section is its ``chunks`` list.
+    """
+    if _compressed(header):
+        return header.chunks
+    return {
+        name: ((offset, length, length),)
+        for name, (offset, length) in header.sections.items()
     }
-    if track_parents:
-        lengths["parents"] = n * 4
-        lengths["gates"] = n * 4
-    sections: dict[str, tuple[int, int]] = {}
-    offset = 0
+
+
+def _span_rows(header: StoreHeader) -> tuple[int, ...]:
+    """Rows per span of a row section (see :func:`_compressed`)."""
+    if _compressed(header):
+        return header.level_sizes
+    return (sum(header.level_sizes),)
+
+
+def _section_lengths(header: StoreHeader) -> dict[str, list[int]]:
+    """Raw byte length of every span of every section, in payload order.
+
+    Fully determined by the row/entry counts: a row section has one
+    span per entry of :func:`_span_rows`, an index section one span.
+    """
+    row_bytes = {"perms": header.degree, "masks": 8 * header.mask_words}
+    if header.track_parents:
+        row_bytes.update(parents=4, gates=4)
+    entries = header.index_entries
+    index_bytes = {
+        "rkeys": entries * header.n_binary,
+        "rcosts": entries * 4,
+        "rindptr": (entries + 1) * 8,
+        "rmatches": header.index_matches * 4,
+    }
+    lengths: dict[str, list[int]] = {}
     for name in _SECTIONS:
-        length = lengths.get(name)
-        if length is None:
-            continue
-        offset += (-offset) % _ALIGN
-        sections[name] = (offset, length)
-        offset += length
-    return sections, offset
+        if name in row_bytes:
+            lengths[name] = [
+                rows * row_bytes[name] for rows in _span_rows(header)
+            ]
+        elif name in index_bytes:
+            lengths[name] = [index_bytes[name]]
+    return lengths
 
 
-def _v2_header(
-    search: CascadeSearch,
-    arrays,
-    sections: dict[str, tuple[int, int]],
-    payload_size: int,
-    payload_sha256: str,
-    index_sha: dict,
-    index_entries: int,
-    index_matches: int,
-) -> StoreHeader:
-    """The v2 header (the v3 writer swaps in its chunk table)."""
+def _closure_header(
+    search: CascadeSearch, arrays: SearchArrays, format_version: int
+) -> tuple[StoreHeader, dict[str, bytes]]:
+    """The header of *search*'s store, less its payload layout and
+    digest, plus the raw bytes of the four ``r*`` index sections."""
+    index_blobs, index_sha, entries, matches = _index_blobs(
+        search, arrays.expanded_to
+    )
     library = search.library
-    return StoreHeader(
-        format_version=2,
+    header = StoreHeader(
+        format_version=format_version,
         library_fingerprint=library_fingerprint(library),
         cost_fingerprint=cost_model_fingerprint(search.cost_model),
         n_qubits=library.n_qubits,
@@ -664,20 +699,20 @@ def _v2_header(
         level_sizes=arrays.level_sizes,
         track_parents=arrays.parents is not None,
         elapsed_seconds=arrays.elapsed_seconds,
-        payload_size=payload_size,
-        payload_sha256=payload_sha256,
+        payload_size=0,
+        payload_sha256=_SHA_PLACEHOLDER,
         kernel="vector",
         writer=_writer_tag(),
         mask_words=arrays.mask_words,
         level_row_offsets=tuple(int(o) for o in arrays.level_offsets),
-        sections=sections,
-        index_entries=index_entries,
-        index_matches=index_matches,
+        index_entries=entries,
+        index_matches=matches,
         index_sha256=index_sha,
         shards=search.shard_layout() or {},
         radix=library.space.radix,
         library_family=library.family,
     )
+    return header, index_blobs
 
 
 def _frame_header(header: StoreHeader) -> bytes:
@@ -692,12 +727,75 @@ def _frame_header(header: StoreHeader) -> bytes:
     return magic + len(header_blob).to_bytes(4, "little") + header_blob
 
 
-#: Placeholder digest patched in place by the streaming writer (same
-#: length as a real sha256 hex digest, so the header size is stable).
+#: Placeholder digest patched in place by the v2 writer (same length as
+#: a real sha256 hex digest, so the header size is stable).
 _SHA_PLACEHOLDER = "0" * 64
 
-#: Rows per write in the streaming writer (bounds its extra RSS).
+#: Rows per piece of a v2 span (bounds the v2 writer's extra RSS).
 _STREAM_ROWS = 1 << 16
+
+
+def _row_pieces(arrays, name: str, start: int, stop: int, step: int):
+    """Rows ``start:stop`` of one row section in pieces of *step* rows."""
+    for lo in range(start, stop, step):
+        yield _row_bytes(arrays, name, lo, min(lo + step, stop))
+
+
+def _payload_spans(
+    arrays: SearchArrays,
+    index_blobs: dict[str, bytes],
+    span_rows: tuple[int, ...],
+    piece_rows: int | None,
+):
+    """Yield ``(name, raw pieces)`` per span, in payload order.
+
+    Row sections are cut into spans of *span_rows* rows each and every
+    span into pieces of at most *piece_rows* rows (None: one piece per
+    span); each index section is one span of one piece.
+    """
+    for name in _SECTIONS:
+        if name in index_blobs:
+            yield name, (index_blobs[name],)
+            continue
+        if getattr(arrays, name) is None:
+            continue
+        start = 0
+        for rows in span_rows:
+            step = piece_rows or max(rows, 1)
+            yield name, _row_pieces(arrays, name, start, start + rows, step)
+            start += rows
+
+
+def _stream_payload(out, spans, encode):
+    """Write *spans* (from :func:`_payload_spans`) to *out*.
+
+    Every span starts 8-aligned (zero padding) and each of its pieces
+    is written as ``encode(piece)``; the bytes flow through one
+    incremental sha256.  Returns ``(span table, payload size, sha256
+    hex digest)``, the table in :func:`_spans` form.  Peak extra memory
+    is one encoded piece.
+    """
+    digest = hashlib.sha256()
+    table: dict[str, list[tuple[int, int, int]]] = {}
+    offset = 0
+    for name, pieces in spans:
+        pad = b"\x00" * ((-offset) % _ALIGN)
+        out.write(pad)
+        digest.update(pad)
+        start = offset = offset + len(pad)
+        raw_len = 0
+        for raw in pieces:
+            blob = encode(raw) if raw else b""
+            out.write(blob)
+            digest.update(blob)
+            offset += len(blob)
+            raw_len += len(raw)
+        table.setdefault(name, []).append((start, offset - start, raw_len))
+    return (
+        {name: tuple(entries) for name, entries in table.items()},
+        offset,
+        digest.hexdigest(),
+    )
 
 
 def _write_v2(
@@ -705,125 +803,40 @@ def _write_v2(
 ) -> StoreHeader:
     """Write a v2 store to the seekable binary handle *out*.
 
-    The section plan is computed from the row counts up front, the
-    payload streams through an incremental sha256 in
-    :data:`_STREAM_ROWS`-row chunks, and the header's placeholder
-    digest is patched in place at the end.  Peak extra memory is one
-    chunk instead of a whole second copy of the closure -- the property
-    that lets a budgeted expansion write stores bigger than RAM
-    headroom.  *codec* and *spool_dir* only matter to v3.
+    The section plan is computed from the row counts up front, so the
+    header goes first; the payload streams in :data:`_STREAM_ROWS`-row
+    pieces and the header's placeholder digest is patched in place at
+    the end.  Peak extra memory is one piece instead of a whole second
+    copy of the closure -- the property that lets a budgeted expansion
+    write stores bigger than RAM headroom.  *codec* and *spool_dir*
+    only matter to v3.
     """
     arrays = search.export_arrays()
-    index_blobs, index_sha, entries, matches = _index_blobs(
-        search, arrays.expanded_to
-    )
-    n = arrays.n_rows
-    sections, payload_size = _v2_section_plan(
-        n,
-        arrays.degree,
-        arrays.mask_words,
-        arrays.n_binary,
-        arrays.parents is not None,
-        entries,
-        matches,
-    )
-    header = _v2_header(
-        search, arrays, sections, payload_size, _SHA_PLACEHOLDER,
-        index_sha, entries, matches,
-    )
+    header, index_blobs = _closure_header(search, arrays, 2)
+    sections: dict[str, tuple[int, int]] = {}
+    size = 0
+    for name, (length,) in _section_lengths(header).items():
+        size += (-size) % _ALIGN
+        sections[name] = (size, length)
+        size += length
+    header = replace(header, sections=sections, payload_size=size)
     frame = _frame_header(header)
     sha_at = out.tell() + frame.index(_SHA_PLACEHOLDER.encode())
     out.write(frame)
-    digest = hashlib.sha256()
-    written = 0
-    for name, (offset, length) in sections.items():
-        pad = b"\x00" * (offset - written)
-        out.write(pad)
-        digest.update(pad)
-        written += len(pad)
-        if name in index_blobs:
-            chunks = (index_blobs[name],)
-        else:
-            chunks = (
-                _row_bytes(arrays, name, start, start + _STREAM_ROWS)
-                for start in range(0, n, _STREAM_ROWS)
-            )
-        for chunk in chunks:
-            out.write(chunk)
-            digest.update(chunk)
-            written += len(chunk)
-        if written - offset != length:
-            raise StoreError(
-                f"streamed section {name!r} wrote {written - offset} "
-                f"bytes, planned {length}"
-            )
+    table, _size, sha = _stream_payload(
+        out,
+        _payload_spans(arrays, index_blobs, _span_rows(header), _STREAM_ROWS),
+        lambda raw: raw,
+    )
+    if table != _spans(header):
+        raise StoreError("streamed payload does not match its section plan")
     # Patch the placeholder digest in place; same length, so every
     # other byte is untouched.
     end = out.tell()
     out.seek(sha_at)
-    out.write(digest.hexdigest().encode())
+    out.write(sha.encode())
     out.seek(end)
-    return replace(header, payload_sha256=digest.hexdigest())
-
-
-def _v3_chunk_stream(arrays, index_blobs: dict, compress):
-    """Yield ``(name, compressed_chunk, raw_length)`` in on-disk order.
-
-    One chunk per level for each row array (level ``k`` of ``perms`` is
-    exactly the v2 ``perms`` section bytes of rows ``offsets[k] ..
-    offsets[k+1]``), then one chunk per ``r*`` index section.  The raw
-    bytes are pinned byte-identical to the corresponding v2 section
-    span, which is what lets a v3 store serve byte-identical results.
-    Peak extra memory is one level's raw + compressed chunk.
-    """
-    for name in _SECTIONS:
-        if name in index_blobs:
-            raw = index_blobs[name]
-            yield name, compress(raw) if raw else b"", len(raw)
-            continue
-        if getattr(arrays, name) is None:
-            continue
-        for cost in range(arrays.expanded_to + 1):
-            raw = _row_bytes(arrays, name, *arrays.level_rows(cost))
-            yield name, compress(raw) if raw else b"", len(raw)
-
-
-def _v3_write_payload(search: CascadeSearch, out, codec: str | None):
-    """Stream the v3 payload chunks to *out*; returns the header.
-
-    The returned header carries the finished chunk table, payload size
-    and sha256 (over the stored/compressed payload bytes).
-    """
-    arrays = search.export_arrays()
-    index_blobs, index_sha, entries, matches = _index_blobs(
-        search, arrays.expanded_to
-    )
-    codec_name = resolve_codec(codec)
-    compress, _decompress = _codec_fns(codec_name)
-    chunks: dict[str, list[tuple[int, int, int]]] = {}
-    digest = hashlib.sha256()
-    offset = 0
-    for name, blob, raw_len in _v3_chunk_stream(arrays, index_blobs, compress):
-        pad = (-offset) % _ALIGN
-        if pad:
-            out.write(b"\x00" * pad)
-            digest.update(b"\x00" * pad)
-            offset += pad
-        chunks.setdefault(name, []).append((offset, len(blob), raw_len))
-        out.write(blob)
-        digest.update(blob)
-        offset += len(blob)
-    # The v2 header with a chunk table instead of sections.
-    base = _v2_header(
-        search, arrays, {}, offset, digest.hexdigest(),
-        index_sha, entries, matches,
-    )
-    return replace(
-        base,
-        format_version=3,
-        codec=codec_name,
-        chunks={name: tuple(spans) for name, spans in chunks.items()},
-    )
+    return replace(header, payload_sha256=sha)
 
 
 def _write_v3(
@@ -831,13 +844,27 @@ def _write_v3(
 ) -> StoreHeader:
     """Write a v3 store to the binary handle *out*, chunk by chunk.
 
-    Chunk sizes are only known after compression, so the payload first
+    Each level of each row section, and each index section, is one
+    span compressed whole with *codec* (``None`` = best available).
+    Span sizes are only known after compression, so the payload first
     streams to an anonymous spool file in *spool_dir* (the system temp
     directory when None); the framed header and the spooled payload
     are then copied to *out*.  Peak extra memory is one level's chunk.
     """
+    codec_name = resolve_codec(codec)
+    compress = _codec_fns(codec_name)[0]
+    arrays = search.export_arrays()
+    header, index_blobs = _closure_header(search, arrays, 3)
     with tempfile.TemporaryFile(dir=spool_dir) as spool:
-        header = _v3_write_payload(search, spool, codec)
+        chunks, size, sha = _stream_payload(
+            spool,
+            _payload_spans(arrays, index_blobs, _span_rows(header), None),
+            compress,
+        )
+        header = replace(
+            header, codec=codec_name, chunks=chunks,
+            payload_size=size, payload_sha256=sha,
+        )
         out.write(_frame_header(header))
         spool.seek(0)
         shutil.copyfileobj(spool, out, 1 << 20)
@@ -911,25 +938,35 @@ def save_search(
 # -- decoding --------------------------------------------------------------------------
 
 
-def _parse_frame(data: bytes) -> tuple[StoreHeader, int]:
-    """Parse magic + header; return (header, payload start offset)."""
-    if len(data) < len(MAGIC_PREFIX) + 5 or data[: len(MAGIC_PREFIX)] != (
+#: Bytes before the JSON header: magic (with its format byte) + hlen.
+_PREFIX = len(MAGIC_PREFIX) + 5
+
+
+def _payload_start(prefix: bytes) -> int:
+    """Validate a store's magic + length prefix; return the offset at
+    which its payload starts (the end of the JSON header)."""
+    magic = prefix[: len(MAGIC_PREFIX) + 1]
+    if len(magic) < len(MAGIC_PREFIX) + 1 or not magic.startswith(
         MAGIC_PREFIX
     ):
         raise StoreError("not a closure store (bad magic)")
-    magic_version = data[len(MAGIC_PREFIX)]
-    if magic_version not in SUPPORTED_VERSIONS:
+    if magic[-1] not in SUPPORTED_VERSIONS:
         raise StoreVersionError(
-            f"store format {magic_version} is not supported (this build "
+            f"store format {magic[-1]} is not supported (this build "
             f"reads formats {SUPPORTED_VERSIONS})"
         )
-    frame = len(MAGIC_PREFIX) + 1
-    hlen = int.from_bytes(data[frame : frame + 4], "little")
-    header_start = frame + 4
-    if len(data) < header_start + hlen:
+    if len(prefix) < _PREFIX:
+        raise StoreError("truncated store header")
+    return _PREFIX + int.from_bytes(prefix[_PREFIX - 4 : _PREFIX], "little")
+
+
+def _parse_frame(data: bytes) -> tuple[StoreHeader, int]:
+    """Parse magic + header; return (header, payload start offset)."""
+    start = _payload_start(data[:_PREFIX])
+    if len(data) < start:
         raise StoreError("truncated store header")
     try:
-        raw = json.loads(data[header_start : header_start + hlen])
+        raw = json.loads(data[_PREFIX:start])
     except ValueError:
         raise StoreError("store header is not valid JSON") from None
     header = _header_from_dict(raw)
@@ -938,45 +975,17 @@ def _parse_frame(data: bytes) -> tuple[StoreHeader, int]:
             f"store format {header.format_version} is not supported "
             f"(this build reads formats {SUPPORTED_VERSIONS})"
         )
+    magic_version = data[len(MAGIC_PREFIX)]
     if header.format_version != magic_version:
         raise StoreError(
             f"store magic says format {magic_version} but the header "
             f"says {header.format_version}"
         )
-    return header, header_start + hlen
+    return header, start
 
 
-def _check_v1_payload(header: StoreHeader, payload: memoryview) -> None:
-    if len(payload) != header.payload_size:
-        raise StoreError(
-            f"store payload is {len(payload)} bytes, header says "
-            f"{header.payload_size} (truncated or padded file)"
-        )
-    if hashlib.sha256(payload).hexdigest() != header.payload_sha256:
-        raise StoreError("store payload fails its sha256 checksum")
-    record = header.degree + header.mask_bytes
-    expected = header.total_seen * record
-    if header.track_parents:
-        expected += (header.total_seen - 1) * _V1_PARENT.itemsize
-    if header.payload_size != expected:
-        raise StoreError(
-            f"payload size {header.payload_size} inconsistent with "
-            f"{header.total_seen} records of {record} bytes"
-        )
-    if len(header.level_sizes) != header.expanded_to + 1:
-        raise StoreError(
-            f"store claims bound {header.expanded_to} but lists "
-            f"{len(header.level_sizes)} level sizes"
-        )
-
-
-def _check_array_geometry(
-    header: StoreHeader, payload_size: int
-) -> tuple[int, dict[str, int]]:
-    """Level/offset sanity shared by the v2 and v3 checkers.
-
-    Returns ``(row count, expected raw section sizes)``.
-    """
+def _check_sizes(header: StoreHeader, payload_size: int) -> None:
+    """Payload size and level count, checked alike for every format."""
     if payload_size != header.payload_size:
         raise StoreError(
             f"store payload is {payload_size} bytes, header says "
@@ -987,10 +996,33 @@ def _check_array_geometry(
             f"store claims bound {header.expanded_to} but lists "
             f"{len(header.level_sizes)} level sizes"
         )
+
+
+def _check_v1_payload(header: StoreHeader, payload: memoryview) -> None:
+    _check_sizes(header, len(payload))
+    record = header.degree + header.mask_bytes
+    expected = header.total_seen * record
+    if header.track_parents:
+        expected += (header.total_seen - 1) * _V1_PARENT.itemsize
+    if header.payload_size != expected:
+        raise StoreError(
+            f"payload size {header.payload_size} inconsistent with "
+            f"{header.total_seen} records of {record} bytes"
+        )
+
+
+def _check_layout(header: StoreHeader, payload_size: int) -> None:
+    """Structural sanity of a v2/v3 header against the payload size.
+
+    The level table must add up, and every span of the span table must
+    have the raw length the row/entry counts fix and lie inside the
+    payload.  Stored lengths are only bounded: a codec decides them
+    (for a raw v2 span they equal the raw length).
+    """
+    _check_sizes(header, payload_size)
     offsets = header.level_row_offsets
     if len(offsets) != header.expanded_to + 2 or offsets[0] != 0:
         raise StoreError("store level offset table is malformed")
-    n = offsets[-1]
     for k, size in enumerate(header.level_sizes):
         if offsets[k + 1] - offsets[k] != size:
             raise StoreError(
@@ -998,125 +1030,34 @@ def _check_array_geometry(
             )
     if header.mask_words < 1:
         raise StoreError("store mask_words must be positive")
-    expected = {
-        "perms": n * header.degree,
-        "masks": n * header.mask_words * 8,
-        "rkeys": header.index_entries * header.n_binary,
-        "rcosts": header.index_entries * 4,
-        "rindptr": (header.index_entries + 1) * 8,
-        "rmatches": header.index_matches * 4,
-    }
-    if header.track_parents:
-        expected["parents"] = n * 4
-        expected["gates"] = n * 4
-    return n, expected
-
-
-def _check_v2_header(header: StoreHeader, payload_size: int) -> None:
-    """Structural sanity of a v2 header against the payload size."""
-    _n, expected = _check_array_geometry(header, payload_size)
-    for name, size in expected.items():
-        span = header.sections.get(name)
-        if span is None:
-            raise StoreError(f"store is missing its {name!r} section")
-        offset, length = span
-        if length != size:
-            raise StoreError(
-                f"store section {name!r} is {length} bytes, expected {size}"
-            )
-        if offset < 0 or offset + length > header.payload_size:
-            raise StoreError(
-                f"store section {name!r} lies outside the payload"
-            )
-
-
-#: Per-array bytes per row in the v3 chunk layout.
-_V3_ROW_BYTES = {"parents": 4, "gates": 4}
-
-
-def _check_v3_header(header: StoreHeader, payload_size: int) -> None:
-    """Structural sanity of a v3 header against the payload size.
-
-    The raw (decompressed) chunk lengths are fully determined by the
-    row/entry counts, exactly like v2 section lengths; stored lengths
-    are only bounded (the codec decides them), and every span must lie
-    inside the payload.
-    """
-    _n, expected = _check_array_geometry(header, payload_size)
-    if header.codec not in V3_CODECS:
-        raise StoreError(
-            f"store names unknown codec {header.codec!r}"
-        )
-    sizes = header.level_sizes
-    for name, total in expected.items():
-        spans = header.chunks.get(name)
+    compressed = _compressed(header)
+    if compressed and header.codec not in V3_CODECS:
+        raise StoreError(f"store names unknown codec {header.codec!r}")
+    table = _spans(header)
+    for name, expected in _section_lengths(header).items():
+        spans = table.get(name)
         if spans is None:
             raise StoreError(f"store is missing its {name!r} section")
-        if name in ("rkeys", "rcosts", "rindptr", "rmatches"):
-            per_chunk = [total]
-        else:
-            row_bytes = _V3_ROW_BYTES.get(name) or (
-                header.degree if name == "perms" else header.mask_words * 8
-            )
-            per_chunk = [size * row_bytes for size in sizes]
-        if len(spans) != len(per_chunk):
+        if len(spans) != len(expected):
             raise StoreError(
                 f"store section {name!r} has {len(spans)} chunks, "
-                f"expected {len(per_chunk)}"
+                f"expected {len(expected)}"
             )
-        for idx, (span, raw_expected) in enumerate(zip(spans, per_chunk)):
-            offset, stored, raw = span
-            if raw != raw_expected:
+        for idx, ((offset, stored, raw), size) in enumerate(
+            zip(spans, expected)
+        ):
+            where = f"chunk {name!r}[{idx}]" if compressed else (
+                f"section {name!r}"
+            )
+            if raw != size:
+                verb = "decodes to" if compressed else "is"
                 raise StoreError(
-                    f"store chunk {name!r}[{idx}] decodes to {raw} "
-                    f"bytes, expected {raw_expected}"
+                    f"store {where} {verb} {raw} bytes, expected {size}"
                 )
             if offset < 0 or stored < 0 or (
                 offset + stored > header.payload_size
             ):
-                raise StoreError(
-                    f"store chunk {name!r}[{idx}] lies outside the payload"
-                )
-
-
-def _section(header: StoreHeader, payload, name: str, dtype, shape=None):
-    """A zero-copy ndarray view of one v2 payload section.
-
-    ``dtype`` must be an explicit little-endian spec (``"<u8"`` etc.) --
-    sections are written little-endian, so native-order views would be
-    byte-swapped on big-endian hosts.
-    """
-    offset, length = header.sections[name]
-    view = np.frombuffer(payload, dtype=np.uint8, count=length, offset=offset)
-    arr = view.view(np.dtype(dtype))
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
-
-
-def _v2_arrays(header: StoreHeader, payload) -> SearchArrays:
-    """SearchArrays over a v2 payload (a memmap, bytes or memoryview)."""
-    n = header.level_row_offsets[-1]
-    parents = gates = None
-    if header.track_parents:
-        parents = _section(header, payload, "parents", "<i4", (n,))
-        gates = _section(header, payload, "gates", "<i4", (n,))
-    return SearchArrays(
-        expanded_to=header.expanded_to,
-        degree=header.degree,
-        n_binary=header.n_binary,
-        mask_words=header.mask_words,
-        level_offsets=np.asarray(header.level_row_offsets, dtype=np.int64),
-        perms=_section(
-            header, payload, "perms", np.uint8, (n, header.degree)
-        ),
-        masks=_section(
-            header, payload, "masks", "<u8", (n, header.mask_words)
-        ),
-        parents=parents,
-        gates=gates,
-        elapsed_seconds=header.elapsed_seconds,
-    )
+                raise StoreError(f"store {where} lies outside the payload")
 
 
 #: File identities whose index sections already passed verification
@@ -1149,51 +1090,7 @@ def _file_identity(path: Path) -> tuple | None:
     return _identity_from_stat(path, stat)
 
 
-def _v2_remainder_index(
-    header: StoreHeader, payload, cache_key: tuple | None = None
-) -> dict:
-    """Deserialize the remainder index; verifies its per-section hashes.
-
-    These sections are small and read eagerly, so the checksum pass is
-    cheap -- corruption of the index fails loudly even on the lazy
-    memory-mapped open (closure sections are only covered by the full
-    :func:`verify_store` pass).  With a *cache_key* (the opened file's
-    identity), a successful verification is remembered per process, so
-    repeated opens of the same unchanged file -- e.g. consecutive
-    ``precompute --extend`` rounds -- skip re-hashing the sections.
-    """
-    verified = (
-        cache_key is not None
-        and _INDEX_VERIFIED.get(cache_key) == header.index_sha256
-    )
-    if not verified:
-        for name, expected in header.index_sha256.items():
-            section = _section(header, payload, name, np.uint8)
-            if hashlib.sha256(section.tobytes()).hexdigest() != expected:
-                raise StoreError(
-                    f"store section {name!r} fails its sha256 checksum"
-                )
-        if cache_key is not None:
-            while len(_INDEX_VERIFIED) >= _INDEX_VERIFIED_MAX:
-                _INDEX_VERIFIED.pop(next(iter(_INDEX_VERIFIED)))
-            _INDEX_VERIFIED[cache_key] = dict(header.index_sha256)
-    entries = header.index_entries
-    width = header.n_binary
-    keys = _section(header, payload, "rkeys", np.uint8).tobytes()
-    costs = _section(header, payload, "rcosts", "<i4")
-    indptr = _section(header, payload, "rindptr", "<i8")
-    matches = _section(header, payload, "rmatches", "<i4")
-    index: dict[bytes, tuple[int, np.ndarray]] = {}
-    for e in range(entries):
-        remainder = keys[e * width : (e + 1) * width]
-        index[remainder] = (
-            int(costs[e]),
-            matches[int(indptr[e]) : int(indptr[e + 1])],
-        )
-    return index
-
-
-# -- v3 lazy reading -------------------------------------------------------------------
+# -- mapped reading (v2 and v3 spans) --------------------------------------------------
 
 
 class _SectionCache:
@@ -1276,29 +1173,48 @@ def section_cache_stats() -> dict:
     return _SECTION_CACHE.stats()
 
 
-class _ChunkStore:
-    """Decompress-on-touch access to one v3 store's payload chunks.
+class _Payload:
+    """Span-by-span access to one mapped store payload.
 
-    Holds the (compressed) payload -- a memmap for file opens, so the
-    inode stays pinned across atomic replaces exactly like a v2 map --
-    and inflates single chunks on demand through the process-wide
-    :data:`_SECTION_CACHE` (when a *cache_key* identity is given).
+    Holds the payload -- a memmap for file opens, so the inode stays
+    pinned across atomic replaces -- and hands out single spans of the
+    span table (:func:`_spans`) as read-only ndarrays.  A raw v2 span
+    is a zero-copy view of the payload; a compressed v3 span inflates
+    on touch through the process-wide :data:`_SECTION_CACHE` (when a
+    *cache_key* file identity is given).
     """
 
     def __init__(
         self, header: StoreHeader, payload, cache_key: tuple | None = None
     ):
-        self._header = header
+        self.spans = _spans(header)
+        self.cache_key = cache_key
+        self.compressed = _compressed(header)
         self._payload = payload
-        self._cache_key = cache_key
-        _compress, self._decompress = _codec_fns(header.codec)
+        self._codec = header.codec
+        if self.compressed:
+            _compress, self._decompress = _codec_fns(header.codec)
 
-    def chunk(self, name: str, idx: int) -> bytes:
-        """The decompressed bytes of one chunk (cached per process)."""
-        offset, stored, raw_len = self._header.chunks[name][idx]
+    def span(self, name: str, idx: int, dtype=np.uint8, width=None):
+        """Span *idx* of section *name* as a flat or ``(rows, width)``
+        array of *dtype* (an explicit little-endian spec such as
+        ``"<u8"``: sections are little-endian on disk)."""
+        if self.compressed:
+            view = np.frombuffer(self._inflate(name, idx), dtype=np.uint8)
+        else:
+            offset, length, _raw = self.spans[name][idx]
+            view = np.frombuffer(
+                self._payload, dtype=np.uint8, count=length, offset=offset
+            )
+        arr = view.view(np.dtype(dtype))
+        return arr if width is None else arr.reshape(-1, width)
+
+    def _inflate(self, name: str, idx: int) -> bytes:
+        """The decompressed bytes of one span (cached per process)."""
+        offset, stored, raw_len = self.spans[name][idx]
         key = None
-        if self._cache_key is not None:
-            key = (self._cache_key, name, idx)
+        if self.cache_key is not None:
+            key = (self.cache_key, name, idx)
             cached = _SECTION_CACHE.get(key)
             if cached is not None:
                 return cached
@@ -1311,7 +1227,7 @@ class _ChunkStore:
         except Exception as exc:
             raise StoreError(
                 f"store chunk {name!r}[{idx}] fails to decompress "
-                f"({self._header.codec}): {exc}"
+                f"({self._codec}): {exc}"
             ) from None
         if len(raw) != raw_len:
             raise StoreError(
@@ -1321,13 +1237,6 @@ class _ChunkStore:
         if key is not None:
             _SECTION_CACHE.put(key, raw)
         return raw
-
-    def level_array(self, name: str, idx: int, dtype, width: int | None):
-        """One chunk as a read-only ndarray (``(rows, width)`` or flat)."""
-        arr = np.frombuffer(self.chunk(name, idx), dtype=np.dtype(dtype))
-        if width is not None:
-            arr = arr.reshape(-1, width)
-        return arr
 
 
 class _LazyChunkedArray:
@@ -1343,13 +1252,13 @@ class _LazyChunkedArray:
 
     def __init__(
         self,
-        chunks: _ChunkStore,
+        payload: _Payload,
         name: str,
         dtype,
         width: int | None,
         level_offsets,
     ):
-        self._chunks = chunks
+        self._payload = payload
         self._name = name
         self.dtype = np.dtype(dtype)
         self._width = width
@@ -1367,9 +1276,7 @@ class _LazyChunkedArray:
         )
 
     def _level(self, k: int):
-        return self._chunks.level_array(
-            self._name, k, self.dtype, self._width
-        )
+        return self._payload.span(self._name, k, self.dtype, self._width)
 
     def __getitem__(self, key):
         n = self.shape[0]
@@ -1419,52 +1326,67 @@ class _LazyChunkedArray:
         return np.asarray(full)
 
 
-def _v3_arrays(header: StoreHeader, chunks: _ChunkStore) -> SearchArrays:
-    """Lazy SearchArrays over a v3 chunk store (decompress on touch)."""
+def _arrays(header: StoreHeader, payload: _Payload) -> SearchArrays:
+    """SearchArrays over a mapped payload.
+
+    A raw v2 section is one span, served as a direct view of the map;
+    compressed v3 sections are per-level spans behind
+    :class:`_LazyChunkedArray`, which inflates them on touch.
+    """
     offsets = np.asarray(header.level_row_offsets, dtype=np.int64)
+
+    def rows(name: str, width=None):
+        dtype = _ROW_DTYPES[name]
+        if payload.compressed:
+            return _LazyChunkedArray(payload, name, dtype, width, offsets)
+        return payload.span(name, 0, dtype, width)
+
     parents = gates = None
     if header.track_parents:
-        parents = _LazyChunkedArray(chunks, "parents", "<i4", None, offsets)
-        gates = _LazyChunkedArray(chunks, "gates", "<i4", None, offsets)
+        parents = rows("parents")
+        gates = rows("gates")
     return SearchArrays(
         expanded_to=header.expanded_to,
         degree=header.degree,
         n_binary=header.n_binary,
         mask_words=header.mask_words,
         level_offsets=offsets,
-        perms=_LazyChunkedArray(
-            chunks, "perms", np.uint8, header.degree, offsets
-        ),
-        masks=_LazyChunkedArray(
-            chunks, "masks", "<u8", header.mask_words, offsets
-        ),
+        perms=rows("perms", header.degree),
+        masks=rows("masks", header.mask_words),
         parents=parents,
         gates=gates,
         elapsed_seconds=header.elapsed_seconds,
     )
 
 
-def _v3_remainder_index(
-    header: StoreHeader, chunks: _ChunkStore, cache_key: tuple | None = None
-) -> dict:
-    """Deserialize a v3 remainder index; verifies its raw-byte hashes.
+def _remainder_index(header: StoreHeader, payload: _Payload) -> dict:
+    """Deserialize the remainder index; verifies its per-section hashes.
 
-    The ``index_sha256`` digests cover the *decompressed* section bytes
-    -- the same values a v2 store records -- so the eager-verification
-    guarantee (and the per-process verified-identity cache) carries
-    over unchanged.
+    These sections are small and read eagerly, so the checksum pass is
+    cheap -- corruption of the index fails loudly even on the lazy
+    memory-mapped open (closure sections are only covered by the full
+    :func:`verify_store` pass).  The ``index_sha256`` digests cover the
+    raw section bytes, so v2 and v3 record and check the same values.
+    With a file identity as the payload's ``cache_key``, a successful
+    verification is remembered per process, so repeated opens of the
+    same unchanged file -- e.g. consecutive ``precompute --extend``
+    rounds -- skip re-hashing the sections.
     """
-    blobs = {
-        name: chunks.chunk(name, 0)
+    sections = {
+        name: payload.span(name, 0)
         for name in ("rkeys", "rcosts", "rindptr", "rmatches")
     }
+    cache_key = payload.cache_key
     verified = (
         cache_key is not None
         and _INDEX_VERIFIED.get(cache_key) == header.index_sha256
     )
     if not verified:
         for name, expected in header.index_sha256.items():
-            if hashlib.sha256(blobs[name]).hexdigest() != expected:
+            section = sections.get(name)
+            if section is None or (
+                hashlib.sha256(section).hexdigest() != expected
+            ):
                 raise StoreError(
                     f"store section {name!r} fails its sha256 checksum"
                 )
@@ -1472,14 +1394,13 @@ def _v3_remainder_index(
             while len(_INDEX_VERIFIED) >= _INDEX_VERIFIED_MAX:
                 _INDEX_VERIFIED.pop(next(iter(_INDEX_VERIFIED)))
             _INDEX_VERIFIED[cache_key] = dict(header.index_sha256)
-    entries = header.index_entries
     width = header.n_binary
-    keys = blobs["rkeys"]
-    costs = np.frombuffer(blobs["rcosts"], dtype="<i4")
-    indptr = np.frombuffer(blobs["rindptr"], dtype="<i8")
-    matches = np.frombuffer(blobs["rmatches"], dtype="<i4")
+    keys = sections["rkeys"].tobytes()
+    costs = sections["rcosts"].view("<i4")
+    indptr = sections["rindptr"].view("<i8")
+    matches = sections["rmatches"].view("<i4")
     index: dict[bytes, tuple[int, np.ndarray]] = {}
-    for e in range(entries):
+    for e in range(header.index_entries):
         remainder = keys[e * width : (e + 1) * width]
         index[remainder] = (
             int(costs[e]),
@@ -1495,12 +1416,9 @@ def _split(data: bytes) -> tuple[StoreHeader, memoryview]:
     if header.format_version == 1:
         _check_v1_payload(header, payload)
     else:
-        if header.format_version >= 3:
-            _check_v3_header(header, len(payload))
-        else:
-            _check_v2_header(header, len(payload))
-        if hashlib.sha256(payload).hexdigest() != header.payload_sha256:
-            raise StoreError("store payload fails its sha256 checksum")
+        _check_layout(header, len(payload))
+    if hashlib.sha256(payload).hexdigest() != header.payload_sha256:
+        raise StoreError("store payload fails its sha256 checksum")
     return header, payload
 
 
@@ -1579,28 +1497,10 @@ def _read_header(path: Path) -> tuple[StoreHeader, tuple]:
     """
     with open(path, "rb") as handle:
         identity = _identity_from_stat(path, os.fstat(handle.fileno()))
-        magic = handle.read(len(MAGIC_PREFIX) + 1)
-        if len(magic) < len(MAGIC_PREFIX) + 1 or not magic.startswith(
-            MAGIC_PREFIX
-        ):
-            raise StoreError("not a closure store (bad magic)")
-        if magic[-1] not in SUPPORTED_VERSIONS:
-            raise StoreVersionError(
-                f"store format {magic[-1]} is not supported (this build "
-                f"reads formats {SUPPORTED_VERSIONS})"
-            )
-        hlen_bytes = handle.read(4)
-        if len(hlen_bytes) < 4:
-            raise StoreError("truncated store header")
-        hlen = int.from_bytes(hlen_bytes, "little")
-        blob = handle.read(hlen)
-    if len(blob) < hlen:
-        raise StoreError("truncated store header")
-    try:
-        raw = json.loads(blob)
-    except ValueError:
-        raise StoreError("store header is not valid JSON") from None
-    return _header_from_dict(raw), identity
+        prefix = handle.read(_PREFIX)
+        blob = handle.read(_payload_start(prefix) - _PREFIX)
+    header, _start = _parse_frame(prefix + blob)
+    return header, identity
 
 
 def read_header(path: str | Path) -> StoreHeader:
@@ -1672,19 +1572,12 @@ def _load_split(
         if arrays.parents is not None:
             _check_parents(arrays, len(library))
         return search
-    if header.format_version >= 3:
-        chunks = _ChunkStore(header, payload, cache_key=cache_key)
-        search = CascadeSearch.from_arrays(
-            library, _v3_arrays(header, chunks), cost_model,
-            shard_layout=header.shards,
-        )
-        index = _v3_remainder_index(header, chunks, cache_key=cache_key)
-    else:
-        search = CascadeSearch.from_arrays(
-            library, _v2_arrays(header, payload), cost_model,
-            shard_layout=header.shards,
-        )
-        index = _v2_remainder_index(header, payload, cache_key=cache_key)
+    mapped = _Payload(header, payload, cache_key=cache_key)
+    search = CascadeSearch.from_arrays(
+        library, _arrays(header, mapped), cost_model,
+        shard_layout=header.shards,
+    )
+    index = _remainder_index(header, mapped)
     search.attach_remainder_index(header.expanded_to, index)
     return search
 
@@ -1762,7 +1655,7 @@ def _map_store(
     mismatch: ``repro serve``'s SIGHUP reload replaces store files
     exactly this way.
     """
-    if header.format_version not in (2, 3):
+    if header.format_version == 1:
         raise StoreVersionError(
             f"expected a mappable v2/v3 store, found format "
             f"{header.format_version}"
@@ -1778,14 +1671,8 @@ def _map_store(
                     "file after its header was read); retry the open to "
                     "load the new store"
                 )
-        handle.seek(len(MAGIC_PREFIX) + 1)
-        hlen = int.from_bytes(handle.read(4), "little")
-        payload_start = len(MAGIC_PREFIX) + 5 + hlen
-        actual = stat.st_size - payload_start
-        if header.format_version >= 3:
-            _check_v3_header(header, actual)
-        else:
-            _check_v2_header(header, actual)
+        payload_start = _payload_start(handle.read(_PREFIX))
+        _check_layout(header, stat.st_size - payload_start)
         # Mapping through the open handle (not the path) pins the very
         # inode that was statted; the map outlives the handle.
         return np.memmap(
@@ -1834,17 +1721,12 @@ def projected_shard_layout(
         )
     path = Path(path)
     header, identity = _read_header(path)
-    if header.format_version < 2:
+    if header.format_version == 1:
         raise StoreVersionError(
             "projecting a shard layout needs a memory-mapped v2/v3 store"
         )
     payload = _map_store(path, header, expected_identity=identity)
-    if header.format_version >= 3:
-        arrays = _v3_arrays(
-            header, _ChunkStore(header, payload, cache_key=identity)
-        )
-    else:
-        arrays = _v2_arrays(header, payload)
+    arrays = _arrays(header, _Payload(header, payload, cache_key=identity))
     counts = np.zeros(1 << shard_bits, dtype=np.int64)
     for level in range(header.expanded_to + 1):
         start, stop = arrays.level_rows(level)
@@ -1878,18 +1760,16 @@ def verify_store(path: str | Path) -> StoreHeader:
     index: dict = {}
     if header.format_version == 1:
         arrays = _v1_arrays(header, payload)
-    elif header.format_version >= 3:
-        chunks = _ChunkStore(header, payload)
-        # Decompress every chunk once: any codec error or raw-length
-        # mismatch fails here, before the structural checks.
-        for name, spans in header.chunks.items():
-            for idx in range(len(spans)):
-                chunks.chunk(name, idx)
-        arrays = _v3_arrays(header, chunks)
-        index = _v3_remainder_index(header, chunks)
     else:
-        arrays = _v2_arrays(header, payload)
-        index = _v2_remainder_index(header, payload)
+        mapped = _Payload(header, payload)
+        # Read every span once: any codec error or raw-length mismatch
+        # fails here, before the structural checks (a raw v2 span is a
+        # free view).
+        for name, spans in mapped.spans.items():
+            for idx in range(len(spans)):
+                mapped.span(name, idx)
+        arrays = _arrays(header, mapped)
+        index = _remainder_index(header, mapped)
     library = header.rebuild_library()
     # Full structural validation (identity row, offsets, shapes).
     search = CascadeSearch.from_arrays(

@@ -324,6 +324,22 @@ async def run_fleet(
             manager.run_dir, "router.access.ndjson"
         )
 
+    # The router is built before any replica starts, so a bad router
+    # flag fails at once instead of after a full fleet start-up.
+    # One TraceSource shared by the front end (which mints the
+    # trace_id for untraced requests) and the router (which mints
+    # the per-attempt span_ids) -- the fleet's tracing edge.
+    traces = TraceSource()
+    router = RouterService(
+        manager.endpoints(),
+        retries=retries,
+        attempt_timeout=attempt_timeout,
+        max_inflight=max_inflight,
+        breaker_threshold=breaker_threshold,
+        breaker_cooldown=breaker_cooldown,
+        trace_source=traces,
+        access_log=router_access_log,
+    )
     loop = asyncio.get_running_loop()
     manager.spawn_all()
     server: ReproServer | None = None
@@ -335,20 +351,6 @@ async def run_fleet(
             )
             for name in manager.backends
         ])
-        # One TraceSource shared by the front end (which mints the
-        # trace_id for untraced requests) and the router (which mints
-        # the per-attempt span_ids) -- the fleet's tracing edge.
-        traces = TraceSource()
-        router = RouterService(
-            manager.endpoints(),
-            retries=retries,
-            attempt_timeout=attempt_timeout,
-            max_inflight=max_inflight,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown=breaker_cooldown,
-            trace_source=traces,
-            access_log=router_access_log,
-        )
         server = ReproServer(
             router, host, port, unix_path=unix, drain_timeout=drain_timeout,
             trace_source=traces,

@@ -259,7 +259,7 @@ class Backend:
         breaker: CircuitBreaker | None = None,
     ):
         if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+            raise InvalidValueError("max_inflight must be >= 1")
         self.name = name
         self.endpoint = endpoint
         self.family, self.target = parse_endpoint(endpoint)

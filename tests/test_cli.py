@@ -557,6 +557,23 @@ def test_os_errors_are_clean_errors(argv, capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+def test_precompute_checks_out_dir_before_expanding(
+    parent, capsys, tmp_path, monkeypatch
+):
+    (tmp_path / "a-file").write_text("")
+
+    def no_expansion(self, *args, **kwargs):
+        raise AssertionError("expanded before checking the output dir")
+
+    monkeypatch.setattr(CascadeSearch, "extend_to", no_expansion)
+    out = tmp_path / parent / "x.rpro"
+    assert main(["precompute", str(out), "--cost-bound", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
 def test_negative_retries_is_a_clean_error(capsys, tmp_path):
     log = tmp_path / "access.ndjson"
     log.write_text("")

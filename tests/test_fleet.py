@@ -213,6 +213,24 @@ class TestRouterUnits:
         with pytest.raises(InvalidValueError, match="retries"):
             RouterService({"b0": "unix:/tmp/absent-0.sock"}, retries=-1)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-inflight", "0"), ("--retries", "-1"),
+    ])
+    def test_bad_router_flag_fails_before_any_replica_starts(
+        self, flag, value, store_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_spawn(self):
+            raise AssertionError("replicas spawned before the router flags")
+
+        monkeypatch.setattr(FleetManager, "spawn_all", no_spawn)
+        argv = [
+            "fleet", "serve", str(store_path), "--port", "0",
+            "--run-dir", str(tmp_path), flag, value,
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class _FakeBackend:
     def __init__(self, name, alive=True, supervised=True):

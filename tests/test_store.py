@@ -200,3 +200,60 @@ class TestCorruption:
         path.write_bytes(b"hello world, definitely not a store")
         with pytest.raises(StoreError):
             read_header(path)
+
+    @pytest.mark.parametrize("opener", ["loads_search", "open_store"])
+    @pytest.mark.parametrize("format_version, fault, message", [
+        (2, "missing", "missing its 'masks' section"),
+        (2, "raw-length", r"section 'perms' is \d+ bytes, expected \d+"),
+        (2, "outside", "section 'rkeys' lies outside the payload"),
+        (3, "missing", "missing its 'masks' section"),
+        (3, "raw-length", r"chunk 'perms'\[0\] decodes to \d+ bytes"),
+        (3, "outside", r"chunk 'rkeys'\[0\] lies outside the payload"),
+        (3, "chunk-count", r"section 'perms' has \d+ chunks, expected \d+"),
+    ])
+    def test_layout_check(
+        self, small_search, library3, tmp_path, opener, format_version,
+        fault, message,
+    ):
+        """Both formats and both open paths refuse a doctored span table
+        with the layout check's message."""
+        data = dump_search(small_search, format_version)
+        start = 12 + int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:start])
+        payload = data[start:]
+        table = header.get("sections") or header["chunks"]
+
+        def first(name):  # v2 [offset, length]; v3 [offset, stored, raw]
+            return table[name] if format_version == 2 else table[name][0]
+
+        if fault == "missing":
+            del table["masks"]
+        elif fault == "raw-length":
+            first("perms")[-1] += header["degree"]
+        elif fault == "outside":
+            first("rkeys")[0] = len(payload) + 8
+        else:
+            table["perms"].pop()
+        blob = json.dumps(header, separators=(",", ":")).encode()
+        blob += b" " * ((-(12 + len(blob))) % 8)
+        doctored = data[:8] + len(blob).to_bytes(4, "little") + blob + payload
+        with pytest.raises(StoreError, match=message):
+            if opener == "loads_search":
+                loads_search(doctored, library3)
+            else:
+                path = tmp_path / "doctored.rpro"
+                path.write_bytes(doctored)
+                open_store(path)
+
+    def test_digest_of_unknown_index_section_is_refused(
+        self, store_bytes, library3
+    ):
+        import dataclasses
+
+        from repro.core.store import _frame_header, _split
+
+        header, payload = _split(store_bytes)
+        digests = dict(header.index_sha256, extra="0" * 64)
+        doctored = dataclasses.replace(header, index_sha256=digests)
+        with pytest.raises(StoreError, match="'extra' fails its sha256"):
+            loads_search(_frame_header(doctored) + bytes(payload), library3)
