@@ -310,6 +310,7 @@ def _cmd_precompute(args) -> int:
 
 
 def _cmd_store_info(args) -> int:
+    from repro.core.store import _compressed, _spans
     from repro.io import read_header
 
     path = args.file
@@ -352,37 +353,36 @@ def _cmd_store_info(args) -> int:
     )
     print(f"  levels |B[k]|: {list(header.level_sizes)}")
     print(f"  expansion time: {header.elapsed_seconds:.2f}s")
-    if header.format_version >= 3:
-        stored = sum(
-            s for spans in header.chunks.values() for (_, s, _) in spans
-        )
-        raw = sum(
-            r for spans in header.chunks.values() for (_, _, r) in spans
-        )
-        ratio = stored / raw if raw else 1.0
-        print(
-            f"  layout: chunk-compressed v3 ({header.codec} codec, "
-            "decompress-on-touch)"
-        )
-        print(
-            f"  chunks: {sum(len(s) for s in header.chunks.values())} "
-            f"spans over {len(header.chunks)} sections, "
-            f"{stored / 1e6:.1f} MB compressed / {raw / 1e6:.1f} MB raw "
-            f"({ratio:.2f}x)"
-        )
-    elif header.format_version >= 2:
-        print(
-            "  layout: memory-mapped v2 (8-aligned sections, "
-            "O(queries touched) open)"
-        )
-        print(
-            f"  sections: "
-            + ", ".join(
-                f"{name}@{off}+{length}"
-                for name, (off, length) in header.sections.items()
-            )
-        )
     if header.format_version >= 2:
+        # The layout comes off the span table: one span per v2 section,
+        # one per v3 chunk.
+        spans = _spans(header)
+        if _compressed(header):
+            stored = sum(s for entries in spans.values() for _, s, _ in entries)
+            raw = sum(r for entries in spans.values() for *_, r in entries)
+            ratio = stored / raw if raw else 1.0
+            print(
+                f"  layout: chunk-compressed v3 ({header.codec} codec, "
+                "decompress-on-touch)"
+            )
+            print(
+                f"  chunks: {sum(len(e) for e in spans.values())} "
+                f"spans over {len(spans)} sections, "
+                f"{stored / 1e6:.1f} MB compressed / {raw / 1e6:.1f} MB "
+                f"raw ({ratio:.2f}x)"
+            )
+        else:
+            print(
+                "  layout: memory-mapped v2 (8-aligned sections, "
+                "O(queries touched) open)"
+            )
+            print(
+                "  sections: "
+                + ", ".join(
+                    f"{name}@{offset}+{raw}"
+                    for name, ((offset, _, raw),) in spans.items()
+                )
+            )
         print(
             f"  remainder index: {header.index_entries} reversible "
             f"functions, {header.index_matches} minimal-cost witnesses "
@@ -408,6 +408,7 @@ def _cmd_store_info(args) -> int:
 
 def _cmd_store_shards(args) -> int:
     """Per-level rows, section sizes, shard layout -- budget sizing aid."""
+    from repro.core.store import _compressed, _spans
     from repro.io import read_header
     from repro.render.tables import format_table
 
@@ -423,25 +424,26 @@ def _cmd_store_shards(args) -> int:
         print(format_table(["level", "first row", "rows"], rows))
     else:
         print(f"  levels |B[k]|: {list(header.level_sizes)} (v1: no offsets)")
-    if header.sections:
-        rows = [
-            [name, offset, length]
-            for name, (offset, length) in header.sections.items()
-        ]
-        print(format_table(["section", "offset", "bytes"], rows))
-    elif header.chunks:
-        rows = [
-            [
-                name,
-                len(spans),
-                sum(s for (_, s, _) in spans),
-                sum(r for (_, _, r) in spans),
+    if header.format_version >= 2:
+        spans = _spans(header)
+        if _compressed(header):
+            columns = ["section", "chunks", "stored bytes", "raw bytes"]
+            rows = [
+                [
+                    name,
+                    len(entries),
+                    sum(s for _, s, _ in entries),
+                    sum(r for *_, r in entries),
+                ]
+                for name, entries in spans.items()
             ]
-            for name, spans in header.chunks.items()
-        ]
-        print(format_table(
-            ["section", "chunks", "stored bytes", "raw bytes"], rows
-        ))
+        else:
+            columns = ["section", "offset", "bytes"]
+            rows = [
+                [name, offset, raw]
+                for name, ((offset, _, raw),) in spans.items()
+            ]
+        print(format_table(columns, rows))
     layout = header.shards
     if not layout and bits is None and header.format_version >= 2:
         print(

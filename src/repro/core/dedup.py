@@ -272,13 +272,32 @@ class ShardedDedupTable:
         counts = self._rows + np.bincount(
             shard_of(cand_hashes, self.shard_bits), minlength=self.n_shards
         )
-        need = int(counts.max())
-        if need * 4 <= (1 << self._slab_bits):
-            return
+        self._fit(int(counts.max()), all_hashes, n_rows)
+
+    def reserve_rows(
+        self, extra: int, all_hashes: np.ndarray, n_rows: int
+    ) -> None:
+        """Grow slabs once for *extra* more rows spread evenly over the
+        shards (the engine calls this per level, with the plan's kept
+        count); :meth:`reserve` stays the per-batch safety net for
+        shard skew.  Arguments as in :meth:`reserve`.
+        """
+        mean = -(-(self.n_rows + extra) // self.n_shards)
+        self._fit(mean, all_hashes, n_rows)
+
+    def _bits_for(self, need: int) -> int:
+        """Smallest slab bits (not below the current) that keep *need*
+        rows in one shard under load factor 1/4."""
         bits = self._slab_bits
         while need * 4 > (1 << bits):
             bits += 1
-        self._regrow(bits, all_hashes, n_rows)
+        return bits
+
+    def _fit(self, need: int, all_hashes: np.ndarray, n_rows: int) -> None:
+        """Regrow so one shard holds *need* rows under load 1/4."""
+        bits = self._bits_for(need)
+        if bits != self._slab_bits:
+            self._regrow(bits, all_hashes, n_rows)
 
     def _regrow(self, bits: int, all_hashes: np.ndarray, n_rows: int) -> None:
         spill_next = self.persistent or (
@@ -321,11 +340,8 @@ class ShardedDedupTable:
             return
         shards = shard_of(hashes, self.shard_bits)
         counts = self._rows + np.bincount(shards, minlength=self.n_shards)
-        need = int(counts.max())
-        if need * 4 > (1 << self._slab_bits):
-            bits = self._slab_bits
-            while need * 4 > (1 << bits):
-                bits += 1
+        bits = self._bits_for(int(counts.max()))
+        if bits != self._slab_bits:
             prior = n_rows_after - hashes.size
             # _regrow reinserts rows 1..n_rows_after in one pass (the
             # new rows are part of all_hashes already), so we are done.

@@ -32,13 +32,17 @@ over fixed-size candidate batches on a :class:`VectorEngine`:
   mass at the deep levels without touching a single row byte (see
   :class:`RelationFilter` for why it cannot change results).
 
-* **Streaming.**  A level's planned candidates are composed, hashed and
-  committed one fixed-size batch (:data:`_BATCH_BYTES` of rows) at a
-  time, in library-gate order, through one reused scratch buffer; the
-  row store is sized once per level to the plan's upper bound.  Each
-  batch dedups against every row committed before it -- earlier levels
-  and earlier batches alike -- so the closure is the one a single
-  whole-level batch would find, at a fraction of the scratch memory.
+* **Streaming, in two stages.**  A level's planned candidates are
+  cut into batches (half of :data:`_BATCH_BYTES` of rows, at most
+  :data:`_BATCH_ROWS` rows, and a short first one), in library-gate
+  order.  A worker thread composes, hashes and masks batch k+1 into
+  one of two reused scratch sets while the calling thread dedups and
+  commits batch k from the other; batches commit in candidate order.
+  The row store and the dedup table are sized once per level from the
+  plan's kept count.  Each batch dedups against every row committed
+  before it -- earlier levels and earlier batches alike -- so the
+  closure is the one a single whole-level batch would find, at a
+  fraction of the scratch memory.
 
 * **Dedup.**  New candidates are separated from duplicates by a
   :class:`~repro.core.dedup.ShardedDedupTable`: per-shard
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -128,9 +133,17 @@ def pack_rows(rows: np.ndarray, degree: int) -> np.ndarray:
 
 #: Row-block size for cache-blocked column sweeps (rows * width ~ L2).
 _CHUNK = 1 << 16
-#: Candidate rows composed and committed per batch, in bytes of packed
-#: rows (95,325 rows at 4 qubits): bounds the expansion scratch.
+#: Bytes of packed candidate rows in flight: bounds the expansion
+#: scratch, which is two half-size batches (one composed while the
+#: other commits; 47,662 rows each at 4 qubits).
 _BATCH_BYTES = 16 << 20
+#: Most candidates per batch whatever the row width, so narrow rows
+#: (3 qubits, the ternary and quaternary libraries) still get several
+#: batches a level to overlap.
+_BATCH_ROWS = 1 << 16
+#: Rows the worker gathers, composes, hashes and masks together, so
+#: each step's temporaries stay cache-sized.
+_BLOCK = 1 << 12
 
 
 def hash_rows(packed: np.ndarray) -> np.ndarray:
@@ -156,17 +169,24 @@ def hash_rows(packed: np.ndarray) -> np.ndarray:
 
 #: ``_BIT64[i] == 1 << i`` -- gather table for vectorized mask building.
 _BIT64 = _ONE << np.arange(64, dtype=np.uint64)
+#: Row-block size of the multi-word mask builder's presence matrix
+#: (``rows * 64 * words`` bools, kept cache-sized).
+_MASK_CHUNK = 1 << 13
 
 
-def compute_masks(perms: np.ndarray, n_binary: int, words: int) -> np.ndarray:
+def compute_masks(
+    perms: np.ndarray, n_binary: int, words: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """S-image mask words for each row: OR of ``1 << image`` over S.
 
     ``perms`` may be padded or degree-wide; only the first *n_binary*
     columns (the binary labels, always the low indices of the reduced
-    ordering) are read.
+    ordering) are read.  Writes into *out* (``(n, words)`` u64) when
+    given.
     """
     n = perms.shape[0]
-    out = np.zeros((n, words), dtype=np.uint64)
+    if out is None:
+        out = np.empty((n, words), dtype=np.uint64)
     if words == 1:
         for start in range(0, n, _CHUNK):
             block = perms[start : start + _CHUNK]
@@ -175,15 +195,15 @@ def compute_masks(perms: np.ndarray, n_binary: int, words: int) -> np.ndarray:
                 mask |= _BIT64[block[:, j]]
             out[start : start + _CHUNK, 0] = mask
         return out
-    flat = out.reshape(-1)
-    for start in range(0, n, _CHUNK):
-        block = perms[start : start + _CHUNK]
-        base = np.arange(start, start + block.shape[0], dtype=np.int64) * words
-        # One scatter per column: each row's word index is distinct
-        # within a column, so the buffered ``|=`` loses no bits.
-        for j in range(n_binary):
-            img = block[:, j]
-            flat[base + (img >> 6)] |= _BIT64[img & 63]
+    for start in range(0, n, _MASK_CHUNK):
+        block = perms[start : start + _MASK_CHUNK, :n_binary]
+        # One presence row of 64 * words flags per permutation, packed
+        # bit i of byte b = label 8b + i: the little-endian u64 words.
+        present = np.zeros((block.shape[0], 64 * words), dtype=bool)
+        present[np.arange(block.shape[0])[:, None], block] = True
+        out[start : start + _MASK_CHUNK] = np.packbits(
+            present, axis=1, bitorder="little"
+        ).view(np.uint64)
     return out
 
 
@@ -541,6 +561,29 @@ class SearchArrays:
         return int(self.level_offsets[cost]), int(self.level_offsets[cost + 1])
 
 
+class _Scratch:
+    """One batch of candidate scratch: packed rows and their hashes,
+    S-image masks, parent global rows and appended-gate indices."""
+
+    __slots__ = ("rows", "cand", "hashes", "masks", "parents", "gates")
+
+    def __init__(self, rows: int, width: int, mask_words: int):
+        self.rows = rows
+        self.cand = np.empty((rows, width), dtype=np.uint8)
+        self.hashes = np.empty(rows, dtype=np.uint64)
+        self.masks = np.empty((rows, mask_words), dtype=np.uint64)
+        self.parents = np.empty(rows, dtype=np.int32)
+        self.gates = np.empty(rows, dtype=np.int32)
+
+    def batch(self, n: int):
+        """Views of the first *n* rows, in :meth:`VectorEngine._commit_batch`
+        argument order."""
+        return (
+            self.cand[:n], self.hashes[:n], self.masks[:n],
+            self.parents[:n], self.gates[:n],
+        )
+
+
 class VectorEngine:
     """Array-backed closure state plus the vectorized expansion kernel.
 
@@ -611,9 +654,9 @@ class VectorEngine:
             spill_dir=self._checkpoint.slab_dir if self._checkpoint else None,
             persistent=self._checkpoint is not None,
         )
-        self._cand_buf = None
-        self._hash_buf = None
-        self._meta_buf = None
+        #: The two batch scratch sets of the pipeline (see
+        #: :meth:`_stream_level`), allocated on first expansion.
+        self._scratch: tuple[_Scratch, _Scratch] | None = None
         self._closed = False
 
         #: Optional progress sink (duck-typed ``ProgressReporter``);
@@ -859,60 +902,82 @@ class VectorEngine:
         drop[vi] = skip_valid
         return kept[~drop]
 
-    def _generate_candidates(self, chunks, total: int):
-        """Compose + hash the planned candidates, one batch at a time.
+    def _scratch_sets(self, size: int) -> tuple[_Scratch, _Scratch]:
+        """The two batch scratch sets, grown to *size* rows if smaller.
 
-        Walks *chunks* in order, slicing them into batches of at most
-        :data:`_BATCH_BYTES` of rows, and yields ``(cand, ch, parents,
-        gates)`` per batch: packed candidate rows, their hashes, parent
-        global rows and appended-gate indices.  All four are views of one
-        batch-sized scratch, reused across batches and levels (repeated
-        levels skip realloc and page faults), so the consumer must be
-        done with a batch before it asks for the next.
+        Reused across batches and levels, so repeated levels skip
+        realloc and page faults.
         """
-        size = min(total, max(1, _BATCH_BYTES // self.width))
-        if self._cand_buf is None or self._cand_buf.shape[0] < size:
-            self._cand_buf = np.empty((size, self.width), dtype=np.uint8)
-            self._hash_buf = np.empty(size, dtype=np.uint64)
-            self._meta_buf = np.empty((2, size), dtype=np.int32)
-        cand, ch = self._cand_buf, self._hash_buf
-        parents, gates = self._meta_buf
-        cand16 = cand.view(np.uint16)
-        tables16 = self.gate_rows.tables16
+        if self._scratch is None or self._scratch[0].rows < size:
+            self._scratch = tuple(
+                _Scratch(size, self.width, self.mask_words) for _ in range(2)
+            )
+        return self._scratch
 
-        def batch(n):
-            return cand[:n], ch[:n], parents[:n], gates[:n]
+    @staticmethod
+    def _batches(chunks, size: int):
+        """Cut the planned chunks into batches of at most *size* candidates.
 
-        pos = 0
+        Yields one list of ``(gate, src level, src rows)`` pieces per
+        batch, in chunk order; a chunk may straddle batch boundaries.
+        """
+        # A short first batch: the commit stage idles until it is
+        # composed.
+        limit = max(1, size // 8)
+        pieces, fill = [], 0
         for gi, src, kept in chunks:
-            perms16 = self.level_perms(src).view(np.uint16)
             done = 0
             while done < kept.size:
-                # A chunk may straddle batch boundaries.
-                m = min(kept.size - done, size - pos)
-                rows = kept[done : done + m]
+                m = min(kept.size - done, limit - fill)
+                pieces.append((gi, src, kept[done : done + m]))
+                fill += m
+                done += m
+                if fill == limit:
+                    yield pieces
+                    pieces, fill, limit = [], 0, size
+        if pieces:
+            yield pieces
+
+    def _compose_batch(self, scratch: _Scratch, pieces):
+        """The generate stage: compose one batch into *scratch*.
+
+        Writes the packed candidate rows of *pieces*, their hashes,
+        S-image masks, parent global rows and appended-gate indices,
+        and returns views of them.  Runs on the worker thread; it only
+        reads committed levels, which the concurrent commit never
+        touches.
+        """
+        cand16 = scratch.cand.view(np.uint16)
+        tables16 = self.gate_rows.tables16
+        pos = 0
+        for gi, src, rows in pieces:
+            perms16 = self.level_perms(src).view(np.uint16)
+            end = pos + rows.size
+            scratch.parents[pos:end] = self.offsets[src] + rows
+            scratch.gates[pos:end] = gi
+            for lo in range(0, rows.size, _BLOCK):
+                block = rows[lo : lo + _BLOCK]
+                out16 = cand16[pos + lo : pos + lo + block.size]
+                np.take(perms16, block, axis=0, out=out16)
                 # mode="clip" skips the bounds check; uint16 indices
                 # cannot exceed the 65536-entry pair table anyway.
-                np.take(
-                    tables16[gi],
-                    np.take(perms16, rows, axis=0),
-                    out=cand16[pos : pos + m],
-                    mode="clip",
-                )
-                # Hash while the freshly written block is still cache-hot.
-                ch[pos : pos + m] = hash_rows(cand[pos : pos + m])
-                parents[pos : pos + m] = self.offsets[src] + rows
-                gates[pos : pos + m] = gi
-                pos += m
-                done += m
-                if pos == size:
-                    yield batch(pos)
-                    pos = 0
-        if pos:
-            yield batch(pos)
+                np.take(tables16[gi], out16, out=out16, mode="clip")
+            pos = end
+        # Hash and mask per block of the batch, not per piece: a batch
+        # of many small pieces (every gate of a small level) then pays
+        # each pass's fixed cost once, and the block stays cache-hot
+        # from the hash to the mask pass.
+        for lo in range(0, pos, _BLOCK):
+            at = slice(lo, min(lo + _BLOCK, pos))
+            scratch.hashes[at] = hash_rows(scratch.cand[at])
+            compute_masks(
+                scratch.cand[at], self.n_binary, self.mask_words,
+                out=scratch.masks[at],
+            )
+        return scratch.batch(pos)
 
-    def _commit_batch(self, cand, ch, parents, gates, stop: int) -> int:
-        """Dedup one candidate batch and store its new rows.
+    def _commit_batch(self, cand, ch, masks, parents, gates, stop: int) -> int:
+        """The commit stage: dedup one batch and store its new rows.
 
         Accepted rows (with their hashes, S-image masks, parents and
         gates) are written at ``stop``, the end of the rows committed
@@ -924,15 +989,38 @@ class VectorEngine:
         )
         accepted = np.flatnonzero(new_mask)
         end = stop + accepted.size
-        new_perms = self._perms[stop:end]
-        np.take(cand, accepted, axis=0, out=new_perms)
+        np.take(cand, accepted, axis=0, out=self._perms[stop:end])
         np.take(ch, accepted, out=self._hashes[stop:end])
-        self._masks[stop:end] = compute_masks(
-            new_perms, self.n_binary, self.mask_words
-        )
+        np.take(masks, accepted, axis=0, out=self._masks[stop:end])
         np.take(parents, accepted, out=self._parents[stop:end])
         np.take(gates, accepted, out=self._gates[stop:end])
         return accepted.size
+
+    def _stream_level(self, chunks, total: int) -> int:
+        """Generate and commit a level's batches as a two-stage pipeline.
+
+        A single worker thread composes batch k+1 into one scratch set
+        while this thread commits batch k from the other, so batches
+        still commit in candidate order.  The worker lives only for
+        this call: leaving the ``with`` block (normally or by an
+        exception from either stage) joins it.  Returns the row count
+        after the level.
+        """
+        half = max(1, _BATCH_BYTES // (2 * self.width))
+        size = min(total, _BATCH_ROWS, half)
+        sets = self._scratch_sets(size)
+        stop = self.n_rows
+        pending = None
+        with ThreadPoolExecutor(1, "repro-compose") as worker:
+            for k, pieces in enumerate(self._batches(chunks, size)):
+                # Batch k reuses the set batch k-2 committed from.
+                ready = worker.submit(self._compose_batch, sets[k % 2], pieces)
+                if pending is not None:
+                    stop += self._commit_batch(*pending.result(), stop)
+                pending = ready
+            if pending is not None:
+                stop += self._commit_batch(*pending.result(), stop)
+        return stop
 
     def expand_level(self, cost: int) -> int:
         """Compute the next level (must be ``n_levels``); returns its size."""
@@ -957,14 +1045,13 @@ class VectorEngine:
                 kept=int(total),
                 rows=int(self.n_rows),
             )
-        # The plan's kept count bounds the accepted rows: size the store
-        # once, so no batch reallocates it mid-level.
+        # The plan's kept count bounds the accepted rows: size the row
+        # store and the dedup table once, so no batch reallocates the
+        # store and batches rarely regrow the table mid-level.
         self._reserve_rows(total)
-        stop = self.n_rows
-        for cand, ch, parents, gates in self._generate_candidates(
-            chunks, total
-        ):
-            stop += self._commit_batch(cand, ch, parents, gates, stop)
+        if total:
+            self._table.reserve_rows(total, self._hashes, self.n_rows)
+        stop = self._stream_level(chunks, total)
         if progress is not None and total:
             progress.emit("generate", level=cost, candidates=int(total))
         n_new = stop - self.n_rows
@@ -986,13 +1073,13 @@ class VectorEngine:
     # -- teardown ----------------------------------------------------------------------
 
     def release_scratch(self) -> None:
-        """Drop the candidate scratch buffers reused across levels.
+        """Drop both candidate scratch sets reused across levels.
 
         Keeps the dedup table (row lookups still need it) -- this is
         what :meth:`CascadeSearch.freeze` calls so a search pinned for
         serving holds no expansion-sized scratch.
         """
-        self._cand_buf = self._hash_buf = self._meta_buf = None
+        self._scratch = None
 
     def close(self) -> None:
         """Release the dedup slabs and scratch buffers."""

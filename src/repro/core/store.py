@@ -161,6 +161,7 @@ import json
 import os
 import shutil
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -774,23 +775,33 @@ def _stream_payload(out, spans, encode):
     incremental sha256.  Returns ``(span table, payload size, sha256
     hex digest)``, the table in :func:`_spans` form.  Peak extra memory
     is one encoded piece.
+
+    Each piece is hashed on a single worker thread while this thread
+    writes it (sha256 and file writes both release the GIL); the
+    update finishes before the next piece starts, so the digest sees
+    the payload in order.  The worker is joined before this returns.
     """
     digest = hashlib.sha256()
     table: dict[str, list[tuple[int, int, int]]] = {}
     offset = 0
-    for name, pieces in spans:
-        pad = b"\x00" * ((-offset) % _ALIGN)
-        out.write(pad)
-        digest.update(pad)
-        start = offset = offset + len(pad)
-        raw_len = 0
-        for raw in pieces:
-            blob = encode(raw) if raw else b""
+    with ThreadPoolExecutor(1, "repro-digest") as hasher:
+
+        def put(blob: bytes) -> None:
+            hashed = hasher.submit(digest.update, blob)
             out.write(blob)
-            digest.update(blob)
-            offset += len(blob)
-            raw_len += len(raw)
-        table.setdefault(name, []).append((start, offset - start, raw_len))
+            hashed.result()
+
+        for name, pieces in spans:
+            pad = b"\x00" * ((-offset) % _ALIGN)
+            put(pad)
+            start = offset = offset + len(pad)
+            raw_len = 0
+            for raw in pieces:
+                blob = encode(raw) if raw else b""
+                put(blob)
+                offset += len(blob)
+                raw_len += len(raw)
+            table.setdefault(name, []).append((start, offset - start, raw_len))
     return (
         {name: tuple(entries) for name, entries in table.items()},
         offset,

@@ -84,6 +84,9 @@ ROUTER_STREAM_LIMIT = MAX_BODY * 8
 #: Virtual points per backend on the hash ring: enough that the load
 #: split across replicas stays within a few percent of even.
 VIRTUAL_POINTS = 64
+#: Keys whose ring order :class:`HashRing` caches before it starts over
+#: (keys are request selectors, so the cache must stay bounded).
+ORDER_CACHE_KEYS = 1024
 
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF = 0.05
@@ -119,6 +122,9 @@ class HashRing:
         self._points = points
         self._ring: list[tuple[int, str]] = []
         self._names: set[str] = set()
+        #: key -> its preference order; valid until the membership
+        #: changes (add/remove clear it).
+        self._orders: dict[str, tuple[str, ...]] = {}
 
     @property
     def names(self) -> frozenset[str]:
@@ -128,6 +134,7 @@ class HashRing:
         if name in self._names:
             return
         self._names.add(name)
+        self._orders.clear()
         for index in range(self._points):
             bisect.insort(self._ring, (_ring_hash(f"{name}#{index}"), name))
 
@@ -135,12 +142,28 @@ class HashRing:
         if name not in self._names:
             return
         self._names.discard(name)
+        self._orders.clear()
         self._ring = [(point, n) for point, n in self._ring if n != name]
 
-    def order(self, key: str) -> list[str]:
-        """All member names, preference-ordered for *key*."""
+    def order(self, key: str) -> tuple[str, ...]:
+        """All member names, preference-ordered for *key*.
+
+        Cached per key (at most :data:`ORDER_CACHE_KEYS` keys, since
+        keys come from requests): a routed request pays a dict lookup,
+        not a sha256 and a ring walk.
+        """
+        cached = self._orders.get(key)
+        if cached is not None:
+            return cached
+        if len(self._orders) >= ORDER_CACHE_KEYS:
+            self._orders.clear()
+        ordered = self._orders[key] = self._walk(key)
+        return ordered
+
+    def _walk(self, key: str) -> tuple[str, ...]:
+        """The preference order for *key*, walked off the ring."""
         if not self._ring:
-            return []
+            return ()
         start = bisect.bisect_left(self._ring, (_ring_hash(key), ""))
         ordered: list[str] = []
         seen: set[str] = set()
@@ -151,7 +174,7 @@ class HashRing:
                 ordered.append(name)
                 if len(ordered) == len(self._names):
                     break
-        return ordered
+        return tuple(ordered)
 
 
 class CircuitBreaker:
@@ -700,7 +723,7 @@ class RouterService:
     # -- internals ---------------------------------------------------------------------
 
     def _select(
-        self, order: list[str], tried: set[str]
+        self, order: tuple[str, ...], tried: set[str]
     ) -> tuple[Backend | None, bool]:
         """First usable candidate in ring order, plus a saw-full flag.
 

@@ -18,7 +18,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.cost import UNIT_COST
-from repro.core.kernel import compute_masks, mask_word_count
+from repro.core.kernel import mask_word_count
 from repro.core.search import CascadeSearch, SearchArrays
 from repro.perm.permutation import pack_images
 
@@ -65,6 +65,15 @@ def reference_arrays(
 
     perms = pack_images([perm for level in levels for perm, _ in level], degree)
     words = mask_word_count(degree)
+    # Split the scalar masks into u64 words here rather than calling the
+    # engine's compute_masks, so the oracle's masks are independent.
+    scalar = [mask for level in levels for _, mask in level]
+    masks = np.empty((len(scalar), words), dtype=np.uint64)
+    for w in range(words):
+        masks[:, w] = np.fromiter(
+            ((mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for mask in scalar),
+            dtype=np.uint64, count=len(scalar),
+        )
     return SearchArrays(
         expanded_to=cost_bound,
         degree=degree,
@@ -72,7 +81,7 @@ def reference_arrays(
         mask_words=words,
         level_offsets=np.array(offsets, dtype=np.int64),
         perms=perms,
-        masks=compute_masks(perms, n_binary, words),
+        masks=masks,
         parents=np.array(parents, dtype=np.int32) if track_parents else None,
         gates=np.array(gate_column, dtype=np.int32) if track_parents else None,
         elapsed_seconds=perf_counter() - started,

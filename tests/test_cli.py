@@ -312,6 +312,130 @@ class TestStoreMaintenance:
         ]) == 0
 
 
+#: `store info` / `store shards` output for a 3-qubit cost-4 store, as
+#: printed before the layout moved onto the store's span table (the
+#: path, the expansion time and v3's zlib-dependent stored sizes are
+#: filled in per run).
+_INFO_HEAD = """\
+{path}: closure store, format {version}
+  library: 3 qubits, 38 labels (reduced=True, ordering=value), kinds V/VDAG/CNOT
+  library fingerprint: 2752c6945708ba39b6a34e23554f2b232e832f7e0e252bdac7bfec3a9a516d82
+  cost model: V=1 V+=1 CNOT=1 NOT=0 (free)
+  written by: repro {repro_version} (vector kernel)
+  closure: cost bound 4, 6562 cascades, parents tracked
+  levels |B[k]|: [1, 18, 162, 1017, 5364]
+  expansion time: {elapsed}
+"""
+_INFO_TAIL = """\
+  remainder index: 166 reversible functions, 285 minimal-cost witnesses (serialized; no closure scan on open)
+  dedup shards: 64 x 1024 slots, max 128 rows/shard (in-RAM; `repro store shards` for the full layout)
+"""
+_INFO_LAYOUT = {
+    2: """\
+  layout: memory-mapped v2 (8-aligned sections, O(queries touched) open)
+  sections: perms@0+249356, masks@249360+52496, parents@301856+26248, gates@328104+26248, rkeys@354352+1328, rcosts@355680+664, rindptr@356344+1336, rmatches@357680+1140
+""",
+    3: """\
+  layout: chunk-compressed v3 (zlib codec, decompress-on-touch)
+  chunks: 24 spans over 8 sections, {stored_mb} MB compressed / 0.4 MB raw ({ratio})
+""",
+}
+_SHARDS_LEVELS = """\
+{path}: closure store, format {version}
+level  first row  rows
+-----  ---------  ----
+0      0          1   
+1      1          18  
+2      19         162 
+3      181        1017
+4      1198       5364
+"""
+_SHARDS_SECTIONS = {
+    2: """\
+section   offset  bytes 
+--------  ------  ------
+perms     0       249356
+masks     249360  52496 
+parents   301856  26248 
+gates     328104  26248 
+rkeys     354352  1328  
+rcosts    355680  664   
+rindptr   356344  1336  
+rmatches  357680  1140  
+""",
+    3: """\
+section   chunks  stored bytes  raw bytes
+--------  ------  ------------  ---------
+perms     5       {perms:<12}  249356   
+masks     5       {masks:<12}  52496    
+parents   5       {parents:<12}  26248    
+gates     5       {gates:<12}  26248    
+rkeys     1       {rkeys:<12}  1328     
+rcosts    1       {rcosts:<12}  664      
+rindptr   1       {rindptr:<12}  1336     
+rmatches  1       {rmatches:<12}  1140     
+""",
+}
+_SHARDS_TAIL = """\
+dedup shards (recorded by the vector engine): 64 shards, 1024 slots each
+  rows/shard: min 79, max 128, total 6562
+  table bytes at load<=1/4: 524288 (--dedup-budget below this spills to disk)
+"""
+
+
+class TestStoreLayoutOutput:
+    """`store info` and `store shards` print a v2 and a v3 store's
+    layout exactly as they did when each read its own header fields."""
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["v2", "v3"])
+    def store(self, request, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("layout") / "closure.rpro")
+        args = ["precompute", path, "--cost-bound", "4"]
+        if request.param == 3:
+            args += ["--format-version", "3", "--codec", "zlib"]
+        assert main(args) == 0
+        return path, request.param
+
+    def _fields(self, path, version):
+        import repro
+        from repro.io import read_header
+
+        header = read_header(path)
+        fields = {
+            "path": path,
+            "version": version,
+            "repro_version": repro.__version__,
+            "elapsed": f"{header.elapsed_seconds:.2f}s",
+        }
+        if version == 3:
+            stored = {
+                name: sum(s for (_, s, _) in spans)
+                for name, spans in header.chunks.items()
+            }
+            total = sum(stored.values())
+            raw = sum(r for spans in header.chunks.values() for *_, r in spans)
+            fields.update(stored)
+            fields["stored_mb"] = f"{total / 1e6:.1f}"
+            fields["ratio"] = f"{total / raw:.2f}x"
+        return fields
+
+    def test_store_info(self, store, capsys):
+        path, version = store
+        capsys.readouterr()
+        assert main(["store", "info", path]) == 0
+        expected = _INFO_HEAD + _INFO_LAYOUT[version] + _INFO_TAIL
+        out = capsys.readouterr().out
+        assert out == expected.format(**self._fields(path, version))
+
+    def test_store_shards(self, store, capsys):
+        path, version = store
+        capsys.readouterr()
+        assert main(["store", "shards", path]) == 0
+        expected = _SHARDS_LEVELS + _SHARDS_SECTIONS[version] + _SHARDS_TAIL
+        out = capsys.readouterr().out
+        assert out == expected.format(**self._fields(path, version))
+
+
 class TestOtherCommands:
     def test_banned_sets(self, capsys):
         assert main(["banned-sets"]) == 0

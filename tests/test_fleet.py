@@ -30,6 +30,7 @@ from repro.core.search import CascadeSearch
 from repro.core.store import save_search
 from repro.errors import FleetOverloadedError, InvalidValueError, ServerError
 from repro.fleet.manager import BackgroundFleet, FleetManager
+import repro.fleet.router as router_module
 from repro.fleet.router import CircuitBreaker, HashRing, RouterService
 from repro.fleet import supervisor as supervisor_module
 from repro.fleet.supervisor import Finding, GuardRails, Proposal, Supervisor
@@ -101,6 +102,35 @@ class TestHashRing:
                 assert after[key] == before[key]
             else:
                 assert after[key] in ("a", "b")
+
+    def test_cached_order_tracks_membership(self):
+        """After every add and remove, each key's (cached) order equals
+        the order a ring built fresh from the same members gives."""
+        ring = HashRing()
+        keys = ["", "store-x"] + [f"key-{i}" for i in range(32)]
+        steps = [
+            ("add", "a"), ("add", "b"), ("add", "c"), ("remove", "b"),
+            ("add", "d"), ("remove", "a"), ("add", "b"), ("remove", "d"),
+        ]
+        for op, name in steps:
+            for key in keys:
+                ring.order(key)  # populate the cache before the change
+            getattr(ring, op)(name)
+            fresh = HashRing()
+            for member in sorted(ring.names):
+                fresh.add(member)
+            for key in keys:
+                assert ring.order(key) == fresh.order(key), (op, name, key)
+                assert ring.order(key) is ring.order(key)  # served cached
+
+    def test_order_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(router_module, "ORDER_CACHE_KEYS", 8)
+        ring = HashRing()
+        ring.add("a")
+        ring.add("b")
+        for i in range(50):
+            assert sorted(ring.order(f"key-{i}")) == ["a", "b"]
+        assert len(ring._orders) <= 8
 
     def test_add_and_remove_are_idempotent(self):
         ring = HashRing()

@@ -97,16 +97,18 @@ class TestKernelEquivalence:
             CascadeSearch(library3, kernel=kernel)
 
     def test_candidate_scratch_is_one_batch(self, library3, monkeypatch):
-        """Levels stream through one batch-sized scratch: after cost 5
-        (tens of thousands of candidates a level) it holds 64 rows."""
+        """Levels stream through one batch budget, split into the two
+        pipeline scratch sets: after cost 5 (tens of thousands of
+        candidates a level) they hold 64 rows between them."""
         search = CascadeSearch(library3)
         engine = search._engine
         monkeypatch.setattr(kernel_module, "_BATCH_BYTES", 64 * engine.width)
         search.extend_to(5)
         assert search.stats().level_sizes == (1, 18, 162, 1017, 5364, 25761)
-        assert engine._cand_buf.shape[0] <= 64
-        assert engine._hash_buf.shape[0] <= 64
-        assert engine._meta_buf.shape[1] <= 64
+        sets = engine._scratch
+        assert len(sets) == 2
+        for name in ("cand", "hashes", "masks", "parents", "gates"):
+            assert sum(getattr(s, name).shape[0] for s in sets) <= 64
         search.close()
 
     def test_incremental_extension_matches_one_shot(self, library3):
@@ -222,9 +224,9 @@ class TestKernelPrimitives:
             assert mask_words_to_int(row) == mask
 
     def test_multiword_masks_across_row_blocks(self, monkeypatch):
-        """The blocked per-column scatter sets every image bit, block
+        """The blocked presence matrix sets every image bit, block
         boundaries included."""
-        monkeypatch.setattr(kernel_module, "_CHUNK", 64)
+        monkeypatch.setattr(kernel_module, "_MASK_CHUNK", 64)
         rng = np.random.default_rng(7)
         perms = rng.permuted(
             np.tile(np.arange(176, dtype=np.uint8), (300, 1)), axis=1

@@ -14,6 +14,9 @@ path.
 """
 
 import json
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -639,6 +642,147 @@ class TestStreamedBatches:
         default.close()
 
 
+def _assert_same_arrays(reference, other):
+    """Row-for-row equality of perms, masks, parents and gates."""
+    ours, theirs = reference.export_arrays(), other.export_arrays()
+    np.testing.assert_array_equal(ours.level_offsets, theirs.level_offsets)
+    for name in ("perms", "masks", "parents", "gates"):
+        np.testing.assert_array_equal(
+            np.asarray(getattr(ours, name)), np.asarray(getattr(theirs, name)),
+            err_msg=name,
+        )
+
+
+class TestPipeline:
+    """The two-stage expansion: a worker composes batch k+1 while the
+    caller commits batch k.  Small batch budgets make every level cycle
+    the two scratch sets many times; the closure must still be the
+    oracle's, and a failure in either stage must surface from
+    ``extend_to`` with the worker thread gone."""
+
+    @pytest.mark.parametrize(
+        "n_qubits, radix, bound, rows",
+        [(3, 2, 7, 1024), (3, 3, 4, 7), (2, 3, 4, 7)],
+        ids=["n3-cost7", "ternary-n3", "ternary-n2"],
+    )
+    def test_small_batches_match_reference(
+        self, n_qubits, radix, bound, rows, monkeypatch
+    ):
+        library = library_for(n_qubits, radix)
+        search = CascadeSearch(library, track_parents=True)
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, search, rows)
+            search.extend_to(bound)
+        assert sum(s.rows for s in search._engine._scratch) <= rows
+        _assert_same_arrays(reference_search(library, bound), search)
+        search.close()
+
+    def test_spilled_small_batches_match_reference(
+        self, library3, monkeypatch
+    ):
+        search = CascadeSearch(
+            library3, kernel_options={"shard_bits": 3, "memory_budget": 0}
+        )
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, search, 1024)
+            search.extend_to(6)
+        assert search._engine.dedup_table.spilled
+        _assert_same_arrays(reference_search(library3, 6), search)
+        search.close()
+
+    def test_resumed_small_batches_match_reference(
+        self, library3, tmp_path, monkeypatch
+    ):
+        """Crash a checkpointed, pipelined level after a few batches,
+        then resume (pipelined again) to the oracle's closure."""
+        options = {"checkpoint_dir": str(tmp_path), "shard_bits": 3}
+        first = CascadeSearch(library3, kernel_options=options)
+        first.extend_to(5)
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, first, 1024)
+            _crash_after_dedup(patch, batches=5)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                first.extend_to(6)
+        del first
+        resumed = CascadeSearch(library3, kernel_options=options)
+        assert resumed.was_restored and resumed.expanded_to == 5
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, resumed, 1024)
+            resumed.extend_to(6)
+        _assert_same_arrays(reference_search(library3, 6), resumed)
+        resumed.close()
+
+    def _fail_on_call(self, monkeypatch, owner, name, call):
+        """Make ``owner.name`` raise on its *call*-th invocation."""
+        real = getattr(owner, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == call:
+                raise RuntimeError(f"injected {name} failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [(kernel_module, "hash_rows"), (ShardedDedupTable, "dedup_commit")],
+        ids=["worker-stage", "commit-stage"],
+    )
+    def test_stage_failure_surfaces_and_joins_worker(
+        self, library3, monkeypatch, owner, name
+    ):
+        search = CascadeSearch(library3)
+        search.extend_to(3)
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            _batch_rows(patch, search, 64)
+            self._fail_on_call(patch, owner, name, 4)
+            with pytest.raises(RuntimeError, match=f"injected {name}"):
+                search.extend_to(4)
+        assert threading.active_count() == threads
+        assert not any(
+            t.name.startswith("repro-compose") for t in threading.enumerate()
+        )
+        search.close()
+
+    def test_exact_under_rapid_thread_switching(
+        self, library3, monkeypatch, tmp_path
+    ):
+        """Switching threads every microsecond interleaves the two
+        stages (and the store writer with its hasher) as finely as the
+        interpreter allows: the closure and the digest must hold."""
+        from repro.core.store import verify_store
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            search = CascadeSearch(library3)
+            with monkeypatch.context() as patch:
+                _batch_rows(patch, search, 256)
+                search.extend_to(5)
+            path = tmp_path / "closure.rpro"
+            save_search(search, path)
+            verify_store(path)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_arrays(reference_search(library3, 5), search)
+        search.close()
+
+    def test_no_thread_outlives_an_expansion_or_save(
+        self, library3, tmp_path
+    ):
+        threads = threading.active_count()
+        search = CascadeSearch(library3)
+        search.extend_to(5)
+        assert threading.active_count() == threads
+        save_search(search, tmp_path / "closure.rpro")
+        save_search(search, tmp_path / "closure3.rpro", format_version=3)
+        assert threading.active_count() == threads
+        search.close()
+
+
 class TestRelationFilter:
     def test_permuted_masks_match_composition(self, library3):
         """perm_g(mask(a)) must equal the mask of t_g . a exactly."""
@@ -766,10 +910,17 @@ class TestServingIntegration:
         (which need the dedup table) still work."""
         search = CascadeSearch(library3)
         search.extend_to(5)
-        assert search._engine._cand_buf is not None
+        sets = search._engine._scratch
+        assert sets is not None and len(sets) == 2
+        held = [
+            weakref.ref(getattr(scratch, name))
+            for scratch in sets
+            for name in ("cand", "hashes", "masks", "parents", "gates")
+        ]
+        del sets
         search.freeze()
-        assert search._engine._cand_buf is None
-        assert search._engine._meta_buf is None
+        assert search._engine._scratch is None
+        assert all(ref() is None for ref in held)
         perm, _mask = search.level(3)[5]
         assert search.cost_of(perm) == 3
         search.close()

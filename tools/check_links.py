@@ -18,6 +18,7 @@ Also importable: ``broken_links(paths)`` returns the offending
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
@@ -59,14 +60,21 @@ def broken_links(paths: list[Path]) -> list[tuple[Path, str]]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
-        argv = ["README.md", "docs"]
-    offenders = broken_links([Path(arg) for arg in argv])
+    parser = argparse.ArgumentParser(
+        description="Fail on broken intra-repo links in markdown files."
+    )
+    parser.add_argument(
+        "paths", nargs="*", type=Path,
+        default=[Path("README.md"), Path("docs")],
+        help="markdown files or directories (default: README.md docs)",
+    )
+    paths = parser.parse_args(argv).paths
+    offenders = broken_links(paths)
     if offenders:
         for md_file, target in offenders:
             print(f"{md_file}: broken link -> {target}", file=sys.stderr)
         return 1
-    checked = len(iter_markdown([Path(arg) for arg in argv]))
+    checked = len(iter_markdown(paths))
     print(f"checked {checked} markdown file(s): all intra-repo links resolve")
     return 0
 
