@@ -2,7 +2,7 @@
 
 Regenerates both rows of the paper's Table 2 (|G[k]| and |S8[k]|) with
 the paper's cb = 7 and benchmarks the full FMCF closure (the paper's
-machine needed minutes; the bytes-translate BFS needs seconds).
+machine needed minutes; the vectorized closure needs seconds).
 
 Documented deviations (see EXPERIMENTS.md): |G[2]| = 24 vs the paper's
 30 (six commuting CNOT pairs coincide as permutations) and |G[3]| = 51

@@ -65,28 +65,19 @@ def _cmd_table2(args) -> int:
     from repro.render.tables import cost_table_text
 
     if args.store is not None:
-        if args.paper_pseudocode:
-            from repro.errors import SpecificationError
-
-            raise SpecificationError(
-                "--paper-pseudocode re-counts the identity per level; a "
-                "store index keeps minimal costs only, so the two cannot "
-                "be combined"
-            )
-        from repro.core.batch import BatchSynthesizer
         from repro.io import open_store, resolve_cost_bound
 
-        header, _library, search = open_store(args.store)
+        header, library, search = open_store(args.store)
         bound = resolve_cost_bound(
             args.cost_bound, header.expanded_to, args.store
         )
-        table = BatchSynthesizer(search, cost_bound=bound).cost_table()
     else:
-        table = find_minimum_cost_circuits(
-            GateLibrary(3),
-            cost_bound=7 if args.cost_bound is None else args.cost_bound,
-            paper_pseudocode=args.paper_pseudocode,
-        )
+        library, search = GateLibrary(3), None
+        bound = 7 if args.cost_bound is None else args.cost_bound
+    # A store's search carries its remainder index: no closure scan.
+    table = find_minimum_cost_circuits(
+        library, bound, search=search, paper_pseudocode=args.paper_pseudocode
+    )
     paper_row = [1, 6, 30, 52, 84, 156, 398, 540]
     print(cost_table_text(
         table, paper_g=paper_row if table.cost_bound <= 7 else None

@@ -48,7 +48,7 @@ _EXPORTS = {
     "ResourcePlan": "repro.core.plan",
     "plan_resources": "repro.core.plan",
     "BatchSynthesizer": "repro.core.batch",
-    "build_remainder_index": "repro.core.batch",
+    "build_remainder_index": "repro.core.fmcf",
     "CostTable": "repro.core.fmcf",
     "find_minimum_cost_circuits": "repro.core.fmcf",
     "DEFAULT_COST_BOUND": "repro.core.mce",

@@ -1,11 +1,12 @@
 """Batch synthesis: many MCE queries against one shared closure.
 
-:func:`repro.core.mce.express` scans the B[1], B[2], ... levels linearly
-for every call.  When many targets are synthesized against the same
-closure -- the precompute-then-serve workflow of ``repro precompute`` /
-``repro synth --store`` -- that scan is redundant work: the closure is
-fixed, so the *remainder index* (minimal cost and matching cascade rows
-per NOT-free reversible function) can be built once and every query
+:func:`repro.core.mce.express` matches the remainder against the
+B[1], B[2], ... levels for every call (one vectorized comparison per
+level).  When many targets are synthesized against the same closure --
+the precompute-then-serve workflow of ``repro precompute`` /
+``repro synth --store`` -- the closure is fixed, so the *remainder
+index* of :mod:`repro.core.fmcf` (minimal cost and matching cascade
+rows per NOT-free reversible function) is built once and every query
 becomes a dictionary lookup.
 
 :class:`BatchSynthesizer` is that index.  It wraps any expanded
@@ -15,10 +16,10 @@ answers:
 * single targets (:meth:`synthesize`, :meth:`synthesize_all`) with
   results identical to :func:`express` / :func:`express_all`,
 * explicit batches (:meth:`synthesize_many`),
-* the vectorized "everything up to the bound" modes used by FMCF:
+* the "everything up to the bound" modes of FMCF:
   :meth:`synthesize_level` emits one result per G[k] (or S8[k]) member
   and :meth:`cost_table` rebuilds the paper's Table 2 from the index
-  without re-scanning the closure.
+  through FMCF's own grouping, without re-scanning the closure.
 
 The index maps remainders to *global closure rows* rather than raw
 permutation bytes, so it serializes compactly (the v2 and v3 stores
@@ -48,54 +49,23 @@ from repro.errors import (
     SpecificationError,
     StoreCorruptError,
 )
-from repro.core.fmcf import CostTable
+from repro.core.fmcf import (
+    CostTable,
+    RemainderIndex,
+    group_by_cost,
+    remainder_index,
+)
 from repro.core.mce import (
     DEFAULT_COST_BOUND,
     SynthesisResult,
     _not_layer_result,
     _results_from_rows,
+    certify_row,
     normalize_target,
 )
 from repro.core.search import CascadeSearch
 from repro.gates.named import not_layer_permutation
 from repro.perm.permutation import Permutation
-
-#: The remainder index: remainder images -> (minimal cost, global rows
-#: of the matching cascade permutations at that cost, in row order).
-RemainderIndex = dict[bytes, tuple[int, Sequence[int]]]
-
-
-def build_remainder_index(
-    search: CascadeSearch, cost_bound: int
-) -> RemainderIndex:
-    """Scan levels ``1..cost_bound`` for S-fixing cascades and group them.
-
-    The first level containing a remainder defines its minimal cost;
-    every matching cascade at that cost is kept (in discovery order) so
-    ``synthesize_all`` can enumerate label-level implementations.  The
-    scan itself is vectorized (one mask comparison per level); only the
-    S-fixing survivors -- a tiny fraction of the closure -- are touched
-    in Python.
-    """
-    index: RemainderIndex = {}
-    for cost in range(1, cost_bound + 1):
-        rows, remainders = search.s_fixing_rows(cost)
-        if not rows:
-            continue
-        if not isinstance(remainders, list):
-            n, width = remainders.shape
-            blob = remainders.tobytes()
-            remainders = [
-                blob[i : i + width] for i in range(0, n * width, width)
-            ]
-        for row, remainder in zip(rows, remainders):
-            hit = index.get(remainder)
-            if hit is None:
-                index[remainder] = (cost, [row])
-            elif hit[0] == cost:
-                hit[1].append(row)
-    return index
-
 
 class BatchSynthesizer:
     """O(1)-per-query synthesis against one shared expanded closure.
@@ -150,18 +120,7 @@ class BatchSynthesizer:
         self._search = search
         self._library = search.library
         self._cost_bound = cost_bound
-        attached = search.attached_remainder_index
-        if attached is not None and attached[0] >= cost_bound:
-            attached_bound, index = attached
-            if attached_bound > cost_bound:
-                index = {
-                    remainder: hit
-                    for remainder, hit in index.items()
-                    if hit[0] <= cost_bound
-                }
-            self._index: RemainderIndex = index
-        else:
-            self._index = build_remainder_index(search, cost_bound)
+        self._index = remainder_index(search, cost_bound)
         n_binary = self._library.space.n_binary
         self._identity_images = Permutation.identity(n_binary).images
         # Cost levels up to this one passed certify_members().
@@ -285,13 +244,12 @@ class BatchSynthesizer:
                 remainder == self._identity_images
             ):
                 continue
-            (result,) = _results_from_rows(
-                rows, self._search, Permutation(remainder), 0, (), True
-            )
-            if result.cost != cost:
+            target = Permutation(remainder)
+            witness_cost = certify_row(self._search, rows[0], 0, target)[1]
+            if witness_cost != cost:
                 raise StoreCorruptError(
-                    f"{result.target.cycle_string()} is indexed at cost "
-                    f"{cost} but its witness costs {result.cost}"
+                    f"{target.cycle_string()} is indexed at cost {cost} "
+                    f"but its witness costs {witness_cost}"
                 )
         self._certified_to = cost_bound
 
@@ -330,17 +288,7 @@ class BatchSynthesizer:
         every free NOT layer, enumerating the paper's S8[cost] coset
         (``2**n`` targets per member, Theorem 2).
         """
-        if not 0 <= cost <= self._cost_bound:
-            raise SpecificationError(
-                f"cost {cost} outside the indexed range 0..{self._cost_bound}"
-            )
-        members: list[Permutation] = []
-        if cost == 0:
-            members.append(Permutation.from_images(self._identity_images))
-        else:
-            for remainder, (first_cost, _rows) in self._index.items():
-                if first_cost == cost and remainder != self._identity_images:
-                    members.append(Permutation.from_images(remainder))
+        members = self.cost_table(cost).members(cost)
         if not include_not_layers:
             return members
         if self._library.space.radix != 2:
@@ -381,23 +329,4 @@ class BatchSynthesizer:
                 f"cost bound {cost_bound} outside the indexed range "
                 f"0..{self._cost_bound}"
             )
-        classes: list[list[Permutation]] = [
-            [Permutation.from_images(self._identity_images)]
-        ]
-        for _ in range(cost_bound):
-            classes.append([])
-        for remainder, (first_cost, _rows) in self._index.items():
-            if remainder == self._identity_images or first_cost > cost_bound:
-                continue
-            classes[first_cost].append(Permutation.from_images(remainder))
-        stats = self._search.stats()
-        b_sizes = list(stats.level_sizes[: cost_bound + 1])
-        a_sizes = list(stats.a_sizes[: cost_bound + 1])
-        return CostTable(
-            cost_bound=cost_bound,
-            n_qubits=self._library.n_qubits,
-            classes=classes,
-            b_sizes=b_sizes,
-            a_sizes=a_sizes,
-            stats=stats,
-        )
+        return group_by_cost(self._search, self._index, cost_bound)

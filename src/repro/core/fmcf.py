@@ -11,14 +11,20 @@ Implementation follows the paper's pseudocode:
 
 plus Theorem 2's corollary |S8[k]| = 2**n * |G[k]| for the table row that
 includes free NOT layers.
+
+The loop is one grouping: the remainder index maps each restriction
+to its first cost and matching rows, and :func:`group_by_cost` reads
+the G[k] classes off it.  The batch synthesizer serves from the same
+index, and the closure store embeds it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.cost import CostModel, UNIT_COST
-from repro.core.search import CascadeSearch, SearchStats
+from repro.core.cost import CostModel
+from repro.core.search import CascadeSearch, SearchStats, search_for
 from repro.gates.library import GateLibrary
 from repro.perm.permutation import Permutation
 
@@ -43,13 +49,12 @@ class CostTable:
     b_sizes: list[int]
     a_sizes: list[int]
     stats: SearchStats | None = None
-    _cost_index: dict[Permutation, int] = field(default_factory=dict, repr=False)
+    _cost_index: dict[Permutation, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._cost_index:
-            for k, members in enumerate(self.classes):
-                for perm in members:
-                    self._cost_index[perm] = k
+        self._cost_index = {
+            perm: k for k, members in enumerate(self.classes) for perm in members
+        }
 
     @property
     def g_sizes(self) -> list[int]:
@@ -80,10 +85,81 @@ class CostTable:
         return sum(self.g_sizes)
 
 
+#: Remainder images -> (minimal cost, global rows of the matching
+#: cascades at that cost, in row order).
+RemainderIndex = dict[bytes, tuple[int, Sequence[int]]]
+
+
+def build_remainder_index(
+    search: CascadeSearch, cost_bound: int
+) -> RemainderIndex:
+    """Group the S-fixing rows of levels ``1..cost_bound`` by remainder.
+
+    Keys come in FMCF's discovery order, each with its first cost and
+    every matching row at that cost.  Level 0 is skipped, so the
+    identity sits at its first non-trivial cost (3 at 3 qubits).
+    """
+    index: RemainderIndex = {}
+    for cost in range(1, cost_bound + 1):
+        rows, remainders = search.s_fixing_rows(cost)
+        width = remainders.shape[1]
+        blob = remainders.tobytes()
+        for row, at in zip(rows, range(0, len(blob), width)):
+            remainder = blob[at : at + width]
+            hit = index.get(remainder)
+            if hit is None:
+                index[remainder] = (cost, [row])
+            elif hit[0] == cost:
+                hit[1].append(row)
+    return index
+
+
+def remainder_index(search: CascadeSearch, cost_bound: int) -> RemainderIndex:
+    """*search*'s index to *cost_bound*: the attached one if it reaches
+    that far (see :meth:`CascadeSearch.attach_remainder_index`), else
+    :func:`build_remainder_index`."""
+    attached = search.attached_remainder_index
+    if attached is None or attached[0] < cost_bound:
+        return build_remainder_index(search, cost_bound)
+    bound, index = attached
+    if bound == cost_bound:
+        return index
+    return {key: hit for key, hit in index.items() if hit[0] <= cost_bound}
+
+
+def group_by_cost(
+    search: CascadeSearch,
+    index: RemainderIndex,
+    cost_bound: int,
+    paper_pseudocode: bool = False,
+) -> CostTable:
+    """The :class:`CostTable` of *search*'s remainder *index*.
+
+    G[k] is the index's cost-k keys in index order, and G[0] the
+    identity, whose indexed entry joins a later class only with
+    *paper_pseudocode* (see :func:`find_minimum_cost_circuits`).
+    """
+    identity = Permutation.identity(search.library.space.n_binary)
+    skip = None if paper_pseudocode else identity.images
+    classes = [[identity]] + [[] for _ in range(cost_bound)]
+    for remainder, (cost, _rows) in index.items():
+        if cost <= cost_bound and remainder != skip:
+            classes[cost].append(Permutation.from_images(remainder))
+    stats = search.stats()
+    return CostTable(
+        cost_bound=cost_bound,
+        n_qubits=search.library.n_qubits,
+        classes=classes,
+        b_sizes=list(stats.level_sizes[: cost_bound + 1]),
+        a_sizes=list(stats.a_sizes[: cost_bound + 1]),
+        stats=stats,
+    )
+
+
 def find_minimum_cost_circuits(
     library: GateLibrary,
     cost_bound: int = 7,
-    cost_model: CostModel = UNIT_COST,
+    cost_model: CostModel | None = None,
     search: CascadeSearch | None = None,
     paper_pseudocode: bool = False,
 ) -> CostTable:
@@ -92,9 +168,10 @@ def find_minimum_cost_circuits(
     Args:
         library: the gate library (paper: 18 gates on 3 qubits).
         cost_bound: highest cost level to enumerate.
-        cost_model: integer gate costs (default unit).
-        search: optionally reuse an existing (compatible) search engine;
-            a fresh engine without parent tracking is created otherwise.
+        cost_model: integer gate costs; None means the shared
+            *search*'s model, or the unit model for a fresh search.
+        search: optionally reuse an existing search engine; a fresh
+            engine without parent tracking is created otherwise.
         paper_pseudocode: reproduce the published pseudocode *verbatim*,
             which subtracts G[k-1] ... G[1] but **not** G[0] = {()}.  The
             identity function is then re-counted at the first level where
@@ -105,42 +182,14 @@ def find_minimum_cost_circuits(
 
     Returns:
         A :class:`CostTable` with the G[k] classes and level sizes.
+
+    Raises:
+        SpecificationError: *cost_model* differs from the shared
+            *search*'s model.
     """
-    if search is None:
-        search = CascadeSearch(library, cost_model, track_parents=False)
-    search.extend_to(cost_bound)
-
-    n_binary = library.space.n_binary
-    s_mask = search.s_mask
-    identity_restricted = Permutation.identity(n_binary)
-    known: set[bytes] = set() if paper_pseudocode else {identity_restricted.images}
-    classes: list[list[Permutation]] = [[identity_restricted]]
-    b_sizes = [1]
-    for cost in range(1, cost_bound + 1):
-        level = search.level(cost)
-        b_sizes.append(len(level))
-        fresh: dict[bytes, None] = {}
-        for perm, mask in level:
-            if mask != s_mask:
-                continue
-            restricted = perm[:n_binary]
-            if restricted not in known:
-                fresh[restricted] = None
-        known.update(fresh)
-        classes.append(
-            [Permutation.from_images(images) for images in fresh]
-        )
-
-    a_sizes = []
-    acc = 0
-    for size in b_sizes:
-        acc += size
-        a_sizes.append(acc)
-    return CostTable(
-        cost_bound=cost_bound,
-        n_qubits=library.n_qubits,
-        classes=classes,
-        b_sizes=b_sizes,
-        a_sizes=a_sizes,
-        stats=search.stats(),
+    search = search_for(
+        library, cost_model, search, False, "find_minimum_cost_circuits()"
     )
+    search.extend_to(cost_bound)
+    index = remainder_index(search, cost_bound)
+    return group_by_cost(search, index, cost_bound, paper_pseudocode)

@@ -20,9 +20,9 @@ arrived at a client.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.errors import (
     CostBoundExceededError,
@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
-from repro.core.search import CascadeSearch
+from repro.core.search import CascadeSearch, search_for
 from repro.gates.gate import Gate
 from repro.gates.library import GateLibrary, LibraryGate
 from repro.gates.named import not_layer_permutation
@@ -95,7 +95,7 @@ def express(
     target: Permutation,
     library: GateLibrary,
     cost_bound: int = DEFAULT_COST_BOUND,
-    cost_model: CostModel = UNIT_COST,
+    cost_model: CostModel | None = None,
     search: CascadeSearch | None = None,
     allow_not: bool = True,
 ) -> SynthesisResult:
@@ -105,7 +105,8 @@ def express(
         target: permutation of the 2**n binary patterns (degree 2**n).
         library: gate library to draw 2-qubit gates from.
         cost_bound: the paper's ``cb``; the search is abandoned beyond it.
-        cost_model: integer gate costs.
+        cost_model: integer gate costs; None means the shared
+            *search*'s model, or the unit model for a fresh search.
         search: reusable parent-tracking search engine (one is created on
             demand; passing a shared engine amortizes the BFS across many
             syntheses, which is how the benchmarks regenerate Table 2 and
@@ -115,8 +116,9 @@ def express(
 
     Raises:
         CostBoundExceededError: no realization within *cost_bound*.
-        SpecificationError: degree mismatch, or the target needs a NOT
-            layer while ``allow_not=False``.
+        SpecificationError: degree mismatch, the target needs a NOT
+            layer while ``allow_not=False``, or *cost_model* differs
+            from the shared *search*'s model.
     """
     results = _express_impl(
         target, library, cost_bound, cost_model, search, allow_not, first_only=True
@@ -128,7 +130,7 @@ def express_all(
     target: Permutation,
     library: GateLibrary,
     cost_bound: int = DEFAULT_COST_BOUND,
-    cost_model: CostModel = UNIT_COST,
+    cost_model: CostModel | None = None,
     search: CascadeSearch | None = None,
     allow_not: bool = True,
 ) -> list[SynthesisResult]:
@@ -280,28 +282,26 @@ def certify(
                 "NOT layer is free (Theorem 2)"
             )
         not_mask ^= 1 << (library.n_qubits - 1 - gate.target)
-    return _certify_entries(
-        library, not_mask, entries, target, cost, cost_model
-    )
+    _check_target(target, library)
+    images = _compose_entries(library, entries, cost, cost_model)
+    _compare_target(library, not_mask, target, images)
+    return Permutation(images)
 
 
-def _certify_entries(
+def _compose_entries(
     library: GateLibrary,
-    not_mask: int,
     entries: Sequence[LibraryGate],
-    target: Permutation,
     cost: int,
     cost_model: CostModel,
-) -> Permutation:
-    """:func:`certify` for resolved library entries (the server's path)."""
-    space = library.space
-    n_binary = space.n_binary
-    if target.degree != n_binary:
-        raise SpecificationError(
-            f"target degree {target.degree} != {n_binary} binary labels "
-            f"of a {library.n_qubits}-wire register"
-        )
-    images = bytes(range(space.size))
+) -> bytes:
+    """The label images of a cascade, checked as a reasonable product.
+
+    Before each gate the binary labels' images must avoid its banned
+    set (Definition 1), and the gates' costs under *cost_model* must
+    sum to *cost*; otherwise :class:`SpecificationError`.
+    """
+    n_binary = library.space.n_binary
+    images = bytes(range(library.space.size))
     total = 0
     for entry in entries:
         banned = entry.banned_bytes
@@ -315,6 +315,18 @@ def _certify_entries(
             )
         images = images.translate(entry.table)
         total += cost_model.gate_cost(entry.gate.kind)
+    if total != cost:
+        raise SpecificationError(
+            f"claimed cost {cost} disagrees with the cascade's cost {total}"
+        )
+    return images
+
+
+def _compare_target(
+    library: GateLibrary, not_mask: int, target: Permutation, images: bytes
+) -> None:
+    """Check that NOT layer *not_mask* then *images* realize *target*."""
+    n_binary = library.space.n_binary
     realized = images[:n_binary]
     if max(realized) >= n_binary:
         raise SpecificationError(
@@ -330,24 +342,29 @@ def _certify_entries(
             f"the circuit realizes {Permutation(realized).cycle_string()}, "
             f"not {target.cycle_string()}"
         )
-    if total != cost:
-        raise SpecificationError(
-            f"claimed cost {cost} disagrees with the cascade's cost {total}"
-        )
-    return Permutation(images)
 
 
 def certify_row(
     search: CascadeSearch, row: int, not_mask: int, target: Permutation
 ) -> tuple[list[LibraryGate], int, Permutation]:
+    """:func:`witness_row` for a reversible *target* behind a NOT layer.
+
+    Every MCE witness passes it, whether it becomes a
+    :class:`SynthesisResult` or a served wire record.
+    """
+    compare = partial(_compare_target, search.library, not_mask, target)
+    return witness_row(search, row, compare)
+
+
+def witness_row(
+    search: CascadeSearch, row: int, compare: Callable[[bytes], None]
+) -> tuple[list[LibraryGate], int, Permutation]:
     """Extract and certify the witness cascade of one closure row.
 
-    The one certify step every witness passes, whether it becomes a
-    :class:`SynthesisResult` (:func:`_results_from_rows`) or a served
-    wire record (:mod:`repro.server.service`).  The witness walks the
-    parent arrays by row; behind the NOT layer of *not_mask* it must
-    realize *target* at the row's cost under the search's cost model
-    (:func:`_certify_entries`), and compose to exactly the row's stored
+    The witness, walked from the parent arrays, must compose as a
+    reasonable product at the row's cost (:func:`_compose_entries`),
+    pass *compare* (which raises :class:`SpecificationError` when its
+    label images miss the query) and equal the row's stored
     permutation.
 
     Returns:
@@ -355,7 +372,7 @@ def certify_row(
         order, the row's cost and the cascade's label permutation.
 
     Raises:
-        StoreCorruptError: a witness fails either check -- the closure's
+        StoreCorruptError: a witness fails any check -- the closure's
             parent, gate, permutation or index data is corrupted.
     """
     row = int(row)
@@ -364,19 +381,18 @@ def certify_row(
         indices = search.witness_indices_for_row(row)
         entries = [library.gates[i] for i in indices]
         cost = search.cost_of_row(row)
-        cascade = _certify_entries(
-            library, not_mask, entries, target, cost, search.cost_model
-        )
+        images = _compose_entries(library, entries, cost, search.cost_model)
+        compare(images)
     except (InvalidValueError, SpecificationError) as exc:
         raise StoreCorruptError(
             f"closure row {row}: witness fails certification: {exc}"
         ) from None
-    if cascade.images != search.perm_bytes_at(row):
+    if images != search.perm_bytes_at(row):
         raise StoreCorruptError(
             f"closure row {row}: witness does not compose to the "
             "row's stored permutation"
         )
-    return entries, cost, cascade
+    return entries, cost, Permutation(images)
 
 
 def _results_from_rows(
@@ -387,17 +403,11 @@ def _results_from_rows(
     not_gates: tuple[Gate, ...],
     first_only: bool,
 ) -> list[SynthesisResult]:
-    """Turn matching *global closure rows* into certified results.
+    """Turn matching global closure rows into results, each witness
+    passing :func:`certify_row` (else :class:`StoreCorruptError`).
 
-    Witness extraction walks parent arrays directly by row -- the path
-    shared by the level scan here, by
-    :class:`~repro.core.batch.BatchSynthesizer` and by the v2 store's
-    serialized remainder index (no byte-level lookups, O(cost) per
-    witness).  Every witness passes :func:`certify_row` before it is
-    returned.
-
-    Raises:
-        StoreCorruptError: a witness fails certification.
+    The path shared by :func:`express` and
+    :class:`~repro.core.batch.BatchSynthesizer`: O(cost) per witness.
     """
     n_qubits = search.library.n_qubits
     results = []
@@ -422,7 +432,7 @@ def _express_impl(
     target: Permutation,
     library: GateLibrary,
     cost_bound: int,
-    cost_model: CostModel,
+    cost_model: CostModel | None,
     search: CascadeSearch | None,
     allow_not: bool,
     first_only: bool,
@@ -432,30 +442,34 @@ def _express_impl(
     if remainder.is_identity:
         return [_not_layer_result(target, library, not_mask, not_gates)]
 
-    if search is None:
-        search = CascadeSearch(library, cost_model, track_parents=True)
-    elif not search.tracks_parents:
-        raise SpecificationError("express() needs a parent-tracking search")
+    search = search_for(library, cost_model, search, True, "express()")
+    rows = first_matching_rows(search, remainder.images, cost_bound)
+    if not rows:
+        raise CostBoundExceededError(
+            f"permutation {target.cycle_string()}", cost_bound
+        )
+    return _results_from_rows(
+        rows, search, target, not_mask, not_gates, first_only
+    )
 
-    wanted = remainder.images  # first 2**n bytes of a matching cascade
-    for cost in range(1, cost_bound + 1):
-        # One vectorized boolean reduction per level instead of a Python
-        # scan over every cascade permutation.
+
+def first_matching_rows(
+    search: CascadeSearch, wanted: bytes, cost_bound: int
+) -> list[int]:
+    """The rows of the first level ``0..cost_bound`` with S-image *wanted*
+    (the cost-minimal matches, Theorem 3), or ``[]``."""
+    for cost in range(cost_bound + 1):
         rows = search.find_matching_rows(cost, wanted)
         if rows:
-            return _results_from_rows(
-                rows, search, target, not_mask, not_gates, first_only
-            )
-    raise CostBoundExceededError(
-        f"permutation {target.cycle_string()}", cost_bound
-    )
+            return rows
+    return []
 
 
 def minimal_cost(
     target: Permutation,
     library: GateLibrary,
     cost_bound: int = DEFAULT_COST_BOUND,
-    cost_model: CostModel = UNIT_COST,
+    cost_model: CostModel | None = None,
     search: CascadeSearch | None = None,
 ) -> int:
     """The minimal quantum cost of a target (convenience wrapper)."""

@@ -14,15 +14,15 @@ minimum-cost reasonable cascade realizing the assignment exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.errors import CostBoundExceededError, SpecificationError
 from repro.core.circuit import Circuit
-from repro.core.cost import CostModel, UNIT_COST
-from repro.core.mce import DEFAULT_COST_BOUND
-from repro.core.search import CascadeSearch
+from repro.core.cost import CostModel
+from repro.core.mce import DEFAULT_COST_BOUND, first_matching_rows, witness_row
+from repro.core.search import CascadeSearch, search_for
 from repro.gates.library import GateLibrary
 from repro.mvl.patterns import (
     Pattern,
@@ -188,7 +188,7 @@ def express_probabilistic(
     spec: ProbabilisticSpec,
     library: GateLibrary,
     cost_bound: int = DEFAULT_COST_BOUND,
-    cost_model: CostModel = UNIT_COST,
+    cost_model: CostModel | None = None,
     search: CascadeSearch | None = None,
     all_implementations: bool = False,
 ) -> ProbabilisticSynthesisResult | list[ProbabilisticSynthesisResult]:
@@ -196,50 +196,40 @@ def express_probabilistic(
 
     Searches the same reasonable-cascade levels as MCE but matches the
     prescribed (possibly non-binary) images of the binary labels instead
-    of requiring b(S) = S.
+    of requiring b(S) = S.  Each witness is certified like MCE's
+    (:func:`~repro.core.mce.witness_row`).  A *cost_model* of None
+    means the shared *search*'s model (unit for a fresh search).
 
     Raises:
-        SpecificationError: if the spec is structurally unrealizable.
+        SpecificationError: the spec is structurally unrealizable, or
+            *cost_model* differs from the shared *search*'s model.
         CostBoundExceededError: no realization within *cost_bound*.
+        StoreCorruptError: a witness fails certification.
     """
-    images = spec.validate_feasible(library)
-    wanted = bytes(images)
+    wanted = bytes(spec.validate_feasible(library))
+    search = search_for(
+        library, cost_model, search, True, "express_probabilistic()"
+    )
+    rows = first_matching_rows(search, wanted, cost_bound)
+    if not rows:
+        raise CostBoundExceededError("probabilistic specification", cost_bound)
     n_binary = library.space.n_binary
 
-    if search is None:
-        search = CascadeSearch(library, cost_model, track_parents=True)
-    elif not search.tracks_parents:
-        raise SpecificationError(
-            "express_probabilistic() needs a parent-tracking search"
-        )
+    def compare(images: bytes) -> None:
+        if images[:n_binary] != wanted:
+            raise SpecificationError("the cascade misses the spec's images")
 
-    start_cost = 0 if spec.outputs[0:] and wanted == bytes(range(n_binary)) else 1
-    for cost in range(start_cost, cost_bound + 1):
-        if cost == 0:
-            matches = [bytes(range(library.space.size))]
-        else:
-            matches = [
-                perm
-                for perm, _mask in search.level(cost)
-                if perm[:n_binary] == wanted
-            ]
-        if matches:
-            results = []
-            for perm in matches:
-                circuit = (
-                    Circuit.empty(library.n_qubits)
-                    if cost == 0
-                    else search.witness_circuit(perm)
-                )
-                results.append(
-                    ProbabilisticSynthesisResult(
-                        spec=spec,
-                        circuit=circuit,
-                        cost=circuit.cost(cost_model),
-                        cascade_permutation=Permutation.from_images(perm),
-                    )
-                )
-                if not all_implementations:
-                    return results[0]
-            return results
-    raise CostBoundExceededError("probabilistic specification", cost_bound)
+    results = []
+    for row in rows if all_implementations else rows[:1]:
+        entries, cost, cascade = witness_row(search, row, compare)
+        results.append(
+            ProbabilisticSynthesisResult(
+                spec=spec,
+                circuit=Circuit(
+                    [entry.gate for entry in entries], library.n_qubits
+                ),
+                cost=cost,
+                cascade_permutation=cascade,
+            )
+        )
+    return results if all_implementations else results[0]

@@ -15,8 +15,13 @@ the search's one snapshot.  A store-loaded search adopts the store's
 (possibly memory-mapped) arrays; a search that expands holds views of
 its :class:`~repro.core.kernel.VectorEngine`'s row store, taken again
 whenever the rows change (after an expansion, a replay or a resume),
-never per query.  :meth:`CascadeSearch.level` is a list view built from
-the snapshot on each call.
+never per query.
+
+Queries ask which rows have a given S-image (a row's first ``2**n``
+labels): :meth:`CascadeSearch.find_matching_rows` per vector and
+level (MCE, Section 4), or grouped for every binary one through
+:meth:`s_fixing_rows` into :mod:`repro.core.fmcf`'s remainder index.
+:meth:`CascadeSearch.level` is a list view for the tests' oracles.
 
 One kernel drives the expansion: the NumPy engine of
 :mod:`repro.core.kernel` -- a gate application is one mask filter plus
@@ -43,7 +48,11 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.errors import FrozenSearchError, InvalidValueError
+from repro.errors import (
+    FrozenSearchError,
+    InvalidValueError,
+    SpecificationError,
+)
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
 from repro.core.kernel import (
@@ -297,9 +306,9 @@ class CascadeSearch:
         :meth:`cost_of_row`, :meth:`witness_indices_for_row`,
         :meth:`witness_indices`, :meth:`witness_circuit`,
         :meth:`find_matching_rows`, :meth:`s_fixing_rows`,
-        :meth:`cost_of`, :meth:`level`, :meth:`level_size`,
-        :meth:`total_seen` and :meth:`stats` (all for costs within the
-        frozen bound).  Returns ``self`` for chaining.
+        :meth:`cost_of`, :meth:`level_size`, :meth:`total_seen` and
+        :meth:`stats` (all for costs within the frozen bound), and the
+        tests' :meth:`level`.  Returns ``self`` for chaining.
         """
         if self._frozen:
             return self
@@ -426,9 +435,9 @@ class CascadeSearch:
     def level(self, cost: int) -> list[tuple[bytes, int]]:
         """The ``B[cost]`` level: list of (permutation bytes, S-image mask).
 
-        Expands the search on demand.  The list is built from the
-        level's arrays on every call; row-based consumers should prefer
-        :meth:`find_matching_rows` / :meth:`s_fixing_rows`.
+        Expands the search on demand and builds the list on every
+        call.  Only the tests' oracles read it; queries go through
+        :meth:`find_matching_rows` or the remainder index.
         """
         if cost > self._expanded_to:
             self.extend_to(cost)
@@ -516,9 +525,6 @@ class CascadeSearch:
         self._check_row(row)
         return self._level_of_row(row)
 
-    def _parent_of_row(self, row: int) -> tuple[int, int]:
-        return int(self._arrays.parents[row]), int(self._arrays.gates[row])
-
     def witness_indices_for_row(self, row: int) -> list[int]:
         """Gate indices of the minimal cascade ending at a global row.
 
@@ -533,8 +539,9 @@ class CascadeSearch:
         self._check_row(row)
         n = self.total_seen()
         indices: list[int] = []
+        parents, gates = self._arrays.parents, self._arrays.gates
         while row:
-            row, gate_index = self._parent_of_row(row)
+            row, gate_index = int(parents[row]), int(gates[row])
             indices.append(gate_index)
             if (
                 len(indices) > self._expanded_to
@@ -551,22 +558,21 @@ class CascadeSearch:
         indices.reverse()
         return indices
 
-    def find_matching_rows(self, cost: int, remainder: bytes) -> list[int]:
-        """Global rows at *cost* that fix S and restrict to *remainder*.
+    def find_matching_rows(self, cost: int, wanted: bytes) -> list[int]:
+        """Global rows at *cost* whose first ``n_binary`` images are *wanted*.
 
-        The vectorized core of MCE's level scan: one boolean reduction
-        over the level's arrays instead of a Python loop over its
-        permutations.
+        A binary *wanted* (MCE's remainder) implies b(S) = S; any other
+        is a Section 4 specification.
         """
         if cost > self._expanded_to:
             self.extend_to(cost)
-        perms, masks = self._level_arrays(cost)
-        if not perms.shape[0]:
-            return []
         start = self._level_start(cost)
-        wanted = np.frombuffer(remainder, dtype=np.uint8)
-        hits = (perms[:, : self._n_binary] == wanted[None, :]).all(axis=1)
-        hits &= self._s_fixing_mask(masks)
+        head = self._level_arrays(cost)[0][:, : self._n_binary]
+        vector = np.frombuffer(wanted, dtype=np.uint8)
+        if self._n_binary % 8 == 0:
+            # Eight labels per compare (3 qubits: one u64 per row).
+            head, vector = head.view("<u8"), vector.view("<u8")
+        hits = (head == vector[None, :]).all(axis=1)
         return [start + int(i) for i in np.flatnonzero(hits)]
 
     def s_fixing_rows(self, cost: int):
@@ -574,15 +580,10 @@ class CascadeSearch:
         if cost > self._expanded_to:
             self.extend_to(cost)
         perms, masks = self._level_arrays(cost)
-        local = np.flatnonzero(self._s_fixing_mask(masks))
+        s_words = mask_int_to_words(self._s_mask, masks.shape[1])
+        local = np.flatnonzero((masks == s_words[None, :]).all(axis=1))
         remainders = perms[local, : self._n_binary]
         return (self._level_start(cost) + local).tolist(), remainders
-
-    def _s_fixing_mask(self, masks):
-        s_words = mask_int_to_words(self._s_mask, masks.shape[1])
-        if masks.shape[1] == 1:
-            return masks[:, 0] == s_words[0]
-        return (masks == s_words[None, :]).all(axis=1)
 
     def _level_start(self, cost: int) -> int:
         return int(self._arrays.level_offsets[cost])
@@ -711,3 +712,30 @@ class CascadeSearch:
             self._library[i].gate for i in self.witness_indices(perm)
         ]
         return Circuit(gates, self._library.n_qubits)
+
+
+def search_for(
+    library: GateLibrary,
+    cost_model: CostModel | None,
+    search: CascadeSearch | None,
+    track_parents: bool,
+    caller: str,
+) -> CascadeSearch:
+    """*search* checked for *caller*'s one-shot query, or a fresh one.
+
+    A *cost_model* of None means the shared search's own (unit for a
+    fresh one); any other model is refused, since the search's levels
+    are costs under its own.
+    """
+    if search is None:
+        return CascadeSearch(
+            library, cost_model or UNIT_COST, track_parents=track_parents
+        )
+    if cost_model is not None and cost_model != search.cost_model:
+        raise SpecificationError(
+            f"{caller} was given {cost_model} but the shared search "
+            f"costs cascades under {search.cost_model}"
+        )
+    if track_parents and not search.tracks_parents:
+        raise SpecificationError(f"{caller} needs a parent-tracking search")
+    return search

@@ -576,13 +576,9 @@ def _index_blobs(search: CascadeSearch, cost_bound: int):
     Returns ``(blobs, digests, entries, matches)``.  The digests cover
     the raw bytes, so v2 and v3 record the same ``index_sha256``.
     """
-    from repro.core.batch import build_remainder_index
+    from repro.core.fmcf import remainder_index
 
-    attached = search.attached_remainder_index
-    if attached is not None and attached[0] == cost_bound:
-        index = attached[1]
-    else:
-        index = build_remainder_index(search, cost_bound)
+    index = remainder_index(search, cost_bound)
     costs = np.array(
         [hit[0] for hit in index.values()], dtype="<i4"
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.nct import NCTLibrary, NCTSynthesizer
+from repro.core.cost import CostModel
 from repro.core.fmcf import find_minimum_cost_circuits
 from repro.core.search import CascadeSearch
 from repro.gates.library import GateLibrary
@@ -57,6 +58,16 @@ def library2():
 def search3(library3):
     """A shared parent-tracking search; tests extend it as needed."""
     return CascadeSearch(library3, track_parents=True)
+
+
+@pytest.fixture(scope="session")
+def weighted_search3(library3):
+    """A parent-tracking search to cost 7 with CNOT three times a V."""
+    search = CascadeSearch(
+        library3, CostModel(v_cost=1, vdag_cost=1, cnot_cost=3)
+    )
+    search.extend_to(7)
+    return search
 
 
 @pytest.fixture(scope="session")

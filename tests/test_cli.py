@@ -140,10 +140,27 @@ class TestStoreWorkflow:
         assert "|G[k]|" in out
         assert "precomputed" in out
 
-    def test_table2_store_rejects_paper_pseudocode(self, store_path, capsys):
-        code = main(["table2", "--store", store_path, "--paper-pseudocode"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, g_row",
+        [
+            (["--cost-bound", "5"], "1 6 24 51 84 156"),
+            (["--cost-bound", "4", "--paper-pseudocode"], "1 6 24 52 84"),
+        ],
+        ids=["plain", "paper-pseudocode"],
+    )
+    def test_table2_store_matches_live(self, store_path, capsys, flags, g_row):
+        def table_rows(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            # The closure line names the source and its timing.
+            return [
+                line for line in out.splitlines()
+                if not line.startswith("closure:")
+            ]
+
+        live = table_rows(["table2", *flags])
+        assert table_rows(["table2", "--store", store_path, *flags]) == live
+        assert f"|G[k]| {g_row}" in [" ".join(line.split()) for line in live]
 
     def test_store_respects_explicit_cost_bound(self, store_path, capsys):
         # toffoli costs 5; a bound-1 query against a bound-5 store must

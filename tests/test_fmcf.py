@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.fmcf import find_minimum_cost_circuits
 from repro.core.cost import CostModel
+from repro.core.search import CascadeSearch
+from repro.errors import SpecificationError
 from repro.gates import named
 from repro.gates.library import GateLibrary
+from repro.gates.ternary import ternary_library
 
 #: Our measured counts (minimal-cost semantics, identity has cost 0).
 OUR_G_SIZES = [1, 6, 24, 51, 84, 156, 398, 540]
@@ -117,3 +120,76 @@ class TestConfigurations:
 
     def test_n_qubits_recorded(self, cost_table5):
         assert cost_table5.n_qubits == 3
+
+    def test_cost_model_other_than_the_search_is_refused(
+        self, library3, search3, weighted_search3
+    ):
+        weighted = weighted_search3.cost_model
+        with pytest.raises(SpecificationError, match="shared search"):
+            find_minimum_cost_circuits(
+                library3, 3, cost_model=weighted, search=search3
+            )
+        table = find_minimum_cost_circuits(
+            library3, 3, cost_model=weighted, search=weighted_search3
+        )
+        assert table.g_sizes == [1, 0, 6, 0]
+
+
+def pseudocode_classes(search, cost_bound, paper_pseudocode=False):
+    """The paper's FMCF loop over ``search.level``: the oracle.
+
+        pre_G[k] = {RestrictedPerm(b, S) : b in B[k], b(S) = S}
+        G[k] = pre_G[k] - G[k-1] - ... - G[1]   (- G[0] unless verbatim)
+
+    Returns the classes as restriction image bytes, each in discovery
+    order.
+    """
+    n_binary = search.library.space.n_binary
+    identity = bytes(range(n_binary))
+    known = set() if paper_pseudocode else {identity}
+    classes = [[identity]]
+    for cost in range(1, cost_bound + 1):
+        fresh = {}
+        for perm, mask in search.level(cost):
+            restricted = perm[:n_binary]
+            if mask == search.s_mask and restricted not in known:
+                fresh[restricted] = None
+        known.update(fresh)
+        classes.append(list(fresh))
+    return classes
+
+
+class TestAgainstPseudocode:
+    """FMCF's classes, in order, equal the transcribed pseudocode's."""
+
+    @pytest.mark.parametrize(
+        "case, cost_bound, paper_pseudocode",
+        [
+            ("unit", 7, False),
+            ("unit", 5, True),
+            ("weighted", 7, False),
+            ("weighted", 7, True),
+            ("two-qubit", 4, False),
+            ("ternary", 4, False),
+            ("ternary", 4, True),
+        ],
+    )
+    def test_classes_equal_the_oracle(
+        self, request, case, cost_bound, paper_pseudocode
+    ):
+        if case == "unit":
+            search = request.getfixturevalue("search3")
+        elif case == "weighted":
+            search = request.getfixturevalue("weighted_search3")
+        elif case == "two-qubit":
+            search = CascadeSearch(GateLibrary(2), track_parents=False)
+        else:
+            search = CascadeSearch(ternary_library(2), track_parents=False)
+        table = find_minimum_cost_circuits(
+            search.library, cost_bound, search=search,
+            paper_pseudocode=paper_pseudocode,
+        )
+        classes = [[p.images for p in members] for members in table.classes]
+        expected = pseudocode_classes(search, cost_bound, paper_pseudocode)
+        assert classes == expected
+        assert any(expected[1:]), "the oracle found no class at all"

@@ -139,6 +139,21 @@ class TestErrors:
         with pytest.raises(SpecificationError):
             express(named.TOFFOLI, library3, search=search)
 
+    def test_cost_model_other_than_the_search_is_refused(
+        self, library3, search3, weighted_search3
+    ):
+        # The unit search's levels are unit costs: answering a weighted
+        # query from them would report Peres at 4 instead of 5.
+        weighted = weighted_search3.cost_model
+        with pytest.raises(SpecificationError, match="shared search"):
+            express(named.PERES, library3, cost_model=weighted, search=search3)
+        assert express(named.PERES, library3, search=weighted_search3).cost == 5
+        assert express(
+            named.PERES, library3, cost_model=weighted,
+            search=weighted_search3,
+        ).cost == 5
+        assert express(named.PERES, library3, cost_model=weighted).cost == 5
+
 
 class TestMinimality:
     """Theorem 1/3: the returned cost is minimal."""

@@ -1,9 +1,15 @@
 """Unit tests for probabilistic synthesis (repro.core.probabilistic) -- Sec. 4."""
 
-import pytest
+import dataclasses
 from fractions import Fraction
 
-from repro.errors import CostBoundExceededError, SpecificationError
+import pytest
+
+from repro.errors import (
+    CostBoundExceededError,
+    SpecificationError,
+    StoreCorruptError,
+)
 from repro.core.probabilistic import (
     ProbabilisticSpec,
     express_probabilistic,
@@ -165,3 +171,85 @@ class TestSynthesis:
     def test_result_str(self, library3, search3):
         result = express_probabilistic(v_spec_3q(), library3, search=search3)
         assert "cost 1" in str(result)
+
+    def test_cost_model_other_than_the_search_is_refused(
+        self, library3, search3, weighted_search3
+    ):
+        # Toffoli costs 7 under the weighted model; the unit search's
+        # first match would report a non-minimal 9.
+        spec = ProbabilisticSpec.deterministic(named.TOFFOLI, 3)
+        weighted = weighted_search3.cost_model
+        with pytest.raises(SpecificationError, match="shared search"):
+            express_probabilistic(
+                spec, library3, cost_model=weighted, search=search3
+            )
+        result = express_probabilistic(
+            spec, library3, cost_model=weighted, search=weighted_search3
+        )
+        assert result.cost == 7 == result.circuit.cost(weighted)
+
+
+class TestCertification:
+    def test_corrupted_gate_column_is_store_corrupt(self, library3):
+        search = CascadeSearch(library3)
+        search.extend_to(2)
+        result = express_probabilistic(v_spec_3q(), library3, search=search)
+        arrays = search.export_arrays()
+        (row,) = search.find_matching_rows(
+            1, result.cascade_permutation.images[:8]
+        )
+        gates = arrays.gates.copy()
+        gates[row] = (gates[row] + 1) % len(library3)
+        corrupt = CascadeSearch.from_arrays(
+            library3, dataclasses.replace(arrays, gates=gates)
+        )
+        with pytest.raises(StoreCorruptError, match="fails certification"):
+            express_probabilistic(v_spec_3q(), library3, search=corrupt)
+
+
+def level_scan(search, cost_bound):
+    """Every S-image of levels ``0..cost_bound``: the oracle.
+
+    Maps each S-image vector (a cascade's first ``2**n`` labels) to its
+    first cost and the cascade permutations at that cost, in level
+    order -- the Python scan over :meth:`CascadeSearch.level` that
+    :func:`express_probabilistic` ran before it matched rows.
+    """
+    n_binary = search.library.space.n_binary
+    found = {}
+    for cost in range(cost_bound + 1):
+        for perm, _mask in search.level(cost):
+            hit = found.get(perm[:n_binary])
+            if hit is None:
+                found[perm[:n_binary]] = (cost, [perm])
+            elif hit[0] == cost:
+                hit[1].append(perm)
+    return found
+
+
+def assert_matches_level_scan(library, search, cost_bound):
+    space = library.space
+    for wanted, (cost, perms) in level_scan(search, cost_bound).items():
+        spec = ProbabilisticSpec(tuple(space.pattern(label) for label in wanted))
+        first = express_probabilistic(
+            spec, library, cost_bound=cost_bound, search=search
+        )
+        every = express_probabilistic(
+            spec, library, cost_bound=cost_bound, search=search,
+            all_implementations=True,
+        )
+        assert [r.cascade_permutation.images for r in every] == perms
+        assert {r.cost for r in every} == {cost}
+        assert first == every[0]
+        assert first.circuit == search.witness_circuit(perms[0])
+
+
+class TestAgainstLevelScan:
+    """Every realizable 3-qubit spec, against the test-side level scan."""
+
+    def test_every_spec_up_to_cost_4(self, library3, search3):
+        assert_matches_level_scan(library3, search3, 4)
+
+    @pytest.mark.slow
+    def test_every_spec_up_to_cost_7(self, library3, search3):
+        assert_matches_level_scan(library3, search3, 7)

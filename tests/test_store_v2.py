@@ -18,7 +18,8 @@ import pytest
 
 from legacy_v1 import encode_v1, encode_v1_payload, write_v1
 from repro.errors import StoreError, StoreVersionError
-from repro.core.batch import BatchSynthesizer, build_remainder_index
+from repro.core.batch import BatchSynthesizer
+from repro.core.fmcf import build_remainder_index
 from repro.core.search import CascadeSearch
 from repro.core.store import (
     MAGIC_V1,
@@ -120,14 +121,14 @@ class TestLazyOpen:
 
     def test_batch_does_no_closure_scan(self, v2_path, monkeypatch):
         """BatchSynthesizer must serve purely from the attached index."""
-        import repro.core.batch as batch_module
+        import repro.core.fmcf as fmcf_module
 
         _header, _library, search = open_store(v2_path)
 
         def boom(*args, **kwargs):  # pragma: no cover - should not run
             raise AssertionError("closure scan on a v2-attached search")
 
-        monkeypatch.setattr(batch_module, "build_remainder_index", boom)
+        monkeypatch.setattr(fmcf_module, "build_remainder_index", boom)
         batch = BatchSynthesizer(search)
         assert batch.cost_bound == 5
         assert batch.synthesize(named.TARGETS["peres"]).cost == 4
