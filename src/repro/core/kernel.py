@@ -258,6 +258,19 @@ class GateRows:
         return len(self.tables16)
 
 
+def preimage_mask(table: bytes, mask: int, degree: int) -> int:
+    """Labels ``x < degree`` that *table* maps into *mask*, as a mask."""
+    return sum(1 << x for x in range(degree) if mask >> table[x] & 1)
+
+
+def _minimal(masks: list[int]) -> list[int]:
+    """The distinct masks that contain no other one, fewest bits first."""
+    kept: list[int] = []
+    for mask in sorted(set(masks), key=int.bit_count):
+        if all(mask & other != other for other in kept):
+            kept.append(mask)
+    return kept
+
 
 class RelationFilter:
     """Pre-composition pruning from length-:math:`\\le 2` gate relations.
@@ -279,7 +292,7 @@ class RelationFilter:
     * **pair** -- ``t_g . t_q = t_{g2} . t_{q2}`` with ``cost(q2) +
       cost(g2)`` smaller (any ``g2``) or equal and ``g2 < g``, with
       both steps applicable: ``mask(a) & banned(q2) == 0`` and
-      ``perm_mask(q2, mask(a)) & banned(g2) == 0``.  Then
+      ``mask(t_{q2} . a) & banned(g2) == 0``.  Then
       ``r = t_{q2} . a`` is discovered no later than
       ``cost(a) + cost(q2)`` and candidate ``(r, g2)`` precedes ours.
 
@@ -290,223 +303,107 @@ class RelationFilter:
     a chain of witnesses always terminates at a non-skipped earlier
     producer.  First producers therefore are never skipped, and level
     contents, discovery order and parent choice all survive untouched.
-    Rows with unknown provenance (restored levels carrying ``-1``
-    parent or gate entries) are never filtered.
 
-    ``perm_mask(q, m)`` is the S-image mask ``m`` pushed through gate
-    ``q``'s label permutation; it is evaluated via per-gate, per-byte
-    lookup tables so the filter never composes a full row.
+    Every rule is one test on ``mask(a)``, so the filter never composes
+    a row.  The gate table ``t_{q2}`` is a bijection on labels, so
+    ``t_{q2} . a`` maps a point of S into ``banned(g2)`` exactly when
+    ``a`` maps it into the preimage ``t_{q2}^{-1}(banned(g2))``: the
+    pair rule is ``mask(a) & (banned(q2) | preimage) == 0``, with a
+    constant mask per alternative.  The single rule's mask is
+    ``banned(h)`` and the identity's is zero.  A candidate is skipped
+    iff ``mask(a) & A == 0`` for one of its ``(g, q)`` alternatives
+    ``A``; an alternative whose mask contains another's can never fire
+    first and is dropped.  Rows of unknown provenance (restored levels
+    carrying ``-1`` parent or gate entries) are passed as gate ``-1``,
+    which has no alternatives.
     """
 
     def __init__(self, gate_rows: GateRows, degree: int, mask_words: int):
-        self._n_g = n_g = len(gate_rows)
-        self._words = mask_words
-        self._nbytes = nbytes = -(-degree // 8)
-        tables = [
-            np.frombuffer(t, dtype=np.uint8) for t in gate_rows.tables
-        ]
+        n_g = len(gate_rows)
+        tables = gate_rows.tables
         costs = gate_rows.costs
-        banned = gate_rows.banned  # per gate: (words,) u64
-
-        identity = np.arange(256, dtype=np.uint8)
-        stacked = np.stack(tables)
-        # composed[g, q] = t_g . t_q on the label space
-        composed = stacked[:, stacked[:, :degree]]
+        banned = [mask_words_to_int(b) for b in gate_rows.banned]
+        # products[t_g . t_q] = every (q, g) composing to it
         products: dict[bytes, list[tuple[int, int]]] = {}
         for q in range(n_g):
             for g in range(n_g):
-                key = composed[g, q].tobytes()
+                key = tables[q][:degree].translate(tables[g])
                 products.setdefault(key, []).append((q, g))
-        by_single = {
-            t[:degree].tobytes(): h for h, t in enumerate(tables)
-        }
-        identity_key = identity[:degree].tobytes()
+        by_single = {t[:degree]: h for h, t in enumerate(tables)}
+        identity = bytes(range(degree))
 
-        #: uncond[g][q] -- skip unconditionally (product is identity).
-        self._uncond = np.zeros((n_g, n_g), dtype=bool)
-        # singles[k] and pair_*[k] are per-alternative sentinel-padded
-        # lookup arrays indexed [g][q]; all-ones banned sentinels make
-        # the corresponding condition unsatisfiable (S-masks are
-        # nonzero), so unused slots are naturally inert.
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        singles: list[np.ndarray] = []
-        pair_q2: list[np.ndarray] = []
-        pair_b1: list[np.ndarray] = []
-        pair_b2: list[np.ndarray] = []
-        single_used: list[np.ndarray] = []
-        pair_used: list[np.ndarray] = []
-
-        def _place_single(g, q, banned_h):
-            for k, used in enumerate(single_used):
-                if not used[g, q]:
-                    singles[k][g, q] = banned_h
-                    used[g, q] = True
-                    return
-            singles.append(
-                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
-            )
-            single_used.append(np.zeros((n_g, n_g), dtype=bool))
-            singles[-1][g, q] = banned_h
-            single_used[-1][g, q] = True
-
-        def _place_pair(g, q, q2, b1, b2):
-            for k, used in enumerate(pair_used):
-                if not used[g, q]:
-                    pair_q2[k][g, q] = q2
-                    pair_b1[k][g, q] = b1
-                    pair_b2[k][g, q] = b2
-                    used[g, q] = True
-                    return
-            pair_q2.append(np.zeros((n_g, n_g), dtype=np.int64))
-            pair_b1.append(
-                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
-            )
-            pair_b2.append(
-                np.full((n_g, n_g, mask_words), ones, dtype=np.uint64)
-            )
-            pair_used.append(np.zeros((n_g, n_g), dtype=bool))
-            pair_q2[-1][g, q] = q2
-            pair_b1[-1][g, q] = b1
-            pair_b2[-1][g, q] = b2
-            pair_used[-1][g, q] = True
-
+        #: Relations found per rule, before redundant ones are dropped.
+        self.found = {"identity": 0, "single": 0, "pair": 0}
+        alternatives: dict[tuple[int, int], list[int]] = {}
         for key, members in products.items():
-            is_identity = key == identity_key
             single_h = by_single.get(key)
             for q, g in members:
-                total = costs[q] + costs[g]
-                if is_identity:
-                    self._uncond[g, q] = True
+                if key == identity:
+                    self.found["identity"] += 1
+                    alternatives[g, q] = [0]
                     continue
+                total = costs[q] + costs[g]
+                masks = []
                 if single_h is not None and (
                     costs[single_h] < total
                     or (costs[single_h] == total and single_h < g)
                 ):
-                    _place_single(g, q, banned[single_h])
+                    self.found["single"] += 1
+                    masks.append(banned[single_h])
                 for q2, g2 in members:
-                    if (q2, g2) == (q, g):
-                        continue
                     total2 = costs[q2] + costs[g2]
-                    if total2 < total or (total2 == total and g2 < g):
-                        _place_pair(g, q, q2, banned[q2], banned[g2])
-        self._singles = singles
-        self._pair_q2 = pair_q2
-        self._pair_b1 = pair_b1
-        self._pair_b2 = pair_b2
-        # any_alt[g][q]: does (q, g) have any alternative at all?  One
-        # gather against it narrows condition evaluation to the ~25% of
-        # pairs that can fire.
-        self._any_alt = self._uncond.copy()
-        for used in single_used:
-            self._any_alt |= used
-        for used in pair_used:
-            self._any_alt |= used
-        self._active = bool(self._any_alt.any())
+                    if (q2, g2) != (q, g) and (
+                        total2 < total or (total2 == total and g2 < g)
+                    ):
+                        self.found["pair"] += 1
+                        masks.append(
+                            banned[q2]
+                            | preimage_mask(tables[q2], banned[g2], degree)
+                        )
+                if masks:
+                    alternatives[g, q] = _minimal(masks)
 
-        # Per-gate byte-wise mask-permutation tables:
-        # _ptab[(g * nbytes + b) * 256 + v] = OR of one-hot(t_g[8b + j])
-        # over the bits j set in v (labels 8b + j < degree only).
-        # onehot[j, g, b] = mask words of t_g's image of label 8b + j.
-        labels = np.arange(nbytes * 8).reshape(nbytes, 8).T
-        images = stacked[:, labels].transpose(1, 0, 2).astype(np.uint64)
-        onehot = np.zeros((8, n_g, nbytes, mask_words), dtype=np.uint64)
-        for w in range(mask_words):
-            onehot[..., w] = np.where(
-                (labels[:, None, :] < degree)
-                & ((images >> np.uint64(6)) == w),
-                _ONE << (images & np.uint64(63)),
-                np.uint64(0),
-            )
-        # Subset recurrence: v's entry is v-without-its-lowest-bit's
-        # entry plus that bit's one-hot image.
-        by_value = np.zeros((256, n_g, nbytes, mask_words), dtype=np.uint64)
-        for v in range(1, 256):
-            low = (v & -v).bit_length() - 1
-            by_value[v] = by_value[v & (v - 1)] | onehot[low]
-        ptab = np.ascontiguousarray(by_value.transpose(1, 2, 0, 3)).reshape(
-            n_g * nbytes * 256, mask_words
+        # _alts[g, q, k] = alternative k of (g, q), all ones where there
+        # is none (S-masks are nonzero, so it never fires).  Column
+        # q = n_g, which gate -1 indexes, is the unknown provenance.
+        depth = max(map(len, alternatives.values()), default=0)
+        self._alts = np.full(
+            (n_g, n_g + 1, depth, mask_words), ~np.uint64(0), dtype=np.uint64
         )
-        self._ptab = ptab if mask_words > 1 else ptab[:, 0]
-
-    # -- evaluation --------------------------------------------------------------------
+        self._any = np.zeros((n_g, n_g + 1), dtype=bool)
+        for (g, q), masks in alternatives.items():
+            self._any[g, q] = True
+            for k, mask in enumerate(masks):
+                self._alts[g, q, k] = mask_int_to_words(mask, mask_words)
 
     @property
     def active(self) -> bool:
         """Whether any relation exists for this library at all."""
-        return self._active
-
-    def permuted_masks(self, masks: np.ndarray, gates: np.ndarray) -> np.ndarray:
-        """Push S-image masks through per-row gate label permutations."""
-        n = masks.shape[0]
-        if self._words == 1:
-            m = masks.reshape(n)
-            out = np.zeros(n, dtype=np.uint64)
-            base = (gates.astype(np.int64) * self._nbytes) * 256
-            for b in range(self._nbytes):
-                byte = ((m >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(
-                    np.int64
-                )
-                out |= self._ptab[base + b * 256 + byte]
-            return out.reshape(n, 1)
-        bytes_view = masks.view(np.uint8).reshape(n, 8 * self._words)
-        out = np.zeros((n, self._words), dtype=np.uint64)
-        base = (gates.astype(np.int64) * self._nbytes) * 256
-        for b in range(self._nbytes):
-            idx = base + b * 256 + bytes_view[:, b].astype(np.int64)
-            out |= self._ptab[idx]
-        return out
+        return bool(self._any.any())
 
     def prune(
-        self, gi: int, qs: np.ndarray, pmasks: np.ndarray
+        self,
+        gi: int,
+        rows: np.ndarray,
+        gates: np.ndarray,
+        pmasks: np.ndarray,
     ) -> np.ndarray:
-        """Skip mask for candidates extending gate-``qs`` rows by ``gi``.
+        """The *rows* whose gate-``gi`` candidates no relation drops.
 
-        ``pmasks`` holds the (grand)parent S-image masks, ``(m, words)``.
+        ``gates[r]`` is row ``r``'s last gate (``-1`` if unknown) and
+        ``pmasks[r]`` its parent's S-image mask words.
         """
-        qsl = qs.astype(np.int64)
-        interesting = np.flatnonzero(self._any_alt[gi][qsl])
-        if interesting.size < qsl.shape[0]:
-            # Evaluate conditions only where an alternative exists.
-            sub = self.prune(
-                gi, qs[interesting], pmasks[interesting]
-            )
-            skip = np.zeros(qsl.shape[0], dtype=bool)
-            skip[interesting[sub]] = True
-            return skip
-        m = qs.shape[0]
-        skip = self._uncond[gi][qsl].copy()
-        if self._words == 1:
-            pm = pmasks.reshape(m)
-            for arr in self._singles:
-                skip |= (pm & arr[gi, :, 0][qsl]) == 0
-            for k in range(len(self._pair_q2)):
-                b1 = self._pair_b1[k][gi, :, 0][qsl]
-                cond1 = ~skip & ((pm & b1) == 0)
-                need = np.flatnonzero(cond1)
-                if not need.size:
-                    continue
-                q2 = self._pair_q2[k][gi][qsl[need]]
-                m2 = self.permuted_masks(
-                    pm[need].reshape(-1, 1), q2
-                ).reshape(-1)
-                b2 = self._pair_b2[k][gi, :, 0][qsl[need]]
-                hit = (m2 & b2) == 0
-                skip[need[hit]] = True
-            return skip
-        for arr in self._singles:
-            skip |= ((pmasks & arr[gi][qsl]) == 0).all(axis=1)
-        for k in range(len(self._pair_q2)):
-            b1 = self._pair_b1[k][gi][qsl]
-            cond1 = ~skip & ((pmasks & b1) == 0).all(axis=1)
-            need = np.flatnonzero(cond1)
-            if not need.size:
-                continue
-            q2 = self._pair_q2[k][gi][qsl[need]]
-            m2 = self.permuted_masks(pmasks[need], q2)
-            b2 = self._pair_b2[k][gi][qsl[need]]
-            hit = ((m2 & b2) == 0).all(axis=1)
-            skip[need[hit]] = True
-        return skip
+        # Test only the rows whose last gate has an alternative.
+        at = np.flatnonzero(self._any[gi][gates[rows]])
+        if not at.size:
+            return rows
+        tested = rows[at]
+        alts = self._alts[gi][gates[tested]]
+        # misses[i, k]: row i's parent mask misses alternative k's mask.
+        misses = ~(pmasks[tested][:, None, :] & alts).any(axis=2)
+        keep = np.ones(rows.shape[0], dtype=bool)
+        keep[at[misses.any(axis=1)]] = False
+        return rows[keep]
 
 
 @dataclass
@@ -857,6 +754,7 @@ class VectorEngine:
         chunks: list[tuple[int, int, np.ndarray]] = []
         total = 0
         planned = 0
+        provenance: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for group in rows.groups:
             src = cost - rows.costs[group[0]]
             if src < 0 or src >= self.n_levels or not self.level_size(src):
@@ -878,29 +776,26 @@ class VectorEngine:
                 kept = np.flatnonzero(keep)
                 planned += kept.size
                 if kept.size and self._filter is not None:
-                    kept = self._prune(src, gi, kept)
+                    if src not in provenance:
+                        provenance[src] = self._provenance(src)
+                    kept = self._filter.prune(gi, kept, *provenance[src])
                 if kept.size:
                     chunks.append((gi, src, kept))
                     total += kept.size
         chunks.sort(key=lambda chunk: chunk[0])
         return chunks, total, planned
 
-    def _prune(self, src: int, gi: int, kept: np.ndarray) -> np.ndarray:
-        """Drop kept rows whose gate-``gi`` candidates the filter proves
-        to be duplicates of an earlier candidate."""
-        rows = kept + self.offsets[src]
-        qs = self._gates[rows]
-        prs = self._parents[rows]
-        valid = (qs >= 0) & (prs >= 0)
-        if not valid.any():
-            return kept
-        vi = np.flatnonzero(valid)
-        skip_valid = self._filter.prune(gi, qs[vi], self._masks[prs[vi]])
-        if not skip_valid.any():
-            return kept
-        drop = np.zeros(kept.shape[0], dtype=bool)
-        drop[vi] = skip_valid
-        return kept[~drop]
+    def _provenance(self, src: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each level-``src`` row's last gate and its parent's S-image
+        mask: the relation filter's inputs, gathered once per level.
+
+        A row whose parent is unknown gets gate ``-1``.
+        """
+        level = self._level_slice(src)
+        parents = self._parents[level]
+        known = parents >= 0
+        gates = np.where(known, self._gates[level], -1)
+        return gates, self._masks[np.where(known, parents, 0)]
 
     def _scratch_sets(self, size: int) -> tuple[_Scratch, _Scratch]:
         """The two batch scratch sets, grown to *size* rows if smaller.

@@ -60,6 +60,29 @@ def _tail(degree: int) -> bytes:
     return tail
 
 
+def _valid(images: Sequence[int] | bytes) -> bytes:
+    """*images* as bytes, if they form a permutation of their length."""
+    try:
+        data = bytes(images)
+    except (TypeError, ValueError):
+        raise InvalidPermutationError(
+            f"images {images!r} are not a sequence of labels 0..255"
+        ) from None
+    degree = len(data)
+    if degree == 0 or degree > _MAX_DEGREE:
+        raise InvalidPermutationError(
+            f"degree must be 1..{_MAX_DEGREE}, got {degree}"
+        )
+    seen = bytearray(degree)
+    for x in data:
+        if x >= degree or seen[x]:
+            raise InvalidPermutationError(
+                f"images {list(data)} do not form a permutation"
+            )
+        seen[x] = 1
+    return data
+
+
 class Permutation:
     """A permutation of ``{0, ..., degree-1}``.
 
@@ -69,9 +92,13 @@ class Permutation:
 
     __slots__ = ("_images", "_table")
 
-    def __init__(self, images: bytes, _table: bytes | None = None):
-        # Internal fast path: images must already be validated bytes.
-        self._images = images
+    def __init__(
+        self, images: Sequence[int] | bytes, _table: bytes | None = None
+    ):
+        # bytes are the internal fast path and must already be valid;
+        # anything else is checked and converted, so a permutation
+        # compares and hashes the same however it was built.
+        self._images = images if isinstance(images, bytes) else _valid(images)
         # The 256-byte translate table is built lazily (many permutations
         # in BFS frontiers are never used as right factors).
         self._table = _table
@@ -81,20 +108,7 @@ class Permutation:
     @classmethod
     def from_images(cls, images: Sequence[int] | bytes) -> "Permutation":
         """Build from an image array: ``images[x]`` is the image of x."""
-        data = bytes(images)
-        degree = len(data)
-        if degree == 0 or degree > _MAX_DEGREE:
-            raise InvalidPermutationError(
-                f"degree must be 1..{_MAX_DEGREE}, got {degree}"
-            )
-        seen = bytearray(degree)
-        for x in data:
-            if x >= degree or seen[x]:
-                raise InvalidPermutationError(
-                    f"images {list(data)} do not form a permutation"
-                )
-            seen[x] = 1
-        return cls(data)
+        return cls(_valid(images))
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

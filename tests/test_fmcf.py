@@ -9,6 +9,7 @@ from repro.errors import SpecificationError
 from repro.gates import named
 from repro.gates.library import GateLibrary
 from repro.gates.ternary import ternary_library
+from repro.perm.permutation import Permutation
 
 #: Our measured counts (minimal-cost semantics, identity has cost 0).
 OUR_G_SIZES = [1, 6, 24, 51, 84, 156, 398, 540]
@@ -85,6 +86,11 @@ class TestClasses:
         assert cost_table7.cost_of(named.FREDKIN) == 7
         assert cost_table7.cost_of(named.cnot_target(1, 0)) == 1
         assert cost_table7.cost_of(named.IDENTITY3) == 0
+
+    def test_cost_of_finds_a_tuple_built_target(self, cost_table5):
+        # Toffoli's images as a tuple, not bytes: the key must still hit.
+        toffoli = Permutation((0, 1, 2, 3, 4, 5, 7, 6))
+        assert cost_table5.cost_of(toffoli) == 5
 
     def test_cost_of_unknown_returns_none(self, cost_table5):
         # Fredkin costs 7, beyond this table's bound of 5.

@@ -29,7 +29,10 @@ from repro.core.kernel import (
     VectorEngine,
     compute_masks,
     hash_rows,
+    mask_int_to_words,
+    mask_words_to_int,
     pack_rows,
+    preimage_mask,
 )
 from repro.core.search import CascadeSearch
 from repro.errors import InvalidValueError
@@ -784,23 +787,33 @@ class TestPipeline:
 
 
 class TestRelationFilter:
-    def test_permuted_masks_match_composition(self, library3):
-        """perm_g(mask(a)) must equal the mask of t_g . a exactly."""
-        search = CascadeSearch(library3)
-        search.extend_to(3)
+    @pytest.mark.parametrize("n_qubits, level", [(3, 3), (4, 3)])
+    def test_preimage_folds_the_permuted_mask(self, n_qubits, level):
+        """mask(t_q2 . a) & B == 0 exactly when mask(a) & t_q2^-1(B) ==
+        0, for every row, gate and library banned mask B (one mask
+        word at 3 qubits, three at 4)."""
+        search = CascadeSearch(library_for(n_qubits))
+        search.extend_to(level)
         engine = search._engine
-        rf = engine._filter
         arrays = engine.arrays()
-        start, stop = arrays.level_rows(3)
+        start, stop = arrays.level_rows(level)
         perms, masks = arrays.perms[start:stop], arrays.masks[start:stop]
-        tables = engine.gate_rows.tables
-        for gi in (0, 7, 17):
-            table = np.frombuffer(tables[gi], dtype=np.uint8)
-            composed = pack_rows(table[perms], engine.degree)
-            expected = compute_masks(composed, engine.n_binary, 1)
-            gates = np.full(perms.shape[0], gi, dtype=np.int64)
-            got = rf.permuted_masks(masks, gates)
-            assert (got == expected).all()
+        words = engine.mask_words
+        banned_sets = {mask_words_to_int(b) for b in engine.gate_rows.banned}
+        for table in engine.gate_rows.tables:
+            composed = compute_masks(
+                pack_rows(np.frombuffer(table, dtype=np.uint8)[perms],
+                          engine.degree),
+                engine.n_binary,
+                words,
+            )
+            for banned in banned_sets:
+                preimage = preimage_mask(table, banned, engine.degree)
+                expected = ~(
+                    composed & mask_int_to_words(banned, words)
+                ).any(axis=1)
+                got = ~(masks & mask_int_to_words(preimage, words)).any(axis=1)
+                np.testing.assert_array_equal(got, expected)
 
     def test_filter_prunes_only_duplicates(self, library3):
         """The engine composes fewer candidates than the reasonable-
@@ -825,8 +838,29 @@ class TestRelationFilter:
         # every gate has its adjoint in the alphabet (identity pairs).
         # Note V^2 = CNOT holds only on the binary sublabels, not on
         # the full 38-label space, so no single-gate relations exist.
-        assert rf._pair_q2 and rf._uncond.any()
-        assert not rf._singles
+        assert rf.found["identity"] and rf.found["pair"]
+        assert not rf.found["single"]
+
+    @pytest.mark.parametrize(
+        "library, cost_model, bound, kept",
+        [
+            ((3,), None, 7, [18, 162, 1058, 5810, 29058, 138181, 637981]),
+            ((3,), CostModel(1, 1, 3), 7, [12, 54, 140, 432, 1246, 3462, 10129]),
+            ((4,), None, 4, [36, 684, 9748, 111811]),
+            ((2, 3), None, 5, [10, 35, 140, 791, 1674]),
+            ((2, 4), None, 4, [18, 127, 708, 5525]),
+        ],
+        ids=["3q-unit", "3q-weighted", "4q", "ternary-2", "quaternary-2"],
+    )
+    def test_pruned_counts_per_level(self, library, cost_model, bound, kept):
+        """A filter that prunes less still commits the same rows, so the
+        store digests cannot catch a lost relation: pin what it keeps."""
+        kwargs = {} if cost_model is None else {"cost_model": cost_model}
+        search = CascadeSearch(library_for(*library), **kwargs)
+        events = _Events()
+        search.set_progress(events)
+        search.extend_to(bound)
+        assert [fields["kept"] for fields in events.of("plan")] == kept
 
 
 class TestSyntheticSingleRelations:
@@ -886,7 +920,7 @@ class TestSyntheticSingleRelations:
     def test_single_rule_is_detected_and_exact(self):
         gate_rows, degree = self._gate_rows()
         rf = RelationFilter(gate_rows, degree, 1)
-        assert rf._singles, "shift1.shift1 = shift2 should register"
+        assert rf.found["single"], "shift1.shift1 = shift2 should register"
         engine = VectorEngine(degree, 2, gate_rows, shard_bits=2)
         engine.seed_identity()
         events = _Events()

@@ -209,3 +209,17 @@ class TestHashing:
             Permutation.identity(4),
         }
         assert len(perms) == 2
+
+    def test_constructor_matches_from_images(self):
+        images = (0, 1, 2, 3, 4, 5, 7, 6)
+        built = Permutation(images)
+        assert built == Permutation.from_images(bytes(images))
+        assert hash(built) == hash(Permutation.from_images(images))
+        assert built.images == bytes(images)
+
+    @pytest.mark.parametrize(
+        "images", [(0, 0, 1), (0, 3, 1), (), (0, 256), [1.5, 0]]
+    )
+    def test_constructor_rejects_non_permutations(self, images):
+        with pytest.raises(InvalidPermutationError):
+            Permutation(images)
