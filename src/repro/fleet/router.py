@@ -41,11 +41,18 @@ candidate selection (it stays in the ring, so re-admission restores
 the exact same key affinity) and :meth:`RouterService.reset_backend`
 clears its breaker after a restart.
 
-Byte-identity: the router re-encodes backend results with the same
-``json.dumps`` settings the backends use, and ``json.loads`` preserves
-object key order, so a response routed through the fleet is
-byte-identical to one from the backend itself -- the chaos e2e tests
-pin this.
+Byte-identity: the router forwards the replica's result bytes.  It
+still parses every reply and classifies it (so validation and failover
+are unchanged), and when the reply line is exactly
+``{"id":<sent id>,"ok":true,"result":{...}[,"trace_id":<sent trace>]}``
+:meth:`RouterService.handle` returns the result object's byte span,
+which the front end splices into its own response in place of
+``json.dumps(result)``.  A routed response is therefore byte-identical
+to one from the replica itself by construction -- the fleet e2e tests
+pin this on raw NDJSON lines and HTTP bodies.  Any other reply shape
+(reordered or extra keys, whitespace, non-ASCII bytes) takes the
+re-encode path: the parsed result is re-encoded with the settings the
+replicas use, and ``json.loads`` preserves key order.
 """
 
 from __future__ import annotations
@@ -97,11 +104,51 @@ DEFAULT_POOL_SIZE = 4
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN = 1.0
 
+#: Parses a reply's result object where it lies in the line, with the
+#: same scanner ``json.loads`` runs, so its end offset is known.
+_DECODER = json.JSONDecoder()
+
 
 def _ring_hash(text: str) -> int:
     """Stable 64-bit ring position for a name/key (sha256 prefix)."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _parse_reply(
+    reply: bytes, request_id: int, trace_id: str
+) -> tuple[dict, bytes | None]:
+    """A backend reply line as an object, plus its forwardable result bytes.
+
+    The bytes are the result object's span, returned only when the
+    line is exactly ``{"id":<request_id>,"ok":true,"result":{...}}``
+    with an optional ``"trace_id":<trace_id>`` key last, compact and
+    ASCII, which is how :func:`~repro.server.protocol.encode_response`
+    writes it.  Any other line is parsed whole with ``json.loads`` and
+    comes back with ``None``.
+
+    Raises:
+        ValueError: the line is not JSON or not a JSON object.
+    """
+    head = b'{"id":%d,"ok":true,"result":' % request_id
+    if reply.startswith(head) and reply.isascii():
+        text = reply.decode("ascii")
+        try:
+            result, end = _DECODER.raw_decode(text, len(head))
+        except ValueError:
+            result = None
+        if isinstance(result, dict):
+            response = {"id": request_id, "ok": True, "result": result}
+            rest = text[end:]
+            if rest == "}\n":
+                return response, reply[len(head):end]
+            if rest == ',"trace_id":' + json.dumps(trace_id) + "}\n":
+                response["trace_id"] = trace_id
+                return response, reply[len(head):end]
+    response = json.loads(reply)
+    if not isinstance(response, dict):
+        raise ValueError("backend response is not a JSON object")
+    return response, None
 
 
 class HashRing:
@@ -374,8 +421,9 @@ class RouterService:
             front-end :class:`~repro.server.app.ReproServer` by
             ``run_fleet``); defaults to a fresh urandom-backed source.
         access_log: append one NDJSON record per *routed* request
-            (trace ID, per-attempt backend/span/outcome, total time);
-            rotation mirrors the replica access logs.
+            (trace ID, per-attempt backend/span/outcome, total time),
+            through the same batched writer and rotation as the
+            replica access logs.
     """
 
     def __init__(
@@ -554,8 +602,13 @@ class RouterService:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self._log_writer.close)
 
-    async def handle(self, request: Request) -> dict:
-        """Route one request; raises the mapped library exception."""
+    async def handle(self, request: Request) -> dict | bytes:
+        """Route one request; raises the mapped library exception.
+
+        Returns the result object, or its encoded bytes as the replica
+        wrote them when the reply had the exact forwardable shape (see
+        the module docstring); the front end's encoders take either.
+        """
         self._m_requests.inc(op=request.op)
         if request.op == "healthz":
             return self._do_healthz()
@@ -582,7 +635,7 @@ class RouterService:
 
     async def _route(
         self, request: Request, trace_id: str, attempts: list[dict]
-    ) -> dict:
+    ) -> dict | bytes:
         order = self._ring.order(request.store or "")
         self._next_id += 1
         payload: dict = {
@@ -633,8 +686,9 @@ class RouterService:
             line = json.dumps(payload, separators=(",", ":")).encode() + b"\n"
             started = time.perf_counter()
             try:
-                response = await asyncio.wait_for(
-                    self._roundtrip(backend, line), self._attempt_timeout
+                response, span = await asyncio.wait_for(
+                    self._roundtrip(backend, line, payload["id"], trace_id),
+                    self._attempt_timeout,
                 )
             except asyncio.CancelledError:
                 backend.breaker.release_probe()
@@ -669,7 +723,7 @@ class RouterService:
             backend.breaker.record_success()
             if response.get("ok"):
                 entry["outcome"] = "ok"
-                return response["result"]
+                return response["result"] if span is None else span
             # A structured client-mistake error: the backend is healthy
             # and every replica would answer identically -- re-raise it
             # so the front end re-encodes the exact same payload.
@@ -748,8 +802,14 @@ class RouterService:
             return backend, saw_full
         return None, saw_full
 
-    async def _roundtrip(self, backend: Backend, line: bytes) -> dict:
-        """One request line out, one response object back (pooled)."""
+    async def _roundtrip(
+        self, backend: Backend, line: bytes, request_id: int, trace_id: str
+    ) -> tuple[dict, bytes | None]:
+        """One request line out, one parsed reply back (pooled).
+
+        Returns the reply object and, when forwardable, its result
+        bytes (:func:`_parse_reply`).
+        """
         connection = await backend.acquire()
         reader, writer = connection
         ok = False
@@ -759,11 +819,9 @@ class RouterService:
             reply = await reader.readline()
             if not reply:
                 raise ConnectionError("backend closed the connection")
-            response = json.loads(reply)
-            if not isinstance(response, dict):
-                raise ValueError("backend response is not a JSON object")
+            parsed = _parse_reply(reply, request_id, trace_id)
             ok = True
-            return response
+            return parsed
         finally:
             if ok:
                 backend.release(connection)

@@ -308,25 +308,40 @@ def decode_request_line(line: bytes) -> Request:
     )
 
 
+def _dumps(value: object) -> bytes:
+    """*value* as the wire's compact JSON bytes."""
+    return json.dumps(value, separators=(",", ":")).encode()
+
+
 def encode_response(
     request_id: object,
-    result: dict | None,
+    result: dict | bytes | None,
     error: dict | None = None,
     trace_id: str | None = None,
 ) -> bytes:
     """One NDJSON response line (ok/result or ok=false/error).
 
-    A *trace_id* is echoed as a top-level key so clients correlate
-    without touching ``result`` (whose bytes stay pinned by the
-    routed-vs-direct identity tests); ``None`` adds nothing.
+    A *result* given as ``bytes`` is a result object already encoded
+    on the wire (the fleet router forwards a replica's result span);
+    it is spliced in where ``json.dumps(result)`` would go, so the line
+    equals the one the decoded object would give whenever the span is
+    compact JSON.  A *trace_id* is echoed as a top-level key so clients
+    correlate without touching ``result`` (whose bytes stay pinned by
+    the routed-vs-direct identity tests); ``None`` adds nothing.
     """
+    if isinstance(result, bytes) and error is None:
+        line = b'{"id":' + _dumps(request_id) + b',"ok":true,"result":'
+        line += result
+        if trace_id is not None:
+            line += b',"trace_id":' + _dumps(trace_id)
+        return line + b"}\n"
     if error is None:
         body: dict = {"id": request_id, "ok": True, "result": result}
     else:
         body = {"id": request_id, "ok": False, "error": error}
     if trace_id is not None:
         body["trace_id"] = trace_id
-    return json.dumps(body, separators=(",", ":")).encode() + b"\n"
+    return _dumps(body) + b"\n"
 
 
 # -- HTTP framing ----------------------------------------------------------------------
@@ -483,12 +498,18 @@ def _http_head(
 
 def http_response(
     status: int,
-    payload: dict,
+    payload: dict | bytes,
     keep_alive: bool = True,
     extra_headers: dict | None = None,
 ) -> bytes:
-    """Serialize one ``application/json`` HTTP/1.1 response."""
-    body = json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+    """Serialize one ``application/json`` HTTP/1.1 response.
+
+    A *payload* given as ``bytes`` is already-encoded JSON (a result
+    span the fleet router forwards) and becomes the body as it is.
+    """
+    body = (
+        payload if isinstance(payload, bytes) else _dumps(payload)
+    ) + b"\n"
     return _http_head(
         status, "application/json", len(body), keep_alive, extra_headers
     ) + body

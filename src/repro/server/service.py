@@ -61,10 +61,11 @@ Since PR 10 the counters live in a process-wide
 ``healthz`` payload *reads them back* from it -- one source of truth,
 so a Prometheus scrape of ``GET /metrics`` and a ``healthz`` poll can
 never disagree.  The access log is written by the shared
-:class:`~repro.telemetry.AccessLogWriter` (same single-thread,
-fire-and-forget, rotate-between-lines discipline this class used to
-implement inline), which also exports the writer's own health --
-records/bytes written, rotations, queue depth -- as metrics.
+:class:`~repro.telemetry.AccessLogWriter`: the loop encodes each
+record and queues the line, and one writer thread writes the lines
+gathered over a short window with one ``write`` and one ``flush``,
+rotating between whole lines.  It also exports the writer's own
+health -- records/bytes written, rotations, queue depth -- as metrics.
 """
 
 from __future__ import annotations
@@ -274,8 +275,8 @@ class SynthesisService:
                 fn=_section_cache_reader(name),
             )
         # Access-log writes run on their own single thread (ordered,
-        # fire-and-forget): a slow or hung log filesystem must add
-        # latency to the *log*, never to the event loop serving
+        # batched, fire-and-forget): a slow or hung log filesystem must
+        # add latency to the *log*, never to the event loop serving
         # requests.  The shared writer also registers the log's own
         # observability metrics on this registry.
         self._log_writer: AccessLogWriter | None = None
@@ -427,7 +428,7 @@ class SynthesisService:
         # counter ops (healthz/store-info) carry none worth keeping.
         if request.params and request.op in _QUERY_OPS:
             record["params"] = request.params
-        # Fire-and-forget onto the single log thread: lines stay
+        # Fire-and-forget onto the log writer's queue: lines stay
         # ordered, and a stalled log device never blocks the loop.
         self._log_writer.submit(record)
 

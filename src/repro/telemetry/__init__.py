@@ -4,9 +4,10 @@ One package for everything PR 10 correlates: a process-wide
 :class:`MetricsRegistry` rendered as Prometheus text on ``/metrics``,
 :class:`TraceSource` minting the ``trace_id``/``span_id`` pair that
 ties a router attempt to a replica access-log record,
-:class:`AccessLogWriter` (the service's log thread, extracted and made
-observable), :class:`ProgressReporter` for precompute phase events,
-and the ``repro tail`` joins in :mod:`repro.telemetry.tail`.  See
+:class:`AccessLogWriter` (the batched access-log thread the replicas
+and the fleet router share), :class:`ProgressReporter` for precompute
+phase events, and the ``repro tail`` joins in
+:mod:`repro.telemetry.tail`.  See
 ``docs/observability.md`` for the metric inventory and contracts.
 """
 

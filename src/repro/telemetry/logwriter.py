@@ -1,25 +1,32 @@
-"""Shared NDJSON access-log writer with rotation and visibility.
+"""Shared NDJSON access-log writer: batched, rotating and observable.
 
-The service grew this logic inline (single log thread, fire-and-forget
-submits, logrotate-style shifting between whole lines); the router now
-needs an identical writer for its own access log, and the satellite
-fix in PR 10 wants the writer *observable* -- today a wedged log
-device drops records silently and nothing counts them.  This class is
-that logic extracted verbatim, plus a metric set:
+The router and every replica write their access logs through this
+class.  :meth:`AccessLogWriter.submit` encodes a record on the
+caller's thread and puts the line on a :class:`queue.SimpleQueue`;
+one writer thread blocks for the first line, waits :data:`BATCH_S`
+for more to arrive, drains the queue and writes the batch with one
+``write`` and one ``flush``.  A per-record thread hand-off (a future,
+a wake-up and a flush per line) cost about as much CPU as the query
+it logged; the gather window pays for one wake-up per batch instead.
+
+Metric set (all on the optional *registry*):
 
 * ``<prefix>_log_records_written_total`` / ``<prefix>_log_bytes_written_total``
-  -- what actually reached ``write()`` (a flatlining rate under live
+  -- what actually reached the file (a flatlining rate under live
   traffic is the wedged-device signal).
 * ``<prefix>_log_write_errors_total`` -- records dropped because the
-  device errored (the previously-silent branch).
+  device errored: every record of a batch whose write or flush failed.
 * ``<prefix>_log_rotations_total`` and a scrape-time
-  ``<prefix>_log_queue_depth`` gauge -- a growing queue means the log
-  thread is falling behind the loop.
+  ``<prefix>_log_queue_depth`` gauge -- records submitted but not yet
+  written, the open gather window included; a growing depth means the
+  writer thread is falling behind.
 
-Threading contract (inherited from the service): :meth:`submit` may be
-called from any thread and never blocks on I/O; all writes and
-rotations happen on the writer's single thread, between whole lines,
-so every file in a rotated set ends on a complete record.
+Threading contract: :meth:`submit` may be called from any thread and
+never blocks on I/O or raises on a device error; all writes and
+rotations happen on the writer's single thread.  Rotation is checked
+line by line inside a batch, between whole lines, so every file in a
+rotated set ends on a complete record.  :meth:`close` drains every
+submitted record before closing the file.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
+import time
 from pathlib import Path
 
 from ..errors import SpecificationError
@@ -36,9 +45,17 @@ from .registry import MetricsRegistry
 #: Default number of rotated files kept (``log.1 .. log.N``).
 DEFAULT_KEEP = 3
 
+#: Gather window (seconds): after the first line of a batch arrives the
+#: writer waits this long for more before it writes.  A record reaches
+#: the file at most about this late.
+BATCH_S = 0.01
+
+#: Queue sentinel that tells the writer thread to finish and exit.
+_STOP = object()
+
 
 class AccessLogWriter:
-    """Appends NDJSON records to *path* on a dedicated thread.
+    """Appends NDJSON records to *path* in batches on a dedicated thread.
 
     Args:
         path: the log file (appended; created on :meth:`start`).
@@ -68,7 +85,12 @@ class AccessLogWriter:
         self._max_bytes = max_bytes
         self._keep = DEFAULT_KEEP if keep is None else keep
         self._file = None
-        self._pool: ThreadPoolExecutor | None = None
+        self._size = 0
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+        #: Lines the writer thread has taken off the queue but not yet
+        #: written (the open gather window); part of the queue depth.
+        self._held = 0
         self._m_records = None
         if registry is not None:
             self._m_records = registry.counter(
@@ -89,7 +111,8 @@ class AccessLogWriter:
             )
             registry.gauge(
                 f"{prefix}_log_queue_depth",
-                "Records waiting for the access-log writer thread.",
+                "Records submitted but not yet written by the access-log "
+                "writer thread.",
                 fn=self.queue_depth,
             )
 
@@ -97,37 +120,40 @@ class AccessLogWriter:
 
     @property
     def started(self) -> bool:
-        return self._pool is not None
+        return self._thread is not None
 
     def start(self) -> "AccessLogWriter":
-        """Open the file and spin up the writer thread (idempotent)."""
-        if self._pool is None:
-            self._file = open(self.path, "a", encoding="utf-8")
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-access-log"
+        """Open the file and start the writer thread (idempotent)."""
+        if self._thread is None:
+            self._open()
+            self._queue = queue.SimpleQueue()
+            self._thread = threading.Thread(
+                target=self._run, name="repro-access-log", daemon=True
             )
+            self._thread.start()
         return self
 
     def close(self) -> None:
-        """Drain queued records and close the file (blocking).
+        """Write every submitted record, then close the file (blocking).
 
         Callers on an event loop should run this in an executor, the
         same way the service drains its pools.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        thread = self._thread
+        if thread is not None:
+            self._thread = None
+            self._queue.put(_STOP)
+            thread.join()
         if self._file is not None:
             with contextlib.suppress(OSError):
                 self._file.close()
             self._file = None
 
     def queue_depth(self) -> int:
-        """Records queued behind the writer thread right now."""
-        pool = self._pool
-        if pool is None:
+        """Records submitted but not yet written, the open window included."""
+        if self._thread is None:
             return 0
-        return pool._work_queue.qsize()
+        return self._queue.qsize() + self._held
 
     # -- writing ----------------------------------------------------------------------
 
@@ -135,34 +161,75 @@ class AccessLogWriter:
         """Queue one record for writing (fire-and-forget, any thread).
 
         Serialization happens here (on the caller's thread) so the
-        record dict cannot be mutated between submit and write.
+        record dict cannot be mutated between submit and write.  A
+        record submitted before :meth:`start` or after :meth:`close`
+        is dropped.
         """
-        if self._pool is None:
+        if self._thread is None:
             return
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        # Pool shut down mid-close: drop, exactly as the service did.
-        with contextlib.suppress(RuntimeError):
-            self._pool.submit(self._write_line, line)
+        self._queue.put(
+            json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        )
 
-    def _write_line(self, line: str) -> None:
-        # A full disk must degrade the log, never the serving path --
-        # but unlike the pre-PR-10 writer, the drop is now counted.
+    def _run(self) -> None:
+        """The writer thread: gather a batch, write it, repeat until stopped."""
+        get = self._queue.get
+        get_nowait = self._queue.get_nowait
+        while True:
+            line = get()
+            if line is _STOP:
+                return
+            self._held = 1
+            time.sleep(BATCH_S)
+            batch = [line]
+            stop = False
+            while True:
+                try:
+                    line = get_nowait()
+                except queue.Empty:
+                    break
+                if line is _STOP:
+                    stop = True
+                    break
+                batch.append(line)
+            self._held = len(batch)
+            self._write_batch(batch)
+            self._held = 0
+            if stop:
+                return
+
+    def _write_batch(self, lines: list[bytes]) -> None:
+        """Write *lines* in runs that end where the file must rotate."""
+        run: list[bytes] = []
+        for line in lines:
+            run.append(line)
+            self._size += len(line)
+            if self._max_bytes is not None and self._size >= self._max_bytes:
+                self._write_run(run)
+                run = []
+                with contextlib.suppress(OSError, ValueError):
+                    self._rotate()
+        if run:
+            self._write_run(run)
+
+    def _write_run(self, run: list[bytes]) -> None:
+        # A full disk must degrade the log, never the serving path;
+        # every record of a failed write or flush is counted as dropped.
+        data = b"".join(run)
         try:
-            self._file.write(line)
+            self._file.write(data)
             self._file.flush()
         except (OSError, ValueError):
             if self._m_records is not None:
-                self._m_errors.inc()
+                self._m_errors.inc(len(run))
             return
         if self._m_records is not None:
-            self._m_records.inc()
-            self._m_bytes.inc(len(line.encode("utf-8")))
-        if (
-            self._max_bytes is not None
-            and self._file.tell() >= self._max_bytes
-        ):
-            with contextlib.suppress(OSError, ValueError):
-                self._rotate()
+            self._m_records.inc(len(run))
+            self._m_bytes.inc(len(data))
+
+    def _open(self) -> None:
+        self._file = open(self.path, "ab")
+        self._size = self._file.tell()
 
     def _rotate(self) -> None:
         """Shift ``log -> log.1 -> ... -> log.N`` and reopen (log thread)."""
@@ -176,7 +243,7 @@ class AccessLogWriter:
             if os.path.exists(source):
                 os.replace(source, f"{path}.{index + 1}")
         os.replace(path, f"{path}.1")
-        self._file = open(path, "a", encoding="utf-8")
+        self._open()
         if self._m_records is not None:
             self._m_rotations.inc()
 

@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.client import ServeClient
+from repro.client import ServeClient, _open_socket
 from repro.core.batch import BatchSynthesizer
 from repro.core.search import CascadeSearch
 from repro.core.store import save_search
@@ -36,7 +36,7 @@ from repro.fleet import supervisor as supervisor_module
 from repro.fleet.supervisor import Finding, GuardRails, Proposal, Supervisor
 from repro.gates.library import GateLibrary
 from repro.io import load_access_log, open_store, result_to_dict
-from repro.server import BackgroundServer
+from repro.server import BackgroundServer, parse_endpoint
 from repro.server.protocol import decode_request_line
 
 BOUND = 4
@@ -63,6 +63,20 @@ def fleet(store_path):
         store_path, replicas=2, port=0, interval=0.3
     ) as handle:
         yield handle
+
+
+def _raw_exchange(address: str, data: bytes, until: bytes | None = None):
+    """Send *data* to a server or router; read to *until* (or EOF)."""
+    family, target = parse_endpoint(address)
+    with _open_socket(family, target, 30.0) as sock:
+        sock.sendall(data)
+        received = b""
+        while until is None or until not in received:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    return received
 
 
 def _preferred_index(replicas: int = 2, key: str = "") -> int:
@@ -539,6 +553,50 @@ class TestFleetEndToEnd:
         )
         assert dump(got) == dump(want)
         assert got["failures"] == 0
+
+    @pytest.mark.parametrize("op, params, ok", [
+        ("synth", {"target": "peres"}, True),
+        ("synth-batch", {"targets": ["peres", "toffoli", "(1,2)(3,4)"]},
+         True),
+        ("cost-table", {}, True),
+        ("synth", {"target": "toffoli"}, False),  # cost 5 > bound 4
+    ], ids=["synth", "batch-one-failing", "cost-table", "error"])
+    def test_raw_ndjson_line_identical_to_a_replica(
+        self, fleet, op, params, ok
+    ):
+        """The router forwards the replica's result bytes: the same id
+        and trace_id sent to both give the same response line."""
+        line = json.dumps({
+            "id": 41, "op": op, "params": params, "trace_id": "raw-ndjson",
+        }).encode() + b"\n"
+        replica = fleet.manager.endpoints()["backend-0"]
+        routed = _raw_exchange(fleet.address_text, line, b"\n")
+        direct = _raw_exchange(replica, line, b"\n")
+        assert routed == direct
+        assert json.loads(routed)["ok"] is ok
+
+    @pytest.mark.parametrize("method, path, body", [
+        ("POST", "/synth", {"target": "peres"}),
+        ("POST", "/synth-batch", {"targets": ["peres", "toffoli"]}),
+        ("GET", "/cost-table", None),
+        ("POST", "/synth", {"target": "toffoli"}),
+    ], ids=["synth", "batch-one-failing", "cost-table", "error"])
+    def test_raw_http_body_identical_to_a_replica(
+        self, fleet, method, path, body
+    ):
+        payload = b"" if body is None else json.dumps(body).encode()
+        request = (
+            f"{method} {path} HTTP/1.1\r\nHost: fleet\r\n"
+            "Connection: close\r\nX-Repro-Trace-Id: raw-http\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        ).encode("ascii") + payload
+        replica = fleet.manager.endpoints()["backend-0"]
+        routed = _raw_exchange(fleet.address_text, request)
+        direct = _raw_exchange(replica, request)
+        routed_head, _sep, routed_body = routed.partition(b"\r\n\r\n")
+        direct_head, _sep, direct_body = direct.partition(b"\r\n\r\n")
+        assert routed_body == direct_body
+        assert routed_head.split(b"\r\n")[0] == direct_head.split(b"\r\n")[0]
 
     def test_fleet_status_cli_renders(self, fleet, capsys):
         assert main(["fleet", "status", fleet.address_text]) == 0

@@ -938,6 +938,92 @@ class TestSyntheticSingleRelations:
         assert arrays.gates.tolist() == gates
 
 
+class TestSyntheticIdentityRelation:
+    """A toy alphabet where a gate's inverse exists under two names.
+
+    Gates: shift1, swap(0 1), shift7 (banned on label 2) and shift7
+    again with no banned labels.  The declared inverse of shift1 is the
+    first shift7, so the kernel's back-edge filter drops shift1 after
+    the first shift7 but not after the second.  Rows the second name
+    creates (where the first is banned) therefore reach the relation
+    filter with a shift1 candidate that only the identity rule drops.
+    On every library in the repo the back-edge filter removes each
+    identity candidate first, so this alphabet is the rule's only pin.
+    """
+
+    DEGREE = 8
+    BOUND = 7
+
+    def _gate_rows(self):
+        from repro.core.kernel import GateRows
+
+        def table(images):
+            full = bytearray(range(256))
+            full[:self.DEGREE] = bytes(images)
+            return bytes(full)
+
+        shift1 = [(i + 1) % self.DEGREE for i in range(self.DEGREE)]
+        shift7 = [(i - 1) % self.DEGREE for i in range(self.DEGREE)]
+        swap = [1, 0, *range(2, self.DEGREE)]
+        tables = [table(shift1), table(swap), table(shift7), table(shift7)]
+        banned = [0, 0, 1 << 2, 0]
+        return GateRows(
+            tables,
+            banned_masks=banned,
+            costs=[1, 1, 1, 1],
+            inverse=[2, 1, 0, 0],
+            mask_words=1,
+        )
+
+    def _library(self, gate_rows):
+        """The alphabet as the duck-typed library the oracle reads."""
+        from types import SimpleNamespace
+
+        return SimpleNamespace(
+            space=SimpleNamespace(size=self.DEGREE, n_binary=2),
+            gates=[
+                SimpleNamespace(
+                    table=gate_table,
+                    banned_mask=mask_words_to_int(banned),
+                    gate=SimpleNamespace(kind=GateKind.CNOT),
+                    index=index,
+                )
+                for index, (gate_table, banned) in enumerate(
+                    zip(gate_rows.tables, gate_rows.banned)
+                )
+            ],
+        )
+
+    def test_identity_rule_alone_drops_the_second_name(self):
+        from reference_closure import reference_arrays
+
+        gate_rows = self._gate_rows()
+        rf = RelationFilter(gate_rows, self.DEGREE, 1)
+        assert rf.found["identity"] == 5
+        assert not rf.found["single"]
+        engine = VectorEngine(self.DEGREE, 2, gate_rows, shard_bits=2)
+        engine.seed_identity()
+        events = _Events()
+        engine.progress = events
+        for cost in range(1, self.BOUND + 1):
+            engine.expand_level(cost)
+        plans = events.of("plan")
+        assert [f["planned"] for f in plans] == [4, 8, 15, 31, 60, 114, 204]
+        # Measured with the identity alternative's mask at 0; with mask
+        # 1 it keeps 25, 47 and 161 at levels 4, 5 and 7.
+        assert [f["kept"] for f in plans] == [4, 6, 12, 24, 46, 88, 160]
+        reference = reference_arrays(
+            self._library(gate_rows), self.BOUND
+        )
+        arrays = engine.arrays()
+        assert engine.offsets == reference.level_offsets.tolist()
+        np.testing.assert_array_equal(arrays.perms, reference.perms)
+        assert arrays.parents.tolist() == reference.parents.tolist()
+        assert arrays.gates.tolist() == reference.gates.tolist()
+        # The second shift7 creates rows, so its shift1 candidates exist.
+        assert (arrays.gates == 3).sum() == 20
+
+
 class TestServingIntegration:
     def test_freeze_releases_workers(self, library3):
         """freeze() drops the expansion scratch buffers; row lookups

@@ -34,6 +34,8 @@ from repro.errors import ProtocolError, SpecificationError
 from repro.fleet.manager import BackgroundFleet
 from repro.gates.library import GateLibrary
 from repro.server import BackgroundServer, parse_endpoint
+import repro.telemetry.logwriter as logwriter_module
+from repro.telemetry.logwriter import rotated_access_logs
 from repro.telemetry import (
     METRICS_CONTENT_TYPE,
     AccessLogWriter,
@@ -51,6 +53,27 @@ from repro.telemetry import (
 )
 
 BOUND = 4
+
+
+class _CountingFile:
+    """Wraps the writer's file: counts flushes, or fails every flush."""
+
+    def __init__(self, file, fail=False):
+        self._file = file
+        self.fail = fail
+        self.flushes = 0
+
+    def write(self, data):
+        return self._file.write(data)
+
+    def flush(self):
+        self.flushes += 1
+        if self.fail:
+            raise OSError(28, "No space left on device")
+        self._file.flush()
+
+    def close(self):
+        self._file.close()
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +285,87 @@ class TestAccessLogWriter:
         writer.close()
         writer.submit({"late": True})  # closed: silently dropped
         assert path.read_text() == ""
+
+    def test_burst_is_written_in_order_with_fewer_flushes(self, tmp_path):
+        path = tmp_path / "burst.ndjson"
+        writer = AccessLogWriter(str(path)).start()
+        file = writer._file = _CountingFile(writer._file)
+        for index in range(200):
+            writer.submit({"index": index})
+        writer.close()
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["index"] for line in lines] == list(
+            range(200)
+        )
+        assert 1 <= file.flushes < 200
+
+    def test_record_appears_within_the_window(self, tmp_path):
+        """A lone record is written once the gather window closes, with
+        no further traffic and no close()."""
+        path = tmp_path / "lone.ndjson"
+        writer = AccessLogWriter(str(path)).start()
+        try:
+            started = time.monotonic()
+            writer.submit({"lone": True})
+            while not path.read_bytes() and time.monotonic() - started < 5:
+                time.sleep(0.001)
+            waited = time.monotonic() - started
+            assert path.read_bytes() == b'{"lone":true}\n'
+            assert waited < logwriter_module.BATCH_S + 0.5
+        finally:
+            writer.close()
+
+    def test_rotation_inside_one_batch_keeps_whole_lines(
+        self, tmp_path, monkeypatch
+    ):
+        # A long window puts the whole burst into one batch, so every
+        # rotation below happens between two lines of that batch.
+        monkeypatch.setattr(logwriter_module, "BATCH_S", 0.3)
+        path = tmp_path / "batch-rot.ndjson"
+        reg = MetricsRegistry()
+        writer = AccessLogWriter(
+            str(path), max_bytes=150, keep=8, registry=reg
+        ).start()
+        file = writer._file = _CountingFile(writer._file)
+        for index in range(12):
+            writer.submit({"index": index, "pad": "x" * 40})
+        writer.close()
+        assert file.flushes == 1  # one run, then the first rotation
+        seen = []
+        for file_path in rotated_access_logs(path):
+            data = file_path.read_bytes()
+            assert not data or data.endswith(b"\n")
+            seen.extend(json.loads(line)["index"] for line in data.splitlines())
+        assert seen == list(range(12))
+        samples = parse_prometheus_text(reg.render())
+        assert sample_value(samples, "repro_log_rotations_total") >= 3
+        assert sample_value(samples, "repro_log_records_written_total") == 12
+
+    def test_failing_flush_counts_every_record_of_its_batch(self, tmp_path):
+        path = tmp_path / "full.ndjson"
+        reg = MetricsRegistry()
+        writer = AccessLogWriter(str(path), registry=reg).start()
+        writer._file = _CountingFile(writer._file, fail=True)
+        for index in range(50):
+            writer.submit({"index": index})  # never raises
+        writer.close()
+        samples = parse_prometheus_text(reg.render())
+        assert sample_value(samples, "repro_log_write_errors_total") == 50
+        assert sample_value(samples, "repro_log_records_written_total") == 0
+        assert sample_value(samples, "repro_log_bytes_written_total") == 0
+
+    def test_queue_depth_counts_the_open_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(logwriter_module, "BATCH_S", 0.3)
+        writer = AccessLogWriter(str(tmp_path / "depth.ndjson")).start()
+        try:
+            for index in range(5):
+                writer.submit({"index": index})
+            # The writer has taken the first record off the queue and
+            # is waiting out the window; all five still count.
+            assert writer.queue_depth() == 5
+        finally:
+            writer.close()
+        assert writer.queue_depth() == 0
 
     def test_bad_args_raise(self, tmp_path):
         with pytest.raises(SpecificationError):

@@ -3,7 +3,9 @@
 
 Runs every query once against the store file (``QUERY --store STORE``),
 then starts ``repro serve STORE --port 0`` and runs it again against the
-server (``QUERY --server ADDRESS``).  It fails unless, for every query:
+server (``QUERY --server ADDRESS``).  With ``--fleet`` the server is
+``repro fleet serve STORE --port 0`` instead, so every answer crosses
+the router.  It fails unless, for every query:
 
 * both runs exit 0 (so with the same code);
 * their outputs are byte-identical after the first line (the banner
@@ -15,6 +17,8 @@ and the server must exit 0 on SIGTERM.  Usage (as the CI jobs run it)::
     python tools/served_identity.py /tmp/ternary.rpro \\
         --expect radix=3 --expect library_family=ternary-diwei \\
         --query "synth --batch /tmp/ternary_targets.txt"
+    python tools/served_identity.py /tmp/closure.rpro --fleet \\
+        --query "synth --batch /tmp/golden.txt" --query "synth toffoli --all"
 
 Run from anywhere: the program is imported from the checkout's ``src/``.
 """
@@ -25,9 +29,11 @@ import argparse
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -45,20 +51,29 @@ def _run(argv: list[str], env: dict) -> subprocess.CompletedProcess:
     )
 
 
-def _start_server(store: str, env: dict) -> tuple[subprocess.Popen, str]:
-    """``repro serve STORE --port 0`` and the address from its ready line."""
+def _start_server(
+    store: str, env: dict, run_dir: str | None
+) -> tuple[subprocess.Popen, str]:
+    """``repro serve STORE --port 0`` (or ``repro fleet serve`` when a
+    fleet *run_dir* is given) and the address from its ready line."""
+    if run_dir is None:
+        command, ready = ["serve", store], "listening on"
+    else:
+        command = ["fleet", "serve", store, "--run-dir", run_dir]
+        ready = "routing on"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", store, "--port", "0"],
+        [sys.executable, "-m", "repro", *command, "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     for _ in range(200):
         line = proc.stdout.readline()
         print(line, end="")
-        found = re.search(r"listening on (\S+) ", line)
+        found = re.search(ready + r" (\S+) ", line)
         if found:
             return proc, found.group(1)
     proc.kill()
-    raise SystemExit("served_identity: repro serve printed no ready line")
+    raise SystemExit(f"served_identity: repro {command[0]} printed no "
+                     "ready line")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,6 +87,10 @@ def main(argv: list[str] | None = None) -> int:
         "--expect", action="append", default=[], metavar="KEY=VALUE",
         help="a field the server's store-info reply must carry (repeatable)",
     )
+    parser.add_argument(
+        "--fleet", action="store_true",
+        help="serve through `repro fleet serve` (the router and replicas)",
+    )
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(SRC))
@@ -84,7 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     for result in local:
         print(result.stdout, end="")
 
-    proc, address = _start_server(args.store, env)
+    run_dir = None
+    if args.fleet:
+        run_dir = tempfile.mkdtemp(prefix="served-identity-")
+    proc, address = _start_server(args.store, env, run_dir)
     try:
         from repro.client import ServeClient, wait_until_ready
 
@@ -115,7 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=30)
-    _check(code == 0, f"repro serve exited {code} on SIGTERM")
+        if run_dir is not None:
+            shutil.rmtree(run_dir, ignore_errors=True)
+    server = "repro fleet serve" if args.fleet else "repro serve"
+    _check(code == 0, f"{server} exited {code} on SIGTERM")
     print(f"{len(queries)} queries byte-identical over --store and --server")
     return 0
 
