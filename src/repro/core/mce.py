@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from repro.errors import (
     CostBoundExceededError,
@@ -264,6 +264,21 @@ def certify(
         SpecificationError: an unknown gate name, a NOT after a library
             gate, or any failed check.
     """
+    return Permutation(
+        certified_cascade(library, gates, target, cost, cost_model)[2]
+    )
+
+
+def certified_cascade(
+    library: GateLibrary,
+    gates: Sequence[str],
+    target: Permutation,
+    cost: int,
+    cost_model: CostModel = UNIT_COST,
+) -> tuple[int, list[LibraryGate], bytes]:
+    """:func:`certify`, returning ``(NOT mask, library entries, cascade
+    images)`` so a caller rebuilds the circuit without looking the
+    names up again."""
     not_gates = not_gates_by_name(library.n_qubits)
     binary = library.space.radix == 2
     not_mask = 0
@@ -283,38 +298,56 @@ def certify(
             )
         not_mask ^= 1 << (library.n_qubits - 1 - gate.target)
     _check_target(target, library)
-    images = _compose_entries(library, entries, cost, cost_model)
-    _compare_target(library, not_mask, target, images)
-    return Permutation(images)
+    images = _compose_entries(
+        library, [entry.index for entry in entries], cost, cost_model
+    )
+    _compare_target(images, library, not_mask, target)
+    return not_mask, entries, images
+
+
+@lru_cache(maxsize=32)
+def _compiled(
+    library: GateLibrary, cost_model: CostModel
+) -> tuple[int, bytes, tuple[tuple[bytes, bytes, int], ...]]:
+    """``(n_binary, identity images, per-gate programs)`` of a library
+    under a cost model: each gate's program is its ``(banned bytes,
+    translate table, cost)``, compiled once per (library, cost model)."""
+    cost = cost_model.gate_cost
+    programs = tuple(
+        (entry.banned_bytes, entry.table, cost(entry.gate.kind))
+        for entry in library.gates
+    )
+    return library.space.n_binary, bytes(range(library.space.size)), programs
 
 
 def _compose_entries(
     library: GateLibrary,
-    entries: Sequence[LibraryGate],
+    indices: Sequence[int],
     cost: int,
     cost_model: CostModel,
 ) -> bytes:
-    """The label images of a cascade, checked as a reasonable product.
+    """The label images of a cascade of library gate *indices*, checked
+    as a reasonable product.
 
     Before each gate the binary labels' images must avoid its banned
     set (Definition 1), and the gates' costs under *cost_model* must
     sum to *cost*; otherwise :class:`SpecificationError`.
     """
-    n_binary = library.space.n_binary
-    images = bytes(range(library.space.size))
+    n_binary, images, programs = _compiled(library, cost_model)
     total = 0
-    for entry in entries:
-        banned = entry.banned_bytes
+    for index in indices:
+        banned, table, gate_cost = programs[index]
         # Deleting the banned labels shortens the binary labels' images
         # exactly when one of them is banned for this gate.
         head = images[:n_binary]
         if banned and len(head.translate(None, banned)) != n_binary:
             raise SpecificationError(
-                f"{entry.name} sees a non-binary value on a control; the "
-                "cascade is not a reasonable product (Definition 1)"
+                f"{library.gates[index].name} sees a non-binary value on a "
+                "control; the cascade is not a reasonable product "
+                "(Definition 1)"
             )
-        images = images.translate(entry.table)
-        total += cost_model.gate_cost(entry.gate.kind)
+        images = images.translate(table)
+        total += gate_cost
     if total != cost:
         raise SpecificationError(
             f"claimed cost {cost} disagrees with the cascade's cost {total}"
@@ -323,7 +356,7 @@ def _compose_entries(
 
 
 def _compare_target(
-    library: GateLibrary, not_mask: int, target: Permutation, images: bytes
+    images: bytes, library: GateLibrary, not_mask: int, target: Permutation
 ) -> None:
     """Check that NOT layer *not_mask* then *images* realize *target*."""
     n_binary = library.space.n_binary
@@ -352,20 +385,24 @@ def certify_row(
     Every MCE witness passes it, whether it becomes a
     :class:`SynthesisResult` or a served wire record.
     """
-    compare = partial(_compare_target, search.library, not_mask, target)
-    return witness_row(search, row, compare)
+    return witness_row(
+        search, row, _compare_target, search.library, not_mask, target
+    )
 
 
 def witness_row(
-    search: CascadeSearch, row: int, compare: Callable[[bytes], None]
+    search: CascadeSearch,
+    row: int,
+    compare: Callable[..., None],
+    *compare_args,
 ) -> tuple[list[LibraryGate], int, Permutation]:
     """Extract and certify the witness cascade of one closure row.
 
     The witness, walked from the parent arrays, must compose as a
     reasonable product at the row's cost (:func:`_compose_entries`),
-    pass *compare* (which raises :class:`SpecificationError` when its
-    label images miss the query) and equal the row's stored
-    permutation.
+    pass ``compare(images, *compare_args)`` (which raises
+    :class:`SpecificationError` when the label images miss the query)
+    and equal the row's stored permutation.
 
     Returns:
         ``(entries, cost, cascade)``: the library entries in cascade
@@ -379,10 +416,9 @@ def witness_row(
     library = search.library
     try:
         indices = search.witness_indices_for_row(row)
-        entries = [library.gates[i] for i in indices]
         cost = search.cost_of_row(row)
-        images = _compose_entries(library, entries, cost, search.cost_model)
-        compare(images)
+        images = _compose_entries(library, indices, cost, search.cost_model)
+        compare(images, *compare_args)
     except (InvalidValueError, SpecificationError) as exc:
         raise StoreCorruptError(
             f"closure row {row}: witness fails certification: {exc}"
@@ -392,7 +428,8 @@ def witness_row(
             f"closure row {row}: witness does not compose to the "
             "row's stored permutation"
         )
-    return entries, cost, Permutation(images)
+    gates = library.gates
+    return [gates[i] for i in indices], cost, Permutation(images)
 
 
 def _results_from_rows(

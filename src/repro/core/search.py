@@ -155,7 +155,7 @@ class CascadeSearch:
             if resumed:
                 self._expanded_to = resumed
                 self._restored = True
-        self._arrays = engine.arrays()
+        self._adopt(engine.arrays())
 
     def _setup(self, library, cost_model, track_parents, kernel_options):
         """Everything but the closure (shared with :meth:`from_arrays`)."""
@@ -168,6 +168,7 @@ class CascadeSearch:
         self._n_binary = space.n_binary
         self._s_mask = space.s_mask
         self._identity = bytes(range(self._degree))
+        self._n_gates = len(library)
         self._expanded_to = 0
         self._elapsed = 0.0
         self._restored = False
@@ -177,8 +178,11 @@ class CascadeSearch:
         # forwarded onto whichever engine runs the expansion.
         self._progress = None
         # The closure every row read goes through (see the module
-        # docstring), and the engine that extends it, if one exists.
+        # docstring), its row count and level offsets as plain ints
+        # (see _adopt), and the engine that extends it, if one exists.
         self._arrays: SearchArrays | None = None
+        self._n_rows = 0
+        self._offsets: list[int] = [0]
         self._engine: VectorEngine | None = None
         # Shard layout recorded by the store this search was loaded from.
         self._recorded_shards: dict | None = None
@@ -345,9 +349,19 @@ class CascadeSearch:
         """
         return self._restored
 
+    def _adopt(self, arrays: SearchArrays) -> None:
+        """Read every row through *arrays* from now on.
+
+        The row count and level offsets are taken once per snapshot,
+        as Python ints, so a row query never converts numpy scalars.
+        """
+        self._arrays = arrays
+        self._offsets = arrays.level_offsets.tolist()
+        self._n_rows = self._offsets[-1]
+
     def _level_arrays(self, cost: int):
         """``(perms (n, degree) u8, masks (n, W) u64)`` for one level."""
-        start, stop = self._arrays.level_rows(cost)
+        start, stop = self._offsets[cost], self._offsets[cost + 1]
         return self._arrays.perms[start:stop], self._arrays.masks[start:stop]
 
     def _ensure_engine(self) -> VectorEngine:
@@ -368,7 +382,7 @@ class CascadeSearch:
         # snapshot, so a memory-mapped store file is no longer pinned
         # (re-saving over it must work on every platform).
         self._engine = engine
-        self._arrays = engine.arrays()
+        self._adopt(engine.arrays())
         return engine
 
     def close(self) -> None:
@@ -428,7 +442,7 @@ class CascadeSearch:
             # rebuilt from the arrays on the next BatchSynthesizer.
             self._attached_index = None
             self._elapsed += perf_counter() - started
-            self._arrays = engine.arrays()
+            self._adopt(engine.arrays())
 
     # -- queries -----------------------------------------------------------------------
 
@@ -446,12 +460,11 @@ class CascadeSearch:
     def level_size(self, cost: int) -> int:
         if cost > self._expanded_to:
             self.extend_to(cost)
-        start, stop = self._arrays.level_rows(cost)
-        return stop - start
+        return self._offsets[cost + 1] - self._offsets[cost]
 
     def total_seen(self) -> int:
         """|A[expanded_to]|: all distinct cascade permutations found."""
-        return self._arrays.n_rows
+        return self._n_rows
 
     def cost_of(self, perm: bytes | Permutation) -> int | None:
         """Minimal cost of a full label permutation, if discovered so far."""
@@ -485,8 +498,7 @@ class CascadeSearch:
         return -1
 
     def _level_of_row(self, row: int) -> int:
-        offsets = self._arrays.level_offsets.tolist()
-        return bisect.bisect_right(offsets, row) - 1
+        return bisect.bisect_right(self._offsets, row) - 1
 
     @property
     def s_mask(self) -> int:
@@ -511,7 +523,7 @@ class CascadeSearch:
 
     def _check_row(self, row: int) -> None:
         """Refuse a global row index outside ``0 .. n_rows - 1``."""
-        n = self.total_seen()
+        n = self._n_rows
         if not 0 <= row < n:
             raise InvalidValueError(f"row {row} outside 0..{n - 1}")
 
@@ -537,15 +549,17 @@ class CascadeSearch:
                 "search was built with track_parents=False; no witnesses"
             )
         self._check_row(row)
-        n = self.total_seen()
+        n, bound, n_gates = self._n_rows, self._expanded_to, self._n_gates
         indices: list[int] = []
-        parents, gates = self._arrays.parents, self._arrays.gates
+        # ``item`` reads a Python int from every array kind: an engine
+        # view, a memory-mapped v2 section or a lazy v3 one.
+        parent, gate = self._arrays.parents.item, self._arrays.gates.item
         while row:
-            row, gate_index = int(parents[row]), int(gates[row])
+            row, gate_index = parent(row), gate(row)
             indices.append(gate_index)
             if (
-                len(indices) > self._expanded_to
-                or not 0 <= gate_index < len(self._library)
+                len(indices) > bound
+                or not 0 <= gate_index < n_gates
                 or not 0 <= row < n
             ):
                 # Unit-or-heavier gate costs bound a minimal cascade's
@@ -586,7 +600,7 @@ class CascadeSearch:
         return (self._level_start(cost) + local).tolist(), remainders
 
     def _level_start(self, cost: int) -> int:
-        return int(self._arrays.level_offsets[cost])
+        return self._offsets[cost]
 
     def attach_remainder_index(self, cost_bound: int, index: dict) -> None:
         """Attach a precomputed remainder index (deserialized from a store).
@@ -652,7 +666,7 @@ class CascadeSearch:
         )
         if validate:
             search._validate_arrays(arrays)
-        search._arrays = arrays
+        search._adopt(arrays)
         search._expanded_to = arrays.expanded_to
         search._elapsed = arrays.elapsed_seconds
         search._restored = True

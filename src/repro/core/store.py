@@ -154,6 +154,7 @@ cost-decreasing parents) are re-validated on restore.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import io
@@ -1251,10 +1252,12 @@ class _LazyChunkedArray:
 
     Implements exactly the access surface the query paths use on raw
     :class:`SearchArrays` members -- ``shape``/``dtype``, integer row
-    indexing, contiguous row slices, and whole-array materialization
-    via ``__array__`` (used by eager consumers such as migration and
-    ``verify_store``).  Rows decompress level by level on first touch,
-    so open + first query stays O(chunks touched) at any closure size.
+    indexing, ``item`` (one element as a Python scalar, the witness
+    walk's read), contiguous row slices, and whole-array
+    materialization via ``__array__`` (used by eager consumers such as
+    migration and ``verify_store``).  Rows decompress level by level on
+    first touch, so open + first query stays O(chunks touched) at any
+    closure size.
     """
 
     def __init__(
@@ -1269,8 +1272,8 @@ class _LazyChunkedArray:
         self._name = name
         self.dtype = np.dtype(dtype)
         self._width = width
-        self._offsets = np.asarray(level_offsets, dtype=np.int64)
-        n = int(self._offsets[-1])
+        self._offsets = np.asarray(level_offsets, dtype=np.int64).tolist()
+        n = self._offsets[-1]
         self.shape = (n,) if width is None else (n, width)
         self.ndim = len(self.shape)
 
@@ -1278,9 +1281,7 @@ class _LazyChunkedArray:
         return self.shape[0]
 
     def _level_of(self, row: int) -> int:
-        return int(
-            np.searchsorted(self._offsets, row, side="right") - 1
-        )
+        return bisect.bisect_right(self._offsets, row) - 1
 
     def _level(self, k: int):
         return self._payload.span(self._name, k, self.dtype, self._width)
@@ -1296,7 +1297,7 @@ class _LazyChunkedArray:
                     f"row {key} outside the {n}-row closure"
                 )
             k = self._level_of(row)
-            return self._level(k)[row - int(self._offsets[k])]
+            return self._level(k)[row - self._offsets[k]]
         if isinstance(key, slice):
             start, stop, step = key.indices(n)
             if step != 1:
@@ -1311,20 +1312,28 @@ class _LazyChunkedArray:
             first = self._level_of(start)
             last = self._level_of(stop - 1)
             if first == last:
-                base = int(self._offsets[first])
+                base = self._offsets[first]
                 return self._level(first)[start - base : stop - base]
             parts = []
             for k in range(first, last + 1):
-                lo = max(start, int(self._offsets[k]))
-                hi = min(stop, int(self._offsets[k + 1]))
+                lo = max(start, self._offsets[k])
+                hi = min(stop, self._offsets[k + 1])
                 if lo < hi:
-                    base = int(self._offsets[k])
+                    base = self._offsets[k]
                     parts.append(self._level(k)[lo - base : hi - base])
             return np.concatenate(parts)
         raise TypeError(
             f"chunked store arrays take int or slice indices, not "
             f"{type(key).__name__}"
         )
+
+    def item(self, row: int):
+        """Element *row* of a one-dimensional array, as a Python scalar."""
+        n = self.shape[0]
+        if not 0 <= row < n:
+            raise IndexError(f"row {row} outside the {n}-row closure")
+        k = self._level_of(row)
+        return self._level(k).item(row - self._offsets[k])
 
     def __array__(self, dtype=None, copy=None):
         full = self[0 : self.shape[0]]

@@ -51,7 +51,11 @@ from repro.errors import (
 )
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
-from repro.core.mce import SynthesisResult, certify, not_gates_by_name
+from repro.core.mce import (
+    SynthesisResult,
+    certified_cascade,
+    not_gates_by_name,
+)
 from repro.core.store import (  # noqa: F401  (re-exported persistence facade)
     StoreHeader,
     load_search,
@@ -195,8 +199,9 @@ def result_from_dict(
     The inverse of :func:`result_to_dict`, certified on the way in: the
     gate names are looked up in the shared library of the record's
     ``(n_qubits, radix)`` (:func:`~repro.gates.library.library_for`)
-    and :func:`~repro.core.mce.certify` composes the library's cached
-    gate tables to prove that the circuit realizes the stored target at
+    and :func:`~repro.core.mce.certified_cascade` (the checks of
+    :func:`~repro.core.mce.certify`) composes the library's cached gate
+    tables to prove that the circuit realizes the stored target at
     the stored cost under *cost_model* (the store's model -- ``repro
     synth --store`` passes its header's, ``--server`` the one
     ``store-info`` reports), and a stored ``not_mask`` must match the
@@ -222,30 +227,24 @@ def result_from_dict(
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecificationError(f"malformed result record: {exc}") from None
-    cascade = certify(library, names, target, cost, cost_model)
-    not_gates = not_gates_by_name(n_qubits)
-    gates = []
-    not_mask = 0
-    for name in names:
-        entry = library.get(name)
-        if entry is None:
-            # certify() admitted only a leading layer of known NOTs.
-            gate = not_gates[name]
-            not_mask ^= 1 << (n_qubits - 1 - gate.target)
-        else:
-            gate = entry.gate
-        gates.append(gate)
+    not_mask, entries, images = certified_cascade(
+        library, names, target, cost, cost_model
+    )
     if claimed_mask is not None and claimed_mask != not_mask:
         raise SpecificationError(
             f"stored not_mask {claimed_mask} disagrees with the circuit's "
             f"NOT layer (mask {not_mask})"
         )
+    # The certified names are a leading layer of NOTs, then the entries.
+    not_gates = not_gates_by_name(n_qubits)
+    gates = [not_gates[name] for name in names[: len(names) - len(entries)]]
+    gates += [entry.gate for entry in entries]
     return SynthesisResult(
         target=target,
         circuit=Circuit(gates, n_qubits),
         cost=cost,
         not_mask=not_mask,
-        cascade_permutation=cascade,
+        cascade_permutation=Permutation(images),
     )
 
 

@@ -332,18 +332,46 @@ class Permutation:
 
     @classmethod
     def from_cycle_string(cls, degree: int, text: str) -> "Permutation":
-        """Parse paper-style cycle notation, e.g. ``"(3,7,4,8)"``."""
+        """Parse paper-style cycle notation, e.g. ``"(3,7,4,8)"``.
+
+        One pass fills one bytearray of images.  The errors are
+        :meth:`from_cycles`' and come in its order: a syntax error
+        anywhere wins, then the first point (in text order) that is out
+        of range or repeated.
+        """
         text = text.strip().replace(" ", "")
         if text in ("()", ""):
             return cls.identity(degree)
         if not (text.startswith("(") and text.endswith(")")):
             raise InvalidPermutationError(f"bad cycle string {text!r}")
-        cycles = []
+        images = bytearray(range(degree))
+        seen = bytearray(degree + 1)
+        failure = None
         for chunk in text[1:-1].split(")("):
             try:
-                cycles.append([int(p) for p in chunk.split(",")])
+                cycle = list(map(int, chunk.split(",")))
             except ValueError:
                 raise InvalidPermutationError(
                     f"bad cycle string {text!r}"
                 ) from None
-        return cls.from_cycles(degree, cycles, one_based=True)
+            if failure is not None:
+                continue
+            prev = first = cycle[0]
+            for p in cycle:
+                if not 0 < p <= degree:
+                    failure = (
+                        f"cycle point {p} out of range for degree {degree}"
+                    )
+                    break
+                if seen[p]:
+                    failure = f"point {p} appears in two cycles"
+                    break
+                seen[p] = 1
+                # Each point maps to the next; the last one to the first.
+                images[prev - 1] = p - 1
+                prev = p
+            else:
+                images[prev - 1] = first - 1
+        if failure is not None:
+            raise InvalidPermutationError(failure)
+        return cls(bytes(images))

@@ -12,7 +12,7 @@ Concurrency model
 * Every operation runs inline on the event loop.  A served target is
   one spec parse, one remainder-index lookup, one parent walk and one
   table-composing certify, written straight into its wire record
-  (:func:`_synth_records`): about 45 microseconds, 1.5 ms for a
+  (:func:`_synth_recorder`): about 15 microseconds, 0.5 ms for a
   32-target batch of the 3-qubit cost-7 store on a 2-CPU box.  That
   is less than a thread hop would cost, and each connection is served
   one request at a time, so there is nothing to queue or coalesce.
@@ -524,14 +524,10 @@ class SynthesisService:
 # -- query functions (pure reads of frozen state) --------------------------------------
 
 
-def _parse_spec(state: StoreState, spec: object):
+def _parse_spec(spec: object, n_qubits: int, radix: int):
     if not isinstance(spec, str):
         raise ProtocolError("target must be a spec string")
-    return parse_target(
-        spec,
-        n_qubits=state.library.n_qubits,
-        radix=state.library.space.radix,
-    )
+    return parse_target(spec, n_qubits, radix)
 
 
 def _check_query_bound(state: StoreState, params: dict) -> int:
@@ -552,63 +548,76 @@ def _flag(params: dict, name: str, default: bool) -> bool:
     return value
 
 
-def _synth_records(
-    state: StoreState, target, bound: int, allow_not: bool, all_: bool
-) -> list[dict]:
-    """One parsed target's certified wire records, from the index hit.
+def _synth_recorder(
+    state: StoreState, bound: int, allow_not: bool, all_: bool
+):
+    """The per-target step of ``synth`` and ``synth-batch``, with the
+    request's constants read once: a function from one parsed target
+    to its certified wire records.
 
-    The per-target step of ``synth`` and ``synth-batch``: strip the
-    free NOT layer on the target's image bytes, look the remainder up
-    in the remainder index, certify the first row's
-    witness (every row's with *all_*) with
-    :func:`~repro.core.mce.certify_row`, and write each record from the
-    witness's gate indices.  The records equal ``result_to_dict`` of
+    Per target it strips the free NOT layer on the target's image
+    bytes, looks the remainder up in the remainder index, certifies the
+    first row's witness (every row's with *all_*) with
+    :func:`~repro.core.mce.certify_row`, and writes each record from
+    the witness's gates.  The records equal ``result_to_dict`` of
     ``BatchSynthesizer.synthesize`` (``synthesize_all``) with a query
     bound of *bound*, and so do the errors: a
     ``CostBoundExceededError`` cites *bound*, as a local
     ``BatchSynthesizer(search, cost_bound=bound)`` would.
 
-    Raises:
-        ReproError: a NOT layer with ``allow_not`` false, a
-            counting-only store, no realization within *bound*, or a
-            witness that fails certification (``StoreCorruptError``).
+    The returned function raises ReproError: a NOT layer with
+    ``allow_not`` false, a counting-only store, no realization within
+    *bound*, or a witness that fails certification
+    (``StoreCorruptError``).
     """
     library = state.library
     n_qubits = library.n_qubits
     radix = library.space.radix
-    not_mask, remainder = strip_not_layer(target.images, library, allow_not)
-    not_names = not_layer_names(not_mask, n_qubits)
-    if remainder == bytes(range(len(remainder))):
-        return [result_record(
-            n_qubits, radix, not_names, target.cycle_string(), 0, not_mask
-        )]
-    rows = state.batch.witness_rows(remainder)
-    text = target.cycle_string()
-    records = []
-    if rows is not None:
-        names = state.gate_names
-        for row in rows if all_ else rows[:1]:
-            entries, cost, _cascade = certify_row(
-                state.batch.search, row, not_mask, target
-            )
-            if cost <= bound:
-                gates = not_names + tuple(names[e.index] for e in entries)
-                records.append(result_record(
-                    n_qubits, radix, gates, text, cost, not_mask
-                ))
-    if not records:
-        raise CostBoundExceededError(f"permutation {text}", bound)
+    identity = bytes(range(library.space.n_binary))
+    search = state.batch.search
+    witness_rows = state.batch.witness_rows
+    names = state.gate_names
+
+    def records(target) -> list[dict]:
+        not_mask, remainder = strip_not_layer(
+            target.images, library, allow_not
+        )
+        not_names = not_layer_names(not_mask, n_qubits)
+        text = target.cycle_string()
+        if remainder == identity:
+            return [result_record(
+                n_qubits, radix, not_names, text, 0, not_mask
+            )]
+        rows = witness_rows(remainder)
+        out = []
+        if rows is not None:
+            for row in rows if all_ else rows[:1]:
+                entries, cost, _cascade = certify_row(
+                    search, row, not_mask, target
+                )
+                if cost <= bound:
+                    gates = not_names + tuple(names[e.index] for e in entries)
+                    out.append(result_record(
+                        n_qubits, radix, gates, text, cost, not_mask
+                    ))
+        if not out:
+            raise CostBoundExceededError(f"permutation {text}", bound)
+        return out
+
     return records
 
 
 def _run_synth(state: StoreState, params: dict) -> dict:
-    records = _synth_records(
+    library = state.library
+    target = _parse_spec(
+        params.get("target"), library.n_qubits, library.space.radix
+    )
+    records = _synth_recorder(
         state,
-        _parse_spec(state, params.get("target")),
         _check_query_bound(state, params),
         _flag(params, "allow_not", True),
         _flag(params, "all", False),
-    )
+    )(target)
     return {
         "target": records[0]["target"],
         "cost": records[0]["cost"],
@@ -620,7 +629,7 @@ def _synth_batch_chunks(state: StoreState, params: dict):
     """A ``synth-batch``'s entries, :data:`BATCH_CHUNK` targets at a time.
 
     One entry per spec, errors reported per entry, never wholesale.
-    Each entry is :func:`_synth_records`' first record, so an all-ok
+    Each entry is :func:`_synth_recorder`'s first record, so an all-ok
     batch answers the records of
     :meth:`BatchSynthesizer.synthesize_many` (``tests/test_server.py``
     and ``benchmarks/bench_serve.py`` pin this); any per-target failure
@@ -633,15 +642,14 @@ def _synth_batch_chunks(state: StoreState, params: dict):
         raise ProtocolError("targets must be a list of spec strings")
     bound = _check_query_bound(state, params)
     allow_not = _flag(params, "allow_not", True)
+    records = _synth_recorder(state, bound, allow_not, False)
+    n_qubits, radix = state.library.n_qubits, state.library.space.radix
 
     for first in range(0, len(specs), BATCH_CHUNK):
         chunk: list[dict] = []
         for spec in specs[first:first + BATCH_CHUNK]:
             try:
-                target = _parse_spec(state, spec)
-                (record,) = _synth_records(
-                    state, target, bound, allow_not, False
-                )
+                (record,) = records(_parse_spec(spec, n_qubits, radix))
                 chunk.append({"ok": True, "result": record})
             except ReproError as exc:
                 chunk.append({"ok": False, "error": error_payload(exc)[0]})
