@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.errors import (
     CostBoundExceededError,
@@ -301,7 +301,7 @@ def certified_cascade(
     images = _compose_entries(
         library, [entry.index for entry in entries], cost, cost_model
     )
-    _compare_target(images, library, not_mask, target)
+    _compare_target(library, not_mask, target, images)
     return not_mask, entries, images
 
 
@@ -356,7 +356,7 @@ def _compose_entries(
 
 
 def _compare_target(
-    images: bytes, library: GateLibrary, not_mask: int, target: Permutation
+    library: GateLibrary, not_mask: int, target: Permutation, images: bytes
 ) -> None:
     """Check that NOT layer *not_mask* then *images* realize *target*."""
     n_binary = library.space.n_binary
@@ -385,24 +385,20 @@ def certify_row(
     Every MCE witness passes it, whether it becomes a
     :class:`SynthesisResult` or a served wire record.
     """
-    return witness_row(
-        search, row, _compare_target, search.library, not_mask, target
-    )
+    compare = partial(_compare_target, search.library, not_mask, target)
+    return witness_row(search, row, compare)
 
 
 def witness_row(
-    search: CascadeSearch,
-    row: int,
-    compare: Callable[..., None],
-    *compare_args,
+    search: CascadeSearch, row: int, compare: Callable[[bytes], None]
 ) -> tuple[list[LibraryGate], int, Permutation]:
     """Extract and certify the witness cascade of one closure row.
 
     The witness, walked from the parent arrays, must compose as a
     reasonable product at the row's cost (:func:`_compose_entries`),
-    pass ``compare(images, *compare_args)`` (which raises
-    :class:`SpecificationError` when the label images miss the query)
-    and equal the row's stored permutation.
+    pass *compare* (which raises :class:`SpecificationError` when its
+    label images miss the query) and equal the row's stored
+    permutation.
 
     Returns:
         ``(entries, cost, cascade)``: the library entries in cascade
@@ -418,7 +414,7 @@ def witness_row(
         indices = search.witness_indices_for_row(row)
         cost = search.cost_of_row(row)
         images = _compose_entries(library, indices, cost, search.cost_model)
-        compare(images, *compare_args)
+        compare(images)
     except (InvalidValueError, SpecificationError) as exc:
         raise StoreCorruptError(
             f"closure row {row}: witness fails certification: {exc}"

@@ -1286,18 +1286,22 @@ class _LazyChunkedArray:
     def _level(self, k: int):
         return self._payload.span(self._name, k, self.dtype, self._width)
 
+    def _locate(self, key) -> tuple[int, int]:
+        """``(level, row within the level)`` of integer index *key*."""
+        n = self.shape[0]
+        row = int(key)
+        if row < 0:
+            row += n
+        if not 0 <= row < n:
+            raise IndexError(f"row {key} outside the {n}-row closure")
+        k = self._level_of(row)
+        return k, row - self._offsets[k]
+
     def __getitem__(self, key):
         n = self.shape[0]
         if isinstance(key, (int, np.integer)):
-            row = int(key)
-            if row < 0:
-                row += n
-            if not 0 <= row < n:
-                raise IndexError(
-                    f"row {key} outside the {n}-row closure"
-                )
-            k = self._level_of(row)
-            return self._level(k)[row - self._offsets[k]]
+            k, local = self._locate(key)
+            return self._level(k)[local]
         if isinstance(key, slice):
             start, stop, step = key.indices(n)
             if step != 1:
@@ -1329,11 +1333,8 @@ class _LazyChunkedArray:
 
     def item(self, row: int):
         """Element *row* of a one-dimensional array, as a Python scalar."""
-        n = self.shape[0]
-        if not 0 <= row < n:
-            raise IndexError(f"row {row} outside the {n}-row closure")
-        k = self._level_of(row)
-        return self._level(k).item(row - self._offsets[k])
+        k, local = self._locate(row)
+        return self._level(k).item(local)
 
     def __array__(self, dtype=None, copy=None):
         full = self[0 : self.shape[0]]

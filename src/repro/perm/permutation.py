@@ -130,23 +130,32 @@ class Permutation:
                 (default) rather than 0-based indices.
         """
         offset = 1 if one_based else 0
-        images = list(range(degree))
-        touched = set()
+        end = degree + offset
+        # images[label] is the 0-based image of *label*; with 1-based
+        # labels, slot 0 is padding that the result drops.
+        images = bytearray(offset) + bytearray(range(degree))
+        seen = bytearray(end)
         for cycle in cycles:
-            pts = [p - offset for p in cycle]
-            for p in pts:
-                if not 0 <= p < degree:
+            prev = None
+            for p in cycle:
+                if not offset <= p < end:
                     raise InvalidPermutationError(
-                        f"cycle point {p + offset} out of range for degree {degree}"
+                        f"cycle point {p} out of range for degree {degree}"
                     )
-                if p in touched:
+                if seen[p]:
                     raise InvalidPermutationError(
-                        f"point {p + offset} appears in two cycles"
+                        f"point {p} appears in two cycles"
                     )
-                touched.add(p)
-            for i, p in enumerate(pts):
-                images[p] = pts[(i + 1) % len(pts)]
-        return cls(bytes(images))
+                seen[p] = 1
+                # Each point maps to the next; the last one to the first.
+                if prev is None:
+                    first = p
+                else:
+                    images[prev] = p - offset
+                prev = p
+            if prev is not None:
+                images[prev] = first - offset
+        return cls(bytes(images[offset:]))
 
     @classmethod
     def transposition(cls, degree: int, a: int, b: int) -> "Permutation":
@@ -332,46 +341,17 @@ class Permutation:
 
     @classmethod
     def from_cycle_string(cls, degree: int, text: str) -> "Permutation":
-        """Parse paper-style cycle notation, e.g. ``"(3,7,4,8)"``.
-
-        One pass fills one bytearray of images.  The errors are
-        :meth:`from_cycles`' and come in its order: a syntax error
-        anywhere wins, then the first point (in text order) that is out
-        of range or repeated.
-        """
+        """Parse paper-style cycle notation, e.g. ``"(3,7,4,8)"``."""
         text = text.strip().replace(" ", "")
         if text in ("()", ""):
             return cls.identity(degree)
         if not (text.startswith("(") and text.endswith(")")):
             raise InvalidPermutationError(f"bad cycle string {text!r}")
-        images = bytearray(range(degree))
-        seen = bytearray(degree + 1)
-        failure = None
-        for chunk in text[1:-1].split(")("):
-            try:
-                cycle = list(map(int, chunk.split(",")))
-            except ValueError:
-                raise InvalidPermutationError(
-                    f"bad cycle string {text!r}"
-                ) from None
-            if failure is not None:
-                continue
-            prev = first = cycle[0]
-            for p in cycle:
-                if not 0 < p <= degree:
-                    failure = (
-                        f"cycle point {p} out of range for degree {degree}"
-                    )
-                    break
-                if seen[p]:
-                    failure = f"point {p} appears in two cycles"
-                    break
-                seen[p] = 1
-                # Each point maps to the next; the last one to the first.
-                images[prev - 1] = p - 1
-                prev = p
-            else:
-                images[prev - 1] = first - 1
-        if failure is not None:
-            raise InvalidPermutationError(failure)
-        return cls(bytes(images))
+        try:
+            cycles = [
+                list(map(int, chunk.split(",")))
+                for chunk in text[1:-1].split(")(")
+            ]
+        except ValueError:
+            raise InvalidPermutationError(f"bad cycle string {text!r}") from None
+        return cls.from_cycles(degree, cycles, one_based=True)

@@ -12,7 +12,7 @@ Concurrency model
 * Every operation runs inline on the event loop.  A served target is
   one spec parse, one remainder-index lookup, one parent walk and one
   table-composing certify, written straight into its wire record
-  (:func:`_synth_recorder`): about 15 microseconds, 0.5 ms for a
+  (:func:`_synth_recorder`): about 16 microseconds, 0.5 ms for a
   32-target batch of the 3-qubit cost-7 store on a 2-CPU box.  That
   is less than a thread hop would cost, and each connection is served
   one request at a time, so there is nothing to queue or coalesce.

@@ -3,6 +3,8 @@
 Every user-facing parser (cycle notation, gate names, pattern strings,
 memory budgets, circuit records) either returns a valid object or raises a library error
 -- never an unhandled TypeError/IndexError/ValueError from internals.
+Cycle notation and cycle lists are also checked against a reference
+parser: the same permutation, or the same error type and message.
 The fleet router's reply handling is fuzzed on the wire: it forwards a
 replica's result bytes only for the exact reply shape, and answers any
 other reply line as it would with no forwarding at all.
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.fleet.router as router_module
-from repro.errors import ReproError
+from repro.errors import InvalidPermutationError, ReproError
 from repro.core.circuit import Circuit
 from repro.core.dedup import parse_budget
 from repro.fleet.router import RouterService
@@ -56,6 +58,89 @@ class TestCycleStringFuzz:
         except LIBRARY_ERRORS:
             return
         assert perm.degree == degree
+
+    @given(
+        degree=st.integers(min_value=0, max_value=40),
+        cycles=st.lists(
+            st.lists(st.integers(min_value=-2, max_value=42), max_size=5),
+            max_size=4,
+        ),
+        one_based=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_from_cycles_matches_reference(self, degree, cycles, one_based):
+        assert _outcome(
+            Permutation.from_cycles, degree, cycles, one_based
+        ) == _outcome(_reference_from_cycles, degree, cycles, one_based)
+
+    @given(
+        degree=st.integers(min_value=0, max_value=40),
+        cycles=st.lists(
+            st.lists(
+                st.integers(min_value=-2, max_value=42), min_size=1, max_size=5
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        junk=st.sampled_from(["", "x", ",", "(", ")", "-", "+"]),
+        at=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_cycle_string_matches_reference(self, degree, cycles, junk, at):
+        text = "".join(
+            "(" + ",".join(map(str, cycle)) + ")" for cycle in cycles
+        )
+        text = text[:at] + junk + text[at:]
+        expected = _outcome(_reference_from_cycle_string, degree, text)
+        assert _outcome(Permutation.from_cycle_string, degree, text) == expected
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args).images
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_from_cycles(degree, cycles, one_based=True):
+    """Cycles to a permutation with a set of touched points and a modulo
+    step: the first point (in input order) out of range or seen before
+    raises."""
+    offset = 1 if one_based else 0
+    images = list(range(degree))
+    touched = set()
+    for cycle in cycles:
+        pts = [p - offset for p in cycle]
+        for p in pts:
+            if not 0 <= p < degree:
+                raise InvalidPermutationError(
+                    f"cycle point {p + offset} out of range for degree {degree}"
+                )
+            if p in touched:
+                raise InvalidPermutationError(
+                    f"point {p + offset} appears in two cycles"
+                )
+            touched.add(p)
+        for i, p in enumerate(pts):
+            images[p] = pts[(i + 1) % len(pts)]
+    return Permutation(bytes(images))
+
+
+def _reference_from_cycle_string(degree, text):
+    """Cycle notation parsed whole before any point is checked, so a
+    syntax error anywhere wins over a range or repeat error."""
+    text = text.strip().replace(" ", "")
+    if text in ("()", ""):
+        return Permutation.identity(degree)
+    if not (text.startswith("(") and text.endswith(")")):
+        raise InvalidPermutationError(f"bad cycle string {text!r}")
+    cycles = []
+    for chunk in text[1:-1].split(")("):
+        try:
+            cycles.append([int(p) for p in chunk.split(",")])
+        except ValueError:
+            raise InvalidPermutationError(f"bad cycle string {text!r}") from None
+    return _reference_from_cycles(degree, cycles)
 
 
 class TestGateNameFuzz:
